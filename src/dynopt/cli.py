@@ -268,6 +268,24 @@ def _check_run_bookkeeping() -> None:
         assert all(0.0 < r <= 1.0 for r in row)
 
 
+def _check_dimension_walk_runs() -> None:
+    from dynopt.gdbg.instance import make_instance
+    from dynopt.optimizers.runner import OPTIMIZER_IDS, run
+
+    for optimizer_id in OPTIMIZER_IDS:
+        inst = make_instance(
+            "F3", "T7", seed=13,
+            overrides={"dimension": 10, "change_frequency": 200},
+        )
+        try:
+            trajectory = run(optimizer_id, inst, budget=600, seed=5, frequency=200)
+        except DimensionMismatch as exc:
+            raise AssertionError(f"{optimizer_id} crashed under T7: {exc}") from exc
+        assert trajectory.evaluations == 600, f"{optimizer_id} stopped early"
+        assert len(trajectory.e_last) == 3, f"{optimizer_id} closed too few windows"
+        assert inst.dimension() != 10, "the dimension must have moved"
+
+
 _SELFTEST_CHECKS = (
     ("change rules stay in range", _check_change_rules),
     ("rotations preserve norms", _check_rotations),
@@ -276,6 +294,7 @@ _SELFTEST_CHECKS = (
     ("statistics match naive recomputation", _check_statistics),
     ("schedule anchors", _check_schedules),
     ("run bookkeeping closes every window", _check_run_bookkeeping),
+    ("every optimizer runs through dimension changes", _check_dimension_walk_runs),
 )
 
 

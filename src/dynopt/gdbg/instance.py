@@ -4,6 +4,14 @@ An instance owns its RNG, its change counter ``t``, and an evaluation
 counter.  Evaluations drive time: when the counter crosses a multiple of
 the change frequency the environment advances first and the crossing call
 already sees the new landscape.
+
+Under T7 a change also moves the dimension by one, usually in the middle
+of a population sweep, so the rest of the population still holds vectors
+of the old length.  The dimension rule: a vector whose length is the
+dimension just before the latest change is fitted to the current one,
+truncated to its leading coordinates when the dimension shrank and
+zero-padded when it grew.  The crossing call is fitted the same way.
+Every other length raises :class:`~dynopt.errors.DimensionMismatch`.
 """
 
 from __future__ import annotations
@@ -92,6 +100,7 @@ class GdbgInstance(DynamicObjective):
         self.eval_count = 0
         self.frequency = config.resolved_frequency()
         self._walk = DimensionWalk(config.dimension)
+        self._previous_dim = config.dimension
         self.rotation_angle = DynamicParam(
             value=0.0,
             min=-math.pi,
@@ -181,16 +190,23 @@ class GdbgInstance(DynamicObjective):
         return self.function_id.startswith("F1")
 
     def evaluate(self, x: np.ndarray) -> float:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1 and x.shape[0] == self._previous_dim != self.problem.dim:
+            x = self._fit_dimension(x)
         x = self.check_dimension(x)
         self.eval_count += 1
         if self.eval_count % self.frequency == 0:
             self.advance_environment()
-            # the crossing call is already scored in the new environment;
-            # its dimension may have moved under T7
-            x = x[: self.problem.dim] if x.shape[0] >= self.problem.dim else x
-            if x.shape[0] != self.problem.dim:
-                x = np.concatenate([x, np.zeros(self.problem.dim - x.shape[0])])
+            # the crossing call is already scored in the new environment
+            x = self._fit_dimension(x)
         return self.problem.evaluate(x)
+
+    def _fit_dimension(self, x: np.ndarray) -> np.ndarray:
+        """Truncate or zero-pad ``x`` to the current dimension (module docstring)."""
+        d = self.problem.dim
+        if x.shape[0] >= d:
+            return x[:d]
+        return np.concatenate([x, np.zeros(d - x.shape[0])])
 
     def optimum_value(self) -> float:
         return self.problem.optimum_value()
@@ -221,6 +237,7 @@ class GdbgInstance(DynamicObjective):
             self.problem.rotate_centers(rotation)
         else:
             self.problem.rotate_optima(rotation)
+        self._previous_dim = self.problem.dim
         if kind is ChangeType.RANDOM_DIM:
             new_dim = self._walk.step()
             self.problem.resize(new_dim, self.rng)

@@ -18,7 +18,17 @@ CHANGE_TOLERANCE = 1e-12
 
 
 class SwarmBase:
-    """Population state and the change-handling skeleton."""
+    """Population state and the change-handling skeleton.
+
+    Every swarm keeps a food source: the best position it knows,
+    ``food_position`` with its value ``food_fitness`` (the gbest of a
+    PSO).  Re-evaluating it each iteration is the change sentinel.  Swarms
+    with per-member memory also keep ``pbest_positions`` and
+    ``pbest_fitness``; on a change that memory is re-scored.
+    """
+
+    pbest_positions: np.ndarray | None = None
+    pbest_fitness: np.ndarray | None = None
 
     def __init__(
         self,
@@ -74,6 +84,53 @@ class SwarmBase:
     def clamp_positions(self) -> None:
         np.clip(self.positions, self.lower, self.upper, out=self.positions)
 
+    # -- memory -------------------------------------------------------------
+
+    def start_memory(self, pbests: bool) -> None:
+        """Score the initial population; its best member becomes the food."""
+        self.evaluate_all()
+        if pbests:
+            self.pbest_positions = self.positions.copy()
+            self.pbest_fitness = self.fitness.copy()
+        best = self.argbest(self.fitness)
+        self.food_position = self.positions[best].copy()
+        self.food_fitness = float(self.fitness[best])
+
+    def update_pbests(self) -> np.ndarray:
+        """Copy each strictly improved member into its pbest; return the mask."""
+        if self.maximize:
+            improved = self.fitness > self.pbest_fitness
+        else:
+            improved = self.fitness < self.pbest_fitness
+        self.pbest_fitness[improved] = self.fitness[improved]
+        self.pbest_positions[improved] = self.positions[improved]
+        return improved
+
+    def promote(self, positions: np.ndarray, values: np.ndarray) -> None:
+        """Make the best row the food source if it is strictly better."""
+        best = self.argbest(values)
+        if self.better(float(values[best]), self.food_fitness):
+            self.food_position = positions[best].copy()
+            self.food_fitness = float(values[best])
+
+    def detect_change(self) -> bool:
+        """Sentinel re-evaluation of the food position, once per iteration.
+
+        On a change the food takes its new value, any pbest memory is
+        re-scored and may replace it, and the iteration schedule restarts.
+        """
+        sentinel = self.eval_at(self.food_position)
+        changed = self._dim_changed or abs(sentinel - self.food_fitness) > CHANGE_TOLERANCE
+        self._dim_changed = False
+        if changed:
+            self.food_fitness = float(sentinel)
+            if self.pbest_positions is not None:
+                for i in range(self.n):
+                    self.pbest_fitness[i] = self.eval_at(self.pbest_positions[i])
+                self.promote(self.pbest_positions, self.pbest_fitness)
+            self.l_window = 0
+        return changed
+
     # -- dimension adaptation ----------------------------------------------
 
     def sync_dimension(self) -> None:
@@ -85,6 +142,9 @@ class SwarmBase:
         self.lower = np.asarray(lower, dtype=float).copy()
         self.upper = np.asarray(upper, dtype=float).copy()
         self.positions = self._resize_matrix(self.positions, new_dim)
+        if self.pbest_positions is not None:
+            self.pbest_positions = self._resize_matrix(self.pbest_positions, new_dim)
+        self.food_position = self._resize_vector(self.food_position, new_dim)
         self._resize_extra_state(new_dim)
         self.dim = new_dim
         self._dim_changed = True
@@ -108,7 +168,7 @@ class SwarmBase:
         return vec[:new_dim].copy()
 
     def _resize_extra_state(self, new_dim: int) -> None:
-        """Subclasses resize their memory (pbests, velocities, food)."""
+        """Subclasses resize any further per-dimension state."""
 
     # -- run loop -----------------------------------------------------------
 

@@ -6,13 +6,13 @@ comparisons measure search behaviour, not bookkeeping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from dynopt.objective import DynamicObjective
-from dynopt.optimizers.base import CHANGE_TOLERANCE, SwarmBase
+from dynopt.optimizers import rules
+from dynopt.optimizers.base import SwarmBase
 
 
 @dataclass(frozen=True)
@@ -52,43 +52,20 @@ class SsaBaseline(SwarmBase):
             frequency,
             evals_per_iteration=self.config.population + 1,
         )
-        self.evaluate_all()
-        best = self.argbest(self.fitness)
-        self.food_position = self.positions[best].copy()
-        self.food_fitness = float(self.fitness[best])
-
-    def _resize_extra_state(self, new_dim: int) -> None:
-        self.food_position = self._resize_vector(self.food_position, new_dim)
-
-    def detect_change(self) -> bool:
-        sentinel = self.eval_at(self.food_position)
-        changed = self._dim_changed or abs(sentinel - self.food_fitness) > CHANGE_TOLERANCE
-        self._dim_changed = False
-        if changed:
-            self.food_fitness = float(sentinel)
-            self.l_window = 0
-        return changed
+        self.start_memory(pbests=False)
 
     def iterate(self) -> None:
         self.sync_dimension()
         self.detect_change()
         l_eff = min(self.l_window, self.max_iterations)
-        c1 = 2.0 * math.exp(-((4.0 * l_eff / self.max_iterations) ** 2))
-        span = self.upper - self.lower
-        c2 = self.rng.random(self.dim)
-        side = self.rng.random(self.dim) >= 0.5
-        step = c1 * (span * c2 + self.lower)
-        self.positions[0] = np.where(
-            side, self.food_position + step, self.food_position - step
+        rules.salp_chain(
+            self.positions, range(self.n), self.food_position,
+            self.lower, self.upper,
+            rules.salp_coefficient(l_eff, self.max_iterations), self.rng,
         )
-        for i in range(1, self.n):
-            self.positions[i] = (self.positions[i] + self.positions[i - 1]) / 2.0
         self.clamp_positions()
         self.evaluate_all()
-        for i in range(self.n):
-            if self.better(float(self.fitness[i]), self.food_fitness):
-                self.food_fitness = float(self.fitness[i])
-                self.food_position = self.positions[i].copy()
+        self.promote(self.positions, self.fitness)
         self.l_window += 1
         self.iterations += 1
 
@@ -114,12 +91,7 @@ class PsoBaseline(SwarmBase):
             evals_per_iteration=self.config.population + 1,
         )
         self.velocities = np.zeros((self.n, self.dim))
-        self.evaluate_all()
-        self.pbest_positions = self.positions.copy()
-        self.pbest_fitness = self.fitness.copy()
-        best = self.argbest(self.pbest_fitness)
-        self.gbest_position = self.pbest_positions[best].copy()
-        self.gbest_fitness = float(self.pbest_fitness[best])
+        self.start_memory(pbests=True)
 
     def _resize_extra_state(self, new_dim: int) -> None:
         old = self.velocities.shape[1]
@@ -128,22 +100,6 @@ class PsoBaseline(SwarmBase):
             self.velocities = np.hstack([self.velocities, pad])
         else:
             self.velocities = self.velocities[:, :new_dim].copy()
-        self.pbest_positions = self._resize_matrix(self.pbest_positions, new_dim)
-        self.gbest_position = self._resize_vector(self.gbest_position, new_dim)
-
-    def detect_change(self) -> bool:
-        sentinel = self.eval_at(self.gbest_position)
-        changed = self._dim_changed or abs(sentinel - self.gbest_fitness) > CHANGE_TOLERANCE
-        self._dim_changed = False
-        if changed:
-            self.gbest_fitness = float(sentinel)
-            for i in range(self.n):
-                self.pbest_fitness[i] = self.eval_at(self.pbest_positions[i])
-            best = self.argbest(self.pbest_fitness)
-            if self.better(float(self.pbest_fitness[best]), self.gbest_fitness):
-                self.gbest_position = self.pbest_positions[best].copy()
-                self.gbest_fitness = float(self.pbest_fitness[best])
-        return changed
 
     def iterate(self) -> None:
         self.sync_dimension()
@@ -155,19 +111,13 @@ class PsoBaseline(SwarmBase):
         self.velocities = (
             cfg.chi * self.velocities
             + cfg.c1 * r1 * (self.pbest_positions - self.positions)
-            + cfg.c2 * r2 * (self.gbest_position - self.positions)
+            + cfg.c2 * r2 * (self.food_position - self.positions)
         )
         np.clip(self.velocities, -span, span, out=self.velocities)
         self.positions = self.positions + self.velocities
         self.clamp_positions()
         self.evaluate_all()
-        for i in range(self.n):
-            if self.better(float(self.fitness[i]), float(self.pbest_fitness[i])):
-                self.pbest_fitness[i] = self.fitness[i]
-                self.pbest_positions[i] = self.positions[i]
-        best = self.argbest(self.pbest_fitness)
-        if self.better(float(self.pbest_fitness[best]), self.gbest_fitness):
-            self.gbest_position = self.pbest_positions[best].copy()
-            self.gbest_fitness = float(self.pbest_fitness[best])
+        self.update_pbests()
+        self.promote(self.pbest_positions, self.pbest_fitness)
         self.l_window += 1
         self.iterations += 1

@@ -13,15 +13,14 @@ schedule restarts.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from dynopt.errors import ConfigError
 from dynopt.objective import DynamicObjective
 from dynopt.optimizers import rules
-from dynopt.optimizers.base import CHANGE_TOLERANCE, SwarmBase
+from dynopt.optimizers.base import SwarmBase
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class QcssoConfig:
     reinit_probability: float = 0.1
     exclusion_radius: float = 0.0  # 0 means 0.1 * ||upper - lower||
     probe_sigma_scale: float = 0.1
-    literal_attractor: bool = False
 
     def __post_init__(self) -> None:
         if self.population % self.subpopulations != 0:
@@ -50,6 +48,8 @@ class QcssoConfig:
             raise ConfigError("w_mode must be 'fixed' or 'chaotic'")
         if not 0.0 < self.w_init < 1.0:
             raise ConfigError("w_init must lie inside (0, 1)")
+        if not 0.0 < self.w_fixed < 1.0:
+            raise ConfigError("w_fixed must lie inside (0, 1)")
 
 
 @dataclass
@@ -94,14 +94,9 @@ class Qcsso(SwarmBase):
         ]
         self._w_state = cfg.w_init
 
-        self.evaluate_all()
-        self.pbest_positions = self.positions.copy()
-        self.pbest_fitness = self.fitness.copy()
+        self.start_memory(pbests=True)
         self.ages = np.zeros(self.n, dtype=int)
         self.stagnation = np.zeros(self.n, dtype=int)
-        best = self.argbest(self.pbest_fitness)
-        self.food_position = self.pbest_positions[best].copy()
-        self.food_fitness = float(self.pbest_fitness[best])
         self.context: IterationContext | None = None
         # per-iteration observability, mainly for tests
         self.last_aging_reinits: list[int] = []
@@ -127,31 +122,6 @@ class Qcsso(SwarmBase):
     def global_best_index(self) -> int:
         return self.argbest(self.pbest_fitness)
 
-    # -- state resize under dimension changes ------------------------------
-
-    def _resize_extra_state(self, new_dim: int) -> None:
-        self.pbest_positions = self._resize_matrix(self.pbest_positions, new_dim)
-        self.food_position = self._resize_vector(self.food_position, new_dim)
-
-    # -- change detection ----------------------------------------------------
-
-    def detect_change(self) -> bool:
-        """Sentinel re-evaluation of the food position, once per iteration."""
-        sentinel = self.eval_at(self.food_position)
-        changed = self._dim_changed or abs(sentinel - self.food_fitness) > CHANGE_TOLERANCE
-        self._dim_changed = False
-        if changed:
-            self.food_fitness = float(sentinel)
-            # memory is stale: re-score every pbest under the new landscape
-            for i in range(self.n):
-                self.pbest_fitness[i] = self.eval_at(self.pbest_positions[i])
-            best = self.argbest(self.pbest_fitness)
-            if self.better(float(self.pbest_fitness[best]), self.food_fitness):
-                self.food_position = self.pbest_positions[best].copy()
-                self.food_fitness = float(self.pbest_fitness[best])
-            self.l_window = 0  # restart the exploration schedule
-        return changed
-
     # -- iteration pieces ------------------------------------------------------
 
     def make_context(self) -> IterationContext:
@@ -168,32 +138,14 @@ class Qcsso(SwarmBase):
             food_fitness=self.food_fitness,
         )
 
-    def _uniform_open(self, size: int) -> np.ndarray:
-        """Uniform draws on (0, 1]."""
-        return 1.0 - self.rng.random(size)
-
-    def _attractor(self, x: np.ndarray, food: np.ndarray) -> np.ndarray:
-        r1 = self._uniform_open(self.dim)
-        r2 = self._uniform_open(self.dim)
-        if self.config.literal_attractor:
-            return (r1 * x + r2 * food) / (2.0 * r1)
-        return (r1 * x + r2 * food) / (r1 + r2)
-
     def ssa_bootstrap(self, ctx: IterationContext) -> None:
         """Classic salp chain rules, used on the first iteration of a window."""
-        c1 = 2.0 * math.exp(-((4.0 * ctx.l / ctx.max_iterations) ** 2))
-        span = self.upper - self.lower
+        c1 = rules.salp_coefficient(ctx.l, ctx.max_iterations)
         for members in self._chains:
-            leader = members[0]
-            c2 = self.rng.random(self.dim)
-            side = self.rng.random(self.dim) >= 0.5
-            step = c1 * (span * c2 + self.lower)
-            self.positions[leader] = np.where(
-                side, ctx.food_position + step, ctx.food_position - step
+            rules.salp_chain(
+                self.positions, members, ctx.food_position,
+                self.lower, self.upper, c1, self.rng,
             )
-            for i in range(1, len(members)):
-                cur, prev = members[i], members[i - 1]
-                self.positions[cur] = (self.positions[cur] + self.positions[prev]) / 2.0
 
     def swarm_update(self, ctx: IterationContext) -> None:
         """Quantum jumps for the chain heads, momentum following for the rest."""
@@ -201,36 +153,27 @@ class Qcsso(SwarmBase):
         for members in self._chains:
             for rank, idx in enumerate(members):
                 x = self.positions[idx]
-                attractor = self._attractor(x, ctx.food_position)
+                attractor = rules.local_attractor(x, ctx.food_position, self.rng)
                 if rank < cfg.leaders_per_chain:
-                    u = (
-                        rules.CHAOTIC_SCALE
-                        * ctx.w
-                        * (1.0 - ctx.w)
-                        * self._uniform_open(self.dim)
-                    )
-                    r = self._uniform_open(self.dim)
-                    c3 = self._uniform_open(self.dim)
-                    step = ctx.b_l * np.abs(ctx.best_mean - x) * np.log(r / u)
-                    self.positions[idx] = attractor + np.where(
-                        c3 > cfg.c3_threshold, step, -step
+                    self.positions[idx] = rules.quantum_update(
+                        x, attractor, ctx.b_l, ctx.best_mean, ctx.w, self.rng,
+                        cfg.c3_threshold,
                     )
                 else:
-                    prev = self.positions[members[rank - 1]]
-                    prev2 = self.positions[members[rank - 2]]
-                    self.positions[idx] = (
-                        prev + ctx.c * (attractor - x) + cfg.momentum * (prev - prev2)
+                    self.positions[idx] = rules.follower_update(
+                        x,
+                        self.positions[members[rank - 1]],
+                        self.positions[members[rank - 2]],
+                        attractor,
+                        ctx.c,
+                        cfg.momentum,
                     )
 
     def update_memory(self) -> None:
         """Refresh pbests, stagnation counters, and the food position."""
-        for i in range(self.n):
-            if self.better(float(self.fitness[i]), float(self.pbest_fitness[i])):
-                self.pbest_fitness[i] = self.fitness[i]
-                self.pbest_positions[i] = self.positions[i]
-                self.stagnation[i] = 0
-            else:
-                self.stagnation[i] += 1
+        improved = self.update_pbests()
+        self.stagnation[improved] = 0
+        self.stagnation[~improved] += 1
         self._refresh_food()
 
     def _refresh_food(self) -> None:

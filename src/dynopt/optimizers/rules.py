@@ -1,8 +1,11 @@
-"""Scalar update rules of the quantum-behaved chaotic salp swarm.
+"""Update rules of the quantum-behaved chaotic salp swarm.
 
-These are the per-dimension building blocks; the optimizer applies the
-same formulas vectorized.  Keeping the scalar forms separate makes the
-arithmetic directly testable against hand-computed values.
+Each rule has one implementation: the optimizers call these functions and
+the anchor tests pin them against hand-computed values.  Position
+arguments are arrays of the current dimension (scalars also work), and
+every random draw is shaped like the position it moves.  Unit draws on
+(0, 1] are ``1 - rng.random(shape)``; each rule states its draw order,
+which fixes the random stream of a run.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ def logistic_step(w: float, d: float = LOGISTIC_D) -> float:
     return d * w * (1.0 - w)
 
 
-def chaotic_operator(w: float, rng: np.random.Generator) -> float:
+def chaotic_operator(w: float, rng: np.random.Generator, shape=None):
     """Chaos-modulated scale ``u = 3 * w * (1 - w) * c4`` with c4 in (0, 1]."""
     if not 0.0 < w < 1.0:
         raise ValueError("chaotic operator needs w inside (0, 1)")
-    c4 = 1.0 - rng.random()  # (0, 1]; never zero, so u stays positive
+    c4 = 1.0 - rng.random(shape)  # (0, 1]; never zero, so u stays positive
     return CHAOTIC_SCALE * w * (1.0 - w) * c4
 
 
@@ -53,54 +56,63 @@ def follower_coefficient(l: int, max_iterations: int) -> float:
     return FOLLOWER_GAIN * math.sin(math.pi / 4.0) * (1.0 - l / max_iterations)
 
 
-def local_attractor(
-    x: float,
-    food: float,
-    rng: np.random.Generator,
-    literal_denominator: bool = False,
-) -> float:
+def salp_coefficient(l: int, max_iterations: int) -> float:
+    """Leader orbit gain of the classic salp chain, ``c1 = 2 * exp(-(4l/L)^2)``."""
+    return 2.0 * math.exp(-((4.0 * l / max_iterations) ** 2))
+
+
+def salp_chain(positions, members, food, lower, upper, c1, rng) -> None:
+    """Classic salp chain move, in place on ``positions[members]``.
+
+    The leader ``members[0]`` lands at ``food ± c1 * ((upper - lower) * c2
+    + lower)``, adding where the side coin is at least 0.5; each follower
+    then averages its position with its already moved predecessor.  Draw
+    order is c2, then the side coin.
+    """
+    c2 = rng.random(food.shape)
+    side = rng.random(food.shape) >= 0.5
+    step = c1 * ((upper - lower) * c2 + lower)
+    positions[members[0]] = np.where(side, food + step, food - step)
+    for prev, cur in zip(members[:-1], members[1:]):
+        positions[cur] = (positions[cur] + positions[prev]) / 2.0
+
+
+def local_attractor(x, food, rng: np.random.Generator):
     """Random convex blend of a position and the food position.
 
-    ``A = (r1 * x + r2 * food) / (r1 + r2)`` with r1, r2 in (0, 1].  The
-    ``literal_denominator`` variant divides by ``2 * r1`` instead, which is
-    no longer a convex combination; it exists for sensitivity checks only.
+    ``A = (r1 * x + r2 * food) / (r1 + r2)`` with r1, r2 in (0, 1], drawn
+    in that order.
     """
-    r1 = 1.0 - rng.random()
-    r2 = 1.0 - rng.random()
-    denom = 2.0 * r1 if literal_denominator else r1 + r2
-    return (r1 * x + r2 * food) / denom
+    shape = np.shape(x)
+    r1 = 1.0 - rng.random(shape)
+    r2 = 1.0 - rng.random(shape)
+    return (r1 * x + r2 * food) / (r1 + r2)
 
 
 def quantum_update(
-    x: float,
-    attractor: float,
+    x,
+    attractor,
     b_l: float,
-    bestmean: float,
+    bestmean,
     w: float,
     rng: np.random.Generator,
     c3_threshold: float = 0.5,
-) -> float:
+):
     """Quantum-style jump around the attractor.
 
     Draw order is c4 (via the chaotic operator), then r, then the side
     coin c3.  The displacement is ``B * |bestmean - x| * ln(r / u)`` and
-    is added or subtracted with equal probability.  Callers clamp the
-    result to the search bounds.
+    is added where c3 exceeds the threshold, subtracted elsewhere.
+    Callers clamp the result to the search bounds.
     """
-    u = chaotic_operator(w, rng)
-    r = 1.0 - rng.random()
-    c3 = 1.0 - rng.random()
-    step = b_l * abs(bestmean - x) * math.log(r / u)
-    return attractor + step if c3 > c3_threshold else attractor - step
+    shape = np.shape(x)
+    u = chaotic_operator(w, rng, shape)
+    r = 1.0 - rng.random(shape)
+    c3 = 1.0 - rng.random(shape)
+    step = b_l * np.abs(bestmean - x) * np.log(r / u)
+    return attractor + np.where(c3 > c3_threshold, step, -step)
 
 
-def follower_update(
-    x_i: float,
-    x_prev: float,
-    x_prev2: float,
-    attractor: float,
-    c: float,
-    momentum: float,
-) -> float:
+def follower_update(x_i, x_prev, x_prev2, attractor, c: float, momentum: float):
     """Chain-following move anchored on the predecessor's position."""
     return x_prev + c * (attractor - x_i) + momentum * (x_prev - x_prev2)

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 
+from dynopt.objective import StaticFunctionProblem
+from dynopt.optimizers.base import SwarmBase
 from dynopt.optimizers.baselines import (
     PsoBaseline,
     PsoConfig,
     SsaBaseline,
     SsaConfig,
 )
+from dynopt.optimizers.qcsso import Qcsso
 
 from conftest import FakeRng, SwitchableProblem, sphere_problem
 
@@ -131,6 +134,37 @@ class TestSsa:
         assert np.array_equal(a.positions, b.positions)
 
 
+class TestSharedMemory:
+    def test_promote_needs_a_strict_improvement(self):
+        opt = make_ssa()
+        opt.food_position = np.array([1.0])
+        opt.food_fitness = 1.0
+        opt.promote(np.array([[-1.0], [2.0]]), np.array([1.0, 4.0]))
+        assert opt.food_position.tolist() == [1.0]
+        opt.promote(np.array([[-1.0], [0.5]]), np.array([1.0, 0.25]))
+        assert opt.food_position.tolist() == [0.5]
+        assert opt.food_fitness == 0.25
+
+    def test_update_pbests_under_maximization(self):
+        problem = StaticFunctionProblem(
+            lambda x: float(-np.sum(x * x)), 1, -5.0, 5.0, maximize=True
+        )
+        opt = PsoBaseline(problem, seed=3, budget=100,
+                          config=PsoConfig(population=3))
+        opt.pbest_fitness = np.array([-1.0, -4.0, -9.0])
+        opt.pbest_positions = np.array([[1.0], [2.0], [3.0]])
+        opt.fitness = np.array([-2.0, -4.0, -0.5])
+        opt.positions = np.array([[-1.5], [-2.0], [0.7]])
+        improved = opt.update_pbests()
+        assert improved.tolist() == [False, False, True]
+        assert opt.pbest_fitness.tolist() == [-1.0, -4.0, -0.5]
+        assert opt.pbest_positions[:, 0].tolist() == [1.0, 2.0, 0.7]
+
+    def test_one_change_detector_for_all_swarms(self):
+        for cls in (SsaBaseline, PsoBaseline, Qcsso):
+            assert cls.detect_change is SwarmBase.detect_change
+
+
 class TestPso:
     def test_scripted_iteration(self):
         opt = make_pso()
@@ -138,8 +172,8 @@ class TestPso:
         opt.velocities = np.array([[0.5], [-0.25]])
         opt.pbest_positions = opt.positions.copy()
         opt.pbest_fitness = np.array([1.0, 4.0])
-        opt.gbest_position = np.array([1.0])
-        opt.gbest_fitness = 1.0
+        opt.food_position = np.array([1.0])
+        opt.food_fitness = 1.0
         opt.rng = FakeRng(random=[0.3, 0.6, 0.9, 0.2])
         opt.iterate()
 
@@ -156,7 +190,7 @@ class TestPso:
         assert opt.pbest_fitness[0] == 1.0
         assert abs(opt.pbest_fitness[1] - x1 ** 2) < 1e-12
         assert abs(opt.pbest_positions[1, 0] - x1) < 1e-12
-        assert opt.gbest_fitness == 1.0
+        assert opt.food_fitness == 1.0
         assert opt.rng.exhausted()
 
     def test_velocity_clipped_to_span(self):
@@ -165,8 +199,8 @@ class TestPso:
         opt.velocities = np.array([[10.0], [0.0]])
         opt.pbest_positions = opt.positions.copy()
         opt.pbest_fitness = np.array([25.0, 0.0])
-        opt.gbest_position = np.array([0.0])
-        opt.gbest_fitness = 0.0
+        opt.food_position = np.array([0.0])
+        opt.food_fitness = 0.0
         opt.rng = FakeRng(random=[1.0, 0.0, 1.0, 0.0])
         opt.iterate()
         # raw v0 = 0.7298*10 + 1.49618*(0 - -5) exceeds the span of 10
@@ -180,14 +214,14 @@ class TestPso:
         opt.velocities = np.zeros((2, 1))
         opt.pbest_positions = opt.positions.copy()
         opt.pbest_fitness = np.array([4.0, 9.0])
-        opt.gbest_position = np.array([2.0])
-        opt.gbest_fitness = 4.0
+        opt.food_position = np.array([2.0])
+        opt.food_fitness = 4.0
         # r1 = 0 kills the memory pull; particle 2 slides toward the gbest
         opt.rng = FakeRng(random=[0.0, 0.0, 0.0, 1.0])
         opt.iterate()
         x1 = -3.0 + 1.49618 * (2.0 - -3.0)
         assert abs(opt.positions[1, 0] - x1) < 1e-12
-        assert abs(opt.gbest_fitness - min(4.0, x1 ** 2)) < 1e-12
+        assert abs(opt.food_fitness - min(4.0, x1 ** 2)) < 1e-12
 
     def test_change_rescores_every_memory(self):
         problem = SwitchableProblem(dimension=3)
@@ -198,7 +232,7 @@ class TestPso:
         assert opt.detect_change() is True
         for i in range(opt.n):
             assert opt.pbest_fitness[i] == problem.evaluate(opt.pbest_positions[i])
-        assert opt.gbest_fitness == opt.pbest_fitness.min()
+        assert opt.food_fitness == opt.pbest_fitness.min()
         assert opt.detect_change() is False
 
     def test_dimension_growth_pads_velocities_with_zeros(self):
@@ -211,7 +245,7 @@ class TestPso:
         assert opt.velocities.shape == (4, 7)
         assert np.all(opt.velocities[:, 5:] == 0.0)
         assert opt.pbest_positions.shape == (4, 7)
-        assert opt.gbest_position.shape == (7,)
+        assert opt.food_position.shape == (7,)
         assert opt.detect_change() is True
 
     def test_dimension_shrink_truncates_velocities(self):
@@ -230,7 +264,7 @@ class TestPso:
         history = []
         for _ in range(20):
             opt.iterate()
-            history.append(opt.gbest_fitness)
+            history.append(opt.food_fitness)
         assert all(a >= b for a, b in zip(history, history[1:]))
 
     def test_seeded_determinism(self):
@@ -239,5 +273,5 @@ class TestPso:
         for _ in range(6):
             a.iterate()
             b.iterate()
-        assert a.gbest_fitness == b.gbest_fitness
+        assert a.food_fitness == b.food_fitness
         assert np.array_equal(a.velocities, b.velocities)

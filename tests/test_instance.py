@@ -195,6 +195,46 @@ class TestDimensionChanges:
         assert inst.dimension() == 14
         assert crossing == inst.problem.evaluate(x[:14])
 
+    def test_previous_length_is_padded_after_growth(self):
+        inst = make_instance(
+            "F1(10)", "T7", seed=9,
+            overrides={"dimension": 10, "change_frequency": 5},
+        )
+        x = np.linspace(-1.0, 1.0, 10)
+        for _ in range(5):
+            inst.evaluate(x)  # the fifth call moves the dimension 10 -> 11
+        assert inst.dimension() == 11
+        padded = np.concatenate([x, [0.0]])
+        assert inst.evaluate(x) == inst.problem.evaluate(padded)
+        assert inst.evaluate(padded) == inst.problem.evaluate(padded)
+
+    def test_previous_length_is_truncated_after_shrink(self):
+        inst = make_instance(
+            "F1(10)", "T7", seed=9,
+            overrides={"dimension": 15, "change_frequency": 5},
+        )
+        x = np.linspace(-1.0, 1.0, 15)
+        for _ in range(5):
+            inst.evaluate(x)  # the walk reverses at the cap: 15 -> 14
+        assert inst.dimension() == 14
+        assert inst.evaluate(x) == inst.problem.evaluate(x[:14])
+
+    def test_other_lengths_still_rejected_after_a_change(self):
+        inst = make_instance(
+            "F2", "T7", seed=9,
+            overrides={"dimension": 10, "change_frequency": 5},
+        )
+        for _ in range(5):
+            inst.evaluate(np.zeros(10))
+        assert inst.dimension() == 11
+        used = inst.eval_count
+        for bad in (9, 12, 15):
+            with pytest.raises(DimensionMismatch):
+                inst.evaluate(np.zeros(bad))
+        with pytest.raises(DimensionMismatch):
+            inst.evaluate(np.zeros((1, 10)))
+        assert inst.eval_count == used
+
     def test_composition_resize_keeps_identity_matrices(self):
         inst = make_instance(
             "F2", "T7", seed=11,

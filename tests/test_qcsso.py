@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             QcssoConfig(w_init=1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5])
+    def test_degenerate_w_fixed_rejected(self, bad):
+        # w = 1 would make u = 0 and every quantum jump log(r / 0) = inf
+        with pytest.raises(ConfigError):
+            QcssoConfig(w_fixed=bad)
+
 
 class TestStructure:
     def test_default_chain_partition(self):

@@ -1,4 +1,4 @@
-"""Scalar update rules against hand-computed anchor values."""
+"""Update rules against hand-computed anchor values."""
 
 import math
 
@@ -131,15 +131,50 @@ class TestLocalAttractor:
             a = rules.local_attractor(-3.0, 7.0, rng)
             assert -3.0 <= a <= 7.0
 
-    def test_literal_denominator_variant(self):
-        # same draws over 2*r1 instead: 4.0 / 0.5 = 8.0
-        rng = FakeRng(random=[0.75, 0.25])
-        assert rules.local_attractor(1.0, 5.0, rng, literal_denominator=True) == 8.0
 
-    def test_literal_variant_can_leave_the_segment(self):
-        rng = FakeRng(random=[0.99, 0.0])
-        value = rules.local_attractor(0.0, 1.0, rng, literal_denominator=True)
-        assert value > 1.0
+class TestArrayForms:
+    def test_chaotic_operator_draws_one_c4_per_coordinate(self):
+        u = rules.chaotic_operator(0.5, FakeRng(random=[0.0, 0.5]), (2,))
+        assert u.tolist() == [0.75, 0.375]
+
+    def test_attractor_draws_the_r1_block_then_the_r2_block(self):
+        rng = FakeRng(random=[0.75, 0.5, 0.25, 0.5])
+        value = rules.local_attractor(np.array([1.0, 2.0]), np.array([5.0, 6.0]), rng)
+        assert value.tolist() == [4.0, 4.0]
+        assert rng.exhausted()
+
+    def test_quantum_update_matches_scalar_calls_per_coordinate(self):
+        x, attractor, bestmean = [1.0, -2.0], [1.0, 0.8125], [1.5, 3.0]
+        c4, r, c3 = [0.75, 0.5], [0.625, 0.625], [0.1, 0.3]
+        value = rules.quantum_update(
+            np.array(x), np.array(attractor), 2.0, np.array(bestmean), 0.5,
+            FakeRng(random=c4 + r + c3),
+        )
+        for k in range(2):
+            scalar = rules.quantum_update(
+                x[k], attractor[k], 2.0, bestmean[k], 0.5,
+                FakeRng(random=[c4[k], r[k], c3[k]]),
+            )
+            assert value[k] == scalar
+        assert value[0] == 1.0 + math.log(2.0)
+        assert value[1] == 0.8125  # r equals u, so the jump vanishes
+
+
+class TestSalpChain:
+    def test_coefficient_anchors(self):
+        assert rules.salp_coefficient(0, 10) == 2.0
+        assert rules.salp_coefficient(5, 10) == 2.0 * math.exp(-4.0)
+
+    def test_leader_step_then_in_place_averaging(self):
+        positions = np.array([[0.0], [5.0], [9.0]])
+        rng = FakeRng(random=[0.6, 0.7])
+        rules.salp_chain(
+            positions, [0, 1, 2], np.array([1.0]),
+            np.array([-5.0]), np.array([5.0]), 2.0, rng,
+        )
+        # step = 2 * (10 * 0.6 - 5) = 2, and side 0.7 >= 0.5 adds it
+        assert positions[:, 0].tolist() == [3.0, 4.0, 6.5]
+        assert rng.exhausted()
 
 
 class TestQuantumUpdate:

@@ -248,6 +248,23 @@ class TestRun:
         assert traj.trace[0][0] == 1
         assert traj.trace[-1][0] == 40
 
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F2", "F6"])
+    @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
+    def test_runs_through_dimension_changes(self, function_id, optimizer_id):
+        problem = make_instance(
+            function_id, "T7", seed=29,
+            overrides={"dimension": "10", "change_frequency": "200"},
+        )
+        traj = run(
+            optimizer_id, problem, budget=600, seed=8,
+            frequency=200, collect_ratios=True, s_samples=4,
+        )
+        assert traj.evaluations == 600
+        assert len(traj.e_last) == 3
+        assert problem.dimension() == 13  # walked 10 -> 11 -> 12 -> 13
+        assert all(e >= 0.0 for e in traj.e_last)
+        assert all(0.0 < r <= 1.0 for r in traj.r_last)
+
     def test_overrides_reach_the_optimizer_config(self):
         with pytest.raises(ConfigError):
             run(
