@@ -286,6 +286,32 @@ def _check_dimension_walk_runs() -> None:
         assert inst.dimension() != 10, "the dimension must have moved"
 
 
+def _check_batch_equals_rows() -> None:
+    from dynopt.gdbg.instance import FUNCTION_IDS, make_instance
+
+    rng = np.random.default_rng(17)
+    for function_id in FUNCTION_IDS:
+        inst = make_instance(function_id, "T1", seed=19, overrides={"dimension": 5})
+        xs = rng.uniform(-5.0, 5.0, size=(20, 5))
+        loop = [inst.problem.evaluate(x) for x in xs]
+        assert inst.problem.evaluate(xs).tolist() == loop, (
+            f"{function_id}: the batch differs from the row loop"
+        )
+    batched, looped = (
+        make_instance("F3", "T7", seed=19,
+                      overrides={"dimension": 5, "change_frequency": 8})
+        for _ in range(2)
+    )
+    xs = rng.uniform(-5.0, 5.0, size=(20, 5))  # crosses two dimension moves
+    values = batched.evaluate_batch(xs).tolist()
+    assert values == [looped.evaluate(x) for x in xs], (
+        "a change-crossing batch differs from the row loop"
+    )
+    assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t), (
+        "a change-crossing batch moved the clock differently"
+    )
+
+
 _SELFTEST_CHECKS = (
     ("change rules stay in range", _check_change_rules),
     ("rotations preserve norms", _check_rotations),
@@ -295,6 +321,7 @@ _SELFTEST_CHECKS = (
     ("schedule anchors", _check_schedules),
     ("run bookkeeping closes every window", _check_run_bookkeeping),
     ("every optimizer runs through dimension changes", _check_dimension_walk_runs),
+    ("batch evaluation equals the row loop", _check_batch_equals_rows),
 )
 
 

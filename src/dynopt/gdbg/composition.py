@@ -90,22 +90,29 @@ class CompositionProblem:
             raise ConfigError("degenerate component normalization (corner value ~ 0)")
 
     def _component_values(self, z: np.ndarray) -> np.ndarray:
-        values = np.empty(self.num_components)
+        values = np.empty(z.shape[:2])
         for name, idx in self._groups:
-            values[idx] = BASE_FUNCTIONS[name](z[idx])
+            values[:, idx] = BASE_FUNCTIONS[name](z[:, idx])
         return values
 
-    def evaluate(self, x: np.ndarray) -> float:
-        diff = x - self.optima
-        sq_dist = np.sum(diff * diff, axis=1)
+    def evaluate(self, x: np.ndarray) -> np.ndarray | float:
+        """Value at one vector, or one value per row of an ``(n, dim)`` batch."""
+        x = np.asarray(x, dtype=float)
+        xs = x[None, :] if x.ndim == 1 else x
+        diff = xs[:, None, :] - self.optima
+        sq_dist = np.sum(diff * diff, axis=2)
         w = np.exp(-np.sqrt(sq_dist / (2.0 * self.dim * self.sigma**2)))
-        wmax = w.max()
-        # only the closest component keeps full weight once it dominates
-        w = np.where(w == wmax, w, w * (1.0 - wmax**DOMINANCE_POWER))
-        w /= w.sum()
-        z = np.einsum("md,mde->me", diff / self.lambdas[:, None], self.matrices)
+        wmax = w.max(axis=1, keepdims=True)
+        # only the closest component keeps full weight once it dominates;
+        # the power is taken one row at a time because numpy's vectorised
+        # power may differ from the scalar one in the last bit
+        damping = [[1.0 - v**DOMINANCE_POWER] for v in wmax[:, 0].tolist()]
+        w = np.where(w == wmax, w, w * np.array(damping))
+        w /= w.sum(axis=1, keepdims=True)
+        z = np.einsum("nmd,mde->nme", diff / self.lambdas[:, None], self.matrices)
         f_prime = self.normalizer * self._component_values(z) / np.abs(self._fmax)
-        return float(np.sum(w * (f_prime + self._h)))
+        values = np.sum(w * (f_prime + self._h), axis=1)
+        return float(values[0]) if x.ndim == 1 else values
 
     def optimum_value(self) -> float:
         return float(self._h.min())

@@ -5,13 +5,21 @@ counter.  Evaluations drive time: when the counter crosses a multiple of
 the change frequency the environment advances first and the crossing call
 already sees the new landscape.
 
+``evaluate_batch`` cuts a batch at change boundaries: the rows before a
+crossing are scored on the old landscape in one call, the crossing row on
+the new one, and the rows after it in further calls, so values and
+counters equal those of a row-by-row loop.
+
 Under T7 a change also moves the dimension by one, usually in the middle
 of a population sweep, so the rest of the population still holds vectors
-of the old length.  The dimension rule: a vector whose length is the
-dimension just before the latest change is fitted to the current one,
-truncated to its leading coordinates when the dimension shrank and
-zero-padded when it grew.  The crossing call is fitted the same way.
-Every other length raises :class:`~dynopt.errors.DimensionMismatch`.
+of an old length.  When changes come faster than the optimizer's
+iterations, two may fall inside one sweep.  The dimension rule: a vector
+whose length is the dimension just before the latest change, or the
+dimension the caller last read from ``dimension()``, is fitted to the
+current one, truncated to its leading coordinates when the dimension
+shrank and zero-padded when it grew.  The crossing call is fitted the
+same way.  Every other length raises
+:class:`~dynopt.errors.DimensionMismatch`.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dynopt.errors import ConfigError
+from dynopt.errors import ConfigError, DimensionMismatch
 from dynopt.gdbg.changes import (
     ChangeType,
     DimensionWalk,
@@ -31,7 +39,7 @@ from dynopt.gdbg.changes import (
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.peaks import PeakSet
 from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
-from dynopt.objective import DynamicObjective
+from dynopt.objective import DynamicObjective, as_row, as_rows
 from dynopt.overrides import apply_overrides
 
 FUNCTION_IDS = ("F1(10)", "F1(50)", "F2", "F3", "F4", "F5", "F6")
@@ -101,6 +109,7 @@ class GdbgInstance(DynamicObjective):
         self.frequency = config.resolved_frequency()
         self._walk = DimensionWalk(config.dimension)
         self._previous_dim = config.dimension
+        self._read_dim = config.dimension
         self.rotation_angle = DynamicParam(
             value=0.0,
             min=-math.pi,
@@ -176,7 +185,8 @@ class GdbgInstance(DynamicObjective):
     # -- DynamicObjective -----------------------------------------------
 
     def dimension(self) -> int:
-        return self.problem.dim
+        self._read_dim = self.problem.dim
+        return self._read_dim
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         d = self.problem.dim
@@ -190,23 +200,46 @@ class GdbgInstance(DynamicObjective):
         return self.function_id.startswith("F1")
 
     def evaluate(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1 and x.shape[0] == self._previous_dim != self.problem.dim:
-            x = self._fit_dimension(x)
-        x = self.check_dimension(x)
-        self.eval_count += 1
-        if self.eval_count % self.frequency == 0:
-            self.advance_environment()
-            # the crossing call is already scored in the new environment
-            x = self._fit_dimension(x)
-        return self.problem.evaluate(x)
+        return float(self.evaluate_batch(as_row(x))[0])
 
-    def _fit_dimension(self, x: np.ndarray) -> np.ndarray:
-        """Truncate or zero-pad ``x`` to the current dimension (module docstring)."""
+    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+        xs = as_rows(xs)
+        values = np.empty(xs.shape[0])
+        pos = 0
+        while pos < xs.shape[0]:
+            # the length is checked before each segment, as a loop of
+            # single calls would check it before each evaluation
+            rows = self._fit_dimension(xs[pos:])
+            if (self.eval_count + 1) % self.frequency == 0:
+                self.eval_count += 1
+                self.advance_environment()
+                # the crossing call is already scored in the new environment
+                values[pos] = self.problem.evaluate(self._fit_dimension(rows[:1]))[0]
+                pos += 1
+                continue
+            k = min(self.evals_to_change(), rows.shape[0])
+            values[pos:pos + k] = self.problem.evaluate(rows[:k])
+            self.eval_count += k
+            pos += k
+        return values
+
+    def evals_to_change(self) -> int:
+        left = self.frequency - 1 - self.eval_count % self.frequency
+        return left or self.frequency
+
+    def _fit_dimension(self, xs: np.ndarray) -> np.ndarray:
+        """Fit rows of a stale length to the current dimension (module docstring)."""
         d = self.problem.dim
-        if x.shape[0] >= d:
-            return x[:d]
-        return np.concatenate([x, np.zeros(d - x.shape[0])])
+        length = xs.shape[1]
+        if length == d:
+            return xs
+        if length not in (self._previous_dim, self._read_dim):
+            raise DimensionMismatch(
+                f"expected a vector of length {d}, got shape {(length,)}"
+            )
+        if length > d:
+            return xs[:, :d]
+        return np.hstack([xs, np.zeros((xs.shape[0], d - length))])
 
     def optimum_value(self) -> float:
         return self.problem.optimum_value()

@@ -50,10 +50,14 @@ class PeakSet:
         self._h[:] = [p.value for p in self.heights]
         self._w[:] = [p.value for p in self.widths]
 
-    def evaluate(self, x: np.ndarray) -> float:
-        diff = x - self.centers
-        dist = np.sqrt(np.mean(diff * diff, axis=1))
-        return float(np.max(self._h / (1.0 + self._w * dist)))
+    def evaluate(self, x: np.ndarray) -> np.ndarray | float:
+        """Value at one vector, or one value per row of an ``(n, dim)`` batch."""
+        x = np.asarray(x, dtype=float)
+        xs = x[None, :] if x.ndim == 1 else x
+        diff = xs[:, None, :] - self.centers
+        dist = np.sqrt(np.mean(diff * diff, axis=2))
+        values = np.max(self._h / (1.0 + self._w * dist), axis=1)
+        return float(values[0]) if x.ndim == 1 else values
 
     def optimum_value(self) -> float:
         return float(self._h.max())

@@ -2,7 +2,17 @@
 
 A dynamic objective owns its own evaluation counter and may change its
 landscape as a side effect of being evaluated; optimizers only ever see
-``evaluate``, the bounds, the sense, and a change counter they can poll.
+``evaluate`` and ``evaluate_batch``, the bounds, the sense, and a change
+counter they can poll.
+
+``evaluate_batch`` is the evaluation primitive: it scores the rows of an
+``(n, dim)`` array in order and counts ``n`` evaluations, with exactly the
+values, counters and changes that ``n`` calls of ``evaluate`` would give.
+Callers that must see each change (the budget recorder) feed it segments
+of at most ``evals_to_change()`` rows: every row of such a segment is
+scored in one environment, so a change, if any, falls on its first row.
+The defaults loop ``evaluate`` and ask for one row at a time, so an
+objective that only implements ``evaluate`` stays exact.
 """
 
 from __future__ import annotations
@@ -30,6 +40,18 @@ class DynamicObjective(abc.ABC):
     def evaluate(self, x: np.ndarray) -> float:
         """Objective value at ``x``; counts one evaluation."""
 
+    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Objective values of the rows of ``xs``; counts one evaluation each."""
+        return np.array([self.evaluate(x) for x in as_rows(xs)], dtype=float)
+
+    def evals_to_change(self) -> int:
+        """How many upcoming evaluations are scored in one environment.
+
+        A change, if any, falls on the first of them.  The default, 1, holds
+        for any objective whose change schedule is unknown.
+        """
+        return 1
+
     @abc.abstractmethod
     def optimum_value(self) -> float:
         """Objective value of the current global optimum."""
@@ -49,6 +71,22 @@ class DynamicObjective(abc.ABC):
                 f"expected a vector of length {self.dimension()}, got shape {x.shape}"
             )
         return x
+
+
+def as_row(x: np.ndarray) -> np.ndarray:
+    """One vector as a one-row batch; anything but a vector is rejected."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"expected a vector, got shape {x.shape}")
+    return x[None, :]
+
+
+def as_rows(xs: np.ndarray) -> np.ndarray:
+    """An ``(n, dim)`` batch as a float array; anything else is rejected."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise DimensionMismatch(f"expected an (n, dim) batch, got shape {xs.shape}")
+    return xs
 
 
 class StaticFunctionProblem(DynamicObjective):

@@ -77,9 +77,13 @@ class SwarmBase:
         self.evaluations += 1
         return self.problem.evaluate(x)
 
+    def eval_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Score the rows of ``xs`` in order, in one batch."""
+        self.evaluations += xs.shape[0]
+        return self.problem.evaluate_batch(xs)
+
     def evaluate_all(self) -> None:
-        for i in range(self.n):
-            self.fitness[i] = self.eval_at(self.positions[i])
+        self.fitness[:] = self.eval_rows(self.positions)
 
     def clamp_positions(self) -> None:
         np.clip(self.positions, self.lower, self.upper, out=self.positions)
@@ -125,8 +129,7 @@ class SwarmBase:
         if changed:
             self.food_fitness = float(sentinel)
             if self.pbest_positions is not None:
-                for i in range(self.n):
-                    self.pbest_fitness[i] = self.eval_at(self.pbest_positions[i])
+                self.pbest_fitness[:] = self.eval_rows(self.pbest_positions)
                 self.promote(self.pbest_positions, self.pbest_fitness)
             self.l_window = 0
         return changed

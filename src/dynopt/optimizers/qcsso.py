@@ -96,7 +96,6 @@ class Qcsso(SwarmBase):
 
         self.start_memory(pbests=True)
         self.ages = np.zeros(self.n, dtype=int)
-        self.stagnation = np.zeros(self.n, dtype=int)
         self.context: IterationContext | None = None
         # per-iteration observability, mainly for tests
         self.last_aging_reinits: list[int] = []
@@ -170,10 +169,8 @@ class Qcsso(SwarmBase):
                     )
 
     def update_memory(self) -> None:
-        """Refresh pbests, stagnation counters, and the food position."""
-        improved = self.update_pbests()
-        self.stagnation[improved] = 0
-        self.stagnation[~improved] += 1
+        """Refresh pbests and the food position."""
+        self.update_pbests()
         self._refresh_food()
 
     def _refresh_food(self) -> None:
@@ -185,11 +182,13 @@ class Qcsso(SwarmBase):
         """Probe around each chain's best, then enforce inter-chain exclusion."""
         sigma = self.probe_sigma()
         bests = self.subpop_best_indices()
-        for idx in bests:
-            probe = self.pbest_positions[idx] + self.rng.standard_normal(self.dim) * sigma
-            np.clip(probe, self.lower, self.upper, out=probe)
-            value = self.eval_at(probe)
-            if self.better(value, float(self.pbest_fitness[idx])):
+        # one (k, dim) draw equals k sequential draws of dim
+        noise = self.rng.standard_normal((len(bests), self.dim))
+        probes = self.pbest_positions[bests] + noise * sigma
+        np.clip(probes, self.lower, self.upper, out=probes)
+        values = self.eval_rows(probes)
+        for idx, probe, value in zip(bests, probes, values):
+            if self.better(float(value), float(self.pbest_fitness[idx])):
                 self.pbest_positions[idx] = probe
                 self.pbest_fitness[idx] = value
         # exclusion: chains whose bests share a basin restart, except the
@@ -227,7 +226,6 @@ class Qcsso(SwarmBase):
         self.pbest_positions[members] = fresh
         self.pbest_fitness[members] = self.worst_value
         self.ages[members] = 0
-        self.stagnation[members] = 0
 
     def aging_step(self) -> list[int]:
         """Recycle stale salps; the global-best holder is never touched."""

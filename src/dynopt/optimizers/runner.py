@@ -9,12 +9,13 @@ in-window convergence samples.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from dynopt.errors import BudgetExhausted, ConfigError
-from dynopt.objective import DynamicObjective
+from dynopt.objective import DynamicObjective, as_row, as_rows
 from dynopt.overrides import apply_overrides
 from dynopt.optimizers.baselines import PsoBaseline, PsoConfig, SsaBaseline, SsaConfig
 from dynopt.optimizers.qcsso import Qcsso, QcssoConfig
@@ -24,16 +25,21 @@ OPTIMIZER_IDS = ("qcsso", "ssa_baseline", "pso_baseline")
 RATIO_DUST = 1e-9
 
 
-def _ratio(best: float, optimum: float, maximize: bool) -> float:
-    """Quality ratio in (0, 1], where 1 means the optimum was matched."""
+def _ratio(best, optimum: float, maximize: bool) -> np.ndarray:
+    """Quality ratio in (0, 1], where 1 means the optimum was matched.
+
+    Works elementwise on an array of best values.
+    """
+    best = np.asarray(best, dtype=float)
     r = best / optimum if maximize else optimum / best
-    if r > 1.0:
-        if r > 1.0 + RATIO_DUST:
-            raise RuntimeError(
-                f"quality ratio {r!r} exceeds 1: best={best!r} optimum={optimum!r}"
-            )
-        r = 1.0
-    return r
+    over = np.flatnonzero(r > 1.0 + RATIO_DUST)
+    if over.size:
+        i = over[0]
+        raise RuntimeError(
+            f"quality ratio {float(r.flat[i])!r} exceeds 1: "
+            f"best={float(best.flat[i])!r} optimum={optimum!r}"
+        )
+    return np.minimum(r, 1.0)
 
 
 class BudgetedRecorder(DynamicObjective):
@@ -42,6 +48,9 @@ class BudgetedRecorder(DynamicObjective):
     Window boundaries are observed through the wrapped problem's change
     counter. The evaluation that triggers a change is scored against the new
     landscape, so the previous window's record is frozen just before it.
+    A batch is fed to the problem in segments of at most
+    ``evals_to_change()`` rows, so a change can only fall on the first row
+    of a segment, and each segment is recorded with array operations.
     """
 
     def __init__(
@@ -125,38 +134,78 @@ class BudgetedRecorder(DynamicObjective):
         self._offsets = self._sample_offsets(first=False)
 
     def evaluate(self, x: np.ndarray) -> float:
-        if self.used >= self.budget:
-            raise BudgetExhausted(f"evaluation budget of {self.budget} spent")
-        value = self.problem.evaluate(x)
-        self.used += 1
+        return float(self.evaluate_batch(as_row(x))[0])
 
+    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Score rows until the budget is spent; the row after it raises."""
+        xs = as_rows(xs)
+        values = np.empty(xs.shape[0])
+        pos = 0
+        while pos < xs.shape[0]:
+            if self.used >= self.budget:
+                raise BudgetExhausted(f"evaluation budget of {self.budget} spent")
+            k = min(
+                xs.shape[0] - pos,
+                self.budget - self.used,
+                self.problem.evals_to_change(),
+            )
+            values[pos:pos + k] = self.problem.evaluate_batch(xs[pos:pos + k])
+            self._record(values[pos:pos + k])
+            pos += k
+        return values
+
+    def _record(self, values: np.ndarray) -> None:
+        """Record one segment: rows scored in one environment, in order."""
+        k = values.shape[0]
+        first = self.used + 1
+        self.used += k
         seen = self.problem.change_count()
         if seen != self._seen_changes:
             self._seen_changes = seen
             self._close_window()
 
-        better = self._window_best is None or (
-            value > self._window_best if self.maximize else value < self._window_best
-        )
-        if better:
-            self._window_best = value
+        # a row improves when it beats every earlier value of its window
+        best_op = np.maximum if self.maximize else np.minimum
+        before = np.empty(k)
+        before[0] = values[0] if self._window_best is None else self._window_best
+        before[1:] = best_op(best_op.accumulate(values[:-1]), before[0])
+        improved = values > before if self.maximize else values < before
+        if self._window_best is None:
+            improved[0] = True
+        gains = values[improved]
+
+        # per-row window error and ratio as objects, so that rows which do
+        # not improve share the float of the last improvement
+        errors = [self._window_err]
+        ratios = [self._window_ratio]
+        if gains.size:
             optimum = self.problem.optimum_value()
-            self._window_err = abs(value - optimum)
+            errors += np.abs(gains - optimum).tolist()
             if self.collect_ratios:
-                self._window_ratio = _ratio(value, optimum, self.maximize)
-            globally_better = self.best_value is None or (
-                value > self.best_value if self.maximize else value < self.best_value
-            )
-            if globally_better:
-                self.best_value = value
-        self._window_evals += 1
-        if self.collect_ratios:
-            while self._offsets and self._offsets[0] <= self._window_evals:
-                self._offsets.pop(0)
-                self._window_samples.append(self._window_ratio)
+                ratios += _ratio(gains, optimum, self.maximize).tolist()
+            self._window_best = float(gains[-1])
+            self._window_err = errors[-1]
+            self._window_ratio = ratios[-1]
+            if self.best_value is None or (
+                self._window_best > self.best_value
+                if self.maximize
+                else self._window_best < self.best_value
+            ):
+                self.best_value = self._window_best
+        gained = np.cumsum(improved)  # improvements up to and including each row
+
+        window_start = self._window_evals
+        self._window_evals += k
+        due = bisect.bisect_right(self._offsets, self._window_evals)
+        if due:
+            # an offset is sampled after the first row that reaches it
+            rows = np.maximum(np.array(self._offsets[:due]) - window_start - 1, 0)
+            self._window_samples += [ratios[g] for g in gained[rows].tolist()]
+            del self._offsets[:due]
         if self.trace_enabled:
-            self.trace.append((self.used, self._window_err))
-        return value
+            self.trace += zip(
+                range(first, first + k), [errors[g] for g in gained.tolist()]
+            )
 
     def final_snapshot(self) -> None:
         """Record the error of the best value found in the last open window."""

@@ -218,8 +218,8 @@ class TestSelftest:
     def test_all_checks_pass(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok: ") == 8
-        assert "selftest: 8 checks passed" in out
+        assert out.count("ok: ") == 9
+        assert "selftest: 9 checks passed" in out
 
 
 class TestUsage:

@@ -9,6 +9,7 @@ from dynopt.errors import ConfigError
 from dynopt.gdbg import basefuncs as bf
 from dynopt.gdbg.changes import DynamicParam
 from dynopt.gdbg.composition import CompositionProblem, stretch_factor
+from dynopt.gdbg.instance import make_instance
 
 
 def height(value):
@@ -99,6 +100,39 @@ class TestBruteForceOracle:
                 prob.matrices.tolist(), -5.0, 5.0,
             )
             assert abs(prob.evaluate(x) - expected) < 1e-9
+
+
+def one_vector_value(prob, x):
+    """The composition rule for one vector, with numpy scalar arithmetic.
+
+    This is the formula the landscape used before it took batches; a batch
+    must reproduce it bit for bit, or seeded results would move.
+    """
+    diff = x - prob.optima
+    w = np.exp(-np.sqrt(np.sum(diff * diff, axis=1) / (2.0 * prob.dim * prob.sigma**2)))
+    wmax = w.max()
+    w = np.where(w == wmax, w, w * (1.0 - wmax**10))
+    w /= w.sum()
+    z = np.einsum("md,mde->me", diff / prob.lambdas[:, None], prob.matrices)
+    values = np.array(
+        [bf.BASE_FUNCTIONS[name](z[i]) for i, name in enumerate(prob.func_names)]
+    )
+    f_prime = prob.normalizer * values / np.abs(prob._fmax)
+    return float(np.sum(w * (f_prime + prob._h)))
+
+
+class TestBatchMatchesOneVectorRule:
+    @pytest.mark.parametrize("function_id", ["F2", "F3", "F4", "F5", "F6"])
+    def test_bit_exact_near_the_optima(self, function_id):
+        # near an optimum the dominance damping 1 - wmax**10 is far from 1,
+        # which is where a different power routine would show
+        inst = make_instance(function_id, "T1", seed=41)
+        prob = inst.problem
+        rng = np.random.default_rng(42)
+        centers = prob.optima[rng.integers(0, prob.num_components, size=400)]
+        scales = 10.0 ** rng.uniform(-3.0, 0.5, size=(400, 1))
+        xs = np.clip(centers + scales * rng.standard_normal(centers.shape), -5.0, 5.0)
+        assert prob.evaluate(xs).tolist() == [one_vector_value(prob, x) for x in xs]
 
 
 class TestOptimum:

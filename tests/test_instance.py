@@ -235,6 +235,31 @@ class TestDimensionChanges:
             inst.evaluate(np.zeros((1, 10)))
         assert inst.eval_count == used
 
+    def test_last_read_length_is_fitted_after_two_changes(self):
+        inst = make_instance(
+            "F2", "T7", seed=9,
+            overrides={"dimension": 10, "change_frequency": 5},
+        )
+        assert inst.dimension() == 10
+        x = np.linspace(-1.0, 1.0, 10)
+        for _ in range(10):
+            inst.evaluate(x)  # two changes, 10 -> 11 -> 12, within one "sweep"
+        assert inst.problem.dim == 12
+        padded = np.concatenate([x, [0.0, 0.0]])
+        assert inst.evaluate(x) == inst.problem.evaluate(padded)
+        assert inst.evaluate(x[:11]) == inst.problem.evaluate(padded)
+        used = inst.eval_count
+        for bad in (9, 13):
+            with pytest.raises(DimensionMismatch):
+                inst.evaluate(np.zeros(bad))
+        with pytest.raises(DimensionMismatch):
+            inst.evaluate_batch(np.zeros((3, 13)))
+        # once the caller reads the new dimension, length 10 is stale twice over
+        assert inst.dimension() == 12
+        with pytest.raises(DimensionMismatch):
+            inst.evaluate(x)
+        assert inst.eval_count == used
+
     def test_composition_resize_keeps_identity_matrices(self):
         inst = make_instance(
             "F2", "T7", seed=11,
@@ -246,6 +271,50 @@ class TestDimensionChanges:
         assert inst.dimension() == 11
         for m in inst.problem.matrices:
             assert np.array_equal(m, np.eye(11))
+
+
+class TestBatchEvaluation:
+    """Batches give exactly the values and counters of the row-by-row loop."""
+
+    @pytest.mark.parametrize("function_id", FUNCTION_IDS)
+    def test_landscape_batch_equals_row_loop(self, function_id):
+        inst = make_instance(function_id, "T1", seed=3)
+        xs = np.random.default_rng(4).uniform(-5.0, 5.0, size=(40, inst.dimension()))
+        assert inst.problem.evaluate(xs).tolist() == [
+            inst.problem.evaluate(x) for x in xs
+        ]
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])
+    @pytest.mark.parametrize(
+        "kind, start, rows",
+        [
+            ("T1", 0, 30),  # one change
+            ("T1", 5, 50),  # two changes in one batch
+            ("T1", 19, 21),  # the batch starts on the crossing row
+            ("T7", 5, 50),  # two dimension moves in one batch
+        ],
+    )
+    def test_instance_batch_equals_twin_fed_by_rows(self, function_id, kind, start, rows):
+        batched, looped = (
+            make_instance(
+                function_id, kind, seed=9,
+                overrides={"dimension": 10, "change_frequency": 20},
+            )
+            for _ in range(2)
+        )
+        for inst in (batched, looped):
+            for _ in range(start):
+                inst.evaluate(np.zeros(inst.dimension()))
+        xs = np.random.default_rng(6).uniform(
+            -5.0, 5.0, size=(rows, batched.dimension())
+        )
+        looped.dimension()
+        values = batched.evaluate_batch(xs)
+        assert values.tolist() == [looped.evaluate(x) for x in xs]
+        assert batched.eval_count == looped.eval_count == start + rows
+        assert batched.t == looped.t
+        assert batched.problem.dim == looped.problem.dim
+        assert batched.param_lines() == looped.param_lines()
 
 
 class TestEnvelopeInvariants:

@@ -211,18 +211,17 @@ class TestSwarmUpdate:
 
 
 class TestMemory:
-    def test_update_memory_keeps_best_and_counts_stagnation(self):
+    def test_update_memory_keeps_best(self):
         opt = make_opt(dim=2, config=QcssoConfig(population=4, subpopulations=2))
         opt.pbest_fitness = np.array([1.0, 2.0, 3.0, 4.0])
         opt.pbest_positions = np.zeros((4, 2))
-        opt.stagnation = np.zeros(4, dtype=int)
         opt.fitness = np.array([0.5, 5.0, 2.5, 4.0])
         opt.positions = np.ones((4, 2))
         opt.update_memory()
         assert opt.pbest_fitness.tolist() == [0.5, 2.0, 2.5, 4.0]
-        assert opt.stagnation.tolist() == [0, 1, 0, 1]  # ties do not improve
         assert np.array_equal(opt.pbest_positions[0], [1.0, 1.0])
         assert np.array_equal(opt.pbest_positions[1], [0.0, 0.0])
+        assert np.array_equal(opt.pbest_positions[3], [0.0, 0.0])  # ties do not improve
         assert opt.food_fitness == 0.5
 
     def test_food_equals_best_pbest_exactly_every_iteration(self):
@@ -278,7 +277,6 @@ class TestOverlapSearch:
         opt.pbest_fitness = np.array([1.0, 9.0, 4.0, 16.0])
         opt.positions = opt.pbest_positions.copy()
         opt.ages = np.zeros(4, dtype=int)
-        opt.stagnation = np.zeros(4, dtype=int)
         return opt
 
     def test_probe_improves_a_subpop_best(self):
@@ -354,10 +352,9 @@ class TestAging:
     def test_reinit_members_resets_state(self):
         opt = make_opt(dim=2, config=QcssoConfig(population=4, subpopulations=2))
         opt.ages[:] = 7
-        opt.stagnation[:] = 3
         opt._reinit_members(np.array([1]))
         assert math.isinf(opt.pbest_fitness[1])
-        assert opt.ages[1] == 0 and opt.stagnation[1] == 0
+        assert opt.ages[1] == 0
         assert np.array_equal(opt.positions[1], opt.pbest_positions[1])
         assert np.all(opt.positions[1] >= -5.0)
         assert np.all(opt.positions[1] <= 5.0)

@@ -265,12 +265,110 @@ class TestRun:
         assert all(e >= 0.0 for e in traj.e_last)
         assert all(0.0 < r <= 1.0 for r in traj.r_last)
 
+    @pytest.mark.parametrize("frequency", [20, 40, 60])
+    @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
+    def test_runs_through_two_changes_in_one_iteration(self, optimizer_id, frequency):
+        # an iteration costs 51-107 evaluations, so short windows put two
+        # dimension moves inside one population sweep
+        problem = make_instance(
+            "F3", "T7", seed=13,
+            overrides={"dimension": "10", "change_frequency": str(frequency)},
+        )
+        traj = run(
+            optimizer_id, problem, budget=6 * frequency, seed=5,
+            frequency=frequency, collect_ratios=True, s_samples=4,
+        )
+        assert traj.evaluations == problem.eval_count == 6 * frequency
+        assert len(traj.e_last) == 6
+        assert problem.t == 6
+
     def test_overrides_reach_the_optimizer_config(self):
         with pytest.raises(ConfigError):
             run(
                 "qcsso", sphere_problem(), budget=30, seed=3,
                 overrides={"population": "7", "subpopulations": "2"},
             )
+
+
+class TestBatchRecording:
+    """A recorder fed by batches records exactly what row-by-row feeding does."""
+
+    FIELDS = ("used", "e_last", "r_last", "ratio_samples", "trace",
+              "best_value", "final_error")
+
+    @staticmethod
+    def drive(recorder, sizes, by_rows, seed=5):
+        """Feed batches drawn at the current dimension; stop at the budget."""
+        rng = np.random.default_rng(seed)
+        values = []
+        try:
+            for n in sizes:
+                xs = rng.uniform(-5.0, 5.0, size=(n, recorder.dimension()))
+                if by_rows:
+                    values += [recorder.evaluate(x) for x in xs]
+                else:
+                    values += recorder.evaluate_batch(xs).tolist()
+        except BudgetExhausted:
+            pass
+        recorder.final_snapshot()
+        return values
+
+    def assert_same(self, batched, looped):
+        for name in self.FIELDS:
+            assert getattr(batched, name) == getattr(looped, name), name
+        # a row that does not improve shares the float of the row before it,
+        # which keeps a long trace's memory at one tuple per evaluation
+        for rec in (batched, looped):
+            pairs = zip(rec.trace, rec.trace[1:])
+            assert all((a[1] is b[1]) == (a[1] == b[1]) for a, b in pairs)
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])
+    @pytest.mark.parametrize("kind", ["T1", "T7"])
+    def test_batches_match_rows_on_an_instance(self, function_id, kind):
+        recorders, values = [], []
+        for by_rows in (False, True):
+            problem = make_instance(
+                function_id, kind, seed=31,
+                overrides={"dimension": "10", "change_frequency": "40"},
+            )
+            rec = BudgetedRecorder(
+                problem, budget=230, frequency=40, s_samples=7,
+                collect_ratios=True, trace=True,
+            )
+            # uneven batches cross single and double changes; the budget
+            # cuts the last batch short
+            values.append(self.drive(rec, (13, 50, 1, 64, 90, 50), by_rows))
+            recorders.append(rec)
+            assert rec.used == problem.eval_count == 230
+        batched, looped = recorders
+        assert values[0] == values[1][: len(values[0])]
+        assert len(batched.e_last) == 5
+        self.assert_same(batched, looped)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_batch_matches_rows_on_a_scripted_problem(self, maximize):
+        def make():
+            problem = ScriptedProblem(
+                [5.0, 3.0, 7.0, 2.0, 2.0, 9.0, 1.0, 4.0], change_at={3, 6},
+                optima=[1.0, 0.5, 0.25] if not maximize else [9.0, 9.5, 10.0],
+                maximize=maximize,
+            )
+            return BudgetedRecorder(
+                problem, budget=7, frequency=3, s_samples=2,
+                collect_ratios=True, trace=True,
+            )
+
+        batched, looped = make(), make()
+        with pytest.raises(BudgetExhausted):
+            batched.evaluate_batch(np.zeros((8, 2)))
+        with pytest.raises(BudgetExhausted):
+            for _ in range(8):
+                looped.evaluate(np.zeros(2))
+        for rec in (batched, looped):
+            rec.final_snapshot()
+        assert batched.problem.count == looped.problem.count == 7
+        assert len(batched.e_last) == 2
+        self.assert_same(batched, looped)
 
 
 class TestTrajectory:
