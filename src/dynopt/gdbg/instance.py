@@ -204,7 +204,7 @@ class GdbgInstance(DynamicObjective):
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = as_rows(xs)
-        values = np.empty(xs.shape[0])
+        segments = []
         pos = 0
         while pos < xs.shape[0]:
             # the length is checked before each segment, as a loop of
@@ -214,14 +214,14 @@ class GdbgInstance(DynamicObjective):
                 self.eval_count += 1
                 self.advance_environment()
                 # the crossing call is already scored in the new environment
-                values[pos] = self.problem.evaluate(self._fit_dimension(rows[:1]))[0]
+                segments.append(self.problem.evaluate(self._fit_dimension(rows[:1])))
                 pos += 1
                 continue
             k = min(self.evals_to_change(), rows.shape[0])
-            values[pos:pos + k] = self.problem.evaluate(rows[:k])
+            segments.append(self.problem.evaluate(rows[:k]))
             self.eval_count += k
             pos += k
-        return values
+        return segments[0] if len(segments) == 1 else np.concatenate(segments)
 
     def evals_to_change(self) -> int:
         left = self.frequency - 1 - self.eval_count % self.frequency

@@ -65,7 +65,8 @@ class SwarmBase:
 
     # -- sense helpers ----------------------------------------------------
 
-    def better(self, a: float, b: float) -> bool:
+    def better(self, a, b):
+        """Strict improvement of ``a`` over ``b``; elementwise on arrays."""
         return a > b if self.maximize else a < b
 
     def argbest(self, values: np.ndarray) -> int:
@@ -102,10 +103,7 @@ class SwarmBase:
 
     def update_pbests(self) -> np.ndarray:
         """Copy each strictly improved member into its pbest; return the mask."""
-        if self.maximize:
-            improved = self.fitness > self.pbest_fitness
-        else:
-            improved = self.fitness < self.pbest_fitness
+        improved = self.better(self.fitness, self.pbest_fitness)
         self.pbest_fitness[improved] = self.fitness[improved]
         self.pbest_positions[improved] = self.positions[improved]
         return improved

@@ -53,13 +53,14 @@ class SsaBaseline(SwarmBase):
             evals_per_iteration=self.config.population + 1,
         )
         self.start_memory(pbests=False)
+        self._members = np.arange(self.n).reshape(1, self.n)  # one chain
 
     def iterate(self) -> None:
         self.sync_dimension()
         self.detect_change()
         l_eff = min(self.l_window, self.max_iterations)
         rules.salp_chain(
-            self.positions, range(self.n), self.food_position,
+            self.positions, self._members, self.food_position,
             self.lower, self.upper,
             rules.salp_coefficient(l_eff, self.max_iterations), self.rng,
         )

@@ -23,6 +23,16 @@ from dynopt.optimizers import rules
 from dynopt.optimizers.base import SwarmBase
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an ``(n, dim)`` array.
+
+    Equal bit for bit to ``np.linalg.norm`` of each row: both take the
+    square root of the row's dot product with itself, summed in the same
+    order.  An elementwise square-and-sum may round differently.
+    """
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class QcssoConfig:
     """Tunable constants; every field accepts a flat key=value override."""
@@ -89,9 +99,9 @@ class Qcsso(SwarmBase):
         )
         self.k = cfg.subpopulations
         self.chain = self.n // self.k
-        self._chains = [
-            np.arange(c * self.chain, (c + 1) * self.chain) for c in range(self.k)
-        ]
+        # member indices, one row per chain
+        self._chains = np.arange(self.n).reshape(self.k, self.chain)
+        self._pairs = np.triu_indices(self.k, 1)
         self._w_state = cfg.w_init
 
         self.start_memory(pbests=True)
@@ -112,11 +122,11 @@ class Qcsso(SwarmBase):
     def probe_sigma(self) -> np.ndarray:
         return self.config.probe_sigma_scale * (self.upper - self.lower)
 
-    def subpop_best_indices(self) -> list[int]:
-        return [
-            int(members[self.argbest(self.pbest_fitness[members])])
-            for members in self._chains
-        ]
+    def subpop_best_indices(self) -> np.ndarray:
+        """The index of each chain's best pbest, the first one on ties."""
+        by_chain = self.pbest_fitness.reshape(self.k, self.chain)
+        best = by_chain.argmax(axis=1) if self.maximize else by_chain.argmin(axis=1)
+        return self._chains[:, 0] + best
 
     def global_best_index(self) -> int:
         return self.argbest(self.pbest_fitness)
@@ -139,34 +149,52 @@ class Qcsso(SwarmBase):
 
     def ssa_bootstrap(self, ctx: IterationContext) -> None:
         """Classic salp chain rules, used on the first iteration of a window."""
-        c1 = rules.salp_coefficient(ctx.l, ctx.max_iterations)
-        for members in self._chains:
-            rules.salp_chain(
-                self.positions, members, ctx.food_position,
-                self.lower, self.upper, c1, self.rng,
-            )
+        rules.salp_chain(
+            self.positions, self._chains, ctx.food_position,
+            self.lower, self.upper,
+            rules.salp_coefficient(ctx.l, ctx.max_iterations), self.rng,
+        )
 
     def swarm_update(self, ctx: IterationContext) -> None:
-        """Quantum jumps for the chain heads, momentum following for the rest."""
+        """Quantum jumps for the chain heads, momentum following for the rest.
+
+        All chains move at once.  The iteration takes one block of unit
+        draws, laid out as a loop over the members would draw them: chain
+        by chain, member by member, r1 and r2 for every member, then c4, r
+        and c3 for a head.  Attractors and head jumps are one array step
+        each; followers advance one rank at a time across the chains, each
+        reading its two predecessors as already moved (with fewer than two
+        heads the first ranks read the chain's not yet moved tail).
+        """
         cfg = self.config
-        for members in self._chains:
-            for rank, idx in enumerate(members):
-                x = self.positions[idx]
-                attractor = rules.local_attractor(x, ctx.food_position, self.rng)
-                if rank < cfg.leaders_per_chain:
-                    self.positions[idx] = rules.quantum_update(
-                        x, attractor, ctx.b_l, ctx.best_mean, ctx.w, self.rng,
-                        cfg.c3_threshold,
-                    )
-                else:
-                    self.positions[idx] = rules.follower_update(
-                        x,
-                        self.positions[members[rank - 1]],
-                        self.positions[members[rank - 2]],
-                        attractor,
-                        ctx.c,
-                        cfg.momentum,
-                    )
+        k, chain, dim = self.k, self.chain, self.dim
+        heads = min(cfg.leaders_per_chain, chain)
+        block = self.rng.random((k, (5 * heads + 2 * (chain - heads)) * dim))
+        head_draws = block[:, : 5 * heads * dim].reshape(k, heads, 5, dim)
+        follower_draws = block[:, 5 * heads * dim :].reshape(k, chain - heads, 2, dim)
+        r1, r2 = (
+            np.concatenate([head_draws[:, :, j], follower_draws[:, :, j]], axis=1)
+            for j in (0, 1)
+        )
+        draws = rules.DrawCursor([r1, r2] + [head_draws[:, :, j] for j in (2, 3, 4)])
+
+        x = self.positions.reshape(k, chain, dim)
+        attractor = rules.local_attractor(x, ctx.food_position, draws)
+        heads_moved = rules.quantum_update(
+            x[:, :heads], attractor[:, :heads], ctx.b_l, ctx.best_mean, ctx.w,
+            draws, cfg.c3_threshold,
+        )
+        # rank-major copies, so that each rank's slab across the chains is
+        # one contiguous (k, dim) block
+        ranks = x.swapaxes(0, 1).copy()
+        ranks[:heads] = heads_moved.swapaxes(0, 1)
+        pulls = attractor.swapaxes(0, 1).copy()
+        for rank in range(heads, chain):
+            ranks[rank] = rules.follower_update(
+                ranks[rank], ranks[rank - 1], ranks[rank - 2], pulls[rank],
+                ctx.c, cfg.momentum,
+            )
+        self.positions = ranks.swapaxes(0, 1).reshape(self.n, dim)
 
     def update_memory(self) -> None:
         """Refresh pbests and the food position."""
@@ -183,42 +211,41 @@ class Qcsso(SwarmBase):
         sigma = self.probe_sigma()
         bests = self.subpop_best_indices()
         # one (k, dim) draw equals k sequential draws of dim
-        noise = self.rng.standard_normal((len(bests), self.dim))
+        noise = self.rng.standard_normal((self.k, self.dim))
         probes = self.pbest_positions[bests] + noise * sigma
         np.clip(probes, self.lower, self.upper, out=probes)
         values = self.eval_rows(probes)
-        for idx, probe, value in zip(bests, probes, values):
-            if self.better(float(value), float(self.pbest_fitness[idx])):
-                self.pbest_positions[idx] = probe
-                self.pbest_fitness[idx] = value
+        accepted = self.better(values, self.pbest_fitness[bests])
+        self.pbest_positions[bests[accepted]] = probes[accepted]
+        self.pbest_fitness[bests[accepted]] = values[accepted]
         # exclusion: chains whose bests share a basin restart, except the
         # chain holding the global best which is never recycled
         bests = self.subpop_best_indices()
-        protected = self.global_best_index()
-        radius = self.exclusion_radius()
+        protected = self.global_best_index() // self.chain
+        fitness = self.pbest_fitness[bests].tolist()
         doomed: set[int] = set()
-        for a in range(self.k):
-            for b in range(a + 1, self.k):
-                pa, pb = bests[a], bests[b]
-                dist = float(np.linalg.norm(self.pbest_positions[pa] - self.pbest_positions[pb]))
-                if dist >= radius:
-                    continue
-                if self.better(float(self.pbest_fitness[pa]), float(self.pbest_fitness[pb])):
-                    worse = b
-                elif self.better(float(self.pbest_fitness[pb]), float(self.pbest_fitness[pa])):
-                    worse = a
-                else:
-                    worse = max(a, b)
-                if protected in self._chains[worse]:
-                    worse = a if worse == b else b
-                    if protected in self._chains[worse]:
-                        continue
-                doomed.add(worse)
+        for a, b in self._close_pairs(bests):
+            if self.better(fitness[a], fitness[b]):
+                worse = b
+            elif self.better(fitness[b], fitness[a]):
+                worse = a
+            else:
+                worse = max(a, b)
+            if worse == protected:
+                worse = a if worse == b else b
+            doomed.add(worse)
         self.last_excluded_subpops = sorted(doomed)
-        for c in doomed:
-            self._reinit_members(self._chains[c])
         if doomed:
+            # one draw for all doomed chains equals one draw per chain in order
+            self._reinit_members(self._chains[self.last_excluded_subpops].ravel())
             self._refresh_food()
+
+    def _close_pairs(self, bests: np.ndarray) -> list[tuple[int, int]]:
+        """The chain pairs ``(a, b)``, a < b, whose bests lie within the radius."""
+        a, b = self._pairs
+        diff = self.pbest_positions[bests[a]] - self.pbest_positions[bests[b]]
+        close = row_norms(diff) < self.exclusion_radius()
+        return list(zip(a[close].tolist(), b[close].tolist()))
 
     def _reinit_members(self, members: np.ndarray) -> None:
         fresh = self.rng.uniform(self.lower, self.upper, size=(len(members), self.dim))
@@ -228,20 +255,25 @@ class Qcsso(SwarmBase):
         self.ages[members] = 0
 
     def aging_step(self) -> list[int]:
-        """Recycle stale salps; the global-best holder is never touched."""
+        """Recycle stale salps; the global-best holder is never touched.
+
+        A member past its age limit (the longer one for a chain best)
+        flips a coin, in index order, and is recycled when it lands under
+        the reinit probability; every other member ages by one.
+        """
         cfg = self.config
-        protected = self.global_best_index()
-        best_set = set(self.subpop_best_indices())
+        limits = np.full(self.n, cfg.min_age_limit)
+        limits[self.subpop_best_indices()] = cfg.max_age_limit
+        grows = np.ones(self.n, dtype=bool)
+        grows[self.global_best_index()] = False
         reinited: list[int] = []
-        for i in range(self.n):
-            if i == protected:
-                continue
-            limit = cfg.max_age_limit if i in best_set else cfg.min_age_limit
-            if self.ages[i] > limit and self.rng.random() < cfg.reinit_probability:
+        for i in np.flatnonzero(grows & (self.ages > limits)).tolist():
+            # each recycle draws its fresh position before the next coin
+            if self.rng.random() < cfg.reinit_probability:
                 self._reinit_members(np.array([i]))
                 reinited.append(i)
-            else:
-                self.ages[i] += 1
+                grows[i] = False
+        self.ages[grows] += 1
         self.last_aging_reinits = reinited
         return reinited
 

@@ -2,10 +2,17 @@
 
 Each rule has one implementation: the optimizers call these functions and
 the anchor tests pin them against hand-computed values.  Position
-arguments are arrays of the current dimension (scalars also work), and
-every random draw is shaped like the position it moves.  Unit draws on
-(0, 1] are ``1 - rng.random(shape)``; each rule states its draw order,
-which fixes the random stream of a run.
+arguments are arrays of the current dimension (scalars also work) or
+stacks of them, and every random draw is shaped like the position it
+moves.  Unit draws on (0, 1] are ``1 - rng.random(shape)``; each rule
+states its draw order, which fixes the random stream of a run.
+
+A rule reads its draws only through ``rng.random(shape)``, so a caller
+that moves many members at once may pass a :class:`DrawCursor` instead
+of a generator: the cursor hands out slots of one block drawn in advance.
+``Qcsso.swarm_update`` lays that block out member by member, in the
+order a loop over the members would draw, so one bulk draw consumes the
+stream exactly as the loop did.
 """
 
 from __future__ import annotations
@@ -17,6 +24,35 @@ import numpy as np
 LOGISTIC_D = 4.0
 CHAOTIC_SCALE = 3.0
 FOLLOWER_GAIN = 0.75
+
+
+class DrawCursor:
+    """Stand-in for ``rng`` that returns pre-drawn slots in order.
+
+    ``random(shape)`` returns the next slot as it is (a unit draw on
+    [0, 1), like ``Generator.random``).  A shape that differs from the
+    slot's, or a call past the last slot, raises ``ValueError``: either
+    means the caller's block layout and the rules' draw order disagree.
+    """
+
+    def __init__(self, slots) -> None:
+        self._slots = list(slots)
+        self._next = 0
+
+    def random(self, shape=None):
+        if self._next == len(self._slots):
+            raise ValueError("draw cursor ran past the end of its block")
+        slot = self._slots[self._next]
+        if shape is None:
+            wanted = ()
+        else:
+            wanted = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+        if slot.shape != wanted:
+            raise ValueError(
+                f"draw slot {self._next} has shape {slot.shape}, asked for {wanted}"
+            )
+        self._next += 1
+        return slot
 
 
 def logistic_step(w: float, d: float = LOGISTIC_D) -> float:
@@ -62,19 +98,26 @@ def salp_coefficient(l: int, max_iterations: int) -> float:
 
 
 def salp_chain(positions, members, food, lower, upper, c1, rng) -> None:
-    """Classic salp chain move, in place on ``positions[members]``.
+    """Classic salp chain move of several chains, in place on ``positions``.
 
-    The leader ``members[0]`` lands at ``food ± c1 * ((upper - lower) * c2
-    + lower)``, adding where the side coin is at least 0.5; each follower
-    then averages its position with its already moved predecessor.  Draw
-    order is c2, then the side coin.
+    ``members`` is a ``(k, chain)`` index matrix, one row per chain (a
+    flat sequence is one chain).  Each leader ``members[:, 0]`` lands at
+    ``food ± c1 * ((upper - lower) * c2 + lower)``, adding where the side
+    coin is at least 0.5; each follower then averages its position with
+    its already moved predecessor, one rank at a time across the chains.
+    The draws are one ``(k, 2, dim)`` block: per chain c2, then the side
+    coin, which is the stream of k single-chain calls.
     """
-    c2 = rng.random(food.shape)
-    side = rng.random(food.shape) >= 0.5
+    members = np.atleast_2d(members)
+    draws = rng.random((members.shape[0], 2) + np.shape(food))
+    c2, side = draws[:, 0], draws[:, 1] >= 0.5
     step = c1 * ((upper - lower) * c2 + lower)
-    positions[members[0]] = np.where(side, food + step, food - step)
-    for prev, cur in zip(members[:-1], members[1:]):
-        positions[cur] = (positions[cur] + positions[prev]) / 2.0
+    ranks = positions[members.T]  # (chain, k, dim): one slab per rank
+    ranks[0] = np.where(side, food + step, food - step)
+    for prev, cur in zip(ranks, ranks[1:]):
+        cur += prev
+        cur /= 2.0
+    positions[members.T] = ranks
 
 
 def local_attractor(x, food, rng: np.random.Generator):

@@ -139,7 +139,7 @@ class BudgetedRecorder(DynamicObjective):
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Score rows until the budget is spent; the row after it raises."""
         xs = as_rows(xs)
-        values = np.empty(xs.shape[0])
+        segments = []
         pos = 0
         while pos < xs.shape[0]:
             if self.used >= self.budget:
@@ -149,10 +149,10 @@ class BudgetedRecorder(DynamicObjective):
                 self.budget - self.used,
                 self.problem.evals_to_change(),
             )
-            values[pos:pos + k] = self.problem.evaluate_batch(xs[pos:pos + k])
-            self._record(values[pos:pos + k])
+            segments.append(self.problem.evaluate_batch(xs[pos:pos + k]))
+            self._record(segments[-1])
             pos += k
-        return values
+        return segments[0] if len(segments) == 1 else np.concatenate(segments)
 
     def _record(self, values: np.ndarray) -> None:
         """Record one segment: rows scored in one environment, in order."""
@@ -164,13 +164,16 @@ class BudgetedRecorder(DynamicObjective):
             self._seen_changes = seen
             self._close_window()
 
-        # a row improves when it beats every earlier value of its window
+        # a row improves when it beats every earlier value of its window:
+        # ``running[i]`` is the best before row i
         best_op = np.maximum if self.maximize else np.minimum
-        before = np.empty(k)
-        before[0] = values[0] if self._window_best is None else self._window_best
-        before[1:] = best_op(best_op.accumulate(values[:-1]), before[0])
-        improved = values > before if self.maximize else values < before
-        if self._window_best is None:
+        fresh = self._window_best is None
+        running = np.empty(k + 1)
+        running[0] = values[0] if fresh else self._window_best
+        running[1:] = values
+        best_op.accumulate(running, out=running)
+        improved = values > running[:-1] if self.maximize else values < running[:-1]
+        if fresh:
             improved[0] = True
         gains = values[improved]
 
@@ -192,11 +195,12 @@ class BudgetedRecorder(DynamicObjective):
                 else self._window_best < self.best_value
             ):
                 self.best_value = self._window_best
-        gained = np.cumsum(improved)  # improvements up to and including each row
 
         window_start = self._window_evals
         self._window_evals += k
         due = bisect.bisect_right(self._offsets, self._window_evals)
+        if due or self.trace_enabled:
+            gained = np.cumsum(improved)  # improvements up to and including each row
         if due:
             # an offset is sampled after the first row that reaches it
             rows = np.maximum(np.array(self._offsets[:due]) - window_start - 1, 0)

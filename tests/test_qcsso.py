@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dynopt.errors import ConfigError
-from dynopt.optimizers.qcsso import IterationContext, Qcsso, QcssoConfig
+from dynopt.gdbg import make_instance
+from dynopt.optimizers import rules
+from dynopt.optimizers.qcsso import IterationContext, Qcsso, QcssoConfig, row_norms
 
 from conftest import FakeRng, SwitchableProblem, sphere_problem
 
@@ -210,6 +212,58 @@ class TestSwarmUpdate:
         assert opt.rng.exhausted()
 
 
+def reference_swarm_update(opt, ctx):
+    """The swarm update as a loop over the members, straight from ``rules``."""
+    cfg = opt.config
+    for c in range(opt.k):
+        members = np.arange(c * opt.chain, (c + 1) * opt.chain)
+        for rank, idx in enumerate(members):
+            x = opt.positions[idx]
+            attractor = rules.local_attractor(x, ctx.food_position, opt.rng)
+            if rank < cfg.leaders_per_chain:
+                opt.positions[idx] = rules.quantum_update(
+                    x, attractor, ctx.b_l, ctx.best_mean, ctx.w, opt.rng,
+                    cfg.c3_threshold,
+                )
+            else:
+                opt.positions[idx] = rules.follower_update(
+                    x,
+                    opt.positions[members[rank - 1]],
+                    opt.positions[members[rank - 2]],
+                    attractor,
+                    ctx.c,
+                    cfg.momentum,
+                )
+
+
+class TestSwarmUpdateMatchesMemberLoop:
+    """The lockstep update equals the member loop bit for bit, stream included."""
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])  # max and min
+    @pytest.mark.parametrize("subpopulations", [1, 5, 10])
+    @pytest.mark.parametrize("leaders", [0, 1, 2, "chain"])
+    def test_positions_and_stream(self, function_id, subpopulations, leaders):
+        chain = 50 // subpopulations
+        cfg = QcssoConfig(
+            subpopulations=subpopulations,
+            leaders_per_chain=chain if leaders == "chain" else leaders,
+        )
+        twins = [
+            Qcsso(make_instance(function_id, "T1", 5), seed=9, budget=10**6,
+                  frequency=5000, config=cfg)
+            for _ in range(2)
+        ]
+        for opt in twins:
+            for _ in range(3):  # a bootstrap, then two lockstep updates
+                opt.iterate()
+        assert twins[0].maximize is (function_id == "F1(10)")
+        fast, slow = twins
+        fast.swarm_update(fast.make_context())
+        reference_swarm_update(slow, slow.make_context())
+        assert fast.positions.tobytes() == slow.positions.tobytes()
+        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+
 class TestMemory:
     def test_update_memory_keeps_best(self):
         opt = make_opt(dim=2, config=QcssoConfig(population=4, subpopulations=2))
@@ -340,12 +394,55 @@ class TestOverlapSearch:
         opt.overlap_search()
         assert opt.last_excluded_subpops == [1]
 
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_probe_acceptance_is_strict_in_both_senses(self, maximize):
+        sign = -1.0 if maximize else 1.0
+        problem = sphere_problem(dimension=1, maximize=maximize)
+        opt = make_opt(config=QcssoConfig(population=4, subpopulations=2), problem=problem)
+        opt.pbest_positions = np.array([[1.0], [3.0], [2.0], [4.0]])
+        opt.pbest_fitness = np.array([1.0, 9.0 * sign, 4.0, 16.0 * sign])  # bests 0, 2
+        # the first probe ties its chain's best, the second one beats it
+        values = [1.0, 5.0 if maximize else 3.0]
+        opt.eval_rows = lambda probes: np.array(values)
+        opt.rng = FakeRng(standard_normal=[0.5, 0.5])
+        opt.overlap_search()
+        assert opt.pbest_positions[:, 0].tolist() == [1.0, 3.0, 2.5, 4.0]
+        assert opt.pbest_fitness[[0, 2]].tolist() == values
+        assert opt.last_excluded_subpops == []
+
     def test_distant_bests_coexist(self):
         opt = self.small(radius=0.5)
         opt.rng = FakeRng(standard_normal=[0.0, 0.0])
         opt.overlap_search()
         assert opt.last_excluded_subpops == []
         assert not np.any(np.isinf(opt.pbest_fitness))
+
+
+class TestExclusionDistances:
+    """The array distances decide exactly as the per-pair norm."""
+
+    def test_pairs_placed_at_the_radius(self):
+        rng = np.random.default_rng(41)
+        for dim in range(1, 21):
+            radius = 0.1 * float(np.linalg.norm(np.full(dim, 10.0)))
+            a = rng.uniform(-5.0, 5.0, size=(400, dim))
+            u = rng.standard_normal((400, dim))
+            b = a + radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+            diff = a - b
+            per_pair = np.array([np.linalg.norm(row) for row in diff])
+            assert row_norms(diff).tobytes() == per_pair.tobytes()
+            assert np.array_equal(row_norms(diff) < radius, per_pair < radius)
+
+    def test_close_pairs_use_the_default_radius(self):
+        opt = make_opt(dim=5, config=QcssoConfig(population=10, subpopulations=5))
+        radius = opt.exclusion_radius()
+        bests = np.arange(0, 10, 2)
+        step = np.full(5, radius / math.sqrt(5.0))
+        for scale, expected in ((0.999, [(0, 1)]), (1.001, [])):
+            opt.pbest_positions = np.zeros((10, 5))
+            opt.pbest_positions[bests] = np.arange(5)[:, None] * 10.0 - 5.0
+            opt.pbest_positions[2] = opt.pbest_positions[0] + scale * step
+            assert opt._close_pairs(bests) == expected
 
 
 class TestAging:
@@ -396,6 +493,24 @@ class TestAging:
         assert recycled == set(range(4)) - bests
         for idx in bests:
             assert opt.ages[idx] in (0, 5, 6)  # aged or protected, never recycled
+
+    def test_one_coin_per_member_past_its_limit(self):
+        cfg = QcssoConfig(
+            population=6, subpopulations=2,
+            max_age_limit=5, min_age_limit=2, reinit_probability=0.5,
+        )
+        opt = make_opt(dim=2, config=cfg)
+        # chain bests 1 and 4, and 1 is the global best
+        opt.pbest_fitness = np.array([3.0, 1.0, 4.0, 6.0, 2.0, 5.0])
+        opt.ages = np.array([3, 9, 6, 2, 5, 3])
+        # coins for 0, 2 and 5 only: 1 is protected, 3 and 4 are in their limit;
+        # member 2 lands under 0.5 and draws its fresh position before 5's coin
+        opt.rng = FakeRng(random=[0.9, 0.1, 0.7], uniform=[1.0, -1.0])
+        assert opt.aging_step() == [2]
+        assert opt.rng.exhausted()
+        assert opt.ages.tolist() == [4, 9, 0, 3, 6, 4]
+        assert opt.positions[2].tolist() == [1.0, -1.0]
+        assert math.isinf(opt.pbest_fitness[2])
 
     def test_zero_probability_never_recycles(self):
         cfg = QcssoConfig(

@@ -176,6 +176,46 @@ class TestSalpChain:
         assert positions[:, 0].tolist() == [3.0, 4.0, 6.5]
         assert rng.exhausted()
 
+    def test_k_chains_equal_k_single_chain_calls(self):
+        start = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 3))
+        members = np.random.default_rng(6).permutation(12).reshape(3, 4)
+        food, lower, upper = np.array([0.5, -1.0, 2.0]), np.full(3, -5.0), np.full(3, 5.0)
+        lockstep, one_by_one = start.copy(), start.copy()
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        rules.salp_chain(lockstep, members, food, lower, upper, 0.8, rng_a)
+        for row in members:
+            rules.salp_chain(one_by_one, row, food, lower, upper, 0.8, rng_b)
+        assert lockstep.tobytes() == one_by_one.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestDrawCursor:
+    def test_hands_out_slots_in_order(self):
+        first, second = np.zeros((2, 3)), np.full(4, 0.5)
+        cursor = rules.DrawCursor([first, second, np.array(0.25)])
+        assert cursor.random((2, 3)) is first
+        assert cursor.random(4) is second
+        assert cursor.random() == 0.25
+
+    def test_shape_mismatch_raises(self):
+        cursor = rules.DrawCursor([np.zeros((2, 3))])
+        with pytest.raises(ValueError, match="shape"):
+            cursor.random((3, 2))
+        with pytest.raises(ValueError, match="shape"):
+            cursor.random()
+
+    def test_running_past_the_block_raises(self):
+        cursor = rules.DrawCursor([np.zeros(2)])
+        cursor.random(2)
+        with pytest.raises(ValueError, match="past the end"):
+            cursor.random(2)
+
+    def test_rules_read_a_cursor_like_a_generator(self):
+        slots = [np.full(2, 0.75), np.full(2, 0.25)]
+        value = rules.local_attractor(np.array([1.0, 1.0]), np.array([5.0, 5.0]),
+                                      rules.DrawCursor(slots))
+        assert value.tolist() == [4.0, 4.0]
+
 
 class TestQuantumUpdate:
     def test_hand_value(self):
