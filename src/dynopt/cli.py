@@ -216,11 +216,12 @@ def _check_peak_ground_truth() -> None:
 def _check_composition_ground_truth() -> None:
     from dynopt.gdbg.instance import make_instance
 
-    inst = make_instance("F2", "T1", seed=7, overrides={"identity_rotation": True})
-    heights = [p.value for p in inst.problem.heights]
-    best = int(np.argmin(heights))
-    value = inst.problem.evaluate(inst.problem.optima[best])
-    assert abs(value - min(heights)) < 1e-6, "composition floor mismatch"
+    # every component, so each base function is checked at its optimum
+    for family in ("F2", "F3", "F4", "F5", "F6"):
+        problem = make_instance(family, "T1", seed=7).problem
+        for optimum, height in zip(problem.optima, problem.heights):
+            gap = abs(problem.evaluate(optimum) - height.value)
+            assert gap < 1e-6, f"{family} optimum off its height by {gap}"
 
 
 def _check_statistics() -> None:
@@ -316,7 +317,7 @@ _SELFTEST_CHECKS = (
     ("change rules stay in range", _check_change_rules),
     ("rotations preserve norms", _check_rotations),
     ("peak optimum is attained at its center", _check_peak_ground_truth),
-    ("composition floor equals its smallest height", _check_composition_ground_truth),
+    ("composition optima equal their heights", _check_composition_ground_truth),
     ("statistics match naive recomputation", _check_statistics),
     ("schedule anchors", _check_schedules),
     ("run bookkeeping closes every window", _check_run_bookkeeping),

@@ -1,21 +1,20 @@
 """The five classic base landscapes used inside composition problems.
 
-All functions accept either a single vector or a batch with vectors along
-the last axis, reduce over that axis, and have value 0 at the origin.
+Each function takes a vector or a batch of vectors along the last axis,
+reduces over that axis, and is 0 at the origin (Weierstrass exactly).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Weierstrass series constants; the series is truncated at k_max.
-_W_A = 0.5
-_W_B = 3.0
-_W_KMAX = 20
-_W_AK = _W_A ** np.arange(_W_KMAX + 1)
-_W_BK = _W_B ** np.arange(_W_KMAX + 1)
-# per-dimension offset term, value of the inner series at x = 0
-_W_C = float(np.sum(_W_AK * np.cos(np.pi * _W_BK)))
+# Weierstrass term k = 0..20, 2^-k (cos 2pi 3^k (x+1/2) - cos pi 3^k), equals
+# 2^-(k+1) v_k, v_k = 4 sin^2(pi 3^k x), as 3^k is odd: a sum of squares, 0 at
+# the optimum. v obeys v <- v (3 - v)^2 (triple angle); blocks of 7 terms
+# restart it by a direct sine at k = 0, 7, 14 (1e-9 error without restarts).
+# cos 3t = cos t (4cos^2 t - 3) was rejected: ~1e-3 relative error near 0.
+_W_AJ = [0.5 ** (j + 1) for j in range(7)]
+_W_PI3K = np.pi * 3.0 ** np.array([0.0, 7.0, 14.0])
 
 # Natural half-ranges, used to stretch composition offsets onto each
 # landscape's own scale (search half-range 5 maps to these).
@@ -39,12 +38,13 @@ def rastrigin(x: np.ndarray) -> np.ndarray | float:
 
 
 def weierstrass(x: np.ndarray) -> np.ndarray | float:
-    x = np.asarray(x, dtype=float)
-    inner = np.sum(
-        _W_AK * np.cos(2.0 * np.pi * _W_BK * (x[..., None] + 0.5)), axis=-1
-    )
-    n = x.shape[-1]
-    return np.sum(inner, axis=-1) - n * _W_C
+    # elementwise only (no BLAS over k): batch rows equal lone vectors bitwise
+    v = (2.0 * np.sin(np.multiply.outer(_W_PI3K, x))) ** 2
+    total = 0.5 * v
+    for weight in _W_AJ[1:]:
+        v = v * (3.0 - v) ** 2
+        total += weight * v
+    return np.sum(total[0] + total[1] * 2.0**-7 + total[2] * 2.0**-14, axis=-1)
 
 
 def griewank(x: np.ndarray) -> np.ndarray | float:

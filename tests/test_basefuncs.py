@@ -95,3 +95,38 @@ def test_natural_half_ranges():
         "griewank": 100.0,
         "ackley": 32.0,
     }
+
+
+def _weierstrass_sine_oracle(row):
+    # each term minus its offset is 2 a^k sin^2(pi b^k x), b^k being odd;
+    # summed with plain floats, every sine taken directly
+    return math.fsum(
+        2.0 * 0.5**k * math.sin(math.pi * 3.0**k * xi) ** 2
+        for xi in row
+        for k in range(21)
+    )
+
+
+@pytest.mark.parametrize(
+    "half_range, relative, bound",
+    [(0.5, False, 1e-11), (1e-5, True, 1e-12), (8.0, False, 2e-10)],
+)
+def test_weierstrass_matches_direct_sine_oracle(half_range, relative, bound):
+    points = np.random.default_rng(37).uniform(-half_range, half_range, (400, 10))
+    expected = np.array([_weierstrass_sine_oracle(row) for row in points])
+    error = np.abs(bf.weierstrass(points) - expected)
+    if relative:
+        error = error / expected
+    assert error.max() <= bound
+
+
+def test_weierstrass_exactly_zero_at_origin():
+    for dim in (1, 3, 10):
+        assert float(bf.weierstrass(np.zeros(dim))) == 0.0
+
+
+def test_weierstrass_nonnegative_without_tolerance():
+    rng = np.random.default_rng(41)
+    for scale in (1e-8, 1e-3, 0.5, 5.0):
+        points = rng.uniform(-scale, scale, size=(500, 6))
+        assert (bf.weierstrass(points) >= 0.0).all()
