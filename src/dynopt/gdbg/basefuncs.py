@@ -29,12 +29,12 @@ NATURAL_HALF_RANGE = {
 
 def sphere(x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 def rastrigin(x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
-    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
+    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
 
 
 def weierstrass(x: np.ndarray) -> np.ndarray | float:
@@ -44,7 +44,7 @@ def weierstrass(x: np.ndarray) -> np.ndarray | float:
     for weight in _W_AJ[1:]:
         v = v * (3.0 - v) ** 2
         total += weight * v
-    return np.sum(total[0] + total[1] * 2.0**-7 + total[2] * 2.0**-14, axis=-1)
+    return np.add.reduce(total[0] + total[1] * 2.0**-7 + total[2] * 2.0**-14, axis=-1)
 
 
 def griewank(x: np.ndarray) -> np.ndarray | float:
@@ -52,8 +52,8 @@ def griewank(x: np.ndarray) -> np.ndarray | float:
     n = x.shape[-1]
     idx = np.sqrt(np.arange(1, n + 1, dtype=float))
     return (
-        np.sum(x * x, axis=-1) / 4000.0
-        - np.prod(np.cos(x / idx), axis=-1)
+        np.add.reduce(x * x, axis=-1) / 4000.0
+        - np.multiply.reduce(np.cos(x / idx), axis=-1)
         + 1.0
     )
 
@@ -61,8 +61,8 @@ def griewank(x: np.ndarray) -> np.ndarray | float:
 def ackley(x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    quad = np.sqrt(np.sum(x * x, axis=-1) / n)
-    trig = np.sum(np.cos(2.0 * np.pi * x), axis=-1) / n
+    quad = np.sqrt(np.add.reduce(x * x, axis=-1) / n)
+    trig = np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / n
     return -20.0 * np.exp(-0.2 * quad) - np.exp(trig) + 20.0 + np.e
 
 

@@ -49,6 +49,14 @@ class ChangeType(enum.Enum):
         return self.value
 
 
+def clamp(value: float, lo: float, hi: float) -> float:
+    """``float(np.clip(value, lo, hi))`` for scalars, without numpy's call cost.
+
+    ``value`` comes first in ``max`` so that a NaN stays NaN, as in numpy.
+    """
+    return float(min(max(value, lo), hi))
+
+
 @dataclass
 class DynamicParam:
     """One bounded scalar that the environment mutates over time."""
@@ -62,7 +70,7 @@ class DynamicParam:
     def __post_init__(self) -> None:
         if not self.max > self.min:
             raise ValueError("DynamicParam needs max > min")
-        self.value = float(np.clip(self.value, self.min, self.max))
+        self.value = clamp(self.value, self.min, self.max)
 
     @property
     def range(self) -> float:
@@ -102,7 +110,7 @@ def change_param(
         p.value = _recurrent_value(p, t) + rng.standard_normal() * RECURRENT_NOISE_SEVERITY
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unhandled change type {kind}")
-    p.value = float(np.clip(p.value, p.min, p.max))
+    p.value = clamp(p.value, p.min, p.max)
 
 
 def _recurrent_value(p: DynamicParam, t: int) -> float:

@@ -9,6 +9,9 @@ domain corner so all components share a common scale.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable
+
 import numpy as np
 
 from dynopt.errors import ConfigError
@@ -59,11 +62,16 @@ class CompositionProblem:
         self.lambdas = np.array(
             [stretch_factor(name, half) for name in func_names]
         )
-        # components sharing a base function are evaluated in one batch
-        self._groups: list[tuple[str, np.ndarray]] = []
-        for name in dict.fromkeys(func_names):
-            idx = np.array([i for i, n in enumerate(func_names) if n == name])
-            self._groups.append((name, idx))
+        # each run of adjacent components sharing a base function is one
+        # call on a slice view: base functions act per component and reduce
+        # only over the last axis, so a component's value does not depend
+        # on the others in its run
+        self._runs: list[tuple[Callable[[np.ndarray], np.ndarray], slice]] = []
+        start = 0
+        for name, run in itertools.groupby(self.func_names):
+            stop = start + len(list(run))
+            self._runs.append((BASE_FUNCTIONS[name], slice(start, stop)))
+            start = stop
         self._h = np.empty(m)
         self.refresh_cache()
         self._fmax = np.empty(m)
@@ -91,8 +99,8 @@ class CompositionProblem:
 
     def _component_values(self, z: np.ndarray) -> np.ndarray:
         values = np.empty(z.shape[:2])
-        for name, idx in self._groups:
-            values[:, idx] = BASE_FUNCTIONS[name](z[:, idx])
+        for func, run in self._runs:
+            values[:, run] = func(z[:, run])
         return values
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
@@ -100,18 +108,20 @@ class CompositionProblem:
         x = np.asarray(x, dtype=float)
         xs = x[None, :] if x.ndim == 1 else x
         diff = xs[:, None, :] - self.optima
-        sq_dist = np.sum(diff * diff, axis=2)
+        # ufunc reductions called directly: the same bits as np.sum / .max,
+        # without their Python-level dispatch
+        sq_dist = np.add.reduce(diff * diff, axis=2)
         w = np.exp(-np.sqrt(sq_dist / (2.0 * self.dim * self.sigma**2)))
-        wmax = w.max(axis=1, keepdims=True)
+        wmax = np.maximum.reduce(w, axis=1, keepdims=True)
         # only the closest component keeps full weight once it dominates;
         # the power is taken one row at a time because numpy's vectorised
         # power may differ from the scalar one in the last bit
         damping = [[1.0 - v**DOMINANCE_POWER] for v in wmax[:, 0].tolist()]
         w = np.where(w == wmax, w, w * np.array(damping))
-        w /= w.sum(axis=1, keepdims=True)
+        w /= np.add.reduce(w, axis=1, keepdims=True)
         z = np.einsum("nmd,mde->nme", diff / self.lambdas[:, None], self.matrices)
         f_prime = self.normalizer * self._component_values(z) / np.abs(self._fmax)
-        values = np.sum(w * (f_prime + self._h), axis=1)
+        values = np.add.reduce(w * (f_prime + self._h), axis=1)
         return float(values[0]) if x.ndim == 1 else values
 
     def optimum_value(self) -> float:

@@ -248,7 +248,9 @@ class Qcsso(SwarmBase):
         return list(zip(a[close].tolist(), b[close].tolist()))
 
     def _reinit_members(self, members: np.ndarray) -> None:
-        fresh = self.rng.uniform(self.lower, self.upper, size=(len(members), self.dim))
+        fresh = self.rng.uniform(
+            self.draw_lower, self.draw_upper, size=(len(members), self.dim)
+        )
         self.positions[members] = fresh
         self.pbest_positions[members] = fresh
         self.pbest_fitness[members] = self.worst_value

@@ -17,6 +17,7 @@ stream exactly as the loop did.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -97,6 +98,16 @@ def salp_coefficient(l: int, max_iterations: int) -> float:
     return 2.0 * math.exp(-((4.0 * l / max_iterations) ** 2))
 
 
+@functools.cache
+def _rank_scales(chain: int) -> tuple[np.ndarray, np.ndarray]:
+    """Powers of two 2^max(i-1, 0) and 2^-i for ranks i of a chain."""
+    rank = np.arange(chain)
+    up = np.ldexp(1.0, np.maximum(rank - 1, 0))[:, None, None]
+    down = np.ldexp(1.0, -rank)[:, None, None]
+    up.flags.writeable = down.flags.writeable = False
+    return up, down
+
+
 def salp_chain(positions, members, food, lower, upper, c1, rng) -> None:
     """Classic salp chain move of several chains, in place on ``positions``.
 
@@ -104,9 +115,18 @@ def salp_chain(positions, members, food, lower, upper, c1, rng) -> None:
     flat sequence is one chain).  Each leader ``members[:, 0]`` lands at
     ``food ± c1 * ((upper - lower) * c2 + lower)``, adding where the side
     coin is at least 0.5; each follower then averages its position with
-    its already moved predecessor, one rank at a time across the chains.
-    The draws are one ``(k, 2, dim)`` block: per chain c2, then the side
-    coin, which is the stream of k single-chain calls.
+    its already moved predecessor, ``x_i <- (x_{i-1} + x_i) / 2``, one
+    rank at a time.  The draws are one ``(k, 2, dim)`` block: per chain
+    c2, then the side coin, which is the stream of k single-chain calls.
+
+    The averaging runs as one accumulate: with rank i scaled by
+    2^max(i-1, 0), the running sum at rank i is 2^i times the averaged
+    follower, and scaling it back by 2^-i gives that follower.  Scaling by
+    a power of two commutes with rounding, so every rank equals the
+    rank-by-rank average bit for bit, unless a follower sum
+    ``x_{i-1} + x_i`` is nonzero and below 2^-1021 in magnitude (its half
+    is subnormal and rounds) or a scaled sum overflows, which takes chains
+    of ~1000 members.
     """
     members = np.atleast_2d(members)
     draws = rng.random((members.shape[0], 2) + np.shape(food))
@@ -114,9 +134,10 @@ def salp_chain(positions, members, food, lower, upper, c1, rng) -> None:
     step = c1 * ((upper - lower) * c2 + lower)
     ranks = positions[members.T]  # (chain, k, dim): one slab per rank
     ranks[0] = np.where(side, food + step, food - step)
-    for prev, cur in zip(ranks, ranks[1:]):
-        cur += prev
-        cur /= 2.0
+    up, down = _rank_scales(ranks.shape[0])
+    ranks *= up
+    np.add.accumulate(ranks, axis=0, out=ranks)
+    ranks *= down
     positions[members.T] = ranks
 
 

@@ -16,6 +16,7 @@ from dynopt.gdbg.changes import (
     DimensionWalk,
     DynamicParam,
     change_param,
+    clamp,
 )
 
 from conftest import FakeRng
@@ -49,6 +50,43 @@ class TestDynamicParam:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             DynamicParam(5.0, 10.0, 10.0, 1.0)
+
+
+BOUNDS = [(10.0, 100.0), (1.0, 10.0), (-math.pi, math.pi), (0.0, 1.0), (-1.0, 0.0)]
+
+
+def clamp_cases():
+    for lo, hi in BOUNDS:
+        for value in (lo - 7.5, lo, (lo + hi) / 2.0, hi, hi + 7.5,
+                      math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+                      -0.0, 0.0, math.inf, -math.inf, math.nan):
+            yield value, lo, hi
+
+
+class TestClamp:
+    def test_equals_numpy_clip_bit_for_bit(self):
+        for value, lo, hi in clamp_cases():
+            expected = float(np.clip(value, lo, hi))
+            got = clamp(value, lo, hi)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (
+                value, lo, hi)
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(clamp(math.nan, 10.0, 100.0))
+        assert math.isnan(DynamicParam(math.nan, 10.0, 100.0, 1.0).value)
+
+    def test_integer_inputs_give_a_float(self):
+        assert type(DynamicParam(5, 10, 100, 1.0).value) is float
+        assert DynamicParam(5, 10, 100, 1.0).value == 10.0
+
+    def test_change_param_clamps_at_both_bounds(self):
+        p = height_param(99.0)
+        change_param(p, ChangeType.SMALL_STEP, FakeRng(uniform=[1.0]))
+        assert p.value == 100.0
+        p = height_param(11.0)
+        change_param(p, ChangeType.SMALL_STEP, FakeRng(uniform=[-1.0]))
+        assert p.value == 10.0
 
 
 class TestSmallStep:

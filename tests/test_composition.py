@@ -122,11 +122,15 @@ def one_vector_value(prob, x):
 
 
 class TestBatchMatchesOneVectorRule:
-    @pytest.mark.parametrize("function_id", ["F2", "F3", "F4", "F5", "F6"])
-    def test_bit_exact_near_the_optima(self, function_id):
+    @pytest.mark.parametrize("function_id,overrides", [
+        ("F2", None), ("F3", None), ("F4", None), ("F5", None), ("F6", None),
+        # cycled F6: sphere at 0, 1, 10 and 11, so six runs, two of them sphere
+        ("F6", {"num_components": 12}),
+    ], ids=["F2", "F3", "F4", "F5", "F6", "F6-cycled-12"])
+    def test_bit_exact_near_the_optima(self, function_id, overrides):
         # near an optimum the dominance damping 1 - wmax**10 is far from 1,
         # which is where a different power routine would show
-        inst = make_instance(function_id, "T1", seed=41)
+        inst = make_instance(function_id, "T1", seed=41, overrides=overrides)
         prob = inst.problem
         rng = np.random.default_rng(42)
         centers = prob.optima[rng.integers(0, prob.num_components, size=400)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dynopt.gdbg.changes import DynamicParam
+from dynopt.gdbg.instance import make_instance
 from dynopt.gdbg.peaks import PeakSet
 
 
@@ -55,6 +56,30 @@ class TestEvaluate:
             [param(1.0, 1.0, 10.0)], -5.0, 5.0,
         )
         assert value == single.evaluate(np.array([2.9, 3.9]))
+
+
+def one_vector_value(peaks, x):
+    """The peak rule for one vector, with numpy's mean and max wrappers.
+
+    This is the formula the landscape used before it took batches; a batch
+    must reproduce it bit for bit, or seeded results would move.
+    """
+    diff = x - peaks.centers
+    dist = np.sqrt(np.mean(diff * diff, axis=1))
+    return float(np.max(peaks._h / (1.0 + peaks._w * dist)))
+
+
+class TestBatchMatchesOneVectorRule:
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F1(50)"])
+    def test_bit_exact_near_and_far_from_the_peaks(self, function_id):
+        peaks = make_instance(function_id, "T1", seed=43).problem
+        rng = np.random.default_rng(44)
+        centers = peaks.centers[rng.integers(0, peaks.num_peaks, size=400)]
+        scales = 10.0 ** rng.uniform(-6.0, 0.5, size=(400, 1))
+        xs = np.clip(centers + scales * rng.standard_normal(centers.shape), -5.0, 5.0)
+        xs[:3] = peaks.centers[:3]
+        assert peaks.evaluate(xs).tolist() == [one_vector_value(peaks, x) for x in xs]
+        assert [peaks.evaluate(x) for x in xs[:20]] == peaks.evaluate(xs[:20]).tolist()
 
 
 class TestOptimum:

@@ -160,7 +160,66 @@ class TestArrayForms:
         assert value[1] == 0.8125  # r equals u, so the jump vanishes
 
 
+def salp_chain_by_ranks(positions, members, food, lower, upper, c1, rng):
+    """The salp chain averaged one rank at a time, as a loop would.
+
+    ``rules.salp_chain`` folds the averaging into one scaled accumulate;
+    it must reproduce this loop bit for bit.
+    """
+    members = np.atleast_2d(members)
+    draws = rng.random((members.shape[0], 2) + np.shape(food))
+    c2, side = draws[:, 0], draws[:, 1] >= 0.5
+    step = c1 * ((upper - lower) * c2 + lower)
+    ranks = positions[members.T]
+    ranks[0] = np.where(side, food + step, food - step)
+    for prev, cur in zip(ranks, ranks[1:]):
+        cur += prev
+        cur /= 2.0
+    positions[members.T] = ranks
+
+
+def random_chain_start(rng, n, dim, kind):
+    """Start positions: uniform, exact zeros and +-5, or tiny magnitudes."""
+    if kind == 0:
+        return rng.uniform(-5.0, 5.0, size=(n, dim))
+    if kind == 1:
+        return rng.choice([0.0, -0.0, 5.0, -5.0, 2.5], size=(n, dim))
+    magnitude = 10.0 ** rng.uniform(-12.0, 0.0, size=(n, dim))
+    tiny = rng.uniform(-1.0, 1.0, size=(n, dim)) * magnitude
+    return np.where(rng.random((n, dim)) < 0.2, 0.0, tiny)
+
+
 class TestSalpChain:
+    def test_accumulate_equals_rank_loop(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(3000):
+            k, chain, dim = (int(v) for v in rng.integers([1, 1, 1], [7, 65, 16]))
+            start = random_chain_start(rng, k * chain, dim, trial % 3)
+            members = rng.permutation(k * chain).reshape(k, chain)
+            if k == 1 and trial % 2:
+                members = members[0]  # a flat sequence is one chain
+            food = rng.uniform(-5.0, 5.0, size=dim)
+            if trial % 4:
+                lower, upper = -5.0, 5.0
+            else:
+                lower, upper = np.full(dim, -5.0), np.full(dim, 5.0)
+            c1 = float(rng.uniform(0.0, 2.0))
+            seed = int(rng.integers(1 << 31))
+            got, want = start.copy(), start.copy()
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            rules.salp_chain(got, members, food, lower, upper, c1, rng_got)
+            salp_chain_by_ranks(want, members, food, lower, upper, c1, rng_want)
+            assert got.tobytes() == want.tobytes(), (k, chain, dim)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_members_outside_the_chains_are_untouched(self):
+        start = np.random.default_rng(3).uniform(-5.0, 5.0, size=(9, 2))
+        positions = start.copy()
+        rules.salp_chain(positions, [[4, 0, 7]], np.zeros(2), -5.0, 5.0, 1.0,
+                         np.random.default_rng(4))
+        others = [1, 2, 3, 5, 6, 8]
+        assert positions[others].tobytes() == start[others].tobytes()
+
     def test_coefficient_anchors(self):
         assert rules.salp_coefficient(0, 10) == 2.0
         assert rules.salp_coefficient(5, 10) == 2.0 * math.exp(-4.0)
