@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--jobs", type=int, help="worker processes")
     run_parser.add_argument(
         "--trace", action="store_true",
-        help="also write per-run error trajectories",
+        help="also write per-run trajectories: the best error at each "
+        "ratio-sample point, then the window-close errors",
     )
     run_parser.add_argument(
         "--weights", help="weight table: uniform, official, or a file path"

@@ -6,6 +6,8 @@ reduces over that axis, and is 0 at the origin (Weierstrass exactly).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Weierstrass term k = 0..20, 2^-k (cos 2pi 3^k (x+1/2) - cos pi 3^k), equals
@@ -47,13 +49,19 @@ def weierstrass(x: np.ndarray) -> np.ndarray | float:
     return np.add.reduce(total[0] + total[1] * 2.0**-7 + total[2] * 2.0**-14, axis=-1)
 
 
+@functools.cache
+def _griewank_divisor(n: int) -> np.ndarray:
+    """sqrt(1..n), read-only and built once per dimension (T7 changes n)."""
+    idx = np.sqrt(np.arange(1, n + 1, dtype=float))
+    idx.flags.writeable = False
+    return idx
+
+
 def griewank(x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    idx = np.sqrt(np.arange(1, n + 1, dtype=float))
     return (
         np.add.reduce(x * x, axis=-1) / 4000.0
-        - np.multiply.reduce(np.cos(x / idx), axis=-1)
+        - np.multiply.reduce(np.cos(x / _griewank_divisor(x.shape[-1])), axis=-1)
         + 1.0
     )
 

@@ -125,18 +125,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown experiment setting {key!r}")
             if key in ("cases", "optimizers"):
                 if isinstance(value, str):
-                    kwargs[key] = tuple(
-                        part.strip() for part in value.split(",") if part.strip()
-                    )
-                else:
-                    kwargs[key] = tuple(value)
-            elif key in ("runs", "num_change", "change_frequency",
-                         "samples_per_window", "dimension", "seed", "jobs"):
-                kwargs[key] = coerce(value, int)
-            elif key == "trace":
-                kwargs[key] = coerce(value, bool)
+                    value = [part.strip() for part in value.split(",") if part.strip()]
+                kwargs[key] = tuple(value)
             else:
-                kwargs[key] = str(value)
+                kwargs[key] = coerce(value, type(scalar_fields[key].default))
         kwargs.update({name: bucket for name, bucket in buckets.items() if bucket})
         return cls(**kwargs)
 

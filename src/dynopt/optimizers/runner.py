@@ -50,7 +50,10 @@ class BudgetedRecorder(DynamicObjective):
     landscape, so the previous window's record is frozen just before it.
     A batch is fed to the problem in segments of at most
     ``evals_to_change()`` rows, so a change can only fall on the first row
-    of a segment, and each segment is recorded with array operations.
+    of a segment. With ``collect_ratios``, each window's best is sampled at
+    ``s_samples`` fixed offsets (CEC 2009 GDBG protocol); a closed window
+    adds the ratios to ``ratio_samples`` and the ``(eval_count, error)``
+    pairs to ``trace``, so the trace is bounded by windows x samples.
     """
 
     def __init__(
@@ -60,7 +63,6 @@ class BudgetedRecorder(DynamicObjective):
         frequency: int | None = None,
         s_samples: int = 20,
         collect_ratios: bool = False,
-        trace: bool = False,
     ) -> None:
         if budget < 0:
             raise ConfigError("budget must be non-negative")
@@ -73,7 +75,6 @@ class BudgetedRecorder(DynamicObjective):
         self.frequency = int(frequency) if frequency else 0
         self.s_samples = int(s_samples)
         self.collect_ratios = bool(collect_ratios)
-        self.trace_enabled = bool(trace)
 
         self.used = 0
         self.e_last: list[float] = []
@@ -83,10 +84,12 @@ class BudgetedRecorder(DynamicObjective):
 
         self._seen_changes = problem.change_count()
         self._window_best: float | None = None
+        self._window_optimum = 0.0
         self._window_err = float("inf")
         self._window_ratio = 0.0
         self._window_evals = 0
         self._window_samples: list[float] = []
+        self._window_trace: list[tuple[int, float]] = []
         self._offsets = self._sample_offsets(first=True)
 
         self.best_value: float | None = None
@@ -126,11 +129,13 @@ class BudgetedRecorder(DynamicObjective):
                 samples.append(self._window_ratio)
             self.r_last.append(self._window_ratio)
             self.ratio_samples.append(samples)
+            self.trace += self._window_trace
         self._window_best = None
         self._window_err = float("inf")
         self._window_ratio = 0.0
         self._window_evals = 0
         self._window_samples = []
+        self._window_trace = []
         self._offsets = self._sample_offsets(first=False)
 
     def evaluate(self, x: np.ndarray) -> float:
@@ -164,52 +169,41 @@ class BudgetedRecorder(DynamicObjective):
             self._seen_changes = seen
             self._close_window()
 
-        # a row improves when it beats every earlier value of its window:
-        # ``running[i]`` is the best before row i
-        best_op = np.maximum if self.maximize else np.minimum
+        # a window is one environment, so its optimum is read once;
+        # ``running[i + 1]`` is the window's best up to and including row i
         fresh = self._window_best is None
+        if fresh:
+            self._window_optimum = float(self.problem.optimum_value())
+        optimum = self._window_optimum
         running = np.empty(k + 1)
         running[0] = values[0] if fresh else self._window_best
         running[1:] = values
-        best_op.accumulate(running, out=running)
-        improved = values > running[:-1] if self.maximize else values < running[:-1]
-        if fresh:
-            improved[0] = True
-        gains = values[improved]
-
-        # per-row window error and ratio as objects, so that rows which do
-        # not improve share the float of the last improvement
-        errors = [self._window_err]
-        ratios = [self._window_ratio]
-        if gains.size:
-            optimum = self.problem.optimum_value()
-            errors += np.abs(gains - optimum).tolist()
+        (np.maximum if self.maximize else np.minimum).accumulate(running, out=running)
+        best = float(running[-1])
+        if best != self._window_best:
+            # the best only moves toward the optimum, so the segment's last
+            # best carries its largest ratio and is the one the guard checks
+            self._window_best = best
+            self._window_err = abs(best - optimum)
             if self.collect_ratios:
-                ratios += _ratio(gains, optimum, self.maximize).tolist()
-            self._window_best = float(gains[-1])
-            self._window_err = errors[-1]
-            self._window_ratio = ratios[-1]
+                self._window_ratio = float(_ratio(best, optimum, self.maximize))
             if self.best_value is None or (
-                self._window_best > self.best_value
-                if self.maximize
-                else self._window_best < self.best_value
+                best > self.best_value if self.maximize else best < self.best_value
             ):
-                self.best_value = self._window_best
+                self.best_value = best
 
         window_start = self._window_evals
         self._window_evals += k
         due = bisect.bisect_right(self._offsets, self._window_evals)
-        if due or self.trace_enabled:
-            gained = np.cumsum(improved)  # improvements up to and including each row
         if due:
             # an offset is sampled after the first row that reaches it
             rows = np.maximum(np.array(self._offsets[:due]) - window_start - 1, 0)
-            self._window_samples += [ratios[g] for g in gained[rows].tolist()]
-            del self._offsets[:due]
-        if self.trace_enabled:
-            self.trace += zip(
-                range(first, first + k), [errors[g] for g in gained.tolist()]
+            sampled = running[rows + 1]
+            self._window_samples += _ratio(sampled, optimum, self.maximize).tolist()
+            self._window_trace += zip(
+                (first + rows).tolist(), np.abs(sampled - optimum).tolist()
             )
+            del self._offsets[:due]
 
     def final_snapshot(self) -> None:
         """Record the error of the best value found in the last open window."""
@@ -219,7 +213,10 @@ class BudgetedRecorder(DynamicObjective):
 
 @dataclass
 class Trajectory:
-    """Everything one optimizer run produced, ready for scoring or export."""
+    """Everything one optimizer run produced, ready for scoring or export.
+
+    ``trace`` is filled only on request: the error at each ratio-sample point.
+    """
 
     optimizer_id: str
     seed: int
@@ -282,7 +279,6 @@ def run(
         frequency=frequency,
         s_samples=s_samples,
         collect_ratios=collect_ratios,
-        trace=trace,
     )
     if budget > 0:
         try:
@@ -302,5 +298,5 @@ def run(
         ratio_samples=recorder.ratio_samples,
         best_value=recorder.best_value,
         final_error=recorder.final_error,
-        trace=recorder.trace,
+        trace=recorder.trace if trace else [],
     )

@@ -63,6 +63,23 @@ def test_griewank_uses_sqrt_index_denominators():
     assert abs(float(bf.griewank(x)) - expected) < 1e-12
 
 
+def test_griewank_cached_divisor_gives_the_same_bits():
+    # dimensions change under T7, so several lengths share the cache
+    rng = np.random.default_rng(41)
+    for n in (1, 10, 11, 3, 10, 50):
+        xs = rng.uniform(-100.0, 100.0, size=(7, n))
+        idx = np.sqrt(np.arange(1, n + 1, dtype=float))
+        direct = (
+            np.add.reduce(xs * xs, axis=-1) / 4000.0
+            - np.multiply.reduce(np.cos(xs / idx), axis=-1)
+            + 1.0
+        )
+        assert bf.griewank(xs).tobytes() == direct.tobytes()
+        assert bf.griewank(xs[0]) == direct[0]
+    with pytest.raises(ValueError):
+        bf._griewank_divisor(4)[0] = 1.0  # read-only, so no caller can spoil it
+
+
 def test_ackley_hand_value():
     expected = -20.0 * math.exp(-0.2 * 0.5) - math.exp(-1.0) + 20.0 + math.e
     assert abs(float(bf.ackley(np.array([0.5, 0.5]))) - expected) < 1e-12

@@ -72,6 +72,9 @@ class TestRun:
         text = (out_dir / "trajectory_F1_10_T1_qcsso_run0.csv").read_text()
         assert text.startswith("eval_count,error\n")
         assert "change_index,E_last" in text
+        # at most num_change x samples_per_window rows before the window block
+        rows = text.split("change_index,E_last")[0].splitlines()[1:]
+        assert 0 < len(rows) <= 2 * 3
 
     def test_scores_file_layout(self, tmp_path):
         out_dir = run_tiny(tmp_path)

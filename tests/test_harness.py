@@ -271,7 +271,7 @@ class TestRunCase:
         result = run_case(config, Case("F1(10)", "T1"), "ssa_baseline")
         assert result.trajectories is not None
         assert len(result.trajectories) == 1
-        assert len(result.trajectories[0].trace) == 240
+        assert len(result.trajectories[0].trace) == 6  # 2 windows x 3 samples
 
 
 class TestRunExperiment:

@@ -158,10 +158,42 @@ class TestRecorder:
         assert rec.best_value is None
 
     def test_trace_records_every_evaluation(self):
-        problem = ScriptedProblem([5.0, 3.0, 4.0])
-        rec = BudgetedRecorder(problem, budget=3, trace=True)
+        # the script of test_ratio_sampling_offsets: the trace keeps the
+        # error at the two sample points of the closed window
+        problem = ScriptedProblem(
+            [50.0, 80.0, 90.0, 100.0], change_at={4},
+            optima=[100.0, 200.0], maximize=True,
+        )
+        rec = BudgetedRecorder(
+            problem, budget=4, frequency=4, s_samples=2, collect_ratios=True
+        )
+        feed(rec, 4)
+        assert rec.trace == [(1, 50.0), (3, 10.0)]
+
+    def test_open_window_adds_nothing_to_the_trace(self):
+        problem = ScriptedProblem([50.0, 80.0, 90.0], optima=[100.0], maximize=True)
+        rec = BudgetedRecorder(
+            problem, budget=3, frequency=4, s_samples=2, collect_ratios=True
+        )
         feed(rec, 3)
-        assert rec.trace == [(1, 5.0), (2, 3.0), (3, 3.0)]
+        rec.final_snapshot()
+        assert rec.trace == []
+        assert rec.ratio_samples == []
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_a_middle_row_past_the_optimum_raises(self, maximize):
+        # the middle row beats the optimum by more than RATIO_DUST; the last
+        # row is worse, but the segment's best is the middle row
+        past = 100.0 * (1.0 + 5e-9) if maximize else 100.0 / (1.0 + 5e-9)
+        worse = 50.0 if maximize else 200.0
+        problem = ScriptedProblem(
+            [worse, past, worse], optima=[100.0], maximize=maximize
+        )
+        rec = BudgetedRecorder(
+            problem, budget=3, frequency=10, s_samples=2, collect_ratios=True
+        )
+        with pytest.raises(RuntimeError, match="exceeds 1"):
+            rec.evaluate_batch(np.zeros((3, 2)))
 
     def test_validation(self):
         problem = ScriptedProblem([1.0])
@@ -240,13 +272,34 @@ class TestRun:
         assert results[0].best_value == results[1].best_value
 
     def test_trace_spans_the_run(self):
+        windows, frequency, s_samples = 4, 30, 5
+        problem = make_instance(
+            "F1(10)", "T1", seed=17,
+            overrides={"dimension": "5", "change_frequency": str(frequency)},
+        )
         traj = run(
-            "pso_baseline", sphere_problem(), budget=40, seed=9,
+            "pso_baseline", problem, budget=windows * frequency, seed=9,
+            frequency=frequency, collect_ratios=True, s_samples=s_samples,
             trace=True, overrides=SMALL_POP,
         )
-        assert len(traj.trace) == 40
-        assert traj.trace[0][0] == 1
-        assert traj.trace[-1][0] == 40
+        assert len(traj.trace) == windows * s_samples
+        counts = [count for count, _ in traj.trace]
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+        assert counts[-1] < windows * frequency
+        errors = np.array([err for _, err in traj.trace]).reshape(windows, -1)
+        # each window's last sample is its closing error
+        assert errors[:, -1].tolist() == traj.e_last
+
+    def test_trace_only_on_request(self):
+        problem = make_instance(
+            "F1(10)", "T1", seed=17,
+            overrides={"dimension": "5", "change_frequency": "30"},
+        )
+        traj = run(
+            "pso_baseline", problem, budget=90, seed=9, frequency=30,
+            collect_ratios=True, s_samples=5, overrides=SMALL_POP,
+        )
+        assert traj.trace == []
 
     @pytest.mark.parametrize("function_id", ["F1(10)", "F2", "F6"])
     @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
@@ -316,11 +369,6 @@ class TestBatchRecording:
     def assert_same(self, batched, looped):
         for name in self.FIELDS:
             assert getattr(batched, name) == getattr(looped, name), name
-        # a row that does not improve shares the float of the row before it,
-        # which keeps a long trace's memory at one tuple per evaluation
-        for rec in (batched, looped):
-            pairs = zip(rec.trace, rec.trace[1:])
-            assert all((a[1] is b[1]) == (a[1] == b[1]) for a, b in pairs)
 
     @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])
     @pytest.mark.parametrize("kind", ["T1", "T7"])
@@ -333,7 +381,7 @@ class TestBatchRecording:
             )
             rec = BudgetedRecorder(
                 problem, budget=230, frequency=40, s_samples=7,
-                collect_ratios=True, trace=True,
+                collect_ratios=True,
             )
             # uneven batches cross single and double changes; the budget
             # cuts the last batch short
@@ -355,7 +403,7 @@ class TestBatchRecording:
             )
             return BudgetedRecorder(
                 problem, budget=7, frequency=3, s_samples=2,
-                collect_ratios=True, trace=True,
+                collect_ratios=True,
             )
 
         batched, looped = make(), make()
