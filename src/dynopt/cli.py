@@ -312,6 +312,16 @@ def _check_batch_equals_rows() -> None:
     assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t), (
         "a change-crossing batch moved the clock differently"
     )
+    # replaying a batch's best row: eval 11 is answered from the instance's
+    # memory, eval 12 is a crossing row and is scored on the new landscape
+    inst = make_instance("F6", "T1", seed=19,
+                         overrides={"dimension": 5, "change_frequency": 12})
+    xs = rng.uniform(-5.0, 5.0, size=(10, 5))
+    best = xs[int(np.argmin(inst.evaluate_batch(xs)))]
+    replays = [(inst.evaluate(best), inst.problem.evaluate(best)) for _ in range(2)]
+    assert inst.t == 1 and all(a == b for a, b in replays), (
+        "a replayed best row differs from a landscape call"
+    )
 
 
 _SELFTEST_CHECKS = (

@@ -20,6 +20,19 @@ current one, truncated to its leading coordinates when the dimension
 shrank and zero-padded when it grew.  The crossing call is fitted the
 same way.  Every other length raises
 :class:`~dynopt.errors.DimensionMismatch`.
+
+The instance remembers one row: the best row scored in the current
+environment, with its value.  After each landscape segment the segment's
+best row (first among ties) replaces it when strictly better, or when
+``t`` has moved since it was set.  A one-row request whose bytes equal the
+remembered row, made while ``t`` is unchanged and on a row where no change
+lands, returns the remembered value and counts one evaluation without
+calling the landscape.  This is how the optimizers' change sentinel, which
+re-scores the best point they know, is answered between changes.  It is
+exact: the landscape is a pure function of the environment and the row,
+and a batch row equals its single-row call bit for bit, so the value is
+the one a call would return.  Bytes are compared, so ``-0.0`` and ``0.0``
+differ and a row of another length never matches.
 """
 
 from __future__ import annotations
@@ -110,6 +123,10 @@ class GdbgInstance(DynamicObjective):
         self._walk = DimensionWalk(config.dimension)
         self._previous_dim = config.dimension
         self._read_dim = config.dimension
+        # the best row scored in environment ``_memo_t`` (module docstring)
+        self._memo_t = -1
+        self._memo_row = b""
+        self._memo_value = np.zeros(1)
         self.rotation_angle = DynamicParam(
             value=0.0,
             min=-math.pi,
@@ -204,6 +221,14 @@ class GdbgInstance(DynamicObjective):
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = as_rows(xs)
+        if (
+            xs.shape[0] == 1
+            and self._memo_t == self.t
+            and (self.eval_count + 1) % self.frequency
+            and xs.tobytes() == self._memo_row
+        ):
+            self.eval_count += 1
+            return self._memo_value.copy()
         segments = []
         pos = 0
         while pos < xs.shape[0]:
@@ -214,14 +239,27 @@ class GdbgInstance(DynamicObjective):
                 self.eval_count += 1
                 self.advance_environment()
                 # the crossing call is already scored in the new environment
-                segments.append(self.problem.evaluate(self._fit_dimension(rows[:1])))
-                pos += 1
-                continue
-            k = min(self.evals_to_change(), rows.shape[0])
-            segments.append(self.problem.evaluate(rows[:k]))
-            self.eval_count += k
-            pos += k
+                rows = self._fit_dimension(rows[:1])
+            else:
+                rows = rows[: self.evals_to_change()]
+                self.eval_count += rows.shape[0]
+            segments.append(self.problem.evaluate(rows))
+            self._remember(rows, segments[-1])
+            pos += rows.shape[0]
         return segments[0] if len(segments) == 1 else np.concatenate(segments)
+
+    def _remember(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Keep the segment's best row if it beats the memo of this environment."""
+        if self.maximize:
+            i = int(values.argmax())
+            better = values[i] > self._memo_value[0]
+        else:
+            i = int(values.argmin())
+            better = values[i] < self._memo_value[0]
+        if better or self._memo_t != self.t:
+            self._memo_t = self.t
+            self._memo_row = rows[i].tobytes()
+            self._memo_value = values[i:i + 1].copy()
 
     def evals_to_change(self) -> int:
         left = self.frequency - 1 - self.eval_count % self.frequency

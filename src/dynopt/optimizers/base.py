@@ -85,7 +85,7 @@ class SwarmBase:
         self.fitness[:] = self.eval_rows(self.positions)
 
     def clamp_positions(self) -> None:
-        np.clip(self.positions, self.lower, self.upper, out=self.positions)
+        np.clip(self.positions, self.draw_lower, self.draw_upper, out=self.positions)
 
     # -- memory -------------------------------------------------------------
 
@@ -150,8 +150,8 @@ class SwarmBase:
         """Take the problem's box, and its draw bounds for ``rng.uniform``.
 
         The draw bounds are Python floats when the box is uniform (every
-        GDBG instance): ``rng.uniform`` then draws the same values as with
-        the arrays at a fraction of the cost.
+        GDBG instance): ``rng.uniform`` then draws, and ``np.clip`` clips to,
+        the same values as with the arrays at a fraction of the cost.
         """
         lower, upper = self.problem.bounds()
         self.lower = np.asarray(lower, dtype=float).copy()

@@ -106,7 +106,7 @@ class PsoBaseline(SwarmBase):
         self.sync_dimension()
         self.detect_change()
         cfg = self.config
-        span = self.upper - self.lower
+        span = self.draw_upper - self.draw_lower
         r1 = self.rng.random((self.n, self.dim))
         r2 = self.rng.random((self.n, self.dim))
         self.velocities = (

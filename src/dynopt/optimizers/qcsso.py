@@ -114,13 +114,21 @@ class Qcsso(SwarmBase):
 
     # -- configuration-derived quantities ---------------------------------
 
+    def _set_bounds(self) -> None:
+        """Also fix the exclusion radius and probe sigma of the new box."""
+        super()._set_bounds()
+        cfg = self.config
+        span = self.upper - self.lower
+        self._exclusion_radius = cfg.exclusion_radius
+        if self._exclusion_radius <= 0:
+            self._exclusion_radius = 0.1 * float(np.linalg.norm(span))
+        self._probe_sigma = cfg.probe_sigma_scale * span
+
     def exclusion_radius(self) -> float:
-        if self.config.exclusion_radius > 0:
-            return self.config.exclusion_radius
-        return 0.1 * float(np.linalg.norm(self.upper - self.lower))
+        return self._exclusion_radius
 
     def probe_sigma(self) -> np.ndarray:
-        return self.config.probe_sigma_scale * (self.upper - self.lower)
+        return self._probe_sigma
 
     def subpop_best_indices(self) -> np.ndarray:
         """The index of each chain's best pbest, the first one on ties."""
@@ -208,12 +216,11 @@ class Qcsso(SwarmBase):
 
     def overlap_search(self) -> None:
         """Probe around each chain's best, then enforce inter-chain exclusion."""
-        sigma = self.probe_sigma()
         bests = self.subpop_best_indices()
         # one (k, dim) draw equals k sequential draws of dim
         noise = self.rng.standard_normal((self.k, self.dim))
-        probes = self.pbest_positions[bests] + noise * sigma
-        np.clip(probes, self.lower, self.upper, out=probes)
+        probes = self.pbest_positions[bests] + noise * self._probe_sigma
+        np.clip(probes, self.draw_lower, self.draw_upper, out=probes)
         values = self.eval_rows(probes)
         accepted = self.better(values, self.pbest_fitness[bests])
         self.pbest_positions[bests[accepted]] = probes[accepted]
@@ -244,7 +251,7 @@ class Qcsso(SwarmBase):
         """The chain pairs ``(a, b)``, a < b, whose bests lie within the radius."""
         a, b = self._pairs
         diff = self.pbest_positions[bests[a]] - self.pbest_positions[bests[b]]
-        close = row_norms(diff) < self.exclusion_radius()
+        close = row_norms(diff) < self._exclusion_radius
         return list(zip(a[close].tolist(), b[close].tolist()))
 
     def _reinit_members(self, members: np.ndarray) -> None:

@@ -25,11 +25,22 @@ OPTIMIZER_IDS = ("qcsso", "ssa_baseline", "pso_baseline")
 RATIO_DUST = 1e-9
 
 
-def _ratio(best, optimum: float, maximize: bool) -> np.ndarray:
+def _ratio(best, optimum: float, maximize: bool):
     """Quality ratio in (0, 1], where 1 means the optimum was matched.
 
-    Works elementwise on an array of best values.
+    Works elementwise on an array of best values.  A single float takes a
+    scalar path with the same float64 division, guard and clamp.
     """
+    if isinstance(best, float):
+        # numpy scalar division, so a zero divisor gives inf or nan as the
+        # array path does rather than raising
+        r = np.float64(best) / optimum if maximize else optimum / np.float64(best)
+        if r > 1.0 + RATIO_DUST:
+            raise RuntimeError(
+                f"quality ratio {float(r)!r} exceeds 1: "
+                f"best={float(best)!r} optimum={optimum!r}"
+            )
+        return min(r, 1.0)
     best = np.asarray(best, dtype=float)
     r = best / optimum if maximize else optimum / best
     over = np.flatnonzero(r > 1.0 + RATIO_DUST)

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynopt.errors import ConfigError, DimensionMismatch
+from dynopt.errors import BudgetExhausted, ConfigError, DimensionMismatch
 from dynopt.gdbg.changes import ChangeType
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.instance import FUNCTION_IDS, GdbgConfig, GdbgInstance, make_instance
 from dynopt.gdbg.peaks import PeakSet
+from dynopt.optimizers import BudgetedRecorder, SsaBaseline
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -315,6 +316,111 @@ class TestBatchEvaluation:
         assert batched.t == looped.t
         assert batched.problem.dim == looped.problem.dim
         assert batched.param_lines() == looped.param_lines()
+
+
+def count_landscape_calls(monkeypatch, landscape_cls):
+    """Wrap ``landscape_cls.evaluate``; the returned list grows by one per call."""
+    calls = []
+    original = landscape_cls.evaluate
+
+    def counted(self, xs):
+        calls.append(np.shape(xs))
+        return original(self, xs)
+
+    monkeypatch.setattr(landscape_cls, "evaluate", counted)
+    return calls
+
+
+class TestBestRowMemo:
+    """The best row scored in the current environment is answered from memory."""
+
+    @pytest.mark.parametrize("function_id, landscape_cls", [
+        ("F1(10)", PeakSet), ("F6", CompositionProblem),
+    ])
+    def test_remembered_row_skips_the_landscape(self, monkeypatch, function_id, landscape_cls):
+        inst = make_instance(
+            function_id, "T1", seed=3,
+            overrides={"dimension": 5, "change_frequency": 100},
+        )
+        xs = np.random.default_rng(4).uniform(-5.0, 5.0, size=(30, 5))
+        values = inst.evaluate_batch(xs)
+        best = xs[int(np.argmax(values) if inst.maximize else np.argmin(values))]
+        calls = count_landscape_calls(monkeypatch, landscape_cls)
+        value = inst.evaluate(best.copy())
+        assert calls == []
+        assert inst.eval_count == 31
+        assert value == inst.problem.evaluate(best)
+
+    def test_crossing_row_is_scored_on_the_new_landscape(self, monkeypatch):
+        batched, looped = (
+            make_instance("F6", "T1", seed=5,
+                          overrides={"dimension": 5, "change_frequency": 20})
+            for _ in range(2)
+        )
+        xs = np.random.default_rng(6).uniform(-5.0, 5.0, size=(19, 5))
+        values = batched.evaluate_batch(xs)
+        assert values.tolist() == [looped.evaluate(x) for x in xs]
+        best = xs[int(np.argmin(values))]
+        calls = count_landscape_calls(monkeypatch, CompositionProblem)
+        crossing = batched.evaluate(best)  # the 20th evaluation moves t
+        assert len(calls) == 1
+        assert crossing == looped.evaluate(best)
+        assert crossing != values.min()
+        assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t) == (20, 1)
+        # the crossing row is now the best row of the new environment
+        assert batched.evaluate(best) == crossing
+        assert len(calls) == 2  # the twin's crossing call; the replay used none
+
+    def test_a_zero_of_the_other_sign_calls_the_landscape(self, monkeypatch):
+        inst = make_instance("F2", "T1", seed=7, overrides={"dimension": 5})
+        x = np.array([1.0, 0.0, -2.0, 0.5, 3.0])
+        flipped = x.copy()
+        flipped[1] = -0.0
+        calls = count_landscape_calls(monkeypatch, CompositionProblem)
+        inst.evaluate(x)
+        inst.evaluate(flipped)
+        assert len(calls) == 2
+        inst.evaluate(x)
+        assert len(calls) == 2
+
+    def test_a_direct_advance_calls_the_landscape(self, monkeypatch):
+        inst = make_instance("F2", "T1", seed=7, overrides={"dimension": 5})
+        x = np.full(5, 0.5)
+        before = inst.evaluate(x)
+        inst.advance_environment()
+        calls = count_landscape_calls(monkeypatch, CompositionProblem)
+        after = inst.evaluate(x)
+        assert len(calls) == 1
+        assert after == inst.problem.evaluate(x) != before
+
+    def test_a_dimension_move_calls_the_landscape(self, monkeypatch):
+        inst = make_instance(
+            "F1(10)", "T7", seed=9,
+            overrides={"dimension": 10, "change_frequency": 5},
+        )
+        x = np.linspace(-1.0, 1.0, 10)
+        calls = count_landscape_calls(monkeypatch, PeakSet)
+        for _ in range(4):
+            inst.evaluate(x)
+        assert len(calls) == 1
+        inst.evaluate(x)  # the crossing call moves the dimension 10 -> 11
+        assert inst.problem.dim == 11 and len(calls) == 2
+        padded = np.concatenate([x, [0.0]])
+        assert inst.evaluate(x) == inst.problem.evaluate(padded)
+        assert len(calls) == 4  # the stale length and the direct call
+
+    def test_ssa_sentinel_costs_no_landscape_call(self, monkeypatch):
+        calls = count_landscape_calls(monkeypatch, CompositionProblem)
+        inst = make_instance("F2", "T1", seed=5, overrides={"dimension": 5})
+        iterations = 20
+        budget = 50 + 51 * iterations  # the population, then 20 full iterations
+        recorder = BudgetedRecorder(inst, budget, frequency=inst.frequency)
+        opt = SsaBaseline(recorder, seed=3, budget=budget, frequency=inst.frequency)
+        with pytest.raises(BudgetExhausted):
+            opt.run_forever()
+        assert opt.iterations == iterations
+        assert inst.eval_count == budget
+        assert len(calls) == 1 + iterations
 
 
 class TestEnvelopeInvariants:

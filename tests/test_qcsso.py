@@ -95,6 +95,14 @@ class TestStructure:
         opt = make_opt(dim=3)
         assert np.allclose(opt.probe_sigma(), [1.0, 1.0, 1.0])
 
+    def test_radius_and_sigma_follow_a_dimension_change(self):
+        problem = SwitchableProblem(dimension=4)
+        opt = make_opt(problem=problem)
+        problem.shift(dimension=9)
+        opt.sync_dimension()
+        assert opt.exclusion_radius() == 0.1 * float(np.linalg.norm(np.full(9, 10.0)))
+        assert opt.probe_sigma().tolist() == [1.0] * 9
+
 
 class TestContext:
     def test_best_mean_is_mean_over_all_pbests(self):
