@@ -119,9 +119,11 @@ class Qcsso(SwarmBase):
         super()._set_bounds()
         cfg = self.config
         span = self.upper - self.lower
-        self._exclusion_radius = cfg.exclusion_radius
-        if self._exclusion_radius <= 0:
-            self._exclusion_radius = 0.1 * float(np.linalg.norm(span))
+        self._exclusion_radius = (
+            cfg.exclusion_radius
+            if cfg.exclusion_radius > 0
+            else 0.1 * float(np.linalg.norm(span))
+        )
         self._probe_sigma = cfg.probe_sigma_scale * span
 
     def exclusion_radius(self) -> float:
@@ -219,7 +221,7 @@ class Qcsso(SwarmBase):
         bests = self.subpop_best_indices()
         # one (k, dim) draw equals k sequential draws of dim
         noise = self.rng.standard_normal((self.k, self.dim))
-        probes = self.pbest_positions[bests] + noise * self._probe_sigma
+        probes = self.pbest_positions[bests] + noise * self.probe_sigma()
         np.clip(probes, self.draw_lower, self.draw_upper, out=probes)
         values = self.eval_rows(probes)
         accepted = self.better(values, self.pbest_fitness[bests])
@@ -251,7 +253,7 @@ class Qcsso(SwarmBase):
         """The chain pairs ``(a, b)``, a < b, whose bests lie within the radius."""
         a, b = self._pairs
         diff = self.pbest_positions[bests[a]] - self.pbest_positions[bests[b]]
-        close = row_norms(diff) < self._exclusion_radius
+        close = row_norms(diff) < self.exclusion_radius()
         return list(zip(a[close].tolist(), b[close].tolist()))
 
     def _reinit_members(self, members: np.ndarray) -> None:

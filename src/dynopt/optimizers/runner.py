@@ -25,32 +25,17 @@ OPTIMIZER_IDS = ("qcsso", "ssa_baseline", "pso_baseline")
 RATIO_DUST = 1e-9
 
 
-def _ratio(best, optimum: float, maximize: bool):
-    """Quality ratio in (0, 1], where 1 means the optimum was matched.
-
-    Works elementwise on an array of best values.  A single float takes a
-    scalar path with the same float64 division, guard and clamp.
-    """
-    if isinstance(best, float):
-        # numpy scalar division, so a zero divisor gives inf or nan as the
-        # array path does rather than raising
-        r = np.float64(best) / optimum if maximize else optimum / np.float64(best)
-        if r > 1.0 + RATIO_DUST:
-            raise RuntimeError(
-                f"quality ratio {float(r)!r} exceeds 1: "
-                f"best={float(best)!r} optimum={optimum!r}"
-            )
-        return min(r, 1.0)
-    best = np.asarray(best, dtype=float)
-    r = best / optimum if maximize else optimum / best
-    over = np.flatnonzero(r > 1.0 + RATIO_DUST)
-    if over.size:
-        i = over[0]
+def _ratio(best: float, optimum: float, maximize: bool) -> float:
+    """Quality ratio in (0, 1], where 1 means the optimum was matched."""
+    # numpy scalar division, so a zero divisor gives inf or nan with a
+    # warning rather than raising
+    r = np.float64(best) / optimum if maximize else optimum / np.float64(best)
+    if r > 1.0 + RATIO_DUST:
         raise RuntimeError(
-            f"quality ratio {float(r.flat[i])!r} exceeds 1: "
-            f"best={float(best.flat[i])!r} optimum={optimum!r}"
+            f"quality ratio {float(r)!r} exceeds 1: "
+            f"best={float(best)!r} optimum={optimum!r}"
         )
-    return np.minimum(r, 1.0)
+    return float(min(r, 1.0))
 
 
 class BudgetedRecorder(DynamicObjective):
@@ -197,7 +182,7 @@ class BudgetedRecorder(DynamicObjective):
             self._window_best = best
             self._window_err = abs(best - optimum)
             if self.collect_ratios:
-                self._window_ratio = float(_ratio(best, optimum, self.maximize))
+                self._window_ratio = _ratio(best, optimum, self.maximize)
             if self.best_value is None or (
                 best > self.best_value if self.maximize else best < self.best_value
             ):
@@ -210,7 +195,9 @@ class BudgetedRecorder(DynamicObjective):
             # an offset is sampled after the first row that reaches it
             rows = np.maximum(np.array(self._offsets[:due]) - window_start - 1, 0)
             sampled = running[rows + 1]
-            self._window_samples += _ratio(sampled, optimum, self.maximize).tolist()
+            self._window_samples += [
+                _ratio(s, optimum, self.maximize) for s in sampled.tolist()
+            ]
             self._window_trace += zip(
                 (first + rows).tolist(), np.abs(sampled - optimum).tolist()
             )

@@ -90,6 +90,9 @@ class TestStructure:
         assert abs(opt.exclusion_radius() - 0.1 * 10.0 * 2.0) < 1e-12
         opt = make_opt(config=QcssoConfig(exclusion_radius=2.5))
         assert opt.exclusion_radius() == 2.5
+        # a radius that is not positive, NaN included, takes the default
+        opt = make_opt(dim=4, config=QcssoConfig(exclusion_radius=float("nan")))
+        assert abs(opt.exclusion_radius() - 0.1 * 10.0 * 2.0) < 1e-12
 
     def test_probe_sigma_tracks_bounds(self):
         opt = make_opt(dim=3)

@@ -83,19 +83,6 @@ class TestRatio:
         with pytest.raises(RuntimeError):
             _ratio(100.0 / (1.0 + 5e-9), 100.0, False)
 
-    def test_scalar_path_equals_array_path(self):
-        rng = np.random.default_rng(8)
-        bests = np.concatenate([rng.uniform(10.0, 100.0, 50), [10.0, 100.0]])
-        for maximize, optimum, extra in ((True, 100.0, [0.0, -0.0]), (False, 10.0, [])):
-            for best in bests.tolist() + extra:
-                ratio = _ratio(best, optimum, maximize)
-                array = _ratio(np.array([best]), optimum, maximize)
-                assert np.array([ratio]).tobytes() == array.tobytes()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert _ratio(0.0, 0.0, False) != _ratio(0.0, 0.0, False)  # nan
-            with pytest.raises(RuntimeError, match="exceeds 1"):
-                _ratio(1.0, 0.0, True)
-
 
 class TestRecorder:
     def test_budget_guard_raises_before_forwarding(self):
