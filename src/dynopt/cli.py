@@ -209,7 +209,7 @@ def _check_peak_ground_truth() -> None:
     inst = make_instance("F1(10)", "T1", seed=5)
     for _ in range(5):
         x = inst.problem.optimum_position()
-        gap = abs(inst.problem.evaluate(x) - inst.optimum_value())
+        gap = abs(inst.problem.evaluate(x[None, :])[0] - inst.optimum_value())
         assert gap < 1e-9, f"peak value off its optimum by {gap}"
         inst.advance_environment()
 
@@ -220,8 +220,9 @@ def _check_composition_ground_truth() -> None:
     # every component, so each base function is checked at its optimum
     for family in ("F2", "F3", "F4", "F5", "F6"):
         problem = make_instance(family, "T1", seed=7).problem
-        for optimum, height in zip(problem.optima, problem.heights):
-            gap = abs(problem.evaluate(optimum) - height.value)
+        values = problem.evaluate(problem.optima)
+        for value, height in zip(values.tolist(), problem.heights):
+            gap = abs(value - height.value)
             assert gap < 1e-6, f"{family} optimum off its height by {gap}"
 
 
@@ -295,9 +296,9 @@ def _check_batch_equals_rows() -> None:
     for function_id in FUNCTION_IDS:
         inst = make_instance(function_id, "T1", seed=19, overrides={"dimension": 5})
         xs = rng.uniform(-5.0, 5.0, size=(20, 5))
-        loop = [inst.problem.evaluate(x) for x in xs]
-        assert inst.problem.evaluate(xs).tolist() == loop, (
-            f"{function_id}: the batch differs from the row loop"
+        rows = [inst.problem.evaluate(x[None, :])[0] for x in xs]
+        assert inst.problem.evaluate(xs).tolist() == rows, (
+            f"{function_id}: the batch differs from its one-row batches"
         )
     batched, looped = (
         make_instance("F3", "T7", seed=19,
@@ -305,9 +306,9 @@ def _check_batch_equals_rows() -> None:
         for _ in range(2)
     )
     xs = rng.uniform(-5.0, 5.0, size=(20, 5))  # crosses two dimension moves
-    values = batched.evaluate_batch(xs).tolist()
-    assert values == [looped.evaluate(x) for x in xs], (
-        "a change-crossing batch differs from the row loop"
+    values = batched.evaluate(xs).tolist()
+    assert values == [looped.evaluate(x[None, :])[0] for x in xs], (
+        "a change-crossing batch differs from its one-row batches"
     )
     assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t), (
         "a change-crossing batch moved the clock differently"
@@ -317,8 +318,10 @@ def _check_batch_equals_rows() -> None:
     inst = make_instance("F6", "T1", seed=19,
                          overrides={"dimension": 5, "change_frequency": 12})
     xs = rng.uniform(-5.0, 5.0, size=(10, 5))
-    best = xs[int(np.argmin(inst.evaluate_batch(xs)))]
-    replays = [(inst.evaluate(best), inst.problem.evaluate(best)) for _ in range(2)]
+    best = xs[int(np.argmin(inst.evaluate(xs))), None]  # a one-row batch
+    replays = [
+        (inst.evaluate(best)[0], inst.problem.evaluate(best)[0]) for _ in range(2)
+    ]
     assert inst.t == 1 and all(a == b for a, b in replays), (
         "a replayed best row differs from a landscape call"
     )
@@ -333,7 +336,7 @@ _SELFTEST_CHECKS = (
     ("schedule anchors", _check_schedules),
     ("run bookkeeping closes every window", _check_run_bookkeeping),
     ("every optimizer runs through dimension changes", _check_dimension_walk_runs),
-    ("batch evaluation equals the row loop", _check_batch_equals_rows),
+    ("batch evaluation equals its one-row batches", _check_batch_equals_rows),
 )
 
 

@@ -103,10 +103,8 @@ class CompositionProblem:
             values[:, run] = func(z[:, run])
         return values
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray | float:
-        """Value at one vector, or one value per row of an ``(n, dim)`` batch."""
-        x = np.asarray(x, dtype=float)
-        xs = x[None, :] if x.ndim == 1 else x
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        """One value per row of an ``(n, dim)`` batch."""
         diff = xs[:, None, :] - self.optima
         # ufunc reductions called directly: the same bits as np.sum / .max,
         # without their Python-level dispatch
@@ -121,8 +119,7 @@ class CompositionProblem:
         w /= np.add.reduce(w, axis=1, keepdims=True)
         z = np.einsum("nmd,mde->nme", diff / self.lambdas[:, None], self.matrices)
         f_prime = self.normalizer * self._component_values(z) / np.abs(self._fmax)
-        values = np.add.reduce(w * (f_prime + self._h), axis=1)
-        return float(values[0]) if x.ndim == 1 else values
+        return np.add.reduce(w * (f_prime + self._h), axis=1)
 
     def optimum_value(self) -> float:
         return float(self._h.min())

@@ -5,15 +5,16 @@ counter.  Evaluations drive time: when the counter crosses a multiple of
 the change frequency the environment advances first and the crossing call
 already sees the new landscape.
 
-``evaluate_batch`` cuts a batch at change boundaries: the rows before a
-crossing are scored on the old landscape in one call, the crossing row on
-the new one, and the rows after it in further calls, so values and
-counters equal those of a row-by-row loop.
+``evaluate`` takes an ``(n, dim)`` batch and cuts it at change
+boundaries: the rows before a crossing are scored on the old landscape in
+one call, the crossing row on the new one, and the rows after it in
+further calls, so values and counters equal those of a loop of one-row
+calls.
 
 Under T7 a change also moves the dimension by one, usually in the middle
 of a population sweep, so the rest of the population still holds vectors
 of an old length.  When changes come faster than the optimizer's
-iterations, two may fall inside one sweep.  The dimension rule: a vector
+iterations, two may fall inside one sweep.  The dimension rule: a row
 whose length is the dimension just before the latest change, or the
 dimension the caller last read from ``dimension()``, is fitted to the
 current one, truncated to its leading coordinates when the dimension
@@ -30,7 +31,7 @@ lands, returns the remembered value and counts one evaluation without
 calling the landscape.  This is how the optimizers' change sentinel, which
 re-scores the best point they know, is answered between changes.  It is
 exact: the landscape is a pure function of the environment and the row,
-and a batch row equals its single-row call bit for bit, so the value is
+and a batch row equals its one-row batch bit for bit, so the value is
 the one a call would return.  Bytes are compared, so ``-0.0`` and ``0.0``
 differ and a row of another length never matches.
 """
@@ -52,7 +53,7 @@ from dynopt.gdbg.changes import (
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.peaks import PeakSet
 from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
-from dynopt.objective import DynamicObjective, as_row, as_rows
+from dynopt.objective import DynamicObjective, as_rows
 from dynopt.overrides import apply_overrides
 
 FUNCTION_IDS = ("F1(10)", "F1(50)", "F2", "F3", "F4", "F5", "F6")
@@ -216,10 +217,7 @@ class GdbgInstance(DynamicObjective):
     def maximize(self) -> bool:
         return self.function_id.startswith("F1")
 
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(self.evaluate_batch(as_row(x))[0])
-
-    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
         xs = as_rows(xs)
         if (
             xs.shape[0] == 1
@@ -273,7 +271,7 @@ class GdbgInstance(DynamicObjective):
             return xs
         if length not in (self._previous_dim, self._read_dim):
             raise DimensionMismatch(
-                f"expected a vector of length {d}, got shape {(length,)}"
+                f"expected rows of length {d}, got length {length}"
             )
         if length > d:
             return xs[:, :d]

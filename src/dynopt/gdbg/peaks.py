@@ -50,16 +50,13 @@ class PeakSet:
         self._h[:] = [p.value for p in self.heights]
         self._w[:] = [p.value for p in self.widths]
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray | float:
-        """Value at one vector, or one value per row of an ``(n, dim)`` batch."""
-        x = np.asarray(x, dtype=float)
-        xs = x[None, :] if x.ndim == 1 else x
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        """One value per row of an ``(n, dim)`` batch."""
         diff = xs[:, None, :] - self.centers
         # np.mean is add.reduce over the count; calling the ufuncs directly
         # gives the same bits without the wrappers' dispatch cost
         dist = np.sqrt(np.add.reduce(diff * diff, axis=2) / diff.shape[2])
-        values = np.maximum.reduce(self._h / (1.0 + self._w * dist), axis=1)
-        return float(values[0]) if x.ndim == 1 else values
+        return np.maximum.reduce(self._h / (1.0 + self._w * dist), axis=1)
 
     def optimum_value(self) -> float:
         return float(self._h.max())

@@ -8,8 +8,11 @@ which subset of the grid is executed or in what order.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -257,43 +260,32 @@ class ExperimentResult:
         }
 
 
-def _run_task(args: tuple) -> tuple[tuple[str, str, int], Trajectory]:
-    config, case, optimizer_id, run_index = args
-    trajectory = run_single(config, case, optimizer_id, run_index)
-    return (case.case_id, optimizer_id, run_index), trajectory
+@contextlib.contextmanager
+def _ordered_map(jobs: int):
+    """The builtin ``map`` for one job, else a process pool's ordered map."""
+    if jobs == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield functools.partial(pool.map, chunksize=1)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the whole case grid, optionally fanning runs out to processes."""
+    """Run the whole case grid, optionally fanning runs out to processes.
+
+    Runs come back in task order, so each cell is assembled from the next
+    ``runs`` trajectories as soon as they arrive, whatever ``jobs`` is.
+    """
     cases = config.selected_cases()
     if not cases:
         raise ConfigError("case selection matched nothing")
+    tasks = list(itertools.product(cases, config.optimizers, range(config.runs)))
     results: dict[tuple[str, str], CaseResult] = {}
-    if config.jobs == 1:
-        for case in cases:
-            for optimizer_id in config.optimizers:
-                results[(case.case_id, optimizer_id)] = run_case(
-                    config, case, optimizer_id
-                )
-        return ExperimentResult(config=config, results=results)
-
-    tasks = [
-        (config, case, optimizer_id, run_index)
-        for case in cases
-        for optimizer_id in config.optimizers
-        for run_index in range(config.runs)
-    ]
-    collected: dict[tuple[str, str, int], Trajectory] = {}
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        for key, trajectory in pool.map(_run_task, tasks, chunksize=1):
-            collected[key] = trajectory
-    for case in cases:
-        for optimizer_id in config.optimizers:
-            trajectories = [
-                collected[(case.case_id, optimizer_id, run_index)]
-                for run_index in range(config.runs)
-            ]
+    with _ordered_map(config.jobs) as ordered_map:
+        trajectories = ordered_map(run_single, itertools.repeat(config), *zip(*tasks))
+        for case, optimizer_id, _ in tasks[:: config.runs]:
+            runs = list(itertools.islice(trajectories, config.runs))
             results[(case.case_id, optimizer_id)] = _assemble(
-                config, case, optimizer_id, trajectories
+                config, case, optimizer_id, runs
             )
     return ExperimentResult(config=config, results=results)

@@ -2,17 +2,17 @@
 
 A dynamic objective owns its own evaluation counter and may change its
 landscape as a side effect of being evaluated; optimizers only ever see
-``evaluate`` and ``evaluate_batch``, the bounds, the sense, and a change
-counter they can poll.
+``evaluate``, the bounds, the sense, and a change counter they can poll.
 
-``evaluate_batch`` is the evaluation primitive: it scores the rows of an
-``(n, dim)`` array in order and counts ``n`` evaluations, with exactly the
-values, counters and changes that ``n`` calls of ``evaluate`` would give.
-Callers that must see each change (the budget recorder) feed it segments
-of at most ``evals_to_change()`` rows: every row of such a segment is
-scored in one environment, so a change, if any, falls on its first row.
-The defaults loop ``evaluate`` and ask for one row at a time, so an
-objective that only implements ``evaluate`` stays exact.
+``evaluate`` is the one evaluation method of every layer: it scores the
+rows of an ``(n, dim)`` array in order and counts ``n`` evaluations, with
+exactly the values, counters and changes that ``n`` one-row calls would
+give.  A single point is a one-row batch.  Callers that must see each
+change (the budget recorder) feed it segments of at most
+``evals_to_change()`` rows: every row of such a segment is scored in one
+environment, so a change, if any, falls on its first row.  The default
+asks for one row at a time, so an objective with an unknown change
+schedule stays exact.
 """
 
 from __future__ import annotations
@@ -37,12 +37,8 @@ class DynamicObjective(abc.ABC):
         """Per-dimension (lower, upper) arrays for the current dimension."""
 
     @abc.abstractmethod
-    def evaluate(self, x: np.ndarray) -> float:
-        """Objective value at ``x``; counts one evaluation."""
-
-    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Objective values of the rows of ``xs``; counts one evaluation each."""
-        return np.array([self.evaluate(x) for x in as_rows(xs)], dtype=float)
 
     def evals_to_change(self) -> int:
         """How many upcoming evaluations are scored in one environment.
@@ -64,21 +60,14 @@ class DynamicObjective(abc.ABC):
     def maximize(self) -> bool:
         return False
 
-    def check_dimension(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.dimension():
+    def check_dimension(self, xs: np.ndarray) -> np.ndarray:
+        """``xs`` as an ``(n, dim)`` float batch of the current dimension."""
+        xs = as_rows(xs)
+        if xs.shape[1] != self.dimension():
             raise DimensionMismatch(
-                f"expected a vector of length {self.dimension()}, got shape {x.shape}"
+                f"expected rows of length {self.dimension()}, got shape {xs.shape}"
             )
-        return x
-
-
-def as_row(x: np.ndarray) -> np.ndarray:
-    """One vector as a one-row batch; anything but a vector is rejected."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {x.shape}")
-    return x[None, :]
+        return xs
 
 
 def as_rows(xs: np.ndarray) -> np.ndarray:
@@ -90,7 +79,10 @@ def as_rows(xs: np.ndarray) -> np.ndarray:
 
 
 class StaticFunctionProblem(DynamicObjective):
-    """Wrap a plain function as a never-changing objective (mostly for tests)."""
+    """Wrap a plain function as a never-changing objective (mostly for tests).
+
+    The function takes one vector, so ``evaluate`` calls it row by row.
+    """
 
     def __init__(
         self,
@@ -117,10 +109,10 @@ class StaticFunctionProblem(DynamicObjective):
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self._lower, self._upper
 
-    def evaluate(self, x: np.ndarray) -> float:
-        x = self.check_dimension(x)
-        self.evaluations += 1
-        return float(self._func(x))
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        xs = self.check_dimension(xs)
+        self.evaluations += xs.shape[0]
+        return np.array([self._func(x) for x in xs], dtype=float)
 
     def optimum_value(self) -> float:
         return self._optimum

@@ -52,7 +52,6 @@ class SwarmBase:
         self.max_iterations = max(1, self._window_budget // self._epi)
         self.l_window = 0
         self.iterations = 0
-        self.evaluations = 0
         self._dim_changed = False
 
         self.positions = self.rng.uniform(
@@ -72,17 +71,8 @@ class SwarmBase:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_at(self, x: np.ndarray) -> float:
-        self.evaluations += 1
-        return self.problem.evaluate(x)
-
-    def eval_rows(self, xs: np.ndarray) -> np.ndarray:
-        """Score the rows of ``xs`` in order, in one batch."""
-        self.evaluations += xs.shape[0]
-        return self.problem.evaluate_batch(xs)
-
     def evaluate_all(self) -> None:
-        self.fitness[:] = self.eval_rows(self.positions)
+        self.fitness[:] = self.problem.evaluate(self.positions)
 
     def clamp_positions(self) -> None:
         np.clip(self.positions, self.draw_lower, self.draw_upper, out=self.positions)
@@ -119,13 +109,13 @@ class SwarmBase:
         On a change the food takes its new value, any pbest memory is
         re-scored and may replace it, and the iteration schedule restarts.
         """
-        sentinel = self.eval_at(self.food_position)
+        sentinel = float(self.problem.evaluate(self.food_position[None, :])[0])
         changed = self._dim_changed or abs(sentinel - self.food_fitness) > CHANGE_TOLERANCE
         self._dim_changed = False
         if changed:
-            self.food_fitness = float(sentinel)
+            self.food_fitness = sentinel
             if self.pbest_positions is not None:
-                self.pbest_fitness[:] = self.eval_rows(self.pbest_positions)
+                self.pbest_fitness[:] = self.problem.evaluate(self.pbest_positions)
                 self.promote(self.pbest_positions, self.pbest_fitness)
             self.l_window = 0
         return changed

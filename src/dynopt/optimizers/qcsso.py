@@ -106,7 +106,6 @@ class Qcsso(SwarmBase):
 
         self.start_memory(pbests=True)
         self.ages = np.zeros(self.n, dtype=int)
-        self.context: IterationContext | None = None
         # per-iteration observability, mainly for tests
         self.last_aging_reinits: list[int] = []
         self.last_excluded_subpops: list[int] = []
@@ -223,7 +222,7 @@ class Qcsso(SwarmBase):
         noise = self.rng.standard_normal((self.k, self.dim))
         probes = self.pbest_positions[bests] + noise * self.probe_sigma()
         np.clip(probes, self.draw_lower, self.draw_upper, out=probes)
-        values = self.eval_rows(probes)
+        values = self.problem.evaluate(probes)
         accepted = self.better(values, self.pbest_fitness[bests])
         self.pbest_positions[bests[accepted]] = probes[accepted]
         self.pbest_fitness[bests[accepted]] = values[accepted]
@@ -294,7 +293,6 @@ class Qcsso(SwarmBase):
         self.sync_dimension()
         self.last_change_detected = self.detect_change()
         ctx = self.make_context()
-        self.context = ctx
         if self.l_window == 0:
             self.ssa_bootstrap(ctx)
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dynopt.errors import BudgetExhausted, ConfigError
-from dynopt.objective import DynamicObjective, as_row, as_rows
+from dynopt.objective import DynamicObjective, as_rows
 from dynopt.overrides import apply_overrides
 from dynopt.optimizers.baselines import PsoBaseline, PsoConfig, SsaBaseline, SsaConfig
 from dynopt.optimizers.qcsso import Qcsso, QcssoConfig
@@ -134,10 +134,7 @@ class BudgetedRecorder(DynamicObjective):
         self._window_trace = []
         self._offsets = self._sample_offsets(first=False)
 
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(self.evaluate_batch(as_row(x))[0])
-
-    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Score rows until the budget is spent; the row after it raises."""
         xs = as_rows(xs)
         segments = []
@@ -150,7 +147,7 @@ class BudgetedRecorder(DynamicObjective):
                 self.budget - self.used,
                 self.problem.evals_to_change(),
             )
-            segments.append(self.problem.evaluate_batch(xs[pos:pos + k]))
+            segments.append(self.problem.evaluate(xs[pos:pos + k]))
             self._record(segments[-1])
             pos += k
         return segments[0] if len(segments) == 1 else np.concatenate(segments)

@@ -77,23 +77,13 @@ def apply_overrides(config: Any, overrides: Mapping[str, Any] | None) -> Any:
     """
     if not overrides:
         return config
-    fields = {f.name: f for f in dataclasses.fields(config)}
+    fields = {f.name for f in dataclasses.fields(config)}
     changes: dict[str, Any] = {}
     for key, value in overrides.items():
         if key not in fields:
             raise ConfigError(
                 f"unknown override {key!r} for {type(config).__name__}"
             )
-        current = getattr(config, key)
-        if current is not None:
-            target = type(current)
-        else:
-            annotation = str(fields[key].type)
-            if "int" in annotation:
-                target = int
-            elif "float" in annotation:
-                target = float
-            else:
-                target = str
-        changes[key] = coerce(value, target)
+        # every field has a non-None default, whose type is the target
+        changes[key] = coerce(value, type(getattr(config, key)))
     return dataclasses.replace(config, **changes)

@@ -64,7 +64,7 @@ class FakeRng:
 class SwitchableProblem(DynamicObjective):
     """Quadratic bowl whose offset, center, and dimension tests can move.
 
-    ``evaluate`` returns ``offset + sum((x - center)^2)``, so the optimum
+    ``evaluate`` gives ``offset + sum((x - center)^2)`` per row, so the optimum
     value is ``offset`` and sentinel re-evaluations notice any shift.
     """
 
@@ -100,17 +100,22 @@ class SwitchableProblem(DynamicObjective):
             np.full(self._dim, self._upper),
         )
 
-    def evaluate(self, x: np.ndarray) -> float:
-        x = self.check_dimension(x)
-        self.evaluations += 1
-        diff = x - self._center[: self._dim]
-        return self.offset + float(np.sum(diff * diff))
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        xs = self.check_dimension(xs)
+        self.evaluations += xs.shape[0]
+        diff = xs - self._center[: self._dim]
+        return self.offset + np.sum(diff * diff, axis=1)
 
     def optimum_value(self) -> float:
         return self.offset
 
     def change_count(self) -> int:
         return self.t
+
+
+def evaluate_one(problem, x) -> float:
+    """Value of the one point ``x``, scored as a one-row batch."""
+    return float(problem.evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def sphere_problem(dimension=5, lower=-5.0, upper=5.0, **kwargs) -> StaticFunctionProblem:

@@ -14,7 +14,7 @@ from dynopt.optimizers.baselines import (
 )
 from dynopt.optimizers.qcsso import Qcsso
 
-from conftest import FakeRng, SwitchableProblem, sphere_problem
+from conftest import FakeRng, SwitchableProblem, evaluate_one, sphere_problem
 
 
 def make_ssa(population=3, dim=1, budget=400, seed=5, problem=None):
@@ -110,7 +110,7 @@ class TestSsa:
         problem.shift(offset=40.0)
         assert opt.detect_change() is True
         assert opt.l_window == 0
-        assert opt.food_fitness == problem.evaluate(opt.food_position)
+        assert opt.food_fitness == evaluate_one(problem, opt.food_position)
         assert opt.detect_change() is False
 
     def test_dimension_change_resizes_food(self):
@@ -231,7 +231,7 @@ class TestPso:
         problem.shift(offset=25.0)
         assert opt.detect_change() is True
         for i in range(opt.n):
-            assert opt.pbest_fitness[i] == problem.evaluate(opt.pbest_positions[i])
+            assert opt.pbest_fitness[i] == evaluate_one(problem, opt.pbest_positions[i])
         assert opt.food_fitness == opt.pbest_fitness.min()
         assert opt.detect_change() is False
 

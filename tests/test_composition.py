@@ -11,6 +11,8 @@ from dynopt.gdbg.changes import DynamicParam
 from dynopt.gdbg.composition import CompositionProblem, stretch_factor
 from dynopt.gdbg.instance import make_instance
 
+from conftest import evaluate_one
+
 
 def height(value):
     return DynamicParam(value=value, min=10.0, max=100.0, severity=5.0)
@@ -86,7 +88,7 @@ class TestBruteForceOracle:
                 [p.value for p in prob.heights], names,
                 prob.matrices.tolist(), -5.0, 5.0,
             )
-            assert abs(prob.evaluate(x) - expected) < 1e-9
+            assert abs(evaluate_one(prob, x) - expected) < 1e-9
 
     def test_matches_with_identity_rotations(self):
         names = ["sphere", "rastrigin"]
@@ -99,7 +101,7 @@ class TestBruteForceOracle:
                 [p.value for p in prob.heights], names,
                 prob.matrices.tolist(), -5.0, 5.0,
             )
-            assert abs(prob.evaluate(x) - expected) < 1e-9
+            assert abs(evaluate_one(prob, x) - expected) < 1e-9
 
 
 def one_vector_value(prob, x):
@@ -153,7 +155,7 @@ class TestOptimum:
     ])
     def test_value_at_optimum_equals_floor(self, names):
         prob = small_problem(names, identity=True)
-        gap = abs(prob.evaluate(prob.optimum_position()) - prob.optimum_value())
+        gap = abs(evaluate_one(prob, prob.optimum_position()) - prob.optimum_value())
         assert gap < 1e-9
 
     def test_evaluate_never_beats_floor(self):
@@ -161,7 +163,7 @@ class TestOptimum:
         rng = np.random.default_rng(83)
         for _ in range(200):
             x = rng.uniform(-5.0, 5.0, size=2)
-            assert prob.evaluate(x) >= prob.optimum_value() - 1e-9
+            assert evaluate_one(prob, x) >= prob.optimum_value() - 1e-9
 
 
 class TestDominanceWeighting:
@@ -174,8 +176,8 @@ class TestDominanceWeighting:
             optima, heights, ["sphere", "sphere"],
             np.stack([np.eye(2)] * 2), -5.0, 5.0,
         )
-        assert abs(prob.evaluate(np.array([-3.0, -3.0])) - 40.0) < 1e-9
-        assert abs(prob.evaluate(np.array([3.0, 3.0])) - 70.0) < 1e-9
+        assert abs(evaluate_one(prob, np.array([-3.0, -3.0])) - 40.0) < 1e-9
+        assert abs(evaluate_one(prob, np.array([3.0, 3.0])) - 70.0) < 1e-9
 
 
 class TestNormalizationGuard:
@@ -193,12 +195,12 @@ class TestCacheContract:
     def test_height_changes_need_refresh(self):
         prob = small_problem(["sphere", "sphere"], identity=True)
         target = prob.optimum_position().copy()
-        before = prob.evaluate(target)
+        before = evaluate_one(prob, target)
         for p in prob.heights:
             p.value = p.value + 5.0
-        assert prob.evaluate(target) == before
+        assert evaluate_one(prob, target) == before
         prob.refresh_cache()
-        assert abs(prob.evaluate(target) - (before + 5.0)) < 1e-9
+        assert abs(evaluate_one(prob, target) - (before + 5.0)) < 1e-9
 
 
 class TestRotateOptima:
@@ -228,14 +230,14 @@ class TestResize:
         for m in prob.matrices:
             assert np.abs(m @ m.T - np.eye(3)).max() < 1e-9
         # the rescale cache must track the new dimension
-        assert np.isfinite(prob.evaluate(np.zeros(3)))
+        assert np.isfinite(evaluate_one(prob, np.zeros(3)))
 
     def test_shrink(self):
         prob = small_problem(["sphere", "rastrigin"], dim=3)
         prob.resize(2, np.random.default_rng(89))
         assert prob.optima.shape == (2, 2)
         assert prob.matrices.shape == (2, 2, 2)
-        assert np.isfinite(prob.evaluate(np.zeros(2)))
+        assert np.isfinite(evaluate_one(prob, np.zeros(2)))
 
     def test_jump_rejected(self):
         with pytest.raises(ValueError):

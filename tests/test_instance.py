@@ -12,6 +12,8 @@ from dynopt.gdbg.instance import FUNCTION_IDS, GdbgConfig, GdbgInstance, make_in
 from dynopt.gdbg.peaks import PeakSet
 from dynopt.optimizers import BudgetedRecorder, SsaBaseline
 
+from conftest import evaluate_one
+
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -33,7 +35,7 @@ def drive_instance(function_id, change_type, seed, dimension, frequency, evals):
     last_t = inst.change_count()
     for i in range(evals):
         x = probe.uniform(-5.0, 5.0, size=inst.dimension())
-        value = inst.evaluate(x)
+        value = evaluate_one(inst, x)
         lines.append(f"{i},{value!r}")
         if inst.change_count() != last_t:
             last_t = inst.change_count()
@@ -117,14 +119,14 @@ class TestChangeBoundary:
         )
         x = np.zeros(5)
         for _ in range(9):
-            inst.evaluate(x)
+            evaluate_one(inst, x)
             assert inst.change_count() == 0
-        inst.evaluate(x)
+        evaluate_one(inst, x)
         assert inst.change_count() == 1
         for _ in range(9):
-            inst.evaluate(x)
+            evaluate_one(inst, x)
             assert inst.change_count() == 1
-        inst.evaluate(x)
+        evaluate_one(inst, x)
         assert inst.change_count() == 2
 
     def test_crossing_call_scored_in_new_environment(self):
@@ -133,18 +135,18 @@ class TestChangeBoundary:
             overrides={"dimension": 5, "change_frequency": 10},
         )
         x = np.full(5, 0.5)
-        before = inst.evaluate(x)
+        before = evaluate_one(inst, x)
         for _ in range(8):
-            inst.evaluate(x)
-        crossing = inst.evaluate(x)
+            evaluate_one(inst, x)
+        crossing = evaluate_one(inst, x)
         # the same point, scored directly against the post-change landscape
-        assert crossing == inst.problem.evaluate(x)
+        assert crossing == evaluate_one(inst.problem, x)
         assert crossing != before
 
     def test_wrong_dimension_still_rejected(self):
         inst = make_instance("F2", "T1", seed=5, overrides={"dimension": 5})
         with pytest.raises(DimensionMismatch):
-            inst.evaluate(np.zeros(6))
+            inst.evaluate(np.zeros((1, 6)))
 
     def test_optimum_moves_with_changes(self):
         inst = make_instance(
@@ -153,7 +155,7 @@ class TestChangeBoundary:
         )
         first = inst.optimum_value()
         for _ in range(10):
-            inst.evaluate(np.zeros(5))
+            evaluate_one(inst, np.zeros(5))
         assert inst.optimum_value() != first
 
 
@@ -165,10 +167,10 @@ class TestDimensionChanges:
         )
         assert inst.dimension() == 14
         for _ in range(5):
-            inst.evaluate(np.zeros(inst.dimension()))
+            evaluate_one(inst, np.zeros(inst.dimension()))
         assert inst.dimension() == 15
         for _ in range(5):
-            inst.evaluate(np.zeros(inst.dimension()))
+            evaluate_one(inst, np.zeros(inst.dimension()))
         assert inst.dimension() == 14
 
     def test_crossing_call_zero_pads_when_growing(self):
@@ -178,11 +180,11 @@ class TestDimensionChanges:
         )
         x = np.linspace(-1.0, 1.0, 10)
         for _ in range(4):
-            inst.evaluate(x)
-        crossing = inst.evaluate(x)  # dimension moves 10 -> 11 here
+            evaluate_one(inst, x)
+        crossing = evaluate_one(inst, x)  # dimension moves 10 -> 11 here
         assert inst.dimension() == 11
         padded = np.concatenate([x, [0.0]])
-        assert crossing == inst.problem.evaluate(padded)
+        assert crossing == evaluate_one(inst.problem, padded)
 
     def test_crossing_call_truncates_when_shrinking(self):
         inst = make_instance(
@@ -191,10 +193,10 @@ class TestDimensionChanges:
         )
         x = np.linspace(-1.0, 1.0, 15)
         for _ in range(4):
-            inst.evaluate(x)
-        crossing = inst.evaluate(x)  # walk reverses at the cap: 15 -> 14
+            evaluate_one(inst, x)
+        crossing = evaluate_one(inst, x)  # walk reverses at the cap: 15 -> 14
         assert inst.dimension() == 14
-        assert crossing == inst.problem.evaluate(x[:14])
+        assert crossing == evaluate_one(inst.problem, x[:14])
 
     def test_previous_length_is_padded_after_growth(self):
         inst = make_instance(
@@ -203,11 +205,11 @@ class TestDimensionChanges:
         )
         x = np.linspace(-1.0, 1.0, 10)
         for _ in range(5):
-            inst.evaluate(x)  # the fifth call moves the dimension 10 -> 11
+            evaluate_one(inst, x)  # the fifth call moves the dimension 10 -> 11
         assert inst.dimension() == 11
         padded = np.concatenate([x, [0.0]])
-        assert inst.evaluate(x) == inst.problem.evaluate(padded)
-        assert inst.evaluate(padded) == inst.problem.evaluate(padded)
+        assert evaluate_one(inst, x) == evaluate_one(inst.problem, padded)
+        assert evaluate_one(inst, padded) == evaluate_one(inst.problem, padded)
 
     def test_previous_length_is_truncated_after_shrink(self):
         inst = make_instance(
@@ -216,9 +218,9 @@ class TestDimensionChanges:
         )
         x = np.linspace(-1.0, 1.0, 15)
         for _ in range(5):
-            inst.evaluate(x)  # the walk reverses at the cap: 15 -> 14
+            evaluate_one(inst, x)  # the walk reverses at the cap: 15 -> 14
         assert inst.dimension() == 14
-        assert inst.evaluate(x) == inst.problem.evaluate(x[:14])
+        assert evaluate_one(inst, x) == evaluate_one(inst.problem, x[:14])
 
     def test_other_lengths_still_rejected_after_a_change(self):
         inst = make_instance(
@@ -226,14 +228,14 @@ class TestDimensionChanges:
             overrides={"dimension": 10, "change_frequency": 5},
         )
         for _ in range(5):
-            inst.evaluate(np.zeros(10))
+            evaluate_one(inst, np.zeros(10))
         assert inst.dimension() == 11
         used = inst.eval_count
         for bad in (9, 12, 15):
             with pytest.raises(DimensionMismatch):
-                inst.evaluate(np.zeros(bad))
+                inst.evaluate(np.zeros((1, bad)))
         with pytest.raises(DimensionMismatch):
-            inst.evaluate(np.zeros((1, 10)))
+            inst.evaluate(np.zeros(10))  # a vector is not a batch
         assert inst.eval_count == used
 
     def test_last_read_length_is_fitted_after_two_changes(self):
@@ -244,21 +246,21 @@ class TestDimensionChanges:
         assert inst.dimension() == 10
         x = np.linspace(-1.0, 1.0, 10)
         for _ in range(10):
-            inst.evaluate(x)  # two changes, 10 -> 11 -> 12, within one "sweep"
+            evaluate_one(inst, x)  # two changes, 10 -> 11 -> 12, within one "sweep"
         assert inst.problem.dim == 12
         padded = np.concatenate([x, [0.0, 0.0]])
-        assert inst.evaluate(x) == inst.problem.evaluate(padded)
-        assert inst.evaluate(x[:11]) == inst.problem.evaluate(padded)
+        assert evaluate_one(inst, x) == evaluate_one(inst.problem, padded)
+        assert evaluate_one(inst, x[:11]) == evaluate_one(inst.problem, padded)
         used = inst.eval_count
         for bad in (9, 13):
             with pytest.raises(DimensionMismatch):
-                inst.evaluate(np.zeros(bad))
+                inst.evaluate(np.zeros((1, bad)))
         with pytest.raises(DimensionMismatch):
-            inst.evaluate_batch(np.zeros((3, 13)))
+            inst.evaluate(np.zeros((3, 13)))
         # once the caller reads the new dimension, length 10 is stale twice over
         assert inst.dimension() == 12
         with pytest.raises(DimensionMismatch):
-            inst.evaluate(x)
+            evaluate_one(inst, x)
         assert inst.eval_count == used
 
     def test_composition_resize_keeps_identity_matrices(self):
@@ -268,7 +270,7 @@ class TestDimensionChanges:
                        "identity_rotation": True},
         )
         for _ in range(5):
-            inst.evaluate(np.zeros(inst.dimension()))
+            evaluate_one(inst, np.zeros(inst.dimension()))
         assert inst.dimension() == 11
         for m in inst.problem.matrices:
             assert np.array_equal(m, np.eye(11))
@@ -282,7 +284,7 @@ class TestBatchEvaluation:
         inst = make_instance(function_id, "T1", seed=3)
         xs = np.random.default_rng(4).uniform(-5.0, 5.0, size=(40, inst.dimension()))
         assert inst.problem.evaluate(xs).tolist() == [
-            inst.problem.evaluate(x) for x in xs
+            evaluate_one(inst.problem, x) for x in xs
         ]
 
     @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])
@@ -305,13 +307,13 @@ class TestBatchEvaluation:
         )
         for inst in (batched, looped):
             for _ in range(start):
-                inst.evaluate(np.zeros(inst.dimension()))
+                evaluate_one(inst, np.zeros(inst.dimension()))
         xs = np.random.default_rng(6).uniform(
             -5.0, 5.0, size=(rows, batched.dimension())
         )
         looped.dimension()
-        values = batched.evaluate_batch(xs)
-        assert values.tolist() == [looped.evaluate(x) for x in xs]
+        values = batched.evaluate(xs)
+        assert values.tolist() == [evaluate_one(looped, x) for x in xs]
         assert batched.eval_count == looped.eval_count == start + rows
         assert batched.t == looped.t
         assert batched.problem.dim == looped.problem.dim
@@ -343,13 +345,13 @@ class TestBestRowMemo:
             overrides={"dimension": 5, "change_frequency": 100},
         )
         xs = np.random.default_rng(4).uniform(-5.0, 5.0, size=(30, 5))
-        values = inst.evaluate_batch(xs)
+        values = inst.evaluate(xs)
         best = xs[int(np.argmax(values) if inst.maximize else np.argmin(values))]
         calls = count_landscape_calls(monkeypatch, landscape_cls)
-        value = inst.evaluate(best.copy())
+        value = evaluate_one(inst, best.copy())
         assert calls == []
         assert inst.eval_count == 31
-        assert value == inst.problem.evaluate(best)
+        assert value == evaluate_one(inst.problem, best)
 
     def test_crossing_row_is_scored_on_the_new_landscape(self, monkeypatch):
         batched, looped = (
@@ -358,17 +360,17 @@ class TestBestRowMemo:
             for _ in range(2)
         )
         xs = np.random.default_rng(6).uniform(-5.0, 5.0, size=(19, 5))
-        values = batched.evaluate_batch(xs)
-        assert values.tolist() == [looped.evaluate(x) for x in xs]
+        values = batched.evaluate(xs)
+        assert values.tolist() == [evaluate_one(looped, x) for x in xs]
         best = xs[int(np.argmin(values))]
         calls = count_landscape_calls(monkeypatch, CompositionProblem)
-        crossing = batched.evaluate(best)  # the 20th evaluation moves t
+        crossing = evaluate_one(batched, best)  # the 20th evaluation moves t
         assert len(calls) == 1
-        assert crossing == looped.evaluate(best)
+        assert crossing == evaluate_one(looped, best)
         assert crossing != values.min()
         assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t) == (20, 1)
         # the crossing row is now the best row of the new environment
-        assert batched.evaluate(best) == crossing
+        assert evaluate_one(batched, best) == crossing
         assert len(calls) == 2  # the twin's crossing call; the replay used none
 
     def test_a_zero_of_the_other_sign_calls_the_landscape(self, monkeypatch):
@@ -377,21 +379,21 @@ class TestBestRowMemo:
         flipped = x.copy()
         flipped[1] = -0.0
         calls = count_landscape_calls(monkeypatch, CompositionProblem)
-        inst.evaluate(x)
-        inst.evaluate(flipped)
+        evaluate_one(inst, x)
+        evaluate_one(inst, flipped)
         assert len(calls) == 2
-        inst.evaluate(x)
+        evaluate_one(inst, x)
         assert len(calls) == 2
 
     def test_a_direct_advance_calls_the_landscape(self, monkeypatch):
         inst = make_instance("F2", "T1", seed=7, overrides={"dimension": 5})
         x = np.full(5, 0.5)
-        before = inst.evaluate(x)
+        before = evaluate_one(inst, x)
         inst.advance_environment()
         calls = count_landscape_calls(monkeypatch, CompositionProblem)
-        after = inst.evaluate(x)
+        after = evaluate_one(inst, x)
         assert len(calls) == 1
-        assert after == inst.problem.evaluate(x) != before
+        assert after == evaluate_one(inst.problem, x) != before
 
     def test_a_dimension_move_calls_the_landscape(self, monkeypatch):
         inst = make_instance(
@@ -401,12 +403,12 @@ class TestBestRowMemo:
         x = np.linspace(-1.0, 1.0, 10)
         calls = count_landscape_calls(monkeypatch, PeakSet)
         for _ in range(4):
-            inst.evaluate(x)
+            evaluate_one(inst, x)
         assert len(calls) == 1
-        inst.evaluate(x)  # the crossing call moves the dimension 10 -> 11
+        evaluate_one(inst, x)  # the crossing call moves the dimension 10 -> 11
         assert inst.problem.dim == 11 and len(calls) == 2
         padded = np.concatenate([x, [0.0]])
-        assert inst.evaluate(x) == inst.problem.evaluate(padded)
+        assert evaluate_one(inst, x) == evaluate_one(inst.problem, padded)
         assert len(calls) == 4  # the stale length and the direct call
 
     def test_ssa_sentinel_costs_no_landscape_call(self, monkeypatch):
@@ -432,7 +434,7 @@ class TestEnvelopeInvariants:
         rng = np.random.default_rng(14)
         for _ in range(150):
             x = rng.uniform(-5.0, 5.0, size=5)
-            assert inst.evaluate(x) <= inst.optimum_value() + 1e-12
+            assert evaluate_one(inst, x) <= inst.optimum_value() + 1e-12
 
     def test_composition_values_bounded_below_by_optimum(self):
         inst = make_instance(
@@ -442,7 +444,7 @@ class TestEnvelopeInvariants:
         rng = np.random.default_rng(15)
         for _ in range(150):
             x = rng.uniform(-5.0, 5.0, size=5)
-            assert inst.evaluate(x) >= inst.optimum_value() - 1e-9
+            assert evaluate_one(inst, x) >= inst.optimum_value() - 1e-9
 
     def test_param_lines_shape(self):
         inst = make_instance("F1(10)", "T1", seed=3)
@@ -457,10 +459,10 @@ class TestEnvelopeInvariants:
         a = make_instance("F4", "T2", seed=17, overrides={"dimension": 5})
         b = make_instance("F4", "T2", seed=17, overrides={"dimension": 5})
         x = np.full(5, 1.5)
-        assert a.evaluate(x) == b.evaluate(x)
+        assert evaluate_one(a, x) == evaluate_one(b, x)
         a.advance_environment()
         b.advance_environment()
-        assert a.evaluate(x) == b.evaluate(x)
+        assert evaluate_one(a, x) == evaluate_one(b, x)
 
 
 class TestGoldenTrajectories:

@@ -5,21 +5,23 @@ import pytest
 
 from dynopt.errors import DimensionMismatch
 from dynopt.objective import StaticFunctionProblem
+from dynopt.optimizers.runner import OPTIMIZER_IDS, _build_optimizer
 
-from conftest import sphere_problem
+from conftest import SwitchableProblem, sphere_problem
 
 
 def test_counts_evaluations():
     prob = sphere_problem(dimension=3)
     assert prob.evaluations == 0
-    prob.evaluate(np.zeros(3))
-    prob.evaluate(np.ones(3))
-    assert prob.evaluations == 2
+    prob.evaluate(np.zeros((1, 3)))
+    prob.evaluate(np.ones((2, 3)))
+    assert prob.evaluations == 3
 
 
 def test_value_and_optimum():
     prob = sphere_problem(dimension=3)
-    assert prob.evaluate(np.array([1.0, 2.0, 3.0])) == 14.0
+    values = prob.evaluate(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 2.0]]))
+    assert values.tolist() == [14.0, 4.0]
     assert prob.optimum_value() == 0.0
     assert prob.change_count() == 0
     assert prob.maximize is False
@@ -36,18 +38,20 @@ def test_bounds_are_per_dimension_arrays():
 def test_wrong_length_vector_rejected():
     prob = sphere_problem(dimension=3)
     with pytest.raises(DimensionMismatch):
-        prob.evaluate(np.zeros(4))
+        prob.evaluate(np.zeros((1, 4)))
 
 
-def test_matrix_input_rejected():
+def test_vector_input_rejected():
     prob = sphere_problem(dimension=3)
-    with pytest.raises(DimensionMismatch):
-        prob.evaluate(np.zeros((2, 3)))
+    for shape in [(3,), (2, 1, 3), ()]:
+        with pytest.raises(DimensionMismatch):
+            prob.evaluate(np.zeros(shape))
+    assert prob.evaluations == 0
 
 
 def test_list_input_accepted():
     prob = sphere_problem(dimension=2)
-    assert prob.evaluate([3.0, 4.0]) == 25.0
+    assert prob.evaluate([[3.0, 4.0]]).tolist() == [25.0]
 
 
 def test_maximize_flag():
@@ -58,3 +62,36 @@ def test_maximize_flag():
 def test_degenerate_bounds_rejected():
     with pytest.raises(ValueError):
         StaticFunctionProblem(lambda x: 0.0, 2, 1.0, 1.0)
+
+
+class SpyProblem(SwitchableProblem):
+    """Records the type, shape and dtype of every argument ``evaluate`` gets."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = []
+
+    def evaluate(self, xs):
+        self.calls.append((type(xs), getattr(xs, "shape", None), getattr(xs, "dtype", None)))
+        return super().evaluate(xs)
+
+
+@pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
+def test_optimizers_pass_float_batches(optimizer_id):
+    """Every call the optimizers make is a 2-D float array, the sentinel included."""
+    problem = SpyProblem(dimension=4)
+    overrides = {"population": "6"}
+    if optimizer_id == "qcsso":
+        overrides["subpopulations"] = "2"
+    opt = _build_optimizer(optimizer_id, problem, 3, 10_000, None, overrides)
+    for _ in range(3):
+        opt.iterate()
+    problem.shift(offset=5.0)  # the sentinel sees it and memory is re-scored
+    for _ in range(2):
+        opt.iterate()
+    assert opt.food_fitness >= 5.0
+    assert len(problem.calls) > 5
+    for kind, shape, dtype in problem.calls:
+        assert kind is np.ndarray and len(shape) == 2 and shape[1] == 4
+        assert dtype == np.float64
+    assert (1, 4) in {shape for _, shape, _ in problem.calls}

@@ -1,9 +1,13 @@
 """Key=value parsing and dataclass override application."""
 
+import dataclasses
+
 import pytest
 
 from dynopt.errors import ConfigError
 from dynopt.gdbg.instance import GdbgConfig
+from dynopt.optimizers.baselines import PsoConfig, SsaConfig
+from dynopt.optimizers.qcsso import QcssoConfig
 from dynopt.overrides import (
     apply_overrides,
     coerce,
@@ -98,3 +102,13 @@ class TestApplyOverrides:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown override"):
             apply_overrides(GdbgConfig(), {"dimenson": 12})
+
+    @pytest.mark.parametrize("cls", [GdbgConfig, QcssoConfig, SsaConfig, PsoConfig])
+    def test_every_default_gives_its_field_type(self, cls):
+        # an override is coerced to the type of the field's default
+        for f in dataclasses.fields(cls):
+            assert getattr(cls(), f.name) is not None, f.name
+
+    def test_bad_value_rejected(self):
+        with pytest.raises(ConfigError, match="cannot interpret"):
+            apply_overrides(QcssoConfig(), {"population": "many"})

@@ -9,6 +9,8 @@ from dynopt.gdbg.changes import DynamicParam
 from dynopt.gdbg.instance import make_instance
 from dynopt.gdbg.peaks import PeakSet
 
+from conftest import evaluate_one
+
 
 def param(value, low, high):
     return DynamicParam(value=value, min=low, max=high, severity=1.0)
@@ -24,14 +26,14 @@ def two_peaks():
 class TestEvaluate:
     def test_value_at_each_center_is_its_height(self):
         peaks = two_peaks()
-        assert peaks.evaluate(np.array([0.0, 0.0])) == 80.0
-        assert peaks.evaluate(np.array([3.0, 4.0])) == 60.0
+        assert evaluate_one(peaks, np.array([0.0, 0.0])) == 80.0
+        assert evaluate_one(peaks, np.array([3.0, 4.0])) == 60.0
 
     def test_hand_value_between_peaks(self):
         # both peaks sit at rms distance sqrt(3.125) from the midpoint;
         # the shorter, narrower peak wins there: 60 / (1 + d) = 21.678...
         peaks = two_peaks()
-        value = peaks.evaluate(np.array([1.5, 2.0]))
+        value = evaluate_one(peaks, np.array([1.5, 2.0]))
         d = math.sqrt(3.125)
         assert abs(value - 60.0 / (1.0 + d)) < 1e-12
         assert abs(value - 21.67812573081512) < 1e-12
@@ -43,19 +45,19 @@ class TestEvaluate:
             np.zeros((1, 2)), [param(50.0, 10.0, 100.0)],
             [param(2.0, 1.0, 10.0)], -5.0, 5.0,
         )
-        value = peaks.evaluate(np.array([3.0, 4.0]))
+        value = evaluate_one(peaks, np.array([3.0, 4.0]))
         expected = 50.0 / (1.0 + 2.0 * math.sqrt(12.5))
         assert abs(value - expected) < 1e-12
 
     def test_takes_best_response_over_peaks(self):
         peaks = two_peaks()
         # far from the tall peak, next to the short one
-        value = peaks.evaluate(np.array([2.9, 3.9]))
+        value = evaluate_one(peaks, np.array([2.9, 3.9]))
         single = PeakSet(
             np.array([[3.0, 4.0]]), [param(60.0, 10.0, 100.0)],
             [param(1.0, 1.0, 10.0)], -5.0, 5.0,
         )
-        assert value == single.evaluate(np.array([2.9, 3.9]))
+        assert value == evaluate_one(single, np.array([2.9, 3.9]))
 
 
 def one_vector_value(peaks, x):
@@ -79,7 +81,7 @@ class TestBatchMatchesOneVectorRule:
         xs = np.clip(centers + scales * rng.standard_normal(centers.shape), -5.0, 5.0)
         xs[:3] = peaks.centers[:3]
         assert peaks.evaluate(xs).tolist() == [one_vector_value(peaks, x) for x in xs]
-        assert [peaks.evaluate(x) for x in xs[:20]] == peaks.evaluate(xs[:20]).tolist()
+        assert [evaluate_one(peaks, x) for x in xs[:20]] == peaks.evaluate(xs[:20]).tolist()
 
 
 class TestOptimum:
@@ -100,16 +102,16 @@ class TestOptimum:
         rng = np.random.default_rng(59)
         for _ in range(300):
             x = rng.uniform(-5.0, 5.0, size=2)
-            assert peaks.evaluate(x) <= peaks.optimum_value() + 1e-12
+            assert evaluate_one(peaks, x) <= peaks.optimum_value() + 1e-12
 
 
 class TestCacheContract:
     def test_stale_until_refreshed(self):
         peaks = two_peaks()
         peaks.heights[0].value = 90.0
-        assert peaks.evaluate(np.array([0.0, 0.0])) == 80.0
+        assert evaluate_one(peaks, np.array([0.0, 0.0])) == 80.0
         peaks.refresh_cache()
-        assert peaks.evaluate(np.array([0.0, 0.0])) == 90.0
+        assert evaluate_one(peaks, np.array([0.0, 0.0])) == 90.0
 
 
 class TestRotateCenters:

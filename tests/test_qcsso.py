@@ -10,7 +10,7 @@ from dynopt.gdbg import make_instance
 from dynopt.optimizers import rules
 from dynopt.optimizers.qcsso import IterationContext, Qcsso, QcssoConfig, row_norms
 
-from conftest import FakeRng, SwitchableProblem, sphere_problem
+from conftest import FakeRng, SwitchableProblem, evaluate_one, sphere_problem
 
 
 def make_opt(dim=5, budget=5600, config=None, seed=11, problem=None):
@@ -414,7 +414,7 @@ class TestOverlapSearch:
         opt.pbest_fitness = np.array([1.0, 9.0 * sign, 4.0, 16.0 * sign])  # bests 0, 2
         # the first probe ties its chain's best, the second one beats it
         values = [1.0, 5.0 if maximize else 3.0]
-        opt.eval_rows = lambda probes: np.array(values)
+        opt.problem.evaluate = lambda probes: np.array(values)
         opt.rng = FakeRng(standard_normal=[0.5, 0.5])
         opt.overlap_search()
         assert opt.pbest_positions[:, 0].tolist() == [1.0, 3.0, 2.5, 4.0]
@@ -549,7 +549,7 @@ class TestChangeResponse:
         assert opt.detect_change() is True
         assert opt.l_window == 0
         for i in range(opt.n):
-            expected = problem.evaluate(opt.pbest_positions[i])
+            expected = evaluate_one(problem, opt.pbest_positions[i])
             assert opt.pbest_fitness[i] == expected
         assert opt.food_fitness == opt.pbest_fitness.min()
         assert opt.detect_change() is False

@@ -14,7 +14,7 @@ from dynopt.optimizers.runner import (
     run,
 )
 
-from conftest import sphere_problem
+from conftest import evaluate_one, sphere_problem
 
 SMALL_QCSSO = {"population": "6", "subpopulations": "2"}
 SMALL_POP = {"population": "6"}
@@ -48,11 +48,14 @@ class ScriptedProblem(DynamicObjective):
     def bounds(self):
         return np.full(self._dim, -5.0), np.full(self._dim, 5.0)
 
-    def evaluate(self, x):
-        self.count += 1
-        if self.count in self._change_at:
-            self.t += 1
-        return self._values[self.count - 1]
+    def evaluate(self, xs):
+        values = []
+        for _ in range(len(xs)):
+            self.count += 1
+            if self.count in self._change_at:
+                self.t += 1
+            values.append(self._values[self.count - 1])
+        return np.array(values)
 
     def optimum_value(self):
         return self._optima[min(self.t, len(self._optima) - 1)]
@@ -62,7 +65,7 @@ class ScriptedProblem(DynamicObjective):
 
 
 def feed(recorder, n):
-    x = np.zeros(recorder.dimension())
+    x = np.zeros((1, recorder.dimension()))
     for _ in range(n):
         recorder.evaluate(x)
 
@@ -90,7 +93,7 @@ class TestRecorder:
         rec = BudgetedRecorder(problem, budget=3)
         feed(rec, 3)
         with pytest.raises(BudgetExhausted):
-            rec.evaluate(np.zeros(2))
+            rec.evaluate(np.zeros((1, 2)))
         assert problem.count == 3
         assert rec.used == 3
 
@@ -193,7 +196,7 @@ class TestRecorder:
             problem, budget=3, frequency=10, s_samples=2, collect_ratios=True
         )
         with pytest.raises(RuntimeError, match="exceeds 1"):
-            rec.evaluate_batch(np.zeros((3, 2)))
+            rec.evaluate(np.zeros((3, 2)))
 
     def test_validation(self):
         problem = ScriptedProblem([1.0])
@@ -358,9 +361,9 @@ class TestBatchRecording:
             for n in sizes:
                 xs = rng.uniform(-5.0, 5.0, size=(n, recorder.dimension()))
                 if by_rows:
-                    values += [recorder.evaluate(x) for x in xs]
+                    values += [evaluate_one(recorder, x) for x in xs]
                 else:
-                    values += recorder.evaluate_batch(xs).tolist()
+                    values += recorder.evaluate(xs).tolist()
         except BudgetExhausted:
             pass
         recorder.final_snapshot()
@@ -408,10 +411,10 @@ class TestBatchRecording:
 
         batched, looped = make(), make()
         with pytest.raises(BudgetExhausted):
-            batched.evaluate_batch(np.zeros((8, 2)))
+            batched.evaluate(np.zeros((8, 2)))
         with pytest.raises(BudgetExhausted):
             for _ in range(8):
-                looped.evaluate(np.zeros(2))
+                looped.evaluate(np.zeros((1, 2)))
         for rec in (batched, looped):
             rec.final_snapshot()
         assert batched.problem.count == looped.problem.count == 7
