@@ -206,12 +206,8 @@ class GdbgInstance(DynamicObjective):
         self._read_dim = self.problem.dim
         return self._read_dim
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        d = self.problem.dim
-        return (
-            np.full(d, self.config.search_lower),
-            np.full(d, self.config.search_upper),
-        )
+    def bounds(self) -> tuple[float, float]:
+        return self.config.search_lower, self.config.search_upper
 
     @property
     def maximize(self) -> bool:

@@ -188,8 +188,12 @@ def read_raw_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cells = line.split(",")
         if len(cells) != 4 + s_count:
             raise ConfigError(f"raw table {path} has a ragged row: {line!r}")
-        run_index, change_index = int(cells[0]), int(cells[1])
-        records[(run_index, change_index)] = (
+        key = (int(cells[0]), int(cells[1]))
+        if min(key) < 0:
+            raise ConfigError(f"raw table {path} has a negative index: {line!r}")
+        if key in records:
+            raise ConfigError(f"raw table {path} repeats a row: {line!r}")
+        records[key] = (
             float(cells[2]),
             float(cells[3]),
             [float(v) for v in cells[4:]],

@@ -33,8 +33,8 @@ class DynamicObjective(abc.ABC):
         """Current number of decision variables."""
 
     @abc.abstractmethod
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-dimension (lower, upper) arrays for the current dimension."""
+    def bounds(self) -> tuple[float, float]:
+        """The search box: one (lower, upper) pair shared by every coordinate."""
 
     @abc.abstractmethod
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
@@ -97,8 +97,8 @@ class StaticFunctionProblem(DynamicObjective):
             raise ValueError("upper bound must exceed lower bound")
         self._func = func
         self._dim = int(dimension)
-        self._lower = np.full(self._dim, float(lower))
-        self._upper = np.full(self._dim, float(upper))
+        self._lower = float(lower)
+        self._upper = float(upper)
         self._optimum = float(optimum)
         self._maximize = bool(maximize)
         self.evaluations = 0
@@ -106,7 +106,7 @@ class StaticFunctionProblem(DynamicObjective):
     def dimension(self) -> int:
         return self._dim
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self) -> tuple[float, float]:
         return self._lower, self._upper
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:

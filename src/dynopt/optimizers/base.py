@@ -55,7 +55,7 @@ class SwarmBase:
         self._dim_changed = False
 
         self.positions = self.rng.uniform(
-            self.draw_lower, self.draw_upper, size=(self.n, self.dim)
+            self.lower, self.upper, size=(self.n, self.dim)
         )
         self.fitness = np.empty(self.n)
         self.worst_value = -math.inf if self.maximize else math.inf
@@ -75,7 +75,7 @@ class SwarmBase:
         self.fitness[:] = self.problem.evaluate(self.positions)
 
     def clamp_positions(self) -> None:
-        np.clip(self.positions, self.draw_lower, self.draw_upper, out=self.positions)
+        np.clip(self.positions, self.lower, self.upper, out=self.positions)
 
     # -- memory -------------------------------------------------------------
 
@@ -127,50 +127,33 @@ class SwarmBase:
         new_dim = self.problem.dimension()
         if new_dim == self.dim:
             return
+        self.dim = new_dim
         self._set_bounds()
         self.positions = self._resize_matrix(self.positions, new_dim)
         if self.pbest_positions is not None:
             self.pbest_positions = self._resize_matrix(self.pbest_positions, new_dim)
         self.food_position = self._resize_vector(self.food_position, new_dim)
         self._resize_extra_state(new_dim)
-        self.dim = new_dim
         self._dim_changed = True
 
     def _set_bounds(self) -> None:
-        """Take the problem's box, and its draw bounds for ``rng.uniform``.
-
-        The draw bounds are Python floats when the box is uniform (every
-        GDBG instance): ``rng.uniform`` then draws, and ``np.clip`` clips to,
-        the same values as with the arrays at a fraction of the cost.
-        """
+        """Take the problem's box: one ``(lower, upper)`` float pair."""
         lower, upper = self.problem.bounds()
-        self.lower = np.asarray(lower, dtype=float).copy()
-        self.upper = np.asarray(upper, dtype=float).copy()
-        lo, hi = self.lower, self.upper
-        uniform = lo.size > 0 and (lo == lo[0]).all() and (hi == hi[0]).all()
-        self.draw_lower, self.draw_upper = lo, hi
-        if uniform:
-            self.draw_lower, self.draw_upper = float(lo[0]), float(hi[0])
-
-    def _draw_bounds(self, start: int, stop: int):
-        """Draw bounds for the coordinates ``start:stop``."""
-        if isinstance(self.draw_lower, float):
-            return self.draw_lower, self.draw_upper
-        return self.draw_lower[start:stop], self.draw_upper[start:stop]
+        self.lower, self.upper = float(lower), float(upper)
 
     def _resize_matrix(self, mat: np.ndarray, new_dim: int) -> np.ndarray:
         old = mat.shape[1]
         if new_dim > old:
-            lo, hi = self._draw_bounds(old, new_dim)
-            extra = self.rng.uniform(lo, hi, size=(mat.shape[0], new_dim - old))
+            extra = self.rng.uniform(
+                self.lower, self.upper, size=(mat.shape[0], new_dim - old)
+            )
             return np.hstack([mat, extra])
         return mat[:, :new_dim].copy()
 
     def _resize_vector(self, vec: np.ndarray, new_dim: int) -> np.ndarray:
         old = vec.shape[0]
         if new_dim > old:
-            lo, hi = self._draw_bounds(old, new_dim)
-            extra = self.rng.uniform(lo, hi, size=new_dim - old)
+            extra = self.rng.uniform(self.lower, self.upper, size=new_dim - old)
             return np.concatenate([vec, extra])
         return vec[:new_dim].copy()
 

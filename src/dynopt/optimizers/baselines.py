@@ -106,7 +106,7 @@ class PsoBaseline(SwarmBase):
         self.sync_dimension()
         self.detect_change()
         cfg = self.config
-        span = self.draw_upper - self.draw_lower
+        span = self.upper - self.lower
         r1 = self.rng.random((self.n, self.dim))
         r2 = self.rng.random((self.n, self.dim))
         self.velocities = (

@@ -62,20 +62,6 @@ class QcssoConfig:
             raise ConfigError("w_fixed must lie inside (0, 1)")
 
 
-@dataclass
-class IterationContext:
-    """Per-iteration coefficients shared by all update rules."""
-
-    l: int
-    max_iterations: int
-    w: float
-    b_l: float
-    c: float
-    best_mean: np.ndarray
-    food_position: np.ndarray
-    food_fitness: float
-
-
 class Qcsso(SwarmBase):
     """See module docstring.  Drive with ``iterate()`` under a budget guard."""
 
@@ -121,14 +107,14 @@ class Qcsso(SwarmBase):
         self._exclusion_radius = (
             cfg.exclusion_radius
             if cfg.exclusion_radius > 0
-            else 0.1 * float(np.linalg.norm(span))
+            else 0.1 * float(np.linalg.norm(np.full(self.dim, span)))
         )
         self._probe_sigma = cfg.probe_sigma_scale * span
 
     def exclusion_radius(self) -> float:
         return self._exclusion_radius
 
-    def probe_sigma(self) -> np.ndarray:
+    def probe_sigma(self) -> float:
         return self._probe_sigma
 
     def subpop_best_indices(self) -> np.ndarray:
@@ -142,29 +128,15 @@ class Qcsso(SwarmBase):
 
     # -- iteration pieces ------------------------------------------------------
 
-    def make_context(self) -> IterationContext:
-        l_eff = min(self.l_window, self.max_iterations)
-        w = self.config.w_fixed if self.config.w_mode == "fixed" else self._w_state
-        return IterationContext(
-            l=self.l_window,
-            max_iterations=self.max_iterations,
-            w=w,
-            b_l=rules.contraction_expansion(l_eff, self.max_iterations),
-            c=rules.follower_coefficient(l_eff, self.max_iterations),
-            best_mean=self.pbest_positions.mean(axis=0),
-            food_position=self.food_position.copy(),
-            food_fitness=self.food_fitness,
-        )
-
-    def ssa_bootstrap(self, ctx: IterationContext) -> None:
+    def ssa_bootstrap(self) -> None:
         """Classic salp chain rules, used on the first iteration of a window."""
         rules.salp_chain(
-            self.positions, self._chains, ctx.food_position,
+            self.positions, self._chains, self.food_position,
             self.lower, self.upper,
-            rules.salp_coefficient(ctx.l, ctx.max_iterations), self.rng,
+            rules.salp_coefficient(self.l_window, self.max_iterations), self.rng,
         )
 
-    def swarm_update(self, ctx: IterationContext) -> None:
+    def swarm_update(self) -> None:
         """Quantum jumps for the chain heads, momentum following for the rest.
 
         All chains move at once.  The iteration takes one block of unit
@@ -173,35 +145,41 @@ class Qcsso(SwarmBase):
         and c3 for a head.  Attractors and head jumps are one array step
         each; followers advance one rank at a time across the chains, each
         reading its two predecessors as already moved (with fewer than two
-        heads the first ranks read the chain's not yet moved tail).
+        heads the first ranks read the chain's not yet moved tail).  Past
+        the window's horizon the schedule holds at its end: B = C = 0.
         """
         cfg = self.config
         k, chain, dim = self.k, self.chain, self.dim
+        l_eff = min(self.l_window, self.max_iterations)
+        w = cfg.w_fixed if cfg.w_mode == "fixed" else self._w_state
         heads = min(cfg.leaders_per_chain, chain)
         block = self.rng.random((k, (5 * heads + 2 * (chain - heads)) * dim))
         head_draws = block[:, : 5 * heads * dim].reshape(k, heads, 5, dim)
         follower_draws = block[:, 5 * heads * dim :].reshape(k, chain - heads, 2, dim)
-        r1, r2 = (
+        d1, d2 = (
             np.concatenate([head_draws[:, :, j], follower_draws[:, :, j]], axis=1)
             for j in (0, 1)
         )
-        draws = rules.DrawCursor([r1, r2] + [head_draws[:, :, j] for j in (2, 3, 4)])
 
         x = self.positions.reshape(k, chain, dim)
-        attractor = rules.local_attractor(x, ctx.food_position, draws)
+        attractor = rules.local_attractor(x, self.food_position, d1, d2)
         heads_moved = rules.quantum_update(
-            x[:, :heads], attractor[:, :heads], ctx.b_l, ctx.best_mean, ctx.w,
-            draws, cfg.c3_threshold,
+            x[:, :heads], attractor[:, :heads],
+            rules.contraction_expansion(l_eff, self.max_iterations),
+            self.pbest_positions.mean(axis=0), w,
+            head_draws[:, :, 2], head_draws[:, :, 3], head_draws[:, :, 4],
+            cfg.c3_threshold,
         )
         # rank-major copies, so that each rank's slab across the chains is
         # one contiguous (k, dim) block
         ranks = x.swapaxes(0, 1).copy()
         ranks[:heads] = heads_moved.swapaxes(0, 1)
         pulls = attractor.swapaxes(0, 1).copy()
+        c = rules.follower_coefficient(l_eff, self.max_iterations)
         for rank in range(heads, chain):
             ranks[rank] = rules.follower_update(
                 ranks[rank], ranks[rank - 1], ranks[rank - 2], pulls[rank],
-                ctx.c, cfg.momentum,
+                c, cfg.momentum,
             )
         self.positions = ranks.swapaxes(0, 1).reshape(self.n, dim)
 
@@ -221,7 +199,7 @@ class Qcsso(SwarmBase):
         # one (k, dim) draw equals k sequential draws of dim
         noise = self.rng.standard_normal((self.k, self.dim))
         probes = self.pbest_positions[bests] + noise * self.probe_sigma()
-        np.clip(probes, self.draw_lower, self.draw_upper, out=probes)
+        np.clip(probes, self.lower, self.upper, out=probes)
         values = self.problem.evaluate(probes)
         accepted = self.better(values, self.pbest_fitness[bests])
         self.pbest_positions[bests[accepted]] = probes[accepted]
@@ -256,9 +234,7 @@ class Qcsso(SwarmBase):
         return list(zip(a[close].tolist(), b[close].tolist()))
 
     def _reinit_members(self, members: np.ndarray) -> None:
-        fresh = self.rng.uniform(
-            self.draw_lower, self.draw_upper, size=(len(members), self.dim)
-        )
+        fresh = self.rng.uniform(self.lower, self.upper, size=(len(members), self.dim))
         self.positions[members] = fresh
         self.pbest_positions[members] = fresh
         self.pbest_fitness[members] = self.worst_value
@@ -292,11 +268,10 @@ class Qcsso(SwarmBase):
     def iterate(self) -> None:
         self.sync_dimension()
         self.last_change_detected = self.detect_change()
-        ctx = self.make_context()
         if self.l_window == 0:
-            self.ssa_bootstrap(ctx)
+            self.ssa_bootstrap()
         else:
-            self.swarm_update(ctx)
+            self.swarm_update()
         self.clamp_positions()
         self.evaluate_all()
         self.update_memory()

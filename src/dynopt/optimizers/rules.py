@@ -3,16 +3,12 @@
 Each rule has one implementation: the optimizers call these functions and
 the anchor tests pin them against hand-computed values.  Position
 arguments are arrays of the current dimension (scalars also work) or
-stacks of them, and every random draw is shaped like the position it
-moves.  Unit draws on (0, 1] are ``1 - rng.random(shape)``; each rule
-states its draw order, which fixes the random stream of a run.
-
-A rule reads its draws only through ``rng.random(shape)``, so a caller
-that moves many members at once may pass a :class:`DrawCursor` instead
-of a generator: the cursor hands out slots of one block drawn in advance.
-``Qcsso.swarm_update`` lays that block out member by member, in the
-order a loop over the members would draw, so one bulk draw consumes the
-stream exactly as the loop did.
+stacks of them.  The quantum rules take their random draws as
+arguments: unit draws on [0, 1), as ``Generator.random`` gives them, each
+shaped like the position it moves, which a rule maps onto (0, 1] as
+``1 - d``.  The caller draws them, so the caller fixes the random stream;
+``Qcsso.swarm_update`` takes one block per iteration, laid out as a loop
+over the members would draw.  ``salp_chain`` draws its own block.
 """
 
 from __future__ import annotations
@@ -27,35 +23,6 @@ CHAOTIC_SCALE = 3.0
 FOLLOWER_GAIN = 0.75
 
 
-class DrawCursor:
-    """Stand-in for ``rng`` that returns pre-drawn slots in order.
-
-    ``random(shape)`` returns the next slot as it is (a unit draw on
-    [0, 1), like ``Generator.random``).  A shape that differs from the
-    slot's, or a call past the last slot, raises ``ValueError``: either
-    means the caller's block layout and the rules' draw order disagree.
-    """
-
-    def __init__(self, slots) -> None:
-        self._slots = list(slots)
-        self._next = 0
-
-    def random(self, shape=None):
-        if self._next == len(self._slots):
-            raise ValueError("draw cursor ran past the end of its block")
-        slot = self._slots[self._next]
-        if shape is None:
-            wanted = ()
-        else:
-            wanted = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-        if slot.shape != wanted:
-            raise ValueError(
-                f"draw slot {self._next} has shape {slot.shape}, asked for {wanted}"
-            )
-        self._next += 1
-        return slot
-
-
 def logistic_step(w: float, d: float = LOGISTIC_D) -> float:
     """One step of the logistic map ``w' = d * w * (1 - w)``."""
     if not 0.0 < w < 1.0:
@@ -63,11 +30,11 @@ def logistic_step(w: float, d: float = LOGISTIC_D) -> float:
     return d * w * (1.0 - w)
 
 
-def chaotic_operator(w: float, rng: np.random.Generator, shape=None):
-    """Chaos-modulated scale ``u = 3 * w * (1 - w) * c4`` with c4 in (0, 1]."""
+def chaotic_operator(w: float, d4):
+    """Chaos-modulated scale ``u = 3 * w * (1 - w) * c4`` with ``c4 = 1 - d4``."""
     if not 0.0 < w < 1.0:
         raise ValueError("chaotic operator needs w inside (0, 1)")
-    c4 = 1.0 - rng.random(shape)  # (0, 1]; never zero, so u stays positive
+    c4 = 1.0 - d4  # (0, 1]; never zero, so u stays positive
     return CHAOTIC_SCALE * w * (1.0 - w) * c4
 
 
@@ -141,15 +108,14 @@ def salp_chain(positions, members, food, lower, upper, c1, rng) -> None:
     positions[members.T] = ranks
 
 
-def local_attractor(x, food, rng: np.random.Generator):
+def local_attractor(x, food, d1, d2):
     """Random convex blend of a position and the food position.
 
-    ``A = (r1 * x + r2 * food) / (r1 + r2)`` with r1, r2 in (0, 1], drawn
-    in that order.
+    ``A = (r1 * x + r2 * food) / (r1 + r2)`` with ``r1 = 1 - d1`` and
+    ``r2 = 1 - d2`` in (0, 1].
     """
-    shape = np.shape(x)
-    r1 = 1.0 - rng.random(shape)
-    r2 = 1.0 - rng.random(shape)
+    r1 = 1.0 - d1
+    r2 = 1.0 - d2
     return (r1 * x + r2 * food) / (r1 + r2)
 
 
@@ -159,20 +125,23 @@ def quantum_update(
     b_l: float,
     bestmean,
     w: float,
-    rng: np.random.Generator,
+    d4,
+    dr,
+    d3,
     c3_threshold: float = 0.5,
 ):
     """Quantum-style jump around the attractor.
 
-    Draw order is c4 (via the chaotic operator), then r, then the side
-    coin c3.  The displacement is ``B * |bestmean - x| * ln(r / u)`` and
-    is added where c3 exceeds the threshold, subtracted elsewhere.
-    Callers clamp the result to the search bounds.
+    ``d4``, ``dr`` and ``d3`` are the unit draws of c4 (through the
+    chaotic operator), r and the side coin c3, each mapped as ``1 - d``,
+    and a caller draws them in that order.  The displacement is
+    ``B * |bestmean - x| * ln(r / u)`` and is added where c3 exceeds the
+    threshold, subtracted elsewhere.  Callers clamp the result to the
+    search bounds.
     """
-    shape = np.shape(x)
-    u = chaotic_operator(w, rng, shape)
-    r = 1.0 - rng.random(shape)
-    c3 = 1.0 - rng.random(shape)
+    u = chaotic_operator(w, d4)
+    r = 1.0 - dr
+    c3 = 1.0 - d3
     step = b_l * np.abs(bestmean - x) * np.log(r / u)
     return attractor + np.where(c3 > c3_threshold, step, -step)
 

@@ -96,7 +96,7 @@ class BudgetedRecorder(DynamicObjective):
     def dimension(self) -> int:
         return self.problem.dimension()
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self) -> tuple[float, float]:
         return self.problem.bounds()
 
     def optimum_value(self) -> float:

@@ -49,9 +49,6 @@ class FakeRng:
     def standard_normal(self, size=None):
         return self._draw(self._normal, "standard_normal", size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return loc + scale * self._draw(self._normal, "standard_normal", size)
-
     def permutation(self, n):
         values = self._pop(self._perm, "permutation")
         assert len(values) == n, "scripted permutation has the wrong length"
@@ -95,10 +92,7 @@ class SwitchableProblem(DynamicObjective):
         return self._dim
 
     def bounds(self):
-        return (
-            np.full(self._dim, self._lower),
-            np.full(self._dim, self._upper),
-        )
+        return self._lower, self._upper
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         xs = self.check_dimension(xs)

@@ -27,7 +27,7 @@ from dynopt.optimizers.rules import (
 from dynopt.optimizers.runner import run
 from dynopt.cli import main as cli_main
 
-from conftest import FakeRng, evaluate_one
+from conftest import evaluate_one
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -172,9 +172,9 @@ def test_criterion_4_update_rule_anchors():
     """Quantum fixed point, schedule endpoints, and a million-step orbit."""
     problems = []
 
-    # with w = 0.5 the scripted draws make r equal u, so the jump vanishes
-    rng = FakeRng(random=[0.5, 0.625, 0.3])
-    value = quantum_update(0.2, 1.2345678901234567, 2.0, 4.0, 0.5, rng)
+    # with w = 0.5 the draws c4, r, c3 = 0.5, 0.625, 0.3 make r equal u,
+    # so the jump vanishes
+    value = quantum_update(0.2, 1.2345678901234567, 2.0, 4.0, 0.5, 0.5, 0.625, 0.3)
     if value != 1.2345678901234567:
         problems.append(f"quantum update at r=u returned {value!r}")
 

@@ -277,21 +277,11 @@ class TestPso:
         assert np.array_equal(a.velocities, b.velocities)
 
 
-class BoxProblem(StaticFunctionProblem):
-    """A sphere over a box whose bounds may differ per coordinate."""
-
-    def __init__(self, lower, upper):
-        super().__init__(lambda x: float(np.sum(x * x)), len(lower), -1.0, 1.0)
-        self._lower = np.array(lower, dtype=float)
-        self._upper = np.array(upper, dtype=float)
-
-
 class TestDrawBounds:
     def test_uniform_box_draws_with_python_floats(self):
         opt = make_ssa(population=4, dim=3)
-        assert (opt.draw_lower, opt.draw_upper) == (-5.0, 5.0)
-        assert type(opt.draw_lower) is float and type(opt.draw_upper) is float
-        assert opt.lower.tolist() == [-5.0] * 3 and opt.upper.tolist() == [5.0] * 3
+        assert (opt.lower, opt.upper) == (-5.0, 5.0)
+        assert type(opt.lower) is float and type(opt.upper) is float
 
     def test_scalar_bounds_draw_what_the_array_bounds_drew(self):
         for make in (make_ssa, make_pso):
@@ -300,15 +290,6 @@ class TestDrawBounds:
                 np.full(4, -5.0), np.full(4, 5.0), size=(7, 4)
             )
             assert opt.positions.tobytes() == expected.tobytes()
-
-    def test_mixed_box_keeps_array_bounds(self):
-        problem = BoxProblem([-1.0, -5.0, 0.0], [1.0, 5.0, 2.0])
-        opt = make_ssa(population=50, problem=problem)
-        assert opt.draw_lower is opt.lower and opt.draw_upper is opt.upper
-        assert np.all(opt.positions >= problem._lower)
-        assert np.all(opt.positions <= problem._upper)
-        lo, hi = opt._draw_bounds(1, 3)
-        assert lo.tolist() == [-5.0, 0.0] and hi.tolist() == [5.0, 2.0]
 
     def test_resize_draws_match_array_bounds(self):
         problem = SwitchableProblem(dimension=3)

@@ -126,6 +126,44 @@ class TestRawTables:
         with pytest.raises(ConfigError, match="missing rows"):
             read_raw_table(path)
 
+    def test_read_rejects_duplicate_rows(self, tmp_path):
+        # without the check the last row wins and this reads as a full 1x2 table
+        path = tmp_path / "raw_F2_T1_qcsso.csv"
+        path.write_text(
+            "run,change,E_last,r_last,r_1\n"
+            "0,0,1.0,0.5,0.5\n"
+            "0,1,1.0,0.5,0.5\n"
+            "0,1,2.0,0.5,0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="repeats a row"):
+            read_raw_table(path)
+
+    def test_read_accepts_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "raw_F2_T1_qcsso.csv"
+        path.write_text(
+            "run,change,E_last,r_last,r_1\n"
+            "1,0,3.0,0.5,0.5\n"
+            "0,1,2.0,0.5,0.5\n"
+            "1,1,4.0,0.5,0.5\n"
+            "0,0,1.0,0.5,0.5\n",
+            encoding="utf-8",
+        )
+        errors, _, _ = read_raw_table(path)
+        assert errors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_read_rejects_negative_index(self, tmp_path):
+        # without the check -1 indexes from the end and fills run 0
+        path = tmp_path / "raw_F2_T1_qcsso.csv"
+        path.write_text(
+            "run,change,E_last,r_last,r_1\n"
+            "-1,1,1.0,0.5,0.5\n"
+            "0,0,1.0,0.5,0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="negative index"):
+            read_raw_table(path)
+
     def test_read_rejects_headerless_data(self, tmp_path):
         path = tmp_path / "raw_F2_T1_qcsso.csv"
         path.write_text(

@@ -106,9 +106,8 @@ class TestConstruction:
 
     def test_bounds(self):
         inst = make_instance("F2", "T1", seed=3, overrides={"dimension": 6})
-        lower, upper = inst.bounds()
-        assert np.all(lower == -5.0) and np.all(upper == 5.0)
-        assert lower.shape == (6,)
+        assert inst.bounds() == (-5.0, 5.0)
+        assert all(type(b) is float for b in inst.bounds())
 
 
 class TestChangeBoundary:

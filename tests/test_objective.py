@@ -27,11 +27,10 @@ def test_value_and_optimum():
     assert prob.maximize is False
 
 
-def test_bounds_are_per_dimension_arrays():
-    prob = sphere_problem(dimension=4, lower=-2.0, upper=3.0)
-    lower, upper = prob.bounds()
-    assert lower.shape == (4,) and upper.shape == (4,)
-    assert np.all(lower == -2.0) and np.all(upper == 3.0)
+def test_bounds_are_one_float_pair():
+    prob = sphere_problem(dimension=4, lower=-2, upper=3)
+    assert prob.bounds() == (-2.0, 3.0)
+    assert all(type(b) is float for b in prob.bounds())
     assert prob.dimension() == 4
 
 

@@ -1,5 +1,6 @@
 """The multi-population quantum salp optimizer: structure and update rules."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,21 +9,18 @@ import pytest
 from dynopt.errors import ConfigError
 from dynopt.gdbg import make_instance
 from dynopt.optimizers import rules
-from dynopt.optimizers.qcsso import IterationContext, Qcsso, QcssoConfig, row_norms
+from dynopt.optimizers.qcsso import Qcsso, QcssoConfig, row_norms
 
 from conftest import FakeRng, SwitchableProblem, evaluate_one, sphere_problem
+
+
+# the follower gain at the start of a window, 0.75 * sin(pi/4)
+C_START = rules.follower_coefficient(0, 1)
 
 
 def make_opt(dim=5, budget=5600, config=None, seed=11, problem=None):
     problem = problem or sphere_problem(dimension=dim)
     return Qcsso(problem, seed=seed, budget=budget, config=config)
-
-
-def context_for(opt, **overrides):
-    ctx = opt.make_context()
-    for key, value in overrides.items():
-        setattr(ctx, key, value)
-    return ctx
 
 
 class TestConfig:
@@ -96,7 +94,7 @@ class TestStructure:
 
     def test_probe_sigma_tracks_bounds(self):
         opt = make_opt(dim=3)
-        assert np.allclose(opt.probe_sigma(), [1.0, 1.0, 1.0])
+        assert opt.probe_sigma() == 1.0
 
     def test_radius_and_sigma_follow_a_dimension_change(self):
         problem = SwitchableProblem(dimension=4)
@@ -104,41 +102,57 @@ class TestStructure:
         problem.shift(dimension=9)
         opt.sync_dimension()
         assert opt.exclusion_radius() == 0.1 * float(np.linalg.norm(np.full(9, 10.0)))
-        assert opt.probe_sigma().tolist() == [1.0] * 9
+        assert opt.probe_sigma() == 1.0
 
 
 class TestContext:
+    """The iteration's coefficients, as ``swarm_update`` reads them off the swarm."""
+
     def test_best_mean_is_mean_over_all_pbests(self):
-        opt = make_opt(dim=2, config=QcssoConfig(population=4, subpopulations=2))
+        opt = make_opt(dim=2, budget=700,  # 700 // (4 + 2 + 1) = 100 iterations
+                       config=QcssoConfig(population=4, subpopulations=2))
         opt.pbest_positions = np.array(
             [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [5.0, 2.0]]
         )
-        ctx = opt.make_context()
-        assert np.array_equal(ctx.best_mean, [2.0, 2.0])
+        assert_update_uses(opt, w=0.96, b_l=100.0, c=C_START,
+                           best_mean=np.array([2.0, 2.0]))
 
     def test_fixed_w(self):
-        assert make_opt().make_context().w == 0.96
+        assert_update_uses(make_opt(), w=0.96, b_l=100.0, c=C_START)
 
     def test_schedule_values_at_start(self):
         opt = make_opt(budget=5600)
-        ctx = opt.make_context()
-        assert ctx.l == 0
-        assert ctx.max_iterations == 100
-        assert ctx.b_l == 100.0
-        assert abs(ctx.c - 0.5303300858899106) < 1e-12
+        assert opt.l_window == 0
+        assert opt.max_iterations == 100
+        assert abs(C_START - 0.5303300858899106) < 1e-12
+        assert_update_uses(opt, w=0.96, b_l=100.0, c=C_START)
 
     def test_iteration_index_capped_at_horizon(self):
         opt = make_opt(budget=5600)
         opt.l_window = opt.max_iterations + 5
-        ctx = opt.make_context()
-        assert ctx.b_l == 0.0
-        assert ctx.c == 0.0
+        assert_update_uses(opt, w=0.96, b_l=0.0, c=0.0)
 
-    def test_context_snapshots_food(self):
+    def test_past_horizon_heads_land_on_attractors(self):
+        # B = 0: the heads land on their attractors; C = 0: a follower
+        # takes its predecessor's place plus momentum only
+        opt = make_opt(dim=1, config=QcssoConfig(population=6, subpopulations=2))
+        opt.l_window = opt.max_iterations + 5
+        opt.positions = np.array([[1.0], [2.0], [3.0], [-1.0], [-2.0], [-3.0]])
+        opt.food_position = np.array([0.0])
+        opt.rng = FakeRng(random=[0.5] * 24)  # attractor = (x + food) / 2
+        opt.swarm_update()
+        assert opt.positions[:, 0].tolist() == [0.5, 1.0, 1.25, -0.5, -1.0, -1.25]
+        assert opt.rng.exhausted()
+
+    def test_update_leaves_the_food_alone(self):
         opt = make_opt()
-        ctx = opt.make_context()
-        ctx.food_position[0] = 99.0
-        assert opt.food_position[0] != 99.0
+        food = opt.food_position
+        before = food.copy()
+        opt.ssa_bootstrap()
+        opt.l_window = 1
+        opt.swarm_update()
+        assert opt.food_position is food
+        assert food.tobytes() == before.tobytes()
 
 
 class TestSsaBootstrap:
@@ -149,9 +163,9 @@ class TestSsaBootstrap:
         opt.positions = np.array([[0.0], [5.0], [0.0], [-4.0]])
         rng = FakeRng(random=[0.6, 0.7, 0.2, 0.3])
         opt.rng = rng
-        ctx = context_for(opt, l=0, max_iterations=10,
-                          food_position=np.array([1.0]))
-        opt.ssa_bootstrap(ctx)
+        opt.l_window, opt.max_iterations = 0, 10
+        opt.food_position = np.array([1.0])
+        opt.ssa_bootstrap()
         # c1 = 2 at l = 0; chain one: step = 2*(10*0.6 - 5) = 2, side up
         assert abs(opt.positions[0, 0] - 3.0) < 1e-12
         # follower averages its old position with the fresh leader, in place
@@ -163,11 +177,12 @@ class TestSsaBootstrap:
 
     def test_leader_shrinks_with_iteration(self):
         opt = make_opt(dim=1, config=QcssoConfig(population=2, subpopulations=1))
-        food = np.array([0.0])
+        opt.food_position = np.array([0.0])
+        opt.max_iterations = 10
         for l, expected_c1 in ((0, 2.0), (5, 2.0 * math.exp(-4.0))):
             opt.rng = FakeRng(random=[1.0, 1.0])  # c2 = 1, side up
-            ctx = context_for(opt, l=l, max_iterations=10, food_position=food)
-            opt.ssa_bootstrap(ctx)
+            opt.l_window = l
+            opt.ssa_bootstrap()
             # step = c1 * (10*1 - 5) = 5 * c1
             assert abs(opt.positions[0, 0] - 5.0 * expected_c1) < 1e-12
 
@@ -175,15 +190,14 @@ class TestSsaBootstrap:
 class TestSwarmUpdate:
     def test_scripted_leaders_and_follower(self):
         opt = make_opt(
-            dim=1, config=QcssoConfig(population=6, subpopulations=2)
+            dim=1, config=QcssoConfig(population=6, subpopulations=2, w_fixed=0.5)
         )
         opt.positions = np.array([[1.0], [2.0], [3.0], [-1.0], [-2.0], [-3.0]])
+        opt.pbest_positions = np.ones((6, 1))  # best mean 1
+        opt.food_position = np.array([0.0])
+        opt.l_window, opt.max_iterations = 0, 2  # B = 2, C = C_START
         opt.rng = FakeRng(random=[0.5] * 24)
-        ctx = context_for(
-            opt, w=0.5, b_l=2.0, c=0.5,
-            best_mean=np.array([1.0]), food_position=np.array([0.0]),
-        )
-        opt.swarm_update(ctx)
+        opt.swarm_update()
 
         # all unit draws are 0.5: attractor = (x + food)/2,
         # u = 3*0.5*0.5*0.5 = 0.375, r = 0.5, c3 = 0.5 (not above threshold)
@@ -196,13 +210,13 @@ class TestSwarmUpdate:
         assert abs(opt.positions[0, 0] - x0) < 1e-12
         assert abs(opt.positions[1, 0] - x1) < 1e-12
         # follower reads both predecessors after their in-place updates
-        follower = x1 + 0.5 * (3.0 / 2.0 - 3.0) + 0.5 * (x1 - x0)
+        follower = x1 + C_START * (3.0 / 2.0 - 3.0) + 0.5 * (x1 - x0)
         assert abs(opt.positions[2, 0] - follower) < 1e-12
 
         x3, x4 = leader(-1.0), leader(-2.0)
         assert abs(opt.positions[3, 0] - x3) < 1e-12
         assert abs(opt.positions[4, 0] - x4) < 1e-12
-        follower2 = x4 + 0.5 * (-3.0 / 2.0 + 3.0) + 0.5 * (x4 - x3)
+        follower2 = x4 + C_START * (-3.0 / 2.0 + 3.0) + 0.5 * (x4 - x3)
         assert abs(opt.positions[5, 0] - follower2) < 1e-12
         assert opt.rng.exhausted()
 
@@ -215,26 +229,28 @@ class TestSwarmUpdate:
         opt.positions = np.zeros((4, 1))
         # 3 leaders x 5 draws + 1 follower x 2 draws
         opt.rng = FakeRng(random=[0.5] * 17)
-        ctx = context_for(
-            opt, w=0.5, b_l=1.0, c=0.5,
-            best_mean=np.array([0.0]), food_position=np.array([0.0]),
-        )
-        opt.swarm_update(ctx)
+        opt.swarm_update()
         assert opt.rng.exhausted()
 
 
-def reference_swarm_update(opt, ctx):
-    """The swarm update as a loop over the members, straight from ``rules``."""
+def reference_swarm_update(opt, b_l, best_mean, w, c):
+    """The swarm update as a loop over the members, straight from ``rules``.
+
+    This is the stream order of an iteration: chain by chain, member by
+    member, each member draws r1 then r2 for its attractor, and a head then
+    draws c4, r and c3 for its jump.
+    """
     cfg = opt.config
-    for c in range(opt.k):
-        members = np.arange(c * opt.chain, (c + 1) * opt.chain)
+    for chain in range(opt.k):
+        members = np.arange(chain * opt.chain, (chain + 1) * opt.chain)
         for rank, idx in enumerate(members):
             x = opt.positions[idx]
-            attractor = rules.local_attractor(x, ctx.food_position, opt.rng)
+            d1, d2 = opt.rng.random((2, opt.dim))
+            attractor = rules.local_attractor(x, opt.food_position, d1, d2)
             if rank < cfg.leaders_per_chain:
+                d4, dr, d3 = opt.rng.random((3, opt.dim))
                 opt.positions[idx] = rules.quantum_update(
-                    x, attractor, ctx.b_l, ctx.best_mean, ctx.w, opt.rng,
-                    cfg.c3_threshold,
+                    x, attractor, b_l, best_mean, w, d4, dr, d3, cfg.c3_threshold,
                 )
             else:
                 opt.positions[idx] = rules.follower_update(
@@ -242,9 +258,24 @@ def reference_swarm_update(opt, ctx):
                     opt.positions[members[rank - 1]],
                     opt.positions[members[rank - 2]],
                     attractor,
-                    ctx.c,
+                    c,
                     cfg.momentum,
                 )
+
+
+def assert_update_uses(opt, w, b_l, c, best_mean=None):
+    """``swarm_update`` moves a copy of ``opt`` exactly as the member loop
+    moves another copy with these coefficients; ``opt`` is left as it was.
+
+    ``best_mean`` defaults to the mean of the pbests.
+    """
+    if best_mean is None:
+        best_mean = opt.pbest_positions.mean(axis=0)
+    fast, slow = copy.deepcopy(opt), copy.deepcopy(opt)
+    fast.swarm_update()
+    reference_swarm_update(slow, b_l, best_mean, w, c)
+    assert fast.positions.tobytes() == slow.positions.tobytes()
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
 class TestSwarmUpdateMatchesMemberLoop:
@@ -259,20 +290,17 @@ class TestSwarmUpdateMatchesMemberLoop:
             subpopulations=subpopulations,
             leaders_per_chain=chain if leaders == "chain" else leaders,
         )
-        twins = [
-            Qcsso(make_instance(function_id, "T1", 5), seed=9, budget=10**6,
-                  frequency=5000, config=cfg)
-            for _ in range(2)
-        ]
-        for opt in twins:
-            for _ in range(3):  # a bootstrap, then two lockstep updates
-                opt.iterate()
-        assert twins[0].maximize is (function_id == "F1(10)")
-        fast, slow = twins
-        fast.swarm_update(fast.make_context())
-        reference_swarm_update(slow, slow.make_context())
-        assert fast.positions.tobytes() == slow.positions.tobytes()
-        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+        opt = Qcsso(make_instance(function_id, "T1", 5), seed=9, budget=10**6,
+                    frequency=5000, config=cfg)
+        for _ in range(3):  # a bootstrap, then two lockstep updates
+            opt.iterate()
+        assert opt.maximize is (function_id == "F1(10)")
+        assert opt.l_window == 3
+        assert_update_uses(
+            opt, w=0.96,
+            b_l=rules.contraction_expansion(3, opt.max_iterations),
+            c=rules.follower_coefficient(3, opt.max_iterations),
+        )
 
 
 class TestMemory:
@@ -578,6 +606,21 @@ class TestChangeResponse:
         assert np.all(opt.positions >= opt.lower - 1e-12)
         assert np.all(opt.positions <= opt.upper + 1e-12)
 
+    def test_t7_walk_keeps_the_box_and_rescales_the_radius(self):
+        inst = make_instance("F3", "T7", 11, overrides={"change_frequency": 200})
+        opt = Qcsso(inst, seed=29, budget=10**6, frequency=200)
+        dims = {opt.dim}
+        for _ in range(12):
+            opt.iterate()
+            opt.sync_dimension()  # a change may fall inside the iteration
+            dims.add(opt.dim)
+            assert opt.dim == inst.dimension()
+            assert (opt.lower, opt.upper) == (-5.0, 5.0) == inst.bounds()
+            radius = 0.1 * float(np.linalg.norm(np.full(opt.dim, 10.0)))
+            assert opt.exclusion_radius() == radius
+            assert np.all(np.abs(opt.positions) <= 5.0)
+        assert len(dims) > 2
+
     def test_dimension_shrink(self):
         problem = SwitchableProblem(dimension=6)
         opt = Qcsso(problem, seed=27, budget=10_000)
@@ -593,13 +636,29 @@ class TestChaoticInertia:
     def test_state_advances_through_the_logistic_map(self):
         cfg = QcssoConfig(w_mode="chaotic", w_init=0.70)
         opt = make_opt(config=cfg)
-        assert opt.make_context().w == 0.70
+        assert opt._w_state == 0.70
+        assert_update_uses(opt, w=0.70, b_l=100.0, c=C_START)
         opt.iterate()
         assert abs(opt._w_state - 0.84) < 1e-12
         opt.iterate()
         assert abs(opt._w_state - 0.5376) < 1e-12
 
+    def test_next_update_jumps_with_the_advanced_state(self):
+        opt = make_opt(config=QcssoConfig(w_mode="chaotic", w_init=0.70))
+        opt.iterate()
+        opt.iterate()
+        assert_update_uses(
+            opt, w=rules.logistic_step(rules.logistic_step(0.70)),
+            b_l=rules.contraction_expansion(2, 100),
+            c=rules.follower_coefficient(2, 100),
+        )
+
     def test_fixed_mode_ignores_the_state(self):
         opt = make_opt()
         opt.iterate()
-        assert opt.make_context().w == 0.96
+        assert opt._w_state == 0.70
+        assert_update_uses(
+            opt, w=0.96,
+            b_l=rules.contraction_expansion(1, 100),
+            c=rules.follower_coefficient(1, 100),
+        )

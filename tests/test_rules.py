@@ -40,26 +40,26 @@ class TestLogisticStep:
 class TestChaoticOperator:
     def test_full_draw(self):
         # c4 = 1 - 0.0 = 1: u = 3 * 0.96 * 0.04
-        u = rules.chaotic_operator(0.96, FakeRng(random=[0.0]))
+        u = rules.chaotic_operator(0.96, 0.0)
         assert abs(u - 0.1152) < 1e-12
 
     def test_half_draw(self):
-        u = rules.chaotic_operator(0.96, FakeRng(random=[0.5]))
+        u = rules.chaotic_operator(0.96, 0.5)
         assert abs(u - 0.0576) < 1e-12
 
     def test_peak_state(self):
-        assert rules.chaotic_operator(0.5, FakeRng(random=[0.0])) == 0.75
+        assert rules.chaotic_operator(0.5, 0.0) == 0.75
 
     def test_never_zero(self):
         # the unit draw is mapped onto (0, 1], so u stays strictly positive
         rng = np.random.default_rng(97)
         for _ in range(1000):
-            assert rules.chaotic_operator(0.96, rng) > 0.0
+            assert rules.chaotic_operator(0.96, rng.random()) > 0.0
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, 2.0])
     def test_rejects_degenerate_state(self, bad):
         with pytest.raises(ValueError):
-            rules.chaotic_operator(bad, FakeRng(random=[0.5]))
+            rules.chaotic_operator(bad, 0.5)
 
 
 class TestContractionExpansion:
@@ -118,46 +118,59 @@ class TestFollowerCoefficient:
 class TestLocalAttractor:
     def test_hand_value(self):
         # r1 = 0.25, r2 = 0.75 -> (0.25*1 + 0.75*5) / 1.0 = 4.0
-        rng = FakeRng(random=[0.75, 0.25])
-        assert rules.local_attractor(1.0, 5.0, rng) == 4.0
+        assert rules.local_attractor(1.0, 5.0, 0.75, 0.25) == 4.0
 
     def test_equal_draws_give_midpoint(self):
-        rng = FakeRng(random=[0.5, 0.5])
-        assert rules.local_attractor(2.0, 6.0, rng) == 4.0
+        assert rules.local_attractor(2.0, 6.0, 0.5, 0.5) == 4.0
 
     def test_always_between_position_and_food(self):
         rng = np.random.default_rng(101)
         for _ in range(1000):
-            a = rules.local_attractor(-3.0, 7.0, rng)
+            a = rules.local_attractor(-3.0, 7.0, rng.random(), rng.random())
             assert -3.0 <= a <= 7.0
 
 
 class TestArrayForms:
     def test_chaotic_operator_draws_one_c4_per_coordinate(self):
-        u = rules.chaotic_operator(0.5, FakeRng(random=[0.0, 0.5]), (2,))
+        u = rules.chaotic_operator(0.5, np.array([0.0, 0.5]))
         assert u.tolist() == [0.75, 0.375]
 
     def test_attractor_draws_the_r1_block_then_the_r2_block(self):
-        rng = FakeRng(random=[0.75, 0.5, 0.25, 0.5])
-        value = rules.local_attractor(np.array([1.0, 2.0]), np.array([5.0, 6.0]), rng)
+        value = rules.local_attractor(
+            np.array([1.0, 2.0]), np.array([5.0, 6.0]),
+            np.array([0.75, 0.5]), np.array([0.25, 0.5]),
+        )
         assert value.tolist() == [4.0, 4.0]
-        assert rng.exhausted()
 
     def test_quantum_update_matches_scalar_calls_per_coordinate(self):
         x, attractor, bestmean = [1.0, -2.0], [1.0, 0.8125], [1.5, 3.0]
         c4, r, c3 = [0.75, 0.5], [0.625, 0.625], [0.1, 0.3]
         value = rules.quantum_update(
             np.array(x), np.array(attractor), 2.0, np.array(bestmean), 0.5,
-            FakeRng(random=c4 + r + c3),
+            np.array(c4), np.array(r), np.array(c3),
         )
         for k in range(2):
             scalar = rules.quantum_update(
-                x[k], attractor[k], 2.0, bestmean[k], 0.5,
-                FakeRng(random=[c4[k], r[k], c3[k]]),
+                x[k], attractor[k], 2.0, bestmean[k], 0.5, c4[k], r[k], c3[k],
             )
             assert value[k] == scalar
         assert value[0] == 1.0 + math.log(2.0)
         assert value[1] == 0.8125  # r equals u, so the jump vanishes
+
+    def test_stacked_draws_equal_one_call_per_member(self):
+        # swarm_update moves (chains, members, dim) stacks with one call
+        rng = np.random.default_rng(107)
+        x, food, bestmean = rng.uniform(-5.0, 5.0, (3, 4, 2)), rng.uniform(-5.0, 5.0, 2), 1.5
+        d1, d2, d4, dr, d3 = rng.random((5, 3, 4, 2))
+        attractor = rules.local_attractor(x, food, d1, d2)
+        moved = rules.quantum_update(x, attractor, 2.0, bestmean, 0.96, d4, dr, d3)
+        for idx in np.ndindex(3, 4):
+            one = rules.local_attractor(x[idx], food, d1[idx], d2[idx])
+            assert one.tobytes() == attractor[idx].tobytes()
+            jump = rules.quantum_update(
+                x[idx], one, 2.0, bestmean, 0.96, d4[idx], dr[idx], d3[idx]
+            )
+            assert jump.tobytes() == moved[idx].tobytes()
 
 
 def salp_chain_by_ranks(positions, members, food, lower, upper, c1, rng):
@@ -248,86 +261,50 @@ class TestSalpChain:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-class TestDrawCursor:
-    def test_hands_out_slots_in_order(self):
-        first, second = np.zeros((2, 3)), np.full(4, 0.5)
-        cursor = rules.DrawCursor([first, second, np.array(0.25)])
-        assert cursor.random((2, 3)) is first
-        assert cursor.random(4) is second
-        assert cursor.random() == 0.25
-
-    def test_shape_mismatch_raises(self):
-        cursor = rules.DrawCursor([np.zeros((2, 3))])
-        with pytest.raises(ValueError, match="shape"):
-            cursor.random((3, 2))
-        with pytest.raises(ValueError, match="shape"):
-            cursor.random()
-
-    def test_running_past_the_block_raises(self):
-        cursor = rules.DrawCursor([np.zeros(2)])
-        cursor.random(2)
-        with pytest.raises(ValueError, match="past the end"):
-            cursor.random(2)
-
-    def test_rules_read_a_cursor_like_a_generator(self):
-        slots = [np.full(2, 0.75), np.full(2, 0.25)]
-        value = rules.local_attractor(np.array([1.0, 1.0]), np.array([5.0, 5.0]),
-                                      rules.DrawCursor(slots))
-        assert value.tolist() == [4.0, 4.0]
-
-
 class TestQuantumUpdate:
     def test_hand_value(self):
         # w=0.5: u = 0.75*c4; c4=0.25 -> u=0.1875, r=0.375 -> ln(2);
         # step = 2 * 0.5 * ln 2, added since c3 = 0.9 > 0.5
-        rng = FakeRng(random=[0.75, 0.625, 0.1])
         value = rules.quantum_update(
-            x=1.0, attractor=1.0, b_l=2.0, bestmean=1.5, w=0.5, rng=rng
+            x=1.0, attractor=1.0, b_l=2.0, bestmean=1.5, w=0.5,
+            d4=0.75, dr=0.625, d3=0.1,
         )
         assert value == 1.0 + math.log(2.0)
 
     def test_matched_draws_return_attractor_exactly(self):
         # r == u makes the logarithm vanish, leaving A untouched
-        rng = FakeRng(random=[0.5, 0.625, 0.3])  # u = 0.375, r = 0.375
+        # u = 0.375, r = 0.375
         value = rules.quantum_update(
-            x=-2.0, attractor=0.8125, b_l=5.0, bestmean=3.0, w=0.5, rng=rng
+            x=-2.0, attractor=0.8125, b_l=5.0, bestmean=3.0, w=0.5,
+            d4=0.5, dr=0.625, d3=0.3,
         )
         assert value == 0.8125
 
     def test_low_coin_subtracts_the_step(self):
-        plus = rules.quantum_update(
-            1.0, 1.0, 2.0, 1.5, 0.5, FakeRng(random=[0.75, 0.625, 0.1])
-        )
-        minus = rules.quantum_update(
-            1.0, 1.0, 2.0, 1.5, 0.5, FakeRng(random=[0.75, 0.625, 0.9])
-        )
+        plus = rules.quantum_update(1.0, 1.0, 2.0, 1.5, 0.5, 0.75, 0.625, 0.1)
+        minus = rules.quantum_update(1.0, 1.0, 2.0, 1.5, 0.5, 0.75, 0.625, 0.9)
         assert plus == 1.0 + math.log(2.0)
         assert minus == 1.0 - math.log(2.0)
 
     def test_threshold_is_configurable(self):
         # c3 = 0.4 subtracts at the default threshold but adds below it
         draws = [0.75, 0.625, 0.6]
-        low = rules.quantum_update(
-            1.0, 1.0, 2.0, 1.5, 0.5, FakeRng(random=list(draws)), c3_threshold=0.3
-        )
-        high = rules.quantum_update(
-            1.0, 1.0, 2.0, 1.5, 0.5, FakeRng(random=list(draws)), c3_threshold=0.5
-        )
+        low = rules.quantum_update(1.0, 1.0, 2.0, 1.5, 0.5, *draws, c3_threshold=0.3)
+        high = rules.quantum_update(1.0, 1.0, 2.0, 1.5, 0.5, *draws, c3_threshold=0.5)
         assert low == 1.0 + math.log(2.0)
         assert high == 1.0 - math.log(2.0)
 
     def test_zero_amplitude_pins_to_attractor(self):
         rng = np.random.default_rng(103)
         for _ in range(50):
-            assert rules.quantum_update(4.0, 2.5, 0.0, -1.0, 0.96, rng) == 2.5
+            draws = rng.random(3)
+            assert rules.quantum_update(4.0, 2.5, 0.0, -1.0, 0.96, *draws) == 2.5
 
     def test_draw_order_is_c4_then_r_then_c3(self):
-        # recreate the same arithmetic by consuming the shared queue manually
+        # recreate the same arithmetic from the three draws by hand
         draws = [0.2, 0.7, 0.4]
         x, attractor, b_l, bestmean, w = -1.0, 0.5, 1.25, 2.0, 0.96
-        value = rules.quantum_update(
-            x, attractor, b_l, bestmean, w, FakeRng(random=list(draws))
-        )
+        value = rules.quantum_update(x, attractor, b_l, bestmean, w, *draws)
         u = 3.0 * w * (1.0 - w) * (1.0 - draws[0])
         r = 1.0 - draws[1]
         c3 = 1.0 - draws[2]

@@ -46,7 +46,7 @@ class ScriptedProblem(DynamicObjective):
         return self._dim
 
     def bounds(self):
-        return np.full(self._dim, -5.0), np.full(self._dim, 5.0)
+        return -5.0, 5.0
 
     def evaluate(self, xs):
         values = []
@@ -213,9 +213,7 @@ class TestRecorder:
         assert rec.dimension() == 3
         assert rec.maximize is True
         assert rec.optimum_value() == 0.0
-        lower, upper = rec.bounds()
-        assert lower.shape == (3,)
-        assert np.all(upper == 5.0)
+        assert rec.bounds() == (-5.0, 5.0)
 
 
 class TestRun:
