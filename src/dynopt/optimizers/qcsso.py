@@ -20,7 +20,7 @@ import numpy as np
 from dynopt.errors import ConfigError
 from dynopt.objective import DynamicObjective
 from dynopt.optimizers import rules
-from dynopt.optimizers.base import SwarmBase
+from dynopt.optimizers.base import SwarmBase, clip_in_place
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -88,6 +88,7 @@ class Qcsso(SwarmBase):
         # member indices, one row per chain
         self._chains = np.arange(self.n).reshape(self.k, self.chain)
         self._pairs = np.triu_indices(self.k, 1)
+        self._pair_list = list(zip(*(side.tolist() for side in self._pairs)))
         self._w_state = cfg.w_init
 
         self.start_memory(pbests=True)
@@ -123,9 +124,6 @@ class Qcsso(SwarmBase):
         best = by_chain.argmax(axis=1) if self.maximize else by_chain.argmin(axis=1)
         return self._chains[:, 0] + best
 
-    def global_best_index(self) -> int:
-        return self.argbest(self.pbest_fitness)
-
     # -- iteration pieces ------------------------------------------------------
 
     def ssa_bootstrap(self) -> None:
@@ -143,10 +141,9 @@ class Qcsso(SwarmBase):
         draws, laid out as a loop over the members would draw them: chain
         by chain, member by member, r1 and r2 for every member, then c4, r
         and c3 for a head.  Attractors and head jumps are one array step
-        each; followers advance one rank at a time across the chains, each
-        reading its two predecessors as already moved (with fewer than two
-        heads the first ranks read the chain's not yet moved tail).  Past
-        the window's horizon the schedule holds at its end: B = C = 0.
+        each; ``rules.follower_chain`` then moves the followers one rank at
+        a time across the chains.  Past the window's horizon the schedule
+        holds at its end: B = C = 0.
         """
         cfg = self.config
         k, chain, dim = self.k, self.chain, self.dim
@@ -163,57 +160,68 @@ class Qcsso(SwarmBase):
 
         x = self.positions.reshape(k, chain, dim)
         attractor = rules.local_attractor(x, self.food_position, d1, d2)
+        # the mean of the pbests, as ``mean(axis=0)`` computes it
+        best_mean = np.add.reduce(self.pbest_positions, axis=0) / self.n
         heads_moved = rules.quantum_update(
             x[:, :heads], attractor[:, :heads],
             rules.contraction_expansion(l_eff, self.max_iterations),
-            self.pbest_positions.mean(axis=0), w,
+            best_mean, w,
             head_draws[:, :, 2], head_draws[:, :, 3], head_draws[:, :, 4],
             cfg.c3_threshold,
         )
-        # rank-major copies, so that each rank's slab across the chains is
-        # one contiguous (k, dim) block
+        # rank-major, so that each rank's slab across the chains is one
+        # contiguous (k, dim) block
         ranks = x.swapaxes(0, 1).copy()
         ranks[:heads] = heads_moved.swapaxes(0, 1)
-        pulls = attractor.swapaxes(0, 1).copy()
-        c = rules.follower_coefficient(l_eff, self.max_iterations)
-        for rank in range(heads, chain):
-            ranks[rank] = rules.follower_update(
-                ranks[rank], ranks[rank - 1], ranks[rank - 2], pulls[rank],
-                c, cfg.momentum,
-            )
+        rules.follower_chain(
+            ranks, attractor.swapaxes(0, 1), heads,
+            rules.follower_coefficient(l_eff, self.max_iterations), cfg.momentum,
+        )
         self.positions = ranks.swapaxes(0, 1).reshape(self.n, dim)
 
-    def update_memory(self) -> None:
-        """Refresh pbests and the food position."""
+    def update_memory(self) -> np.ndarray:
+        """Refresh the pbests; return each chain's best index.
+
+        The food is left as it was: nothing reads it before
+        ``overlap_search``, which refreshes it once, after its probes.
+        """
         self.update_pbests()
-        self._refresh_food()
+        return self.subpop_best_indices()
 
-    def _refresh_food(self) -> None:
-        best = self.argbest(self.pbest_fitness)
-        self.food_position = self.pbest_positions[best].copy()
-        self.food_fitness = float(self.pbest_fitness[best])
+    def overlap_search(self, bests: np.ndarray) -> None:
+        """Probe around each chain's best, then enforce inter-chain exclusion.
 
-    def overlap_search(self) -> None:
-        """Probe around each chain's best, then enforce inter-chain exclusion."""
-        bests = self.subpop_best_indices()
+        ``bests`` holds each chain's best index, as ``subpop_best_indices``
+        gives it, and stays so: an accepted probe is strictly better than
+        its chain's best, so it improves that member in place, and a
+        recycled chain's best becomes its first member, updated here.  The
+        chain holding the best of the bests holds the global best; after
+        the probes it becomes the food, and it is never recycled, by
+        exclusion or by aging, so the food stays the best pbest for the
+        rest of the iteration.
+        """
         # one (k, dim) draw equals k sequential draws of dim
         noise = self.rng.standard_normal((self.k, self.dim))
-        probes = self.pbest_positions[bests] + noise * self.probe_sigma()
-        np.clip(probes, self.lower, self.upper, out=probes)
+        probes = self.pbest_positions.take(bests, axis=0) + noise * self.probe_sigma()
+        clip_in_place(probes, self.lower, self.upper)
         values = self.problem.evaluate(probes)
         accepted = self.better(values, self.pbest_fitness[bests])
-        self.pbest_positions[bests[accepted]] = probes[accepted]
-        self.pbest_fitness[bests[accepted]] = values[accepted]
+        if np.count_nonzero(accepted):
+            self.pbest_positions[bests[accepted]] = probes[accepted]
+            self.pbest_fitness[bests[accepted]] = values[accepted]
+        centres = self.pbest_positions.take(bests, axis=0)
+        fitness = self.pbest_fitness[bests]
+        protected = self.argbest(fitness)
+        self.food_position = centres[protected]
+        self.food_fitness = float(fitness[protected])
         # exclusion: chains whose bests share a basin restart, except the
         # chain holding the global best which is never recycled
-        bests = self.subpop_best_indices()
-        protected = self.global_best_index() // self.chain
-        fitness = self.pbest_fitness[bests].tolist()
+        scores = fitness.tolist()
         doomed: set[int] = set()
-        for a, b in self._close_pairs(bests):
-            if self.better(fitness[a], fitness[b]):
+        for a, b in self._close_pairs(centres):
+            if self.better(scores[a], scores[b]):
                 worse = b
-            elif self.better(fitness[b], fitness[a]):
+            elif self.better(scores[b], scores[a]):
                 worse = a
             else:
                 worse = max(a, b)
@@ -222,44 +230,69 @@ class Qcsso(SwarmBase):
             doomed.add(worse)
         self.last_excluded_subpops = sorted(doomed)
         if doomed:
+            chains = self._chains[self.last_excluded_subpops]
             # one draw for all doomed chains equals one draw per chain in order
-            self._reinit_members(self._chains[self.last_excluded_subpops].ravel())
-            self._refresh_food()
+            fresh = self.rng.uniform(
+                self.lower, self.upper, size=(chains.size, self.dim)
+            )
+            self._reinit_members(chains.ravel(), fresh)
+            bests[self.last_excluded_subpops] = chains[:, 0]
 
-    def _close_pairs(self, bests: np.ndarray) -> list[tuple[int, int]]:
-        """The chain pairs ``(a, b)``, a < b, whose bests lie within the radius."""
+    def _close_pairs(self, centres: np.ndarray) -> list[tuple[int, int]]:
+        """The chain pairs ``(a, b)``, a < b, whose bests lie within the radius.
+
+        ``centres`` holds the position of each chain's best, one row per chain.
+        """
         a, b = self._pairs
-        diff = self.pbest_positions[bests[a]] - self.pbest_positions[bests[b]]
+        diff = centres.take(a, axis=0) - centres.take(b, axis=0)
         close = row_norms(diff) < self.exclusion_radius()
-        return list(zip(a[close].tolist(), b[close].tolist()))
+        return [self._pair_list[i] for i in close.nonzero()[0].tolist()]
 
-    def _reinit_members(self, members: np.ndarray) -> None:
-        fresh = self.rng.uniform(self.lower, self.upper, size=(len(members), self.dim))
+    def _reinit_members(self, members: np.ndarray, fresh: np.ndarray) -> None:
+        """Restart ``members`` at the rows of ``fresh`` with empty memory."""
         self.positions[members] = fresh
         self.pbest_positions[members] = fresh
         self.pbest_fitness[members] = self.worst_value
         self.ages[members] = 0
 
-    def aging_step(self) -> list[int]:
+    def aging_step(self, bests: np.ndarray) -> list[int]:
         """Recycle stale salps; the global-best holder is never touched.
 
-        A member past its age limit (the longer one for a chain best)
-        flips a coin, in index order, and is recycled when it lands under
-        the reinit probability; every other member ages by one.
+        ``bests`` holds each chain's best index, as ``subpop_best_indices``
+        gives it.  A member past its age limit (the longer one for a chain
+        best) flips a coin, in index order, and is recycled when it lands
+        under the reinit probability; every other member ages by one.
+
+        The stream is the one a scalar loop draws: a ``random()`` coin per
+        candidate, and after each coin under the probability the member's
+        fresh position, ``dim`` unit draws read as ``uniform`` reads them,
+        before the next coin.  The coins come as one block, and each
+        recycle extends the block by the ``dim`` draws its position adds,
+        so the block never runs ahead of the loop's stream.
         """
         cfg = self.config
-        limits = np.full(self.n, cfg.min_age_limit)
-        limits[self.subpop_best_indices()] = cfg.max_age_limit
-        grows = np.ones(self.n, dtype=bool)
-        grows[self.global_best_index()] = False
+        ages = self.ages
+        protected = bests[self.argbest(self.pbest_fitness[bests])]
+        stale = ages > cfg.min_age_limit
+        stale[bests] = ages[bests] > cfg.max_age_limit
+        stale[protected] = False
+        candidates = stale.nonzero()[0].tolist()
+        ages += 1
+        ages[protected] -= 1
+        draws = self.rng.random(len(candidates)).tolist()
+        read = 0
         reinited: list[int] = []
-        for i in np.flatnonzero(grows & (self.ages > limits)).tolist():
-            # each recycle draws its fresh position before the next coin
-            if self.rng.random() < cfg.reinit_probability:
-                self._reinit_members(np.array([i]))
-                reinited.append(i)
-                grows[i] = False
-        self.ages[grows] += 1
+        fresh: list[list[float]] = []
+        for member in candidates:
+            read += 1
+            if draws[read - 1] < cfg.reinit_probability:
+                draws += self.rng.random(self.dim).tolist()
+                fresh.append(draws[read : read + self.dim])
+                read += self.dim
+                reinited.append(member)
+        if reinited:
+            span = self.upper - self.lower
+            self._reinit_members(np.array(reinited), self.lower + span * np.array(fresh))
         self.last_aging_reinits = reinited
         return reinited
 
@@ -274,10 +307,9 @@ class Qcsso(SwarmBase):
             self.swarm_update()
         self.clamp_positions()
         self.evaluate_all()
-        self.update_memory()
-        self.overlap_search()
-        self.aging_step()
-        self._refresh_food()
+        bests = self.update_memory()
+        self.overlap_search(bests)
+        self.aging_step(bests)
         if self.config.w_mode == "chaotic":
             self._w_state = rules.logistic_step(self._w_state)
         self.l_window += 1

@@ -8,7 +8,9 @@ arguments: unit draws on [0, 1), as ``Generator.random`` gives them, each
 shaped like the position it moves, which a rule maps onto (0, 1] as
 ``1 - d``.  The caller draws them, so the caller fixes the random stream;
 ``Qcsso.swarm_update`` takes one block per iteration, laid out as a loop
-over the members would draw.  ``salp_chain`` draws its own block.
+over the members would draw.  ``salp_chain`` draws its own block.  The
+two chain rules, ``salp_chain`` and ``follower_chain``, move a whole
+chain in place.
 """
 
 from __future__ import annotations
@@ -146,6 +148,25 @@ def quantum_update(
     return attractor + np.where(c3 > c3_threshold, step, -step)
 
 
-def follower_update(x_i, x_prev, x_prev2, attractor, c: float, momentum: float):
-    """Chain-following move anchored on the predecessor's position."""
-    return x_prev + c * (attractor - x_i) + momentum * (x_prev - x_prev2)
+def follower_chain(x, attractor, heads: int, c: float, momentum: float) -> None:
+    """Momentum following of every rank past the heads, in place on ``x``.
+
+    ``x`` and ``attractor`` are rank-major stacks, ``(chain, ...)``, whose
+    first ``heads`` ranks have already moved.  Each later rank i becomes
+    ``x_{i-1} + c * (A_i - x_i) + momentum * (x_{i-1} - x_{i-2})``, one
+    rank at a time, reading its two predecessors as already moved; with
+    fewer than two heads the first ranks read the chain's not yet moved
+    tail (ranks -1 and -2).  The pulls ``c * (A_i - x_i)`` read only
+    unmoved ranks, so they are one array step; each rank then takes
+    ``(x_{i-1} + pull) + momentum * (x_{i-1} - x_{i-2})``, the same
+    operations in the same order as the formula.
+    """
+    pulls = c * (attractor[heads:] - x[heads:])
+    ranks = list(x)  # one view per rank
+    step = np.empty_like(ranks[0])
+    for rank, pull in enumerate(pulls, start=heads):
+        prev, out = ranks[rank - 1], ranks[rank]
+        np.subtract(prev, ranks[rank - 2], out=step)
+        step *= momentum
+        np.add(prev, pull, out=out)
+        out += step

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from dynopt.objective import StaticFunctionProblem
-from dynopt.optimizers.base import SwarmBase
+from dynopt.optimizers.base import SwarmBase, clip_in_place
 from dynopt.optimizers.baselines import (
     PsoBaseline,
     PsoConfig,
@@ -163,6 +163,21 @@ class TestSharedMemory:
     def test_one_change_detector_for_all_swarms(self):
         for cls in (SsaBaseline, PsoBaseline, Qcsso):
             assert cls.detect_change is SwarmBase.detect_change
+
+
+class TestClipInPlace:
+    SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5.0, -5.0, 7.5, -7.5, 1e-300]
+
+    def test_equals_np_clip_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for lower, upper in ((-5.0, 5.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, 0.0)):
+            for n, dim in ((1, 1), (1, 10), (50, 10), (7, 33)):
+                rows = rng.uniform(-8.0, 8.0, size=(n, dim))
+                rows.flat[: len(self.SPECIAL)] = self.SPECIAL[: rows.size]
+                rows.flat[rng.integers(0, rows.size, size=3)] = [np.nan, -0.0, np.inf]
+                expected = np.clip(rows, lower, upper)
+                clip_in_place(rows, lower, upper)
+                assert rows.tobytes() == expected.tobytes()
 
 
 class TestPso:

@@ -117,6 +117,16 @@ class TestContext:
         assert_update_uses(opt, w=0.96, b_l=100.0, c=C_START,
                            best_mean=np.array([2.0, 2.0]))
 
+    def test_best_mean_sum_over_count_equals_mean(self):
+        # swarm_update takes the pbest mean as add.reduce / n, without
+        # mean's wrappers
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 6, 50, 64):
+            for dim in (1, 5, 10, 50):
+                p = rng.uniform(-5.0, 5.0, size=(n, dim))
+                fast = np.add.reduce(p, axis=0) / n
+                assert fast.tobytes() == p.mean(axis=0).tobytes()
+
     def test_fixed_w(self):
         assert_update_uses(make_opt(), w=0.96, b_l=100.0, c=C_START)
 
@@ -253,13 +263,10 @@ def reference_swarm_update(opt, b_l, best_mean, w, c):
                     x, attractor, b_l, best_mean, w, d4, dr, d3, cfg.c3_threshold,
                 )
             else:
-                opt.positions[idx] = rules.follower_update(
-                    x,
-                    opt.positions[members[rank - 1]],
-                    opt.positions[members[rank - 2]],
-                    attractor,
-                    c,
-                    cfg.momentum,
+                x_prev = opt.positions[members[rank - 1]]
+                x_prev2 = opt.positions[members[rank - 2]]
+                opt.positions[idx] = (
+                    x_prev + c * (attractor - x) + cfg.momentum * (x_prev - x_prev2)
                 )
 
 
@@ -310,12 +317,11 @@ class TestMemory:
         opt.pbest_positions = np.zeros((4, 2))
         opt.fitness = np.array([0.5, 5.0, 2.5, 4.0])
         opt.positions = np.ones((4, 2))
-        opt.update_memory()
+        assert opt.update_memory().tolist() == [0, 2]  # the chain bests
         assert opt.pbest_fitness.tolist() == [0.5, 2.0, 2.5, 4.0]
         assert np.array_equal(opt.pbest_positions[0], [1.0, 1.0])
         assert np.array_equal(opt.pbest_positions[1], [0.0, 0.0])
         assert np.array_equal(opt.pbest_positions[3], [0.0, 0.0])  # ties do not improve
-        assert opt.food_fitness == 0.5
 
     def test_food_equals_best_pbest_exactly_every_iteration(self):
         opt = make_opt()
@@ -376,7 +382,7 @@ class TestOverlapSearch:
         opt = self.small()
         # sigma = 1: first probe lands on the origin, second runs off-domain
         opt.rng = FakeRng(standard_normal=[-1.0, 10.0])
-        opt.overlap_search()
+        opt.overlap_search(opt.subpop_best_indices())
         assert opt.pbest_positions[0, 0] == 0.0
         assert opt.pbest_fitness[0] == 0.0
         # the second best is unchanged: its clipped probe scored 25 > 4
@@ -388,7 +394,7 @@ class TestOverlapSearch:
     def test_probe_is_clipped_to_bounds(self):
         opt = self.small()
         opt.rng = FakeRng(standard_normal=[0.0, 10.0])
-        opt.overlap_search()
+        opt.overlap_search(opt.subpop_best_indices())
         # idx 2 probe: 2 + 10 clipped to 5, worth 25, rejected
         assert opt.pbest_fitness[2] == 4.0
 
@@ -396,7 +402,7 @@ class TestOverlapSearch:
         opt = self.small()
         opt.rng = FakeRng(standard_normal=[0.0, 0.0])
         before = opt.pbest_positions.copy()
-        opt.overlap_search()
+        opt.overlap_search(opt.subpop_best_indices())
         assert np.array_equal(opt.pbest_positions, before)
 
     def test_close_bests_recycle_the_worse_chain(self):
@@ -404,7 +410,7 @@ class TestOverlapSearch:
         opt.rng = FakeRng(
             standard_normal=[0.0, 0.0], uniform=[0.5, -0.5]
         )
-        opt.overlap_search()
+        opt.overlap_search(opt.subpop_best_indices())
         assert opt.last_excluded_subpops == [1]
         assert np.all(np.isinf(opt.pbest_fitness[2:]))
         assert np.all(opt.pbest_positions[2:] >= -5.0)
@@ -420,7 +426,7 @@ class TestOverlapSearch:
         opt.pbest_positions = np.array([[2.0], [3.0], [1.0], [4.0]])
         opt.pbest_fitness = np.array([4.0, 9.0, 1.0, 16.0])
         opt.rng = FakeRng(standard_normal=[0.0, 0.0], uniform=[0.5, -0.5])
-        opt.overlap_search()
+        opt.overlap_search(opt.subpop_best_indices())
         assert opt.last_excluded_subpops == [0]
         assert np.all(np.isinf(opt.pbest_fitness[:2]))
         assert opt.pbest_fitness[2] == 1.0
@@ -430,7 +436,7 @@ class TestOverlapSearch:
         opt.pbest_positions = np.array([[1.0], [3.0], [-1.0], [4.0]])
         opt.pbest_fitness = np.array([1.0, 9.0, 1.0, 16.0])
         opt.rng = FakeRng(standard_normal=[0.0, 0.0], uniform=[0.5, -0.5])
-        opt.overlap_search()
+        opt.overlap_search(opt.subpop_best_indices())
         assert opt.last_excluded_subpops == [1]
 
     @pytest.mark.parametrize("maximize", [False, True])
@@ -444,15 +450,36 @@ class TestOverlapSearch:
         values = [1.0, 5.0 if maximize else 3.0]
         opt.problem.evaluate = lambda probes: np.array(values)
         opt.rng = FakeRng(standard_normal=[0.5, 0.5])
-        opt.overlap_search()
+        opt.overlap_search(opt.subpop_best_indices())
         assert opt.pbest_positions[:, 0].tolist() == [1.0, 3.0, 2.5, 4.0]
         assert opt.pbest_fitness[[0, 2]].tolist() == values
         assert opt.last_excluded_subpops == []
 
+    def test_chain_bests_and_food_hold_through_the_iteration(self):
+        # aging reads the chain bests that update_memory found, as the
+        # probes and any recycles left them, and the food is the best pbest
+        opt = Qcsso(make_instance("F1(10)", "T1", 5), seed=3, budget=10**6,
+                    frequency=5000)
+        aging = opt.aging_step
+        excluded = []
+
+        def checked(bests):
+            assert bests.tolist() == opt.subpop_best_indices().tolist()
+            best = opt.argbest(opt.pbest_fitness)
+            assert opt.food_fitness == opt.pbest_fitness[best]
+            assert np.array_equal(opt.food_position, opt.pbest_positions[best])
+            excluded.extend(opt.last_excluded_subpops)
+            return aging(bests)
+
+        opt.aging_step = checked
+        for _ in range(60):
+            opt.iterate()
+        assert excluded  # recycled chains were among them
+
     def test_distant_bests_coexist(self):
         opt = self.small(radius=0.5)
         opt.rng = FakeRng(standard_normal=[0.0, 0.0])
-        opt.overlap_search()
+        opt.overlap_search(opt.subpop_best_indices())
         assert opt.last_excluded_subpops == []
         assert not np.any(np.isinf(opt.pbest_fitness))
 
@@ -481,19 +508,18 @@ class TestExclusionDistances:
             opt.pbest_positions = np.zeros((10, 5))
             opt.pbest_positions[bests] = np.arange(5)[:, None] * 10.0 - 5.0
             opt.pbest_positions[2] = opt.pbest_positions[0] + scale * step
-            assert opt._close_pairs(bests) == expected
+            assert opt._close_pairs(opt.pbest_positions[bests]) == expected
 
 
 class TestAging:
     def test_reinit_members_resets_state(self):
         opt = make_opt(dim=2, config=QcssoConfig(population=4, subpopulations=2))
         opt.ages[:] = 7
-        opt._reinit_members(np.array([1]))
+        opt._reinit_members(np.array([1]), np.array([[0.5, -0.5]]))
         assert math.isinf(opt.pbest_fitness[1])
         assert opt.ages[1] == 0
+        assert opt.positions[1].tolist() == [0.5, -0.5]
         assert np.array_equal(opt.positions[1], opt.pbest_positions[1])
-        assert np.all(opt.positions[1] >= -5.0)
-        assert np.all(opt.positions[1] <= 5.0)
         assert opt.ages[0] == 7  # others untouched
 
     def test_first_pass_only_ages(self):
@@ -502,8 +528,8 @@ class TestAging:
             max_age_limit=0, min_age_limit=0, reinit_probability=1.0,
         )
         opt = make_opt(config=cfg)
-        assert opt.aging_step() == []
-        protected = opt.global_best_index()
+        assert opt.aging_step(opt.subpop_best_indices()) == []
+        protected = opt.argbest(opt.pbest_fitness)
         expected = [1 if i != protected else 0 for i in range(4)]
         assert opt.ages.tolist() == expected
 
@@ -513,10 +539,10 @@ class TestAging:
             max_age_limit=0, min_age_limit=0, reinit_probability=1.0,
         )
         opt = make_opt(config=cfg)
-        opt.aging_step()
-        protected = opt.global_best_index()
+        opt.aging_step(opt.subpop_best_indices())
+        protected = opt.argbest(opt.pbest_fitness)
         best_fitness = float(opt.pbest_fitness[protected])
-        recycled = opt.aging_step()
+        recycled = opt.aging_step(opt.subpop_best_indices())
         assert recycled == [i for i in range(4) if i != protected]
         assert opt.pbest_fitness[protected] == best_fitness
 
@@ -528,7 +554,7 @@ class TestAging:
         opt = make_opt(config=cfg)
         opt.ages[:] = 5
         bests = set(opt.subpop_best_indices())
-        recycled = set(opt.aging_step())
+        recycled = set(opt.aging_step(opt.subpop_best_indices()))
         assert recycled == set(range(4)) - bests
         for idx in bests:
             assert opt.ages[idx] in (0, 5, 6)  # aged or protected, never recycled
@@ -543,13 +569,34 @@ class TestAging:
         opt.pbest_fitness = np.array([3.0, 1.0, 4.0, 6.0, 2.0, 5.0])
         opt.ages = np.array([3, 9, 6, 2, 5, 3])
         # coins for 0, 2 and 5 only: 1 is protected, 3 and 4 are in their limit;
-        # member 2 lands under 0.5 and draws its fresh position before 5's coin
-        opt.rng = FakeRng(random=[0.9, 0.1, 0.7], uniform=[1.0, -1.0])
-        assert opt.aging_step() == [2]
+        # member 2 lands under 0.5 and draws its fresh position, unit draws
+        # 0.6 and 0.4 read as -5 + 10 * d, before 5's coin.  The coin block
+        # takes three draws, so the recycle owes the two after it.
+        opt.rng = FakeRng(random=[0.9, 0.1, 0.6, 0.4, 0.7])
+        assert opt.aging_step(opt.subpop_best_indices()) == [2]
         assert opt.rng.exhausted()
         assert opt.ages.tolist() == [4, 9, 0, 3, 6, 4]
         assert opt.positions[2].tolist() == [1.0, -1.0]
         assert math.isinf(opt.pbest_fitness[2])
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])  # max and min
+    @pytest.mark.parametrize("probability", [0.5, 1.0])
+    def test_block_coins_equal_the_scalar_loop(self, function_id, probability):
+        # 1.0 recycles every candidate, the last one included, back to back
+        cfg = QcssoConfig(reinit_probability=probability)
+        opt = Qcsso(make_instance(function_id, "T1", 5), seed=13, budget=10**6,
+                    frequency=5000, config=cfg)
+        ages = np.random.default_rng(17)
+        for _ in range(12):
+            opt.ages = ages.integers(0, 40, size=opt.n)
+            fast, slow = copy.deepcopy(opt), copy.deepcopy(opt)
+            assert fast.aging_step(fast.subpop_best_indices()) == reference_aging_step(slow)
+            assert fast.ages.tolist() == slow.ages.tolist()
+            assert fast.positions.tobytes() == slow.positions.tobytes()
+            assert fast.pbest_positions.tobytes() == slow.pbest_positions.tobytes()
+            assert fast.pbest_fitness.tobytes() == slow.pbest_fitness.tobytes()
+            assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+            opt.iterate()
 
     def test_zero_probability_never_recycles(self):
         cfg = QcssoConfig(
@@ -558,7 +605,30 @@ class TestAging:
         )
         opt = make_opt(config=cfg)
         opt.ages[:] = 100
-        assert opt.aging_step() == []
+        assert opt.aging_step(opt.subpop_best_indices()) == []
+
+
+def reference_aging_step(opt):
+    """The aging step as a scalar loop: one ``random()`` coin per member past
+    its limit, in index order, and a recycled member's fresh position drawn
+    by ``uniform`` before the next coin."""
+    cfg = opt.config
+    limits = np.full(opt.n, cfg.min_age_limit)
+    limits[opt.subpop_best_indices()] = cfg.max_age_limit
+    grows = np.ones(opt.n, dtype=bool)
+    grows[opt.argbest(opt.pbest_fitness)] = False
+    reinited = []
+    for i in np.flatnonzero(grows & (opt.ages > limits)).tolist():
+        if opt.rng.random() < cfg.reinit_probability:
+            fresh = opt.rng.uniform(opt.lower, opt.upper, size=(1, opt.dim))
+            opt.positions[i] = fresh
+            opt.pbest_positions[i] = fresh
+            opt.pbest_fitness[i] = opt.worst_value
+            opt.ages[i] = 0
+            reinited.append(i)
+            grows[i] = False
+    opt.ages[grows] += 1
+    return reinited
 
 
 class TestChangeResponse:

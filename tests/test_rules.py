@@ -313,20 +313,54 @@ class TestQuantumUpdate:
         assert value == expected
 
 
+def follow(x_prev2, x_prev, x_i, attractor, c, momentum):
+    """One follower moved by ``follower_chain``: a chain of two heads and it."""
+    x = np.array([[x_prev2], [x_prev], [x_i]])
+    rules.follower_chain(x, np.array([[0.0], [0.0], [attractor]]), 2, c, momentum)
+    return float(x[2, 0])
+
+
 class TestFollowerUpdate:
     def test_hand_value(self):
         # 2 + 0.5*(0 - 0) + 0.5*(2 - 1) = 2.5
-        value = rules.follower_update(
-            x_i=0.0, x_prev=2.0, x_prev2=1.0, attractor=0.0, c=0.5, momentum=0.5
-        )
+        value = follow(x_prev2=1.0, x_prev=2.0, x_i=0.0, attractor=0.0, c=0.5, momentum=0.5)
         assert value == 2.5
 
     def test_zero_coefficients_follow_predecessor(self):
-        assert rules.follower_update(9.0, 4.0, 1.0, 7.0, 0.0, 0.0) == 4.0
+        assert follow(1.0, 4.0, 9.0, 7.0, 0.0, 0.0) == 4.0
 
     def test_attraction_term(self):
         # pure attraction: x_prev + c * (A - x_i)
-        assert rules.follower_update(1.0, 0.0, 0.0, 3.0, 0.5, 0.0) == 1.0
+        assert follow(0.0, 0.0, 1.0, 3.0, 0.5, 0.0) == 1.0
+
+    @pytest.mark.parametrize("heads", [0, 1, 2, "chain"])
+    def test_chain_equals_the_rank_formula(self, heads):
+        rng = np.random.default_rng(107)
+        for chain, k, dim in ((2, 1, 1), (3, 2, 4), (10, 5, 10), (25, 2, 50)):
+            h = chain if heads == "chain" else min(heads, chain)
+            x = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
+            attractor = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
+            c, momentum = rng.random(2)
+            expected = x.copy()
+            for rank in range(h, chain):
+                x_prev, x_prev2 = expected[rank - 1], expected[rank - 2]
+                expected[rank] = (
+                    x_prev + c * (attractor[rank] - expected[rank])
+                    + momentum * (x_prev - x_prev2)
+                )
+            moved = x.copy()
+            rules.follower_chain(moved, attractor, h, c, momentum)
+            assert moved.tobytes() == expected.tobytes()
+
+    def test_without_heads_the_first_ranks_read_the_unmoved_tail(self):
+        x = np.array([[1.0], [2.0], [4.0], [8.0]])
+        attractor = np.array([[3.0], [5.0], [0.0], [0.0]])
+        moved = x.copy()
+        rules.follower_chain(moved, attractor, 0, 0.5, 0.25)
+        # rank 0 reads ranks 3 and 2 as they were, rank 1 reads rank 3 so
+        first = 8.0 + 0.5 * (3.0 - 1.0) + 0.25 * (8.0 - 4.0)
+        second = first + 0.5 * (5.0 - 2.0) + 0.25 * (first - 8.0)
+        assert moved[:2, 0].tolist() == [first, second]
 
 
 class TestModuleConstants:
