@@ -21,8 +21,8 @@ def clip_in_place(rows: np.ndarray, lower: float, upper: float) -> None:
     """Clip ``rows`` into ``[lower, upper]`` in place.
 
     Equal bit for bit to ``np.clip(rows, lower, upper, out=rows)``, NaN,
-    infinities and signed zeros included, at about a third of its call
-    cost.  The bound goes first: on equal zeros of opposite sign
+    infinities and signed zeros included, without ``np.clip``'s Python
+    wrappers.  The bound goes first: on equal zeros of opposite sign
     ``maximum`` and ``minimum`` return their second operand, which is the
     one ``np.clip`` keeps.
     """

@@ -151,10 +151,10 @@ def quantum_update(
 def follower_chain(x, attractor, heads: int, c: float, momentum: float) -> None:
     """Momentum following of every rank past the heads, in place on ``x``.
 
-    ``x`` and ``attractor`` are rank-major stacks, ``(chain, ...)``, whose
-    first ``heads`` ranks have already moved.  Each later rank i becomes
-    ``x_{i-1} + c * (A_i - x_i) + momentum * (x_{i-1} - x_{i-2})``, one
-    rank at a time, reading its two predecessors as already moved; with
+    ``x`` and ``attractor`` are rank-major stacks, ``(chain, ...)``; the
+    first ``heads`` ranks of ``x`` have already moved.  Each later rank i
+    becomes ``x_{i-1} + c * (A_i - x_i) + momentum * (x_{i-1} - x_{i-2})``,
+    one rank at a time, reading its two predecessors as already moved; with
     fewer than two heads the first ranks read the chain's not yet moved
     tail (ranks -1 and -2).  The pulls ``c * (A_i - x_i)`` read only
     unmoved ranks, so they are one array step; each rank then takes
