@@ -198,7 +198,7 @@ def _check_rotations() -> None:
     rng = np.random.default_rng(202)
     for dim in range(2, 16):
         angle = rng.uniform(-math.pi, math.pi)
-        for matrix in (paired_rotation(dim, angle, rng), random_orthogonal(dim, rng)):
+        for matrix in (paired_rotation(dim, angle, rng), random_orthogonal(1, dim, rng)[0]):
             drift = np.abs(matrix @ matrix.T - np.eye(dim)).max()
             assert drift < 1e-9, f"rotation not orthogonal at dim {dim}: {drift}"
 

@@ -62,6 +62,8 @@ class CompositionProblem:
         self.lambdas = np.array(
             [stretch_factor(name, half) for name in func_names]
         )
+        self._lambda_column = self.lambdas[:, None]
+        self._normalizer = np.array(self.normalizer)
         # each run of adjacent components sharing a base function is one
         # call on a slice view: base functions act per component and reduce
         # only over the last axis, so a component's value does not depend
@@ -74,7 +76,6 @@ class CompositionProblem:
             start = stop
         self._h = np.empty(m)
         self.refresh_cache()
-        self._fmax = np.empty(m)
         self.refresh_normalization()
 
     @property
@@ -89,15 +90,22 @@ class CompositionProblem:
         self._h[:] = [p.value for p in self.heights]
 
     def refresh_normalization(self) -> None:
-        """Recompute each component's corner value used for rescaling."""
-        corner = np.full(self.dim, self.upper)
-        for i, name in enumerate(self.func_names):
-            z = (corner / self.lambdas[i]) @ self.matrices[i]
-            self._fmax[i] = float(BASE_FUNCTIONS[name](z))
-        if np.any(np.abs(self._fmax) < FMAX_GUARD):
+        """Recompute what depends on the dimension and the rotations: each
+        component's corner value used for rescaling, and the weight scale."""
+        # one (1, dim) @ (dim, dim) product per component, as a stack: the
+        # same vector-matrix product, and so the same bits, as one at a time
+        corners = np.full((self.num_components, 1, self.dim), self.upper)
+        corners /= self.lambdas[:, None, None]
+        self._fmax = self._component_values((corners @ self.matrices)[None, :, 0])[0]
+        self._abs_fmax = np.abs(self._fmax)
+        if np.any(self._abs_fmax < FMAX_GUARD):
             raise ConfigError("degenerate component normalization (corner value ~ 0)")
+        self._weight_scale = np.array(2.0 * self.dim * self.sigma**2)
 
     def _component_values(self, z: np.ndarray) -> np.ndarray:
+        """Base-function values of an ``(n, m, dim)`` stack, one run a call."""
+        if len(self._runs) == 1:
+            return self._runs[0][0](z)
         values = np.empty(z.shape[:2])
         for func, run in self._runs:
             values[:, run] = func(z[:, run])
@@ -105,21 +113,35 @@ class CompositionProblem:
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """One value per row of an ``(n, dim)`` batch."""
+        # Each step below is the original expression's operation, in its
+        # order, written into an array the call already owns; operands are
+        # swapped only where IEEE arithmetic commutes (a * b == b * a), and
+        # constants are 0-d arrays (see basefuncs), so the bits are those of
+        #   w = exp(-sqrt(sum(diff^2) / (2 dim sigma^2)))
+        #   w = where(w == wmax, w, w * (1 - wmax^10)); w /= sum(w)
+        #   f = sum(w * (normalizer * f_i((diff / lambda) M) / |fmax| + h))
+        # ufunc reductions are called directly: the same bits as np.sum /
+        # .max, without their Python-level dispatch
         diff = xs[:, None, :] - self.optima
-        # ufunc reductions called directly: the same bits as np.sum / .max,
-        # without their Python-level dispatch
-        sq_dist = np.add.reduce(diff * diff, axis=2)
-        w = np.exp(-np.sqrt(sq_dist / (2.0 * self.dim * self.sigma**2)))
-        wmax = np.maximum.reduce(w, axis=1, keepdims=True)
+        w = np.add.reduce(diff * diff, axis=2)
+        w /= self._weight_scale
+        np.sqrt(w, out=w)
+        np.negative(w, out=w)
+        np.exp(w, out=w)
+        wmax = np.maximum.reduce(w, axis=1)
         # only the closest component keeps full weight once it dominates;
         # the power is taken one row at a time because numpy's vectorised
         # power may differ from the scalar one in the last bit
-        damping = [[1.0 - v**DOMINANCE_POWER] for v in wmax[:, 0].tolist()]
-        w = np.where(w == wmax, w, w * np.array(damping))
+        damping = np.array([1.0 - v**DOMINANCE_POWER for v in wmax.tolist()])
+        np.multiply(w, damping[:, None], out=w, where=w != wmax[:, None])
         w /= np.add.reduce(w, axis=1, keepdims=True)
-        z = np.einsum("nmd,mde->nme", diff / self.lambdas[:, None], self.matrices)
-        f_prime = self.normalizer * self._component_values(z) / np.abs(self._fmax)
-        return np.add.reduce(w * (f_prime + self._h), axis=1)
+        diff /= self._lambda_column
+        f = self._component_values(np.einsum("nmd,mde->nme", diff, self.matrices))
+        f *= self._normalizer
+        f /= self._abs_fmax
+        f += self._h
+        f *= w
+        return np.add.reduce(f, axis=1)
 
     def optimum_value(self) -> float:
         return float(self._h.min())
@@ -143,7 +165,5 @@ class CompositionProblem:
             self.optima = self.optima[:, :-1].copy()
         else:
             raise ValueError("dimension may only move one step at a time")
-        self.matrices = np.stack(
-            [random_orthogonal(new_dim, rng) for _ in range(self.num_components)]
-        )
+        self.matrices = random_orthogonal(self.num_components, new_dim, rng)
         self.refresh_normalization()

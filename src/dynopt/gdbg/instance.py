@@ -186,9 +186,7 @@ class GdbgInstance(DynamicObjective):
         if cfg.identity_rotation:
             matrices = np.stack([np.eye(cfg.dimension)] * len(names))
         else:
-            matrices = np.stack(
-                [random_orthogonal(cfg.dimension, self.rng) for _ in names]
-            )
+            matrices = random_orthogonal(len(names), cfg.dimension, self.rng)
         return CompositionProblem(
             optima,
             self._heights(len(names)),

@@ -6,6 +6,8 @@ import numpy as np
 
 from dynopt.gdbg.changes import DynamicParam
 
+_ONE = np.array(1.0)  # 0-d, not a Python float: see basefuncs
+
 
 class PeakSet:
     """``m`` peaks with dynamic heights and widths over a box domain.
@@ -54,9 +56,17 @@ class PeakSet:
         """One value per row of an ``(n, dim)`` batch."""
         diff = xs[:, None, :] - self.centers
         # np.mean is add.reduce over the count; calling the ufuncs directly
-        # gives the same bits without the wrappers' dispatch cost
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=2) / diff.shape[2])
-        return np.maximum.reduce(self._h / (1.0 + self._w * dist), axis=1)
+        # gives the same bits without the wrappers' dispatch cost.  The steps
+        # of h / (1 + w * dist) then run in place on one array, operands
+        # swapped only where IEEE arithmetic commutes, so the bits are those
+        # of the expression
+        value = np.add.reduce(diff * diff, axis=2)
+        value /= diff.shape[2]
+        np.sqrt(value, out=value)
+        value *= self._w
+        value += _ONE
+        np.divide(self._h, value, out=value)
+        return np.maximum.reduce(value, axis=1)
 
     def optimum_value(self) -> float:
         return float(self._h.max())

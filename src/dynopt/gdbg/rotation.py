@@ -32,10 +32,14 @@ def paired_rotation(dim: int, angle: float, rng: np.random.Generator) -> np.ndar
     return m
 
 
-def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-ish random orthogonal matrix via QR with sign correction."""
-    gauss = rng.standard_normal((dim, dim))
+def random_orthogonal(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform-ish random orthogonal matrices, stacked ``(count, dim, dim)``.
+
+    One ``(count, dim, dim)`` normal draw, the stream of ``count`` draws of
+    ``(dim, dim)``, and one stacked QR, which factors each matrix alone.
+    """
+    gauss = rng.standard_normal((count, dim, dim))
     q, r = np.linalg.qr(gauss)
     # fix the sign ambiguity so the distribution does not favour an octant
-    q = q * np.sign(np.diag(r))
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     return q

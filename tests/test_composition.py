@@ -59,7 +59,7 @@ def small_problem(func_names, seed=71, identity=False, dim=2):
         matrices = np.stack([np.eye(dim)] * m)
     else:
         from dynopt.gdbg.rotation import random_orthogonal
-        matrices = np.stack([random_orthogonal(dim, rng) for _ in range(m)])
+        matrices = random_orthogonal(m, dim, rng)
     return CompositionProblem(optima, heights, list(func_names), matrices, -5.0, 5.0)
 
 

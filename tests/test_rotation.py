@@ -67,21 +67,42 @@ class TestPairedRotation:
             assert abs(np.linalg.norm(m @ v) - np.linalg.norm(v)) < 1e-9
 
 
+def one_matrix_at_a_time(count, dim, rng):
+    """The per-matrix build the stacked one replaced: a draw and a QR each."""
+    matrices = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        matrices.append(q * np.sign(np.diag(r)))
+    return np.stack(matrices)
+
+
 class TestRandomOrthogonal:
     def test_orthogonal(self):
         rng = np.random.default_rng(47)
         for dim in range(2, 16):
-            q = random_orthogonal(dim, rng)
-            assert q.shape == (dim, dim)
-            assert np.abs(q @ q.T - np.eye(dim)).max() < 1e-9
+            stack = random_orthogonal(3, dim, rng)
+            assert stack.shape == (3, dim, dim)
+            for q in stack:
+                assert np.abs(q @ q.T - np.eye(dim)).max() < 1e-9
 
     def test_determinant_is_unit(self):
         rng = np.random.default_rng(53)
-        for _ in range(20):
-            q = random_orthogonal(6, rng)
+        for q in random_orthogonal(20, 6, rng):
             assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-9
 
     def test_seeded_determinism(self):
-        a = random_orthogonal(8, np.random.default_rng(99))
-        b = random_orthogonal(8, np.random.default_rng(99))
+        a = random_orthogonal(2, 8, np.random.default_rng(99))
+        b = random_orthogonal(2, 8, np.random.default_rng(99))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [5, 10, 15])
+    def test_stack_equals_one_matrix_at_a_time(self, dim):
+        # bit for bit, and the generator ends in the same state, so the
+        # landscape stream after a build or a T7 resize does not move
+        for seed in range(40):
+            stacked_rng = np.random.default_rng(seed)
+            single_rng = np.random.default_rng(seed)
+            stacked = random_orthogonal(10, dim, stacked_rng)
+            single = one_matrix_at_a_time(10, dim, single_rng)
+            assert stacked.tobytes() == single.tobytes()
+            assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
