@@ -23,6 +23,9 @@ import numpy as np
 LOGISTIC_D = 4.0
 CHAOTIC_SCALE = 3.0
 FOLLOWER_GAIN = 0.75
+# the draw maps 1 - d take 1 as a 0-d array: a Python float operand costs
+# numpy 2 a conversion on every call, a 0-d array does not (same bits)
+_ONE = np.array(1.0)
 
 
 def logistic_step(w: float, d: float = LOGISTIC_D) -> float:
@@ -36,7 +39,7 @@ def chaotic_operator(w: float, d4):
     """Chaos-modulated scale ``u = 3 * w * (1 - w) * c4`` with ``c4 = 1 - d4``."""
     if not 0.0 < w < 1.0:
         raise ValueError("chaotic operator needs w inside (0, 1)")
-    c4 = 1.0 - d4  # (0, 1]; never zero, so u stays positive
+    c4 = _ONE - d4  # (0, 1]; never zero, so u stays positive
     return CHAOTIC_SCALE * w * (1.0 - w) * c4
 
 
@@ -116,8 +119,8 @@ def local_attractor(x, food, d1, d2):
     ``A = (r1 * x + r2 * food) / (r1 + r2)`` with ``r1 = 1 - d1`` and
     ``r2 = 1 - d2`` in (0, 1].
     """
-    r1 = 1.0 - d1
-    r2 = 1.0 - d2
+    r1 = _ONE - d1
+    r2 = _ONE - d2
     return (r1 * x + r2 * food) / (r1 + r2)
 
 
@@ -142,8 +145,8 @@ def quantum_update(
     search bounds.
     """
     u = chaotic_operator(w, d4)
-    r = 1.0 - dr
-    c3 = 1.0 - d3
+    r = _ONE - dr
+    c3 = _ONE - d3
     step = b_l * np.abs(bestmean - x) * np.log(r / u)
     return attractor + np.where(c3 > c3_threshold, step, -step)
 
