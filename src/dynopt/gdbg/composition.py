@@ -113,15 +113,15 @@ class CompositionProblem:
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """One value per row of an ``(n, dim)`` batch."""
-        # Each step below is the original expression's operation, in its
-        # order, written into an array the call already owns; operands are
-        # swapped only where IEEE arithmetic commutes (a * b == b * a), and
-        # constants are 0-d arrays (see basefuncs), so the bits are those of
+        # The steps compute, operation for operation,
         #   w = exp(-sqrt(sum(diff^2) / (2 dim sigma^2)))
         #   w = where(w == wmax, w, w * (1 - wmax^10)); w /= sum(w)
         #   f = sum(w * (normalizer * f_i((diff / lambda) M) / |fmax| + h))
-        # ufunc reductions are called directly: the same bits as np.sum /
-        # .max, without their Python-level dispatch
+        # in arrays the call already owns, with 0-d constants (see basefuncs)
+        # and operands swapped only where IEEE arithmetic commutes, so the
+        # bits are those of the expressions; the masked multiply is the
+        # where(), NaN included.  Reductions call their ufuncs directly: the
+        # same bits as np.sum / .max without the wrappers' dispatch
         diff = xs[:, None, :] - self.optima
         w = np.add.reduce(diff * diff, axis=2)
         w /= self._weight_scale
