@@ -88,7 +88,7 @@ class SwarmBase:
         self.fitness[:] = self.problem.evaluate(self.positions)
 
     def clamp_positions(self) -> None:
-        clip_in_place(self.positions, self.lower, self.upper)
+        clip_in_place(self.positions, *self._box)
 
     # -- memory -------------------------------------------------------------
 
@@ -153,6 +153,10 @@ class SwarmBase:
         """Take the problem's box: one ``(lower, upper)`` float pair."""
         lower, upper = self.problem.bounds()
         self.lower, self.upper = float(lower), float(upper)
+        # the clips take the pair as 0-d arrays: a Python float operand costs
+        # numpy 2 a conversion on every call, a 0-d array does not (same
+        # bits); the draws keep the floats, which take ``uniform``'s scalar path
+        self._box = (np.array(self.lower), np.array(self.upper))
 
     def _resize_matrix(self, mat: np.ndarray, new_dim: int) -> np.ndarray:
         old = mat.shape[1]

@@ -12,7 +12,7 @@ import numpy as np
 
 from dynopt.objective import DynamicObjective
 from dynopt.optimizers import rules
-from dynopt.optimizers.base import SwarmBase
+from dynopt.optimizers.base import SwarmBase, clip_in_place
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,16 @@ class PsoBaseline(SwarmBase):
             evals_per_iteration=self.config.population + 1,
         )
         self.velocities = np.zeros((self.n, self.dim))
+        cfg = self.config
+        # the gains as 0-d operands (see ``SwarmBase._set_bounds``)
+        self._gains = tuple(np.array(v) for v in (cfg.chi, cfg.c1, cfg.c2))
         self.start_memory(pbests=True)
+
+    def _set_bounds(self) -> None:
+        """Also fix the velocity clip of the new box, as 0-d bounds."""
+        super()._set_bounds()
+        span = self.upper - self.lower
+        self._velocity_box = (np.array(-span), np.array(span))
 
     def _resize_extra_state(self, new_dim: int) -> None:
         old = self.velocities.shape[1]
@@ -105,16 +114,15 @@ class PsoBaseline(SwarmBase):
     def iterate(self) -> None:
         self.sync_dimension()
         self.detect_change()
-        cfg = self.config
-        span = self.upper - self.lower
+        chi, c1, c2 = self._gains
         r1 = self.rng.random((self.n, self.dim))
         r2 = self.rng.random((self.n, self.dim))
         self.velocities = (
-            cfg.chi * self.velocities
-            + cfg.c1 * r1 * (self.pbest_positions - self.positions)
-            + cfg.c2 * r2 * (self.food_position - self.positions)
+            chi * self.velocities
+            + c1 * r1 * (self.pbest_positions - self.positions)
+            + c2 * r2 * (self.food_position - self.positions)
         )
-        np.clip(self.velocities, -span, span, out=self.velocities)
+        clip_in_place(self.velocities, *self._velocity_box)
         self.positions = self.positions + self.velocities
         self.clamp_positions()
         self.evaluate_all()

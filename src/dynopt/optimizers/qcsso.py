@@ -90,6 +90,8 @@ class Qcsso(SwarmBase):
         self._pairs = np.triu_indices(self.k, 1)
         self._pair_list = list(zip(*(side.tolist() for side in self._pairs)))
         self._w_state = cfg.w_init
+        # applied once per follower rank: a 0-d operand, as for the bounds
+        self._momentum = np.array(cfg.momentum)
 
         self.start_memory(pbests=True)
         self.ages = np.zeros(self.n, dtype=int)
@@ -175,7 +177,7 @@ class Qcsso(SwarmBase):
         ranks[:heads] = heads_moved.swapaxes(0, 1)
         rules.follower_chain(
             ranks, attractor.swapaxes(0, 1), heads,
-            rules.follower_coefficient(l_eff, self.max_iterations), cfg.momentum,
+            rules.follower_coefficient(l_eff, self.max_iterations), self._momentum,
         )
         self.positions = ranks.swapaxes(0, 1).reshape(self.n, dim)
 
@@ -203,7 +205,7 @@ class Qcsso(SwarmBase):
         # one (k, dim) draw equals k sequential draws of dim
         noise = self.rng.standard_normal((self.k, self.dim))
         probes = self.pbest_positions.take(bests, axis=0) + noise * self.probe_sigma()
-        clip_in_place(probes, self.lower, self.upper)
+        clip_in_place(probes, *self._box)
         values = self.problem.evaluate(probes)
         accepted = self.better(values, self.pbest_fitness[bests])
         if np.count_nonzero(accepted):

@@ -162,7 +162,9 @@ def follower_chain(x, attractor, heads: int, c: float, momentum: float) -> None:
     tail (ranks -1 and -2).  The pulls ``c * (A_i - x_i)`` read only
     unmoved ranks, so they are one array step; each rank then takes
     ``(x_{i-1} + pull) + momentum * (x_{i-1} - x_{i-2})``, the same
-    operations in the same order as the formula.
+    operations in the same order as the formula.  ``momentum`` enters once
+    per rank, so a caller passes it as a 0-d array (same bits, no
+    conversion per call).
     """
     pulls = c * (attractor[heads:] - x[heads:])
     ranks = list(x)  # one view per rank
