@@ -293,13 +293,19 @@ def _check_batch_equals_rows() -> None:
     from dynopt.gdbg.instance import FUNCTION_IDS, make_instance
 
     rng = np.random.default_rng(17)
+    # the sentinel memo rests on this: a composition row is one BLAS
+    # vector-matrix product per component, whatever the batch size
     for function_id in FUNCTION_IDS:
-        inst = make_instance(function_id, "T1", seed=19, overrides={"dimension": 5})
-        xs = rng.uniform(-5.0, 5.0, size=(20, 5))
-        rows = [inst.problem.evaluate(x[None, :])[0] for x in xs]
-        assert inst.problem.evaluate(xs).tolist() == rows, (
-            f"{function_id}: the batch differs from its one-row batches"
-        )
+        for dim in (5, 10, 15):
+            inst = make_instance(
+                function_id, "T1", seed=19, overrides={"dimension": dim}
+            )
+            xs = rng.uniform(-5.0, 5.0, size=(50, dim))
+            rows = [inst.problem.evaluate(x[None, :])[0] for x in xs]
+            assert inst.problem.evaluate(xs).tolist() == rows, (
+                f"{function_id} at dimension {dim}: the batch differs from its"
+                " one-row batches"
+            )
     batched, looped = (
         make_instance("F3", "T7", seed=19,
                       overrides={"dimension": 5, "change_frequency": 8})

@@ -62,7 +62,6 @@ class CompositionProblem:
         self.lambdas = np.array(
             [stretch_factor(name, half) for name in func_names]
         )
-        self._lambda_column = self.lambdas[:, None]
         self._normalizer = np.array(self.normalizer)
         # each run of adjacent components sharing a base function is one
         # call on a slice view: base functions act per component and reduce
@@ -90,13 +89,14 @@ class CompositionProblem:
         self._h[:] = [p.value for p in self.heights]
 
     def refresh_normalization(self) -> None:
-        """Recompute what depends on the dimension and the rotations: each
-        component's corner value used for rescaling, and the weight scale."""
-        # one (1, dim) @ (dim, dim) product per component, as a stack: the
-        # same vector-matrix product, and so the same bits, as one at a time
+        """Recompute what depends on the dimension and the rotations: the
+        matrices scaled by 1/lambda, each component's corner value used for
+        rescaling, and the weight scale."""
+        # the stretch is folded into the matrices, so a component's input is
+        # diff @ (M / lambda); the corners take the same product as evaluate
+        self._scaled = self.matrices / self.lambdas[:, None, None]
         corners = np.full((self.num_components, 1, self.dim), self.upper)
-        corners /= self.lambdas[:, None, None]
-        self._fmax = self._component_values((corners @ self.matrices)[None, :, 0])[0]
+        self._fmax = self._component_values((corners @ self._scaled)[None, :, 0])[0]
         self._abs_fmax = np.abs(self._fmax)
         if np.any(self._abs_fmax < FMAX_GUARD):
             raise ConfigError("degenerate component normalization (corner value ~ 0)")
@@ -116,12 +116,15 @@ class CompositionProblem:
         # The steps compute, operation for operation,
         #   w = exp(-sqrt(sum(diff^2) / (2 dim sigma^2)))
         #   w = where(w == wmax, w, w * (1 - wmax^10)); w /= sum(w)
-        #   f = sum(w * (normalizer * f_i((diff / lambda) M) / |fmax| + h))
+        #   z = diff @ (M / lambda), one vector-matrix product per (row, component)
+        #   f = sum(w * (normalizer * f_i(z) / |fmax| + h))
         # in arrays the call already owns, with 0-d constants (see basefuncs)
         # and operands swapped only where IEEE arithmetic commutes, so the
         # bits are those of the expressions; the masked multiply is the
         # where(), NaN included.  Reductions call their ufuncs directly: the
-        # same bits as np.sum / .max without the wrappers' dispatch
+        # same bits as np.sum / .max without the wrappers' dispatch.  The
+        # stretch lambda is folded into the matrices once per normalization:
+        # GDBG's (diff / lambda) M, rounded in another order
         diff = xs[:, None, :] - self.optima
         w = np.add.reduce(diff * diff, axis=2)
         w /= self._weight_scale
@@ -135,8 +138,10 @@ class CompositionProblem:
         damping = np.array([1.0 - v**DOMINANCE_POWER for v in wmax.tolist()])
         np.multiply(w, damping[:, None], out=w, where=w != wmax[:, None])
         w /= np.add.reduce(w, axis=1, keepdims=True)
-        diff /= self._lambda_column
-        f = self._component_values(np.einsum("nmd,mde->nme", diff, self.matrices))
+        # each (row, component) product has the same sizes whatever the
+        # batch, so a row equals its one-row batch bit for bit, which the
+        # instance's sentinel memo relies on (`dynopt selftest` checks it)
+        f = self._component_values((diff[:, :, None, :] @ self._scaled)[:, :, 0, :])
         f *= self._normalizer
         f /= self._abs_fmax
         f += self._h

@@ -115,7 +115,7 @@ def one_vector_value(prob, x):
     wmax = w.max()
     w = np.where(w == wmax, w, w * (1.0 - wmax**10))
     w /= w.sum()
-    z = np.einsum("md,mde->me", diff / prob.lambdas[:, None], prob.matrices)
+    z = np.array([d @ (m / l) for d, m, l in zip(diff, prob.matrices, prob.lambdas)])
     values = np.array(
         [bf.BASE_FUNCTIONS[name](z[i]) for i, name in enumerate(prob.func_names)]
     )
@@ -258,3 +258,33 @@ class TestConstruction:
                 np.zeros((2, 2)), [height(50.0)], ["sphere", "sphere"],
                 np.stack([np.eye(2)] * 2), -5.0, 5.0,
             )
+
+
+class TestRowEqualsBatch:
+    """A row's value does not depend on the batch it comes in.
+
+    The instance's sentinel memo answers a one-row request with the value
+    the row had in a population batch, so the two must be equal bit for
+    bit; the contraction is one vector-matrix product per (row, component)
+    for that reason.
+    """
+
+    @staticmethod
+    def states(function_id, dim):
+        inst = make_instance(function_id, "T1", seed=91, overrides={"dimension": dim})
+        yield inst.problem
+        inst.advance_environment()
+        yield inst.problem
+        inst = make_instance(function_id, "T7", seed=93, overrides={"dimension": dim})
+        inst.advance_environment()
+        yield inst.problem
+
+    @pytest.mark.parametrize("dim", [5, 10, 15])
+    @pytest.mark.parametrize("function_id", ["F2", "F3", "F4", "F5", "F6"])
+    def test_batches_equal_their_rows(self, function_id, dim):
+        rng = np.random.default_rng(95)
+        for prob in self.states(function_id, dim):
+            xs = rng.uniform(prob.lower, prob.upper, size=(50, prob.dim))
+            rows = np.array([prob.evaluate(x[None, :])[0] for x in xs])
+            for n in (1, 5, 7, 50):
+                assert prob.evaluate(xs[:n]).tobytes() == rows[:n].tobytes(), n

@@ -465,7 +465,12 @@ class TestEnvelopeInvariants:
 
 
 class TestGoldenTrajectories:
-    """Frozen end-to-end traces guarding against silent behavior drift."""
+    """Frozen end-to-end traces guarding against silent behavior drift.
+
+    After a deliberate change, regenerate the files with::
+
+        PYTHONPATH=src python3 tests/test_instance.py
+    """
 
     CASES = {
         "golden_f1_t3.txt": ("F1(10)", "T3", 42, 5, 50, 250),
@@ -479,3 +484,9 @@ class TestGoldenTrajectories:
         produced = drive_instance(*args)
         expected = (DATA_DIR / filename).read_text(encoding="utf-8")
         assert produced == expected
+
+
+if __name__ == "__main__":
+    for name, args in TestGoldenTrajectories.CASES.items():
+        (DATA_DIR / name).write_text(drive_instance(*args), encoding="utf-8")
+        print(f"wrote {DATA_DIR / name}")

@@ -2,11 +2,15 @@
 
 The reference functions below are the composition, peak and base-function
 code as it stood before the landscape layer was rewritten for fewer numpy
-calls.  Every seeded result of the harness rests on these floats, so the
-production code must reproduce them exactly: on every family, at the
-smallest, default and largest dimension, at the batch sizes the optimizers
-use, on rows far from and very close to an optimum, and after the
-environment has changed or the dimension has moved.
+calls, with the composition's contraction taken as ``diff @ (M / lambda)``,
+one vector-matrix product per (row, component).  Every seeded result of the
+harness rests on these floats, so the production code must reproduce them
+exactly: on every family, at the smallest, default and largest dimension,
+at the batch sizes the optimizers use, on rows far from and very close to
+an optimum, and after the environment has changed or the dimension has
+moved.  The contraction it replaced, ``(diff / lambda) M`` through
+``einsum``, is kept as a frozen copy too, and the last tests bound how far
+the two paths differ.
 """
 
 import itertools
@@ -73,19 +77,38 @@ REF_BASE = {
 # -- reference landscapes -------------------------------------------------
 
 
-def ref_corner_values(prob):
-    """Each component's value at the domain corner, one component at a time."""
+def ref_corner_values(prob, folded=True):
+    """Each component's value at the domain corner, one component at a time.
+
+    ``folded=False`` is the frozen einsum-era path: the corner divided by
+    lambda, then rotated.
+    """
     corner = np.full(prob.dim, prob.upper)
     fmax = np.empty(prob.num_components)
     for i, name in enumerate(prob.func_names):
-        z = (corner / prob.lambdas[i]) @ prob.matrices[i]
+        if folded:
+            z = corner @ (prob.matrices[i] / prob.lambdas[i])
+        else:
+            z = (corner / prob.lambdas[i]) @ prob.matrices[i]
         fmax[i] = float(REF_BASE[name](z))
     return fmax
 
 
-def ref_composition(prob, xs):
+def folded_contraction(prob, diff):
+    """``diff @ (M / lambda)``, one vector-matrix product per (row, component)."""
+    scaled = prob.matrices / prob.lambdas[:, None, None]
+    return (diff[:, :, None, :] @ scaled)[:, :, 0, :]
+
+
+def einsum_contraction(prob, diff):
+    """The contraction before the stretch was folded into the matrices."""
+    return np.einsum("nmd,mde->nme", diff / prob.lambdas[:, None], prob.matrices)
+
+
+def ref_composition(prob, xs, folded=True):
+    """The composition rule; ``folded=False`` is the frozen einsum-era path."""
     h = np.array([p.value for p in prob.heights])
-    fmax = ref_corner_values(prob)
+    fmax = ref_corner_values(prob, folded)
     diff = xs[:, None, :] - prob.optima
     sq_dist = np.add.reduce(diff * diff, axis=2)
     w = np.exp(-np.sqrt(sq_dist / (2.0 * prob.dim * prob.sigma**2)))
@@ -93,7 +116,7 @@ def ref_composition(prob, xs):
     damping = [[1.0 - v**10] for v in wmax[:, 0].tolist()]
     w = np.where(w == wmax, w, w * np.array(damping))
     w /= np.add.reduce(w, axis=1, keepdims=True)
-    z = np.einsum("nmd,mde->nme", diff / prob.lambdas[:, None], prob.matrices)
+    z = (folded_contraction if folded else einsum_contraction)(prob, diff)
     values = np.empty(z.shape[:2])
     start = 0
     for name, run in itertools.groupby(prob.func_names):
@@ -202,3 +225,64 @@ def test_base_function_matches_reference(name):
         assert got.tobytes() == want.tobytes(), x.shape
         assert float(got.flat[0]) == float(want.flat[0])
         assert x.tobytes() == before.tobytes(), "a base function wrote to its input"
+
+
+# -- the contraction against the einsum path it replaced -------------------
+
+EPS = np.finfo(float).eps
+# bounds set from the float analysis, with the largest gaps on these rows in
+# brackets: z moves by a few ulp of its row's norm [1.9 eps]; a composition
+# value by ~1e-15 relative [5.7e-16], except that Weierstrass (F6) multiplies
+# its input by up to 2 pi 3^14 inside a sine [2.0e-13]
+Z_ULPS = 4
+VALUE_BOUND = {"F6": 2e-12}
+VALUE_BOUND_DEFAULT = 1e-14
+CONTRACTION_KINDS = ("uniform", "near-1e-3", "near-1e-7", "near-1e-12", "exact")
+
+
+def _rows(problem, kind, rng):
+    if kind == "near-1e-3":
+        centers = problem.optima[rng.integers(0, problem.num_components, size=50)]
+        return centers + 1e-3 * rng.uniform(-1.0, 1.0, size=centers.shape)
+    return sample_rows(problem, kind, 50, rng)
+
+
+def _composition_states(function_id, dim):
+    """A fresh instance, and one after a T7 dimension step."""
+    inst = make_instance(function_id, "T1", seed=71, overrides={"dimension": dim})
+    yield inst.problem
+    inst = make_instance(function_id, "T7", seed=73, overrides={"dimension": dim})
+    inst.advance_environment()
+    assert inst.problem.dim != dim
+    yield inst.problem
+
+
+@pytest.mark.parametrize("dim", [5, 10, 15])
+@pytest.mark.parametrize("function_id", ["F2", "F3", "F4", "F5", "F6"])
+class TestContractionAgainstEinsum:
+    def test_z_within_a_few_ulp_of_the_row_norm(self, function_id, dim):
+        rng = np.random.default_rng(75)
+        for prob in _composition_states(function_id, dim):
+            for kind in CONTRACTION_KINDS:
+                diff = _rows(prob, kind, rng)[:, None, :] - prob.optima
+                old = einsum_contraction(prob, diff)
+                gap = np.abs(folded_contraction(prob, diff) - old)
+                norm = np.sqrt(np.add.reduce(old * old, axis=2))[:, :, None]
+                assert np.all(gap <= Z_ULPS * EPS * norm), kind
+
+    def test_values_within_the_stated_bound(self, function_id, dim):
+        bound = VALUE_BOUND.get(function_id, VALUE_BOUND_DEFAULT)
+        rng = np.random.default_rng(77)
+        for prob in _composition_states(function_id, dim):
+            assert np.all(
+                np.abs(prob._fmax - ref_corner_values(prob, folded=False))
+                <= bound * np.abs(prob._fmax)
+            )
+            for kind in CONTRACTION_KINDS:
+                xs = _rows(prob, kind, rng)
+                new, old = prob.evaluate(xs), ref_composition(prob, xs, folded=False)
+                if kind in ("near-1e-12", "exact"):
+                    # the displacement is too small to round differently
+                    assert new.tobytes() == old.tobytes(), kind
+                else:
+                    assert np.all(np.abs(new - old) <= bound * np.abs(old)), kind
