@@ -92,9 +92,8 @@ class CompositionProblem:
         """Recompute what depends on the dimension and the rotations: the
         matrices scaled by 1/lambda, each component's corner value used for
         rescaling, and the weight scale."""
-        # the stretch is folded into the matrices, so a component's input is
-        # diff @ (M / lambda); the corners take the same product as evaluate
         self._scaled = self.matrices / self.lambdas[:, None, None]
+        # the corners take the same product as evaluate: corner @ (M / lambda)
         corners = np.full((self.num_components, 1, self.dim), self.upper)
         self._fmax = self._component_values((corners @ self._scaled)[None, :, 0])[0]
         self._abs_fmax = np.abs(self._fmax)

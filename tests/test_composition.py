@@ -115,7 +115,8 @@ def one_vector_value(prob, x):
     wmax = w.max()
     w = np.where(w == wmax, w, w * (1.0 - wmax**10))
     w /= w.sum()
-    z = np.array([d @ (m / l) for d, m, l in zip(diff, prob.matrices, prob.lambdas)])
+    scaled = prob.matrices / prob.lambdas[:, None, None]
+    z = np.array([d @ s for d, s in zip(diff, scaled)])
     values = np.array(
         [bf.BASE_FUNCTIONS[name](z[i]) for i, name in enumerate(prob.func_names)]
     )
