@@ -10,7 +10,6 @@ from dynopt.errors import BudgetExhausted, ConfigError, DimensionMismatch
 from dynopt.gdbg import ChangeType, GdbgInstance, make_instance
 from dynopt.objective import DynamicObjective, StaticFunctionProblem
 from dynopt.optimizers import OPTIMIZER_IDS, run
-from dynopt.harness import run_case
 
 __all__ = [
     "BudgetExhausted",
@@ -23,7 +22,6 @@ __all__ = [
     "StaticFunctionProblem",
     "make_instance",
     "run",
-    "run_case",
 ]
 
 __version__ = "0.1.0"

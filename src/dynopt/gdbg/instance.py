@@ -89,7 +89,6 @@ class GdbgConfig:
     sigma: float = 1.0
     normalizer: float = 2000.0
     change_frequency: int = 0  # 0 means the 10_000 * dimension default
-    identity_rotation: bool = False
 
     def resolved_frequency(self) -> int:
         if self.change_frequency > 0:
@@ -183,10 +182,7 @@ class GdbgInstance(DynamicObjective):
         optima = self.rng.uniform(
             cfg.search_lower, cfg.search_upper, size=(len(names), cfg.dimension)
         )
-        if cfg.identity_rotation:
-            matrices = np.stack([np.eye(cfg.dimension)] * len(names))
-        else:
-            matrices = random_orthogonal(len(names), cfg.dimension, self.rng)
+        matrices = random_orthogonal(len(names), cfg.dimension, self.rng)
         return CompositionProblem(
             optima,
             self._heights(len(names)),
@@ -304,13 +300,6 @@ class GdbgInstance(DynamicObjective):
         if kind is ChangeType.RANDOM_DIM:
             new_dim = self._walk.step()
             self.problem.resize(new_dim, self.rng)
-            if self.config.identity_rotation and isinstance(
-                self.problem, CompositionProblem
-            ):
-                self.problem.matrices = np.stack(
-                    [np.eye(new_dim)] * self.problem.num_components
-                )
-                self.problem.refresh_normalization()
         self.problem.refresh_cache()
 
     # -- introspection ----------------------------------------------------

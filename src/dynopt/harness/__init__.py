@@ -16,7 +16,6 @@ from dynopt.harness.experiment import (
     derive_seed,
     optimizer_seed,
     problem_seed,
-    run_case,
     run_experiment,
     run_single,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "derive_seed",
     "optimizer_seed",
     "problem_seed",
-    "run_case",
     "run_experiment",
     "run_single",
 ]

@@ -204,36 +204,6 @@ class CaseResult:
         }
 
 
-def _assemble(
-    config: ExperimentConfig,
-    case: Case,
-    optimizer_id: str,
-    trajectories: list[Trajectory],
-) -> CaseResult:
-    errors = np.array([t.e_last for t in trajectories], dtype=float)
-    r_last = np.array([t.r_last for t in trajectories], dtype=float)
-    samples = np.array([t.ratio_samples for t in trajectories], dtype=float)
-    return CaseResult(
-        case=case,
-        optimizer_id=optimizer_id,
-        errors=errors,
-        r_last=r_last,
-        samples=samples,
-        trajectories=list(trajectories) if config.trace else None,
-    )
-
-
-def run_case(
-    config: ExperimentConfig, case: Case, optimizer_id: str
-) -> CaseResult:
-    """Run every repetition of one (case, optimizer) cell serially."""
-    trajectories = [
-        run_single(config, case, optimizer_id, run_index)
-        for run_index in range(config.runs)
-    ]
-    return _assemble(config, case, optimizer_id, trajectories)
-
-
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -285,7 +255,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         trajectories = ordered_map(run_single, itertools.repeat(config), *zip(*tasks))
         for case, optimizer_id, _ in tasks[:: config.runs]:
             runs = list(itertools.islice(trajectories, config.runs))
-            results[(case.case_id, optimizer_id)] = _assemble(
-                config, case, optimizer_id, runs
+            results[(case.case_id, optimizer_id)] = CaseResult(
+                case=case,
+                optimizer_id=optimizer_id,
+                errors=np.array([t.e_last for t in runs], dtype=float),
+                r_last=np.array([t.r_last for t in runs], dtype=float),
+                samples=np.array([t.ratio_samples for t in runs], dtype=float),
+                trajectories=runs if config.trace else None,
             )
     return ExperimentResult(config=config, results=results)

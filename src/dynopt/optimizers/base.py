@@ -31,15 +31,23 @@ def clip_in_place(rows: np.ndarray, lower: float, upper: float) -> None:
 
 
 class SwarmBase:
-    """Population state and the change-handling skeleton.
+    """Population state and the one change-handling iteration.
 
     Every swarm keeps a food source: the best position it knows,
     ``food_position`` with its value ``food_fitness`` (the gbest of a
     PSO).  Re-evaluating it each iteration is the change sentinel.  Swarms
-    with per-member memory also keep ``pbest_positions`` and
-    ``pbest_fitness``; on a change that memory is re-scored.
+    with per-member memory (``keeps_pbests``) also keep ``pbest_positions``
+    and ``pbest_fitness``; on a change that memory is re-scored.
+
+    ``iterate`` is the one sequence every optimizer runs: sentinel, move,
+    clamp, score, remember.  A subclass names its ``config_type`` and
+    supplies the two hooks, ``move`` (its search rule) and ``remember``
+    (its memory rule); the constructor builds everything else from the
+    config and scores the initial population.
     """
 
+    config_type: type
+    keeps_pbests = False
     pbest_positions: np.ndarray | None = None
     pbest_fitness: np.ndarray | None = None
 
@@ -47,31 +55,38 @@ class SwarmBase:
         self,
         problem: DynamicObjective,
         seed: int,
-        population: int,
         budget: int,
-        frequency: int | None,
-        evals_per_iteration: int,
+        frequency: int | None = None,
+        config=None,
     ) -> None:
-        if population < 1:
+        self.config = config or self.config_type()
+        if self.config.population < 1:
             raise ConfigError("population must be at least 1")
         self.problem = problem
         self.rng = np.random.default_rng(int(seed))
-        self.n = int(population)
+        self.n = int(self.config.population)
         self.maximize = problem.maximize
         self.dim = problem.dimension()
         self._set_bounds()
-        self._window_budget = int(frequency) if frequency else int(budget)
-        self._epi = int(evals_per_iteration)
-        self.max_iterations = max(1, self._window_budget // self._epi)
+        window = int(frequency) if frequency else int(budget)
+        # an iteration scores the population, the sentinel and any probes
+        per_iteration = self.n + 1 + self.probes_per_iteration()
+        self.max_iterations = max(1, window // per_iteration)
         self.l_window = 0
         self.iterations = 0
         self._dim_changed = False
+        self.last_change_detected = False
 
         self.positions = self.rng.uniform(
             self.lower, self.upper, size=(self.n, self.dim)
         )
         self.fitness = np.empty(self.n)
         self.worst_value = -math.inf if self.maximize else math.inf
+        self.start_memory()
+
+    def probes_per_iteration(self) -> int:
+        """Evaluations an iteration spends beyond the population and sentinel."""
+        return 0
 
     # -- sense helpers ----------------------------------------------------
 
@@ -92,10 +107,10 @@ class SwarmBase:
 
     # -- memory -------------------------------------------------------------
 
-    def start_memory(self, pbests: bool) -> None:
+    def start_memory(self) -> None:
         """Score the initial population; its best member becomes the food."""
         self.evaluate_all()
-        if pbests:
+        if self.keeps_pbests:
             self.pbest_positions = self.positions.copy()
             self.pbest_fitness = self.fitness.copy()
         best = self.argbest(self.fitness)
@@ -179,8 +194,24 @@ class SwarmBase:
 
     # -- run loop -----------------------------------------------------------
 
-    def iterate(self) -> None:  # pragma: no cover - abstract
+    def move(self) -> None:  # pragma: no cover - abstract
+        """Take the population's next positions: the search rule."""
         raise NotImplementedError
+
+    def remember(self) -> None:  # pragma: no cover - abstract
+        """Fold the scored population into the memory and the food."""
+        raise NotImplementedError
+
+    def iterate(self) -> None:
+        """One iteration: sentinel, move, clamp, score, remember."""
+        self.sync_dimension()
+        self.last_change_detected = self.detect_change()
+        self.move()
+        self.clamp_positions()
+        self.evaluate_all()
+        self.remember()
+        self.l_window += 1
+        self.iterations += 1
 
     def run_forever(self) -> None:
         """Iterate until the budget guard raises."""

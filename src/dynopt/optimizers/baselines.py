@@ -1,7 +1,8 @@
 """Reference optimizers: a classic salp chain and a gbest PSO.
 
-Both share the sentinel-based change handling of the main optimizer so
-comparisons measure search behaviour, not bookkeeping.
+Both run the main optimizer's one iteration, ``SwarmBase.iterate``, with
+its sentinel-based change handling, so comparisons measure search
+behaviour, not bookkeeping; each supplies only its move and memory rules.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class SsaBaseline(SwarmBase):
     and the leader's shrinking orbit restarts.
     """
 
+    config_type = SsaConfig
+
     def __init__(
         self,
         problem: DynamicObjective,
@@ -43,36 +46,26 @@ class SsaBaseline(SwarmBase):
         frequency: int | None = None,
         config: SsaConfig | None = None,
     ) -> None:
-        self.config = config or SsaConfig()
-        super().__init__(
-            problem,
-            seed,
-            self.config.population,
-            budget,
-            frequency,
-            evals_per_iteration=self.config.population + 1,
-        )
-        self.start_memory(pbests=False)
+        super().__init__(problem, seed, budget, frequency, config)
         self._members = np.arange(self.n).reshape(1, self.n)  # one chain
 
-    def iterate(self) -> None:
-        self.sync_dimension()
-        self.detect_change()
+    def move(self) -> None:
         l_eff = min(self.l_window, self.max_iterations)
         rules.salp_chain(
             self.positions, self._members, self.food_position,
             self.lower, self.upper,
             rules.salp_coefficient(l_eff, self.max_iterations), self.rng,
         )
-        self.clamp_positions()
-        self.evaluate_all()
+
+    def remember(self) -> None:
         self.promote(self.positions, self.fitness)
-        self.l_window += 1
-        self.iterations += 1
 
 
 class PsoBaseline(SwarmBase):
     """Global-best PSO with an inertia-style constriction and pbest memory."""
+
+    config_type = PsoConfig
+    keeps_pbests = True
 
     def __init__(
         self,
@@ -82,20 +75,11 @@ class PsoBaseline(SwarmBase):
         frequency: int | None = None,
         config: PsoConfig | None = None,
     ) -> None:
-        self.config = config or PsoConfig()
-        super().__init__(
-            problem,
-            seed,
-            self.config.population,
-            budget,
-            frequency,
-            evals_per_iteration=self.config.population + 1,
-        )
+        super().__init__(problem, seed, budget, frequency, config)
         self.velocities = np.zeros((self.n, self.dim))
         cfg = self.config
         # the gains as 0-d operands (see ``SwarmBase._set_bounds``)
         self._gains = tuple(np.array(v) for v in (cfg.chi, cfg.c1, cfg.c2))
-        self.start_memory(pbests=True)
 
     def _set_bounds(self) -> None:
         """Also fix the velocity clip of the new box, as 0-d bounds."""
@@ -111,9 +95,7 @@ class PsoBaseline(SwarmBase):
         else:
             self.velocities = self.velocities[:, :new_dim].copy()
 
-    def iterate(self) -> None:
-        self.sync_dimension()
-        self.detect_change()
+    def move(self) -> None:
         chi, c1, c2 = self._gains
         r1 = self.rng.random((self.n, self.dim))
         r2 = self.rng.random((self.n, self.dim))
@@ -124,9 +106,7 @@ class PsoBaseline(SwarmBase):
         )
         clip_in_place(self.velocities, *self._velocity_box)
         self.positions = self.positions + self.velocities
-        self.clamp_positions()
-        self.evaluate_all()
+
+    def remember(self) -> None:
         self.update_pbests()
         self.promote(self.pbest_positions, self.pbest_fitness)
-        self.l_window += 1
-        self.iterations += 1

@@ -65,6 +65,9 @@ class QcssoConfig:
 class Qcsso(SwarmBase):
     """See module docstring.  Drive with ``iterate()`` under a budget guard."""
 
+    config_type = QcssoConfig
+    keeps_pbests = True
+
     def __init__(
         self,
         problem: DynamicObjective,
@@ -73,16 +76,8 @@ class Qcsso(SwarmBase):
         frequency: int | None = None,
         config: QcssoConfig | None = None,
     ) -> None:
-        self.config = config or QcssoConfig()
+        super().__init__(problem, seed, budget, frequency, config)
         cfg = self.config
-        super().__init__(
-            problem,
-            seed,
-            cfg.population,
-            budget,
-            frequency,
-            evals_per_iteration=cfg.population + cfg.subpopulations + 1,
-        )
         self.k = cfg.subpopulations
         self.chain = self.n // self.k
         # member indices, one row per chain
@@ -93,12 +88,10 @@ class Qcsso(SwarmBase):
         # applied once per follower rank: a 0-d operand, as for the bounds
         self._momentum = np.array(cfg.momentum)
 
-        self.start_memory(pbests=True)
         self.ages = np.zeros(self.n, dtype=int)
         # per-iteration observability, mainly for tests
         self.last_aging_reinits: list[int] = []
         self.last_excluded_subpops: list[int] = []
-        self.last_change_detected = False
 
     # -- configuration-derived quantities ---------------------------------
 
@@ -113,6 +106,10 @@ class Qcsso(SwarmBase):
             else 0.1 * float(np.linalg.norm(np.full(self.dim, span)))
         )
         self._probe_sigma = cfg.probe_sigma_scale * span
+
+    def probes_per_iteration(self) -> int:
+        """One overlap-search probe per chain."""
+        return self.config.subpopulations
 
     def exclusion_radius(self) -> float:
         return self._exclusion_radius
@@ -180,15 +177,6 @@ class Qcsso(SwarmBase):
             rules.follower_coefficient(l_eff, self.max_iterations), self._momentum,
         )
         self.positions = ranks.swapaxes(0, 1).reshape(self.n, dim)
-
-    def update_memory(self) -> np.ndarray:
-        """Refresh the pbests; return each chain's best index.
-
-        The food is left as it was: nothing reads it before
-        ``overlap_search``, which refreshes it once, after its probes.
-        """
-        self.update_pbests()
-        return self.subpop_best_indices()
 
     def overlap_search(self, bests: np.ndarray) -> None:
         """Probe around each chain's best, then enforce inter-chain exclusion.
@@ -298,21 +286,20 @@ class Qcsso(SwarmBase):
         self.last_aging_reinits = reinited
         return reinited
 
-    # -- one full iteration -----------------------------------------------------
+    # -- the two hooks of ``SwarmBase.iterate`` --------------------------------
 
-    def iterate(self) -> None:
-        self.sync_dimension()
-        self.last_change_detected = self.detect_change()
+    def move(self) -> None:
         if self.l_window == 0:
             self.ssa_bootstrap()
         else:
             self.swarm_update()
-        self.clamp_positions()
-        self.evaluate_all()
-        bests = self.update_memory()
+
+    def remember(self) -> None:
+        # the pbest refresh leaves the food as it was: nothing reads it
+        # before ``overlap_search``, which refreshes it once, after its probes
+        self.update_pbests()
+        bests = self.subpop_best_indices()
         self.overlap_search(bests)
         self.aging_step(bests)
         if self.config.w_mode == "chaotic":
             self._w_state = rules.logistic_step(self._w_state)
-        self.l_window += 1
-        self.iterations += 1

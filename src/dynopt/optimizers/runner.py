@@ -20,7 +20,12 @@ from dynopt.overrides import apply_overrides
 from dynopt.optimizers.baselines import PsoBaseline, PsoConfig, SsaBaseline, SsaConfig
 from dynopt.optimizers.qcsso import Qcsso, QcssoConfig
 
-OPTIMIZER_IDS = ("qcsso", "ssa_baseline", "pso_baseline")
+_OPTIMIZERS = {
+    "qcsso": (Qcsso, QcssoConfig),
+    "ssa_baseline": (SsaBaseline, SsaConfig),
+    "pso_baseline": (PsoBaseline, PsoConfig),
+}
+OPTIMIZER_IDS = tuple(_OPTIMIZERS)
 
 RATIO_DUST = 1e-9
 
@@ -241,18 +246,12 @@ def _build_optimizer(
     frequency: int | None,
     overrides: dict[str, str] | None,
 ):
-    if optimizer_id == "qcsso":
-        config = apply_overrides(QcssoConfig(), overrides or {})
-        return Qcsso(problem, seed, budget, frequency, config)
-    if optimizer_id == "ssa_baseline":
-        config = apply_overrides(SsaConfig(), overrides or {})
-        return SsaBaseline(problem, seed, budget, frequency, config)
-    if optimizer_id == "pso_baseline":
-        config = apply_overrides(PsoConfig(), overrides or {})
-        return PsoBaseline(problem, seed, budget, frequency, config)
-    raise ConfigError(
-        f"unknown optimizer {optimizer_id!r}; expected one of {', '.join(OPTIMIZER_IDS)}"
-    )
+    if optimizer_id not in _OPTIMIZERS:
+        expected = ", ".join(OPTIMIZER_IDS)
+        raise ConfigError(f"unknown optimizer {optimizer_id!r}; expected one of {expected}")
+    cls, config_type = _OPTIMIZERS[optimizer_id]
+    config = apply_overrides(config_type(), overrides or {})
+    return cls(problem, seed, budget, frequency, config)
 
 
 def run(

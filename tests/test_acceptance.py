@@ -148,9 +148,7 @@ def test_criterion_3_ground_truth_optima():
     worst_comp_gap = 0.0
     for fid in ("F2", "F3", "F4", "F5", "F6"):
         for seed in range(4):
-            inst = make_instance(
-                fid, "T3", seed=seed, overrides={"identity_rotation": True}
-            )
+            inst = make_instance(fid, "T3", seed=seed)
             for _ in range(5):
                 inst.advance_environment()
                 heights = [p.value for p in inst.problem.heights]

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from dynopt.objective import StaticFunctionProblem
 from dynopt.optimizers.base import SwarmBase, clip_in_place
@@ -13,6 +14,7 @@ from dynopt.optimizers.baselines import (
     SsaConfig,
 )
 from dynopt.optimizers.qcsso import Qcsso
+from dynopt.optimizers.runner import _OPTIMIZERS, OPTIMIZER_IDS
 
 from conftest import FakeRng, SwitchableProblem, evaluate_one, sphere_problem
 
@@ -163,6 +165,57 @@ class TestSharedMemory:
     def test_one_change_detector_for_all_swarms(self):
         for cls in (SsaBaseline, PsoBaseline, Qcsso):
             assert cls.detect_change is SwarmBase.detect_change
+            assert "iterate" not in vars(cls)  # the one iteration is the base's
+
+
+class BatchLog(SwitchableProblem):
+    """The test bowl, logging the row count of every call."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sizes = []
+
+    def evaluate(self, xs):
+        self.sizes.append(len(xs))
+        return super().evaluate(xs)
+
+
+class TestSkeleton:
+    """``SwarmBase.iterate``, the one iteration every registered optimizer runs."""
+
+    def test_registry_pairs_each_class_with_its_config(self):
+        assert OPTIMIZER_IDS == ("qcsso", "ssa_baseline", "pso_baseline")
+        for cls, config_type in _OPTIMIZERS.values():
+            assert cls.config_type is config_type
+
+    @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
+    def test_sentinel_population_probes(self, optimizer_id):
+        cls, _ = _OPTIMIZERS[optimizer_id]
+        problem = BatchLog(dimension=3)
+        opt = cls(problem, seed=4, budget=10**6, frequency=1000)
+        assert problem.sizes == [opt.n]  # the initial population
+        del problem.sizes[:]
+        opt.iterate()
+        probes = [opt.config.subpopulations] if optimizer_id == "qcsso" else []
+        assert problem.sizes == [1, opt.n] + probes
+        # the derived evaluations per iteration fill the window
+        spent = sum(problem.sizes)
+        assert spent * opt.max_iterations <= 1000 < spent * (opt.max_iterations + 1)
+
+    @pytest.mark.parametrize("optimizer_id", ["ssa_baseline", "pso_baseline"])
+    def test_baselines_flag_a_detected_change(self, optimizer_id):
+        cls, _ = _OPTIMIZERS[optimizer_id]
+        problem = SwitchableProblem(dimension=4)
+        opt = cls(problem, seed=21, budget=10_000)
+        for _ in range(3):
+            opt.iterate()
+            assert opt.last_change_detected is False
+        problem.shift(offset=50.0)
+        opt.iterate()
+        assert opt.last_change_detected is True
+        assert opt.l_window == 1  # reset, then advanced once
+        opt.iterate()
+        assert opt.last_change_detected is False
 
 
 class TestClipInPlace:

@@ -19,7 +19,6 @@ from dynopt.harness.experiment import (
     derive_seed,
     optimizer_seed,
     problem_seed,
-    run_case,
     run_experiment,
     run_single,
 )
@@ -253,22 +252,29 @@ class TestRunSingle:
         assert all(e >= 0.0 for e in traj.e_last)
 
 
-class TestRunCase:
+class TestOneCell:
+    """One (case, optimizer) cell through ``run_experiment``."""
+
+    @staticmethod
+    def cell(optimizer_id, **changes):
+        config = tiny_config(
+            cases=("F1(10):T1",), optimizers=(optimizer_id,), **changes
+        )
+        return run_experiment(config).results[("F1(10):T1", optimizer_id)]
+
     def test_dense_arrays(self):
-        config = tiny_config(runs=2)
-        result = run_case(config, Case("F1(10)", "T1"), "qcsso")
+        result = self.cell("qcsso", runs=2)
         assert result.errors.shape == (2, 2)
         assert result.r_last.shape == (2, 2)
         assert result.samples.shape == (2, 2, 3)
         assert 0.0 < result.score() <= 1.0
         rows = result.stat_rows()
-        assert set(rows) == {"Avg.Best", "Avg.Worst", "Avg.Mean", "STD"}
+        assert list(rows) == ["Avg.Best", "Avg.Worst", "Avg.Mean", "STD"]
         assert rows["Avg.Best"] <= rows["Avg.Mean"] <= rows["Avg.Worst"]
         assert result.trajectories is None
 
     def test_trace_keeps_trajectories(self):
-        config = tiny_config(trace=True)
-        result = run_case(config, Case("F1(10)", "T1"), "ssa_baseline")
+        result = self.cell("ssa_baseline", trace=True)
         assert result.trajectories is not None
         assert len(result.trajectories) == 1
         assert len(result.trajectories[0].trace) == 6  # 2 windows x 3 samples

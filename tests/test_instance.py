@@ -262,18 +262,6 @@ class TestDimensionChanges:
             evaluate_one(inst, x)
         assert inst.eval_count == used
 
-    def test_composition_resize_keeps_identity_matrices(self):
-        inst = make_instance(
-            "F2", "T7", seed=11,
-            overrides={"dimension": 10, "change_frequency": 5,
-                       "identity_rotation": True},
-        )
-        for _ in range(5):
-            evaluate_one(inst, np.zeros(inst.dimension()))
-        assert inst.dimension() == 11
-        for m in inst.problem.matrices:
-            assert np.array_equal(m, np.eye(11))
-
 
 class TestBatchEvaluation:
     """Batches give exactly the values and counters of the row-by-row loop."""

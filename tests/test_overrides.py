@@ -6,6 +6,7 @@ import pytest
 
 from dynopt.errors import ConfigError
 from dynopt.gdbg.instance import GdbgConfig
+from dynopt.harness.experiment import ExperimentConfig
 from dynopt.optimizers.baselines import PsoConfig, SsaConfig
 from dynopt.optimizers.qcsso import QcssoConfig
 from dynopt.overrides import (
@@ -87,12 +88,11 @@ class TestApplyOverrides:
 
     def test_string_values_coerced_to_field_types(self):
         cfg = apply_overrides(
-            GdbgConfig(), {"dimension": "12", "height_severity": "2.5",
-                           "identity_rotation": "true"}
+            GdbgConfig(), {"dimension": "12", "height_severity": "2.5"}
         )
         assert cfg.dimension == 12
         assert cfg.height_severity == 2.5
-        assert cfg.identity_rotation is True
+        assert apply_overrides(ExperimentConfig(), {"trace": "true"}).trace is True
 
     def test_original_untouched(self):
         base = GdbgConfig()

@@ -311,13 +311,14 @@ class TestSwarmUpdateMatchesMemberLoop:
 
 
 class TestMemory:
-    def test_update_memory_keeps_best(self):
+    def test_update_pbests_keeps_best(self):
         opt = make_opt(dim=2, config=QcssoConfig(population=4, subpopulations=2))
         opt.pbest_fitness = np.array([1.0, 2.0, 3.0, 4.0])
         opt.pbest_positions = np.zeros((4, 2))
         opt.fitness = np.array([0.5, 5.0, 2.5, 4.0])
         opt.positions = np.ones((4, 2))
-        assert opt.update_memory().tolist() == [0, 2]  # the chain bests
+        opt.update_pbests()
+        assert opt.subpop_best_indices().tolist() == [0, 2]  # the chain bests
         assert opt.pbest_fitness.tolist() == [0.5, 2.0, 2.5, 4.0]
         assert np.array_equal(opt.pbest_positions[0], [1.0, 1.0])
         assert np.array_equal(opt.pbest_positions[1], [0.0, 0.0])
@@ -456,7 +457,7 @@ class TestOverlapSearch:
         assert opt.last_excluded_subpops == []
 
     def test_chain_bests_and_food_hold_through_the_iteration(self):
-        # aging reads the chain bests that update_memory found, as the
+        # aging reads the chain bests that remember found, as the
         # probes and any recycles left them, and the food is the best pbest
         opt = Qcsso(make_instance("F1(10)", "T1", 5), seed=3, budget=10**6,
                     frequency=5000)
