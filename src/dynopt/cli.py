@@ -9,14 +9,13 @@ Verbs:
 
 Exit codes are stable for scripting: 0 on success, 1 on a runtime failure,
 2 on a usage error. The seed is taken from ``--seed``, else the config
-file, else the ``DYNOPT_SEED`` environment variable, else a fixed default.
+file, else the default 12345.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -27,9 +26,6 @@ from dynopt.harness import csvio, stats
 from dynopt.harness.cases import all_cases
 from dynopt.harness.experiment import ExperimentConfig, run_experiment
 from dynopt.overrides import parse_config_text
-
-SEED_ENV = "DYNOPT_SEED"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,16 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_seed(parser: argparse.ArgumentParser) -> int | None:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"{SEED_ENV} must be an integer, got {raw!r}")
-
-
 def _build_config(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> ExperimentConfig:
@@ -100,10 +86,6 @@ def _build_config(
         pairs["optimizers"] = ",".join(args.optimizer)
     if args.seed is not None:
         pairs["seed"] = args.seed
-    elif "seed" not in pairs:
-        env = _env_seed(parser)
-        if env is not None:
-            pairs["seed"] = env
     if args.jobs is not None:
         pairs["jobs"] = args.jobs
     if args.trace:

@@ -68,32 +68,31 @@ _COMPOSITION_BASES = {
 }
 
 
+# the generator's fixed constants (CEC 2009 GDBG report, Li et al. 2008);
+# the composition's sigma and normaliser are ``CompositionProblem``'s defaults
+SEARCH_LOWER, SEARCH_UPPER = -5.0, 5.0
+HEIGHT_MIN, HEIGHT_MAX, HEIGHT_INIT, HEIGHT_SEVERITY = 10.0, 100.0, 50.0, 5.0
+WIDTH_MIN, WIDTH_MAX, WIDTH_INIT, WIDTH_SEVERITY = 1.0, 10.0, 5.0, 0.5
+ROTATION_SEVERITY = 1.0
+
+
+def resolve_frequency(change_frequency: int, dimension: int) -> int:
+    """The change frequency, where 0 means the default ``10_000 * dimension``."""
+    if change_frequency > 0:
+        return int(change_frequency)
+    return 10_000 * dimension
+
+
 @dataclass(frozen=True)
 class GdbgConfig:
-    """Construction constants; every field can be overridden by key=value."""
+    """The settings an instance takes by key=value; the rest are constants."""
 
     dimension: int = 10
-    search_lower: float = -5.0
-    search_upper: float = 5.0
-    num_peaks: int = 10
-    num_components: int = 10
-    height_min: float = 10.0
-    height_max: float = 100.0
-    height_init: float = 50.0
-    height_severity: float = 5.0
-    width_min: float = 1.0
-    width_max: float = 10.0
-    width_init: float = 5.0
-    width_severity: float = 0.5
-    rotation_severity: float = 1.0
-    sigma: float = 1.0
-    normalizer: float = 2000.0
     change_frequency: int = 0  # 0 means the 10_000 * dimension default
+    num_peaks: int = 10
 
     def resolved_frequency(self) -> int:
-        if self.change_frequency > 0:
-            return int(self.change_frequency)
-        return 10_000 * self.dimension
+        return resolve_frequency(self.change_frequency, self.dimension)
 
 
 class GdbgInstance(DynamicObjective):
@@ -131,7 +130,7 @@ class GdbgInstance(DynamicObjective):
             value=0.0,
             min=-math.pi,
             max=math.pi,
-            severity=config.rotation_severity,
+            severity=ROTATION_SEVERITY,
             phase=self.rng.uniform(0.0, 2.0 * math.pi),
         )
         if function_id.startswith("F1"):
@@ -141,57 +140,49 @@ class GdbgInstance(DynamicObjective):
 
     # -- construction ---------------------------------------------------
 
-    def _heights(self, count: int) -> list[DynamicParam]:
-        cfg = self.config
+    def _params(
+        self, count: int, init: float, low: float, high: float, severity: float
+    ) -> list[DynamicParam]:
         return [
             DynamicParam(
-                value=cfg.height_init,
-                min=cfg.height_min,
-                max=cfg.height_max,
-                severity=cfg.height_severity,
+                value=init,
+                min=low,
+                max=high,
+                severity=severity,
                 phase=self.rng.uniform(0.0, 2.0 * math.pi),
             )
             for _ in range(count)
         ]
+
+    def _heights(self, count: int) -> list[DynamicParam]:
+        return self._params(
+            count, HEIGHT_INIT, HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY
+        )
 
     def _build_peaks(self) -> PeakSet:
-        cfg = self.config
-        count = cfg.num_peaks
+        count = self.config.num_peaks
         centers = self.rng.uniform(
-            cfg.search_lower, cfg.search_upper, size=(count, cfg.dimension)
+            SEARCH_LOWER, SEARCH_UPPER, size=(count, self.config.dimension)
         )
         heights = self._heights(count)
-        widths = [
-            DynamicParam(
-                value=cfg.width_init,
-                min=cfg.width_min,
-                max=cfg.width_max,
-                severity=cfg.width_severity,
-                phase=self.rng.uniform(0.0, 2.0 * math.pi),
-            )
-            for _ in range(count)
-        ]
-        return PeakSet(centers, heights, widths, cfg.search_lower, cfg.search_upper)
+        widths = self._params(
+            count, WIDTH_INIT, WIDTH_MIN, WIDTH_MAX, WIDTH_SEVERITY
+        )
+        return PeakSet(centers, heights, widths, SEARCH_LOWER, SEARCH_UPPER)
 
     def _build_composition(self) -> CompositionProblem:
-        cfg = self.config
-        names = list(_COMPOSITION_BASES[self.function_id])
-        if cfg.num_components != len(names):
-            # trim or cycle the base list so unit tests may shrink instances
-            names = [names[i % len(names)] for i in range(cfg.num_components)]
+        names = _COMPOSITION_BASES[self.function_id]
         optima = self.rng.uniform(
-            cfg.search_lower, cfg.search_upper, size=(len(names), cfg.dimension)
+            SEARCH_LOWER, SEARCH_UPPER, size=(len(names), self.config.dimension)
         )
-        matrices = random_orthogonal(len(names), cfg.dimension, self.rng)
+        matrices = random_orthogonal(len(names), self.config.dimension, self.rng)
         return CompositionProblem(
             optima,
             self._heights(len(names)),
             names,
             matrices,
-            cfg.search_lower,
-            cfg.search_upper,
-            sigma=cfg.sigma,
-            normalizer=cfg.normalizer,
+            SEARCH_LOWER,
+            SEARCH_UPPER,
         )
 
     # -- DynamicObjective -----------------------------------------------
@@ -201,7 +192,7 @@ class GdbgInstance(DynamicObjective):
         return self._read_dim
 
     def bounds(self) -> tuple[float, float]:
-        return self.config.search_lower, self.config.search_upper
+        return SEARCH_LOWER, SEARCH_UPPER
 
     @property
     def maximize(self) -> bool:
@@ -332,7 +323,6 @@ def make_instance(
     """Build a benchmark instance from a function id, regime, and seed."""
     if isinstance(change_type, str):
         change_type = ChangeType.from_label(change_type)
-    config = apply_overrides(GdbgConfig(), overrides)
-    if function_id == "F1(50)" and not (overrides and "num_peaks" in overrides):
-        config = apply_overrides(config, {"num_peaks": 50})
+    defaults = GdbgConfig(num_peaks=50 if function_id == "F1(50)" else 10)
+    config = apply_overrides(defaults, overrides)
     return GdbgInstance(function_id, change_type, seed, config)

@@ -29,11 +29,6 @@ class Case:
     def case_id(self) -> str:
         return f"{self.function_id}:{self.change_type}"
 
-    @property
-    def file_tag(self) -> str:
-        """Filesystem-safe tag for the landscape family."""
-        return self.function_id.replace("(", "_").replace(")", "")
-
 
 def all_cases() -> tuple[Case, ...]:
     """Every case in canonical order: families outer, change types inner."""

@@ -21,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from dynopt.errors import ConfigError
+from dynopt.gdbg.instance import FUNCTION_IDS
 from dynopt.harness import stats
 from dynopt.harness.cases import (
     CHANGE_LABELS,
@@ -32,7 +33,13 @@ from dynopt.overrides import parse_config_text
 
 STAT_ROWS = ("Avg.Best", "Avg.Worst", "Avg.Mean", "STD")
 
-_TAG_TO_FUNCTION = {case.file_tag: case.function_id for case in all_cases()}
+
+def family_tag(function_id: str) -> str:
+    """Filesystem-safe tag for a landscape family: ``F1(10)`` -> ``F1_10``."""
+    return function_id.replace("(", "_").replace(")", "")
+
+
+_TAG_TO_FUNCTION = {family_tag(fid): fid for fid in FUNCTION_IDS}
 _RAW_NAME = re.compile(
     r"^raw_(?P<tag>F1_10|F1_50|F[2-6])_(?P<change>T[1-7])_(?P<alg>[a-z][a-z0-9_]*)\.csv$"
 )
@@ -49,19 +56,17 @@ def _write_lines(path: Path, lines: list[str]) -> Path:
 
 
 def errors_filename(function_id: str) -> str:
-    tag = function_id.replace("(", "_").replace(")", "")
-    return f"errors_{tag}.csv"
+    return f"errors_{family_tag(function_id)}.csv"
 
 
 def raw_filename(function_id: str, change_type: str, optimizer_id: str) -> str:
-    tag = function_id.replace("(", "_").replace(")", "")
-    return f"raw_{tag}_{change_type}_{optimizer_id}.csv"
+    return f"raw_{family_tag(function_id)}_{change_type}_{optimizer_id}.csv"
 
 
 def trajectory_filename(
     function_id: str, change_type: str, optimizer_id: str, run_index: int
 ) -> str:
-    tag = function_id.replace("(", "_").replace(")", "")
+    tag = family_tag(function_id)
     return f"trajectory_{tag}_{change_type}_{optimizer_id}_run{run_index}.csv"
 
 

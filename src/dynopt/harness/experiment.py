@@ -20,11 +20,11 @@ from typing import Mapping
 import numpy as np
 
 from dynopt.errors import ConfigError
-from dynopt.gdbg.instance import make_instance
+from dynopt.gdbg.instance import GdbgConfig, make_instance, resolve_frequency
 from dynopt.harness import stats
 from dynopt.harness.cases import Case, select_cases
-from dynopt.optimizers.runner import OPTIMIZER_IDS, Trajectory, run
-from dynopt.overrides import coerce
+from dynopt.optimizers.runner import OPTIMIZER_IDS, Trajectory, optimizer_config, run
+from dynopt.overrides import apply_overrides, coerce
 
 DEFAULT_SEED = 12345
 
@@ -99,6 +99,15 @@ class ExperimentConfig:
                 )
         if not self.optimizers:
             raise ConfigError("at least one optimizer is required")
+        # every override is checked here, before any run spends its budget
+        for key in ("dimension", "change_frequency"):
+            if key in self.gdbg_overrides:
+                raise ConfigError(
+                    f"gdbg.{key} is not a setting; use the experiment key {key!r}"
+                )
+        apply_overrides(GdbgConfig(), self.gdbg_overrides)
+        for optimizer_id in OPTIMIZER_IDS:
+            optimizer_config(optimizer_id, self.overrides_for(optimizer_id))
 
     @classmethod
     def from_pairs(cls, pairs: Mapping[str, object]) -> "ExperimentConfig":
@@ -136,7 +145,7 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def resolved_frequency(self) -> int:
-        return self.change_frequency or 10_000 * self.dimension
+        return resolve_frequency(self.change_frequency, self.dimension)
 
     def budget(self) -> int:
         return self.num_change * self.resolved_frequency()
@@ -153,14 +162,15 @@ def run_single(
 ) -> Trajectory:
     """One optimizer, one landscape instance, full budget."""
     frequency = config.resolved_frequency()
-    overrides = dict(config.gdbg_overrides)
-    overrides.setdefault("dimension", config.dimension)
-    overrides.setdefault("change_frequency", frequency)
     problem = make_instance(
         case.function_id,
         case.change_type,
         problem_seed(config.seed, case.case_id, run_index),
-        overrides,
+        {
+            **config.gdbg_overrides,
+            "dimension": config.dimension,
+            "change_frequency": frequency,
+        },
     )
     trajectory = run(
         optimizer_id,

@@ -73,7 +73,6 @@ class SwarmBase:
         per_iteration = self.n + 1 + self.probes_per_iteration()
         self.max_iterations = max(1, window // per_iteration)
         self.l_window = 0
-        self.iterations = 0
         self._dim_changed = False
         self.last_change_detected = False
 
@@ -211,7 +210,6 @@ class SwarmBase:
         self.evaluate_all()
         self.remember()
         self.l_window += 1
-        self.iterations += 1
 
     def run_forever(self) -> None:
         """Iterate until the budget guard raises."""

@@ -17,13 +17,13 @@ import numpy as np
 from dynopt.errors import BudgetExhausted, ConfigError
 from dynopt.objective import DynamicObjective, as_rows
 from dynopt.overrides import apply_overrides
-from dynopt.optimizers.baselines import PsoBaseline, PsoConfig, SsaBaseline, SsaConfig
-from dynopt.optimizers.qcsso import Qcsso, QcssoConfig
+from dynopt.optimizers.baselines import PsoBaseline, SsaBaseline
+from dynopt.optimizers.qcsso import Qcsso
 
 _OPTIMIZERS = {
-    "qcsso": (Qcsso, QcssoConfig),
-    "ssa_baseline": (SsaBaseline, SsaConfig),
-    "pso_baseline": (PsoBaseline, PsoConfig),
+    "qcsso": Qcsso,
+    "ssa_baseline": SsaBaseline,
+    "pso_baseline": PsoBaseline,
 }
 OPTIMIZER_IDS = tuple(_OPTIMIZERS)
 
@@ -94,7 +94,6 @@ class BudgetedRecorder(DynamicObjective):
         self._offsets = self._sample_offsets(first=True)
 
         self.best_value: float | None = None
-        self.final_error = float("inf")
 
     # -- DynamicObjective surface ------------------------------------
 
@@ -205,11 +204,6 @@ class BudgetedRecorder(DynamicObjective):
             )
             del self._offsets[:due]
 
-    def final_snapshot(self) -> None:
-        """Record the error of the best value found in the last open window."""
-        if self._window_best is not None:
-            self.final_error = self._window_err
-
 
 @dataclass
 class Trajectory:
@@ -225,7 +219,6 @@ class Trajectory:
     r_last: list[float] = field(default_factory=list)
     ratio_samples: list[list[float]] = field(default_factory=list)
     best_value: float | None = None
-    final_error: float = float("inf")
     trace: list[tuple[int, float]] = field(default_factory=list)
 
     def serialize(self) -> str:
@@ -238,6 +231,14 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+def optimizer_config(optimizer_id: str, overrides: dict[str, str] | None = None):
+    """The optimizer's own config type with key=value overrides applied."""
+    if optimizer_id not in _OPTIMIZERS:
+        expected = ", ".join(OPTIMIZER_IDS)
+        raise ConfigError(f"unknown optimizer {optimizer_id!r}; expected one of {expected}")
+    return apply_overrides(_OPTIMIZERS[optimizer_id].config_type(), overrides)
+
+
 def _build_optimizer(
     optimizer_id: str,
     problem: DynamicObjective,
@@ -246,12 +247,8 @@ def _build_optimizer(
     frequency: int | None,
     overrides: dict[str, str] | None,
 ):
-    if optimizer_id not in _OPTIMIZERS:
-        expected = ", ".join(OPTIMIZER_IDS)
-        raise ConfigError(f"unknown optimizer {optimizer_id!r}; expected one of {expected}")
-    cls, config_type = _OPTIMIZERS[optimizer_id]
-    config = apply_overrides(config_type(), overrides or {})
-    return cls(problem, seed, budget, frequency, config)
+    config = optimizer_config(optimizer_id, overrides)
+    return _OPTIMIZERS[optimizer_id](problem, seed, budget, frequency, config)
 
 
 def run(
@@ -282,7 +279,6 @@ def run(
             optimizer.run_forever()
         except BudgetExhausted:
             pass
-    recorder.final_snapshot()
     return Trajectory(
         optimizer_id=optimizer_id,
         seed=seed,
@@ -291,6 +287,5 @@ def run(
         r_last=recorder.r_last,
         ratio_samples=recorder.ratio_samples,
         best_value=recorder.best_value,
-        final_error=recorder.final_error,
         trace=recorder.trace if trace else [],
     )

@@ -183,14 +183,9 @@ class BatchLog(SwitchableProblem):
 class TestSkeleton:
     """``SwarmBase.iterate``, the one iteration every registered optimizer runs."""
 
-    def test_registry_pairs_each_class_with_its_config(self):
-        assert OPTIMIZER_IDS == ("qcsso", "ssa_baseline", "pso_baseline")
-        for cls, config_type in _OPTIMIZERS.values():
-            assert cls.config_type is config_type
-
     @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
     def test_sentinel_population_probes(self, optimizer_id):
-        cls, _ = _OPTIMIZERS[optimizer_id]
+        cls = _OPTIMIZERS[optimizer_id]
         problem = BatchLog(dimension=3)
         opt = cls(problem, seed=4, budget=10**6, frequency=1000)
         assert problem.sizes == [opt.n]  # the initial population
@@ -204,7 +199,7 @@ class TestSkeleton:
 
     @pytest.mark.parametrize("optimizer_id", ["ssa_baseline", "pso_baseline"])
     def test_baselines_flag_a_detected_change(self, optimizer_id):
-        cls, _ = _OPTIMIZERS[optimizer_id]
+        cls = _OPTIMIZERS[optimizer_id]
         problem = SwitchableProblem(dimension=4)
         opt = cls(problem, seed=21, budget=10_000)
         for _ in range(3):

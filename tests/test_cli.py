@@ -152,28 +152,24 @@ class TestSeedPrecedence:
     def raw_bytes(self, out_dir):
         return (out_dir / "raw_F1_10_T1_qcsso.csv").read_bytes()
 
-    def test_env_seed_matches_explicit_flag(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("DYNOPT_SEED", raising=False)
-        flagged = run_tiny(tmp_path, out_name="flagged")
-        monkeypatch.setenv("DYNOPT_SEED", "7")
-        out_env = tmp_path / "from_env"
-        argv = [
-            "run", "--config", write_config(tmp_path),
-            "--out", str(out_env), "--case", "F1(10):T1",
-            "--optimizer", "qcsso",
-        ]
-        assert main(argv) == 0
-        assert self.raw_bytes(out_env) == self.raw_bytes(flagged)
+    def test_environment_sets_no_seed(self, tmp_path, monkeypatch):
+        # the seed comes from --seed, else the config file, else 12345
+        def run_unseeded(out_name):
+            out_dir = tmp_path / out_name
+            argv = [
+                "run", "--config", write_config(tmp_path),
+                "--out", str(out_dir), "--case", "F1(10):T1",
+                "--optimizer", "qcsso",
+            ]
+            assert main(argv) == 0
+            return out_dir
 
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DYNOPT_SEED", raising=False)
+        plain = run_unseeded("plain")
         monkeypatch.setenv("DYNOPT_SEED", "99")
-        overridden = run_tiny(tmp_path, out_name="overridden")
-        monkeypatch.delenv("DYNOPT_SEED")
-        plain = run_tiny(tmp_path, out_name="plain")
-        assert self.raw_bytes(overridden) == self.raw_bytes(plain)
+        assert self.raw_bytes(run_unseeded("env")) == self.raw_bytes(plain)
 
-    def test_flag_beats_config(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("DYNOPT_SEED", raising=False)
+    def test_flag_beats_config(self, tmp_path):
         config_with_seed = TINY_CONFIG + "seed = 5\n"
         out_a = tmp_path / "a"
         argv = [
@@ -184,18 +180,6 @@ class TestSeedPrecedence:
         assert main(argv) == 0
         plain = run_tiny(tmp_path, out_name="b")
         assert self.raw_bytes(out_a) == self.raw_bytes(plain)
-
-    def test_non_integer_env_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DYNOPT_SEED", "lots")
-        argv = [
-            "run", "--config", write_config(tmp_path),
-            "--out", str(tmp_path / "x"), "--case", "F1(10):T1",
-            "--optimizer", "qcsso",
-        ]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        assert "DYNOPT_SEED must be an integer" in capsys.readouterr().err
 
 
 class TestScore:

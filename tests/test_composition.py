@@ -10,6 +10,7 @@ from dynopt.gdbg import basefuncs as bf
 from dynopt.gdbg.changes import DynamicParam
 from dynopt.gdbg.composition import CompositionProblem, stretch_factor
 from dynopt.gdbg.instance import make_instance
+from dynopt.gdbg.rotation import random_orthogonal
 
 from conftest import evaluate_one
 
@@ -58,7 +59,6 @@ def small_problem(func_names, seed=71, identity=False, dim=2):
     if identity:
         matrices = np.stack([np.eye(dim)] * m)
     else:
-        from dynopt.gdbg.rotation import random_orthogonal
         matrices = random_orthogonal(m, dim, rng)
     return CompositionProblem(optima, heights, list(func_names), matrices, -5.0, 5.0)
 
@@ -124,17 +124,29 @@ def one_vector_value(prob, x):
     return float(np.sum(w * (f_prime + prob._h)))
 
 
+def cycled_f6(count=12, dim=10, seed=41):
+    """F6's ten bases cycled to ``count`` components at their initial height."""
+    names = make_instance("F6", "T1", seed=seed).problem.func_names
+    names = [names[i % len(names)] for i in range(count)]
+    rng = np.random.default_rng(seed)
+    optima = rng.uniform(-5.0, 5.0, size=(count, dim))
+    matrices = random_orthogonal(count, dim, rng)
+    heights = [height(50.0) for _ in names]
+    return CompositionProblem(optima, heights, names, matrices, -5.0, 5.0)
+
+
 class TestBatchMatchesOneVectorRule:
-    @pytest.mark.parametrize("function_id,overrides", [
-        ("F2", None), ("F3", None), ("F4", None), ("F5", None), ("F6", None),
-        # cycled F6: sphere at 0, 1, 10 and 11, so six runs, two of them sphere
-        ("F6", {"num_components": 12}),
-    ], ids=["F2", "F3", "F4", "F5", "F6", "F6-cycled-12"])
-    def test_bit_exact_near_the_optima(self, function_id, overrides):
+    # cycled F6: sphere at 0, 1, 10 and 11, so six runs, two of them sphere
+    @pytest.mark.parametrize(
+        "case", ["F2", "F3", "F4", "F5", "F6", "F6-cycled-12"]
+    )
+    def test_bit_exact_near_the_optima(self, case):
         # near an optimum the dominance damping 1 - wmax**10 is far from 1,
         # which is where a different power routine would show
-        inst = make_instance(function_id, "T1", seed=41, overrides=overrides)
-        prob = inst.problem
+        if case == "F6-cycled-12":
+            prob = cycled_f6()
+        else:
+            prob = make_instance(case, "T1", seed=41).problem
         rng = np.random.default_rng(42)
         centers = prob.optima[rng.integers(0, prob.num_components, size=400)]
         scales = 10.0 ** rng.uniform(-3.0, 0.5, size=(400, 1))

@@ -7,6 +7,7 @@ from dynopt.errors import ConfigError
 from dynopt.harness.cases import Case, uniform_weights
 from dynopt.harness.csvio import (
     errors_filename,
+    family_tag,
     format_error,
     load_weight_table,
     optimizer_order,
@@ -55,6 +56,10 @@ class TestFormatting:
         assert format_error(0.0) == "0.00E+00"
         assert format_error(123456.0) == "1.23E+05"
         assert format_error(1.0) == "1.00E+00"
+
+    def test_family_tag(self):
+        assert family_tag("F1(10)") == "F1_10"
+        assert family_tag("F2") == "F2"
 
     def test_filenames(self):
         assert errors_filename("F1(10)") == "errors_F1_10.csv"

@@ -23,6 +23,7 @@ from dynopt.harness.experiment import (
     run_single,
 )
 from dynopt.harness.stats import overall_score, validate_weight_table
+from dynopt.overrides import parse_kv_pairs
 
 TINY = dict(
     runs=1,
@@ -35,6 +36,17 @@ TINY = dict(
     ssa_overrides={"population": "6"},
     pso_overrides={"population": "6"},
 )
+
+# each bad prefixed override, with the error it must raise
+BAD_OVERRIDES = {
+    "gdbg.height_severity=2.5": "unknown override 'height_severity'",
+    "gdbg.num_peak=25": "unknown override 'num_peak'",
+    "qcsso.popultion=30": "unknown override 'popultion'",
+    "ssa.chi=0.7": "unknown override 'chi'",
+    "pso.chii=0.7": "unknown override 'chii'",
+    "pso.chi=lots": "cannot interpret",
+    "qcsso.population=7": "split evenly",
+}
 
 
 def tiny_config(**extra):
@@ -80,10 +92,6 @@ class TestCases:
         assert grid[6].case_id == "F1(10):T7"
         assert grid[7].case_id == "F1(50):T1"
         assert grid[-1].case_id == "F6:T7"
-
-    def test_file_tag(self):
-        assert Case("F1(10)", "T3").file_tag == "F1_10"
-        assert Case("F2", "T3").file_tag == "F2"
 
     def test_empty_selection_is_everything(self):
         assert select_cases(()) == all_cases()
@@ -184,7 +192,7 @@ class TestConfig:
                 "trace": "yes",
                 "cases": "F2:T1, F3",
                 "optimizers": "qcsso,ssa_baseline",
-                "gdbg.dimension": "5",
+                "gdbg.num_peaks": "5",
                 "qcsso.w_mode": "chaotic",
                 "ssa.population": "10",
                 "pso.c1": "1.0",
@@ -194,7 +202,7 @@ class TestConfig:
         assert config.trace is True
         assert config.cases == ("F2:T1", "F3")
         assert config.optimizers == ("qcsso", "ssa_baseline")
-        assert config.gdbg_overrides == {"dimension": "5"}
+        assert config.gdbg_overrides == {"num_peaks": "5"}
         assert config.qcsso_overrides == {"w_mode": "chaotic"}
         assert config.ssa_overrides == {"population": "10"}
         assert config.pso_overrides == {"c1": "1.0"}
@@ -227,6 +235,19 @@ class TestConfig:
             ExperimentConfig(optimizers=("gradient_descent",))
         with pytest.raises(ConfigError, match="at least one optimizer"):
             ExperimentConfig(optimizers=())
+
+    @pytest.mark.parametrize("key", ["dimension", "change_frequency"])
+    def test_gdbg_copy_of_an_experiment_key_rejected(self, key):
+        # one source per setting: the experiment key sets the instance too
+        with pytest.raises(ConfigError, match=f"use the experiment key '{key}'"):
+            ExperimentConfig.from_pairs({"change_frequency": "1000", f"gdbg.{key}": "500"})
+
+    @pytest.mark.parametrize("pair,message", BAD_OVERRIDES.items(),
+                             ids=list(BAD_OVERRIDES))
+    def test_prefixed_overrides_checked_when_built(self, pair, message):
+        # a bad override fails here, not at the first run that reads it
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_pairs(parse_kv_pairs([pair]))
 
     def test_overrides_for(self):
         config = tiny_config()

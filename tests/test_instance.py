@@ -1,5 +1,6 @@
 """Benchmark instances: construction, the change boundary, and goldens."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,13 @@ class TestConstruction:
                 make_instance("F2", "T1", seed=3, overrides={"dimension": bad})
         make_instance("F2", "T1", seed=3, overrides={"dimension": 5})
         make_instance("F2", "T1", seed=3, overrides={"dimension": 15})
+
+    def test_config_holds_only_the_settable_keys(self):
+        # the generator's other constants are fixed by the GDBG report
+        names = [f.name for f in dataclasses.fields(GdbgConfig)]
+        assert names == ["dimension", "change_frequency", "num_peaks"]
+        with pytest.raises(ConfigError, match="unknown override"):
+            make_instance("F2", "T1", seed=3, overrides={"height_severity": 2.5})
 
     def test_frequency_default_tracks_dimension(self):
         assert GdbgConfig(dimension=7).resolved_frequency() == 70_000
@@ -400,6 +408,14 @@ class TestBestRowMemo:
 
     def test_ssa_sentinel_costs_no_landscape_call(self, monkeypatch):
         calls = count_landscape_calls(monkeypatch, CompositionProblem)
+        completed = []
+        iterate = SsaBaseline.iterate
+
+        def counted(self):
+            iterate(self)
+            completed.append(1)
+
+        monkeypatch.setattr(SsaBaseline, "iterate", counted)
         inst = make_instance("F2", "T1", seed=5, overrides={"dimension": 5})
         iterations = 20
         budget = 50 + 51 * iterations  # the population, then 20 full iterations
@@ -407,7 +423,7 @@ class TestBestRowMemo:
         opt = SsaBaseline(recorder, seed=3, budget=budget, frequency=inst.frequency)
         with pytest.raises(BudgetExhausted):
             opt.run_forever()
-        assert opt.iterations == iterations
+        assert len(completed) == iterations
         assert inst.eval_count == budget
         assert len(calls) == 1 + iterations
 

@@ -87,11 +87,9 @@ class TestApplyOverrides:
         assert apply_overrides(cfg, {}) is cfg
 
     def test_string_values_coerced_to_field_types(self):
-        cfg = apply_overrides(
-            GdbgConfig(), {"dimension": "12", "height_severity": "2.5"}
-        )
+        cfg = apply_overrides(GdbgConfig(), {"dimension": "12"})
         assert cfg.dimension == 12
-        assert cfg.height_severity == 2.5
+        assert apply_overrides(QcssoConfig(), {"momentum": "0.25"}).momentum == 0.25
         assert apply_overrides(ExperimentConfig(), {"trace": "true"}).trace is True
 
     def test_original_untouched(self):

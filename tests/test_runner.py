@@ -99,25 +99,21 @@ class TestRecorder:
 
     def test_e_last_frozen_before_the_crossing_evaluation(self):
         problem = ScriptedProblem(
-            [5.0, 3.0, 7.0], change_at={3}, optima=[0.0, 1.0]
+            [5.0, 3.0, 7.0, 9.0], change_at={3, 4}, optima=[0.0, 1.0]
         )
-        rec = BudgetedRecorder(problem, budget=3)
-        feed(rec, 3)
-        rec.final_snapshot()
-        assert rec.e_last == [3.0]
-        assert rec.final_error == 6.0  # |7 - new optimum 1|
+        rec = BudgetedRecorder(problem, budget=4)
+        feed(rec, 4)
+        assert rec.e_last == [3.0, 6.0]  # |7 - new optimum 1|
         assert rec.best_value == 3.0
 
     def test_window_best_resets_after_a_change(self):
         problem = ScriptedProblem(
-            [2.0, 9.0, 8.0], change_at={2}, optima=[0.0, 0.0]
+            [2.0, 9.0, 8.0, 1.0], change_at={2, 4}, optima=[0.0, 0.0]
         )
-        rec = BudgetedRecorder(problem, budget=3)
-        feed(rec, 3)
-        rec.final_snapshot()
-        assert rec.e_last == [2.0]
+        rec = BudgetedRecorder(problem, budget=4)
+        feed(rec, 4)
         # the new window starts from the crossing value, not the old best
-        assert rec.final_error == 8.0
+        assert rec.e_last == [2.0, 8.0]
 
     def test_ratio_sampling_offsets(self):
         problem = ScriptedProblem(
@@ -128,12 +124,10 @@ class TestRecorder:
             problem, budget=4, frequency=4, s_samples=2, collect_ratios=True
         )
         feed(rec, 4)
-        rec.final_snapshot()
         # first window spans 3 evaluations, samples land at offsets 1 and 3
         assert rec.r_last == [0.9]
         assert rec.ratio_samples == [[0.5, 0.9]]
         assert rec.e_last == [10.0]
-        assert rec.final_error == 100.0
 
     def test_short_window_pads_with_closing_ratio(self):
         problem = ScriptedProblem(
@@ -150,14 +144,10 @@ class TestRecorder:
         problem = ScriptedProblem([4.0, 2.0, 3.0])
         rec = BudgetedRecorder(problem, budget=3)
         feed(rec, 3)
-        rec.final_snapshot()
         assert rec.e_last == []
-        assert rec.final_error == 2.0
 
-    def test_final_snapshot_without_any_evaluation(self):
+    def test_no_best_value_without_any_evaluation(self):
         rec = BudgetedRecorder(ScriptedProblem([1.0]), budget=1)
-        rec.final_snapshot()
-        assert rec.final_error == float("inf")
         assert rec.best_value is None
 
     def test_trace_records_every_evaluation(self):
@@ -179,7 +169,6 @@ class TestRecorder:
             problem, budget=3, frequency=4, s_samples=2, collect_ratios=True
         )
         feed(rec, 3)
-        rec.final_snapshot()
         assert rec.trace == []
         assert rec.ratio_samples == []
 
@@ -226,14 +215,12 @@ class TestRun:
         )
         assert traj.evaluations == 137
         assert traj.optimizer_id == optimizer_id
-        assert traj.final_error < float("inf")
 
     def test_zero_budget_runs_nothing(self):
         traj = run("qcsso", sphere_problem(), budget=0, seed=3)
         assert traj.evaluations == 0
         assert traj.e_last == []
         assert traj.best_value is None
-        assert traj.final_error == float("inf")
 
     def test_unknown_optimizer(self):
         with pytest.raises(ConfigError, match="unknown optimizer"):
@@ -348,7 +335,7 @@ class TestBatchRecording:
     """A recorder fed by batches records exactly what row-by-row feeding does."""
 
     FIELDS = ("used", "e_last", "r_last", "ratio_samples", "trace",
-              "best_value", "final_error")
+              "best_value")
 
     @staticmethod
     def drive(recorder, sizes, by_rows, seed=5):
@@ -364,7 +351,6 @@ class TestBatchRecording:
                     values += recorder.evaluate(xs).tolist()
         except BudgetExhausted:
             pass
-        recorder.final_snapshot()
         return values
 
     def assert_same(self, batched, looped):
@@ -413,8 +399,6 @@ class TestBatchRecording:
         with pytest.raises(BudgetExhausted):
             for _ in range(8):
                 looped.evaluate(np.zeros((1, 2)))
-        for rec in (batched, looped):
-            rec.final_snapshot()
         assert batched.problem.count == looped.problem.count == 7
         assert len(batched.e_last) == 2
         self.assert_same(batched, looped)
