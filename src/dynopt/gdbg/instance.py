@@ -323,6 +323,6 @@ def make_instance(
     """Build a benchmark instance from a function id, regime, and seed."""
     if isinstance(change_type, str):
         change_type = ChangeType.from_label(change_type)
-    defaults = GdbgConfig(num_peaks=50 if function_id == "F1(50)" else 10)
+    defaults = GdbgConfig(num_peaks=50) if function_id == "F1(50)" else GdbgConfig()
     config = apply_overrides(defaults, overrides)
     return GdbgInstance(function_id, change_type, seed, config)
