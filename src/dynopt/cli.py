@@ -158,20 +158,23 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _check_change_rules() -> None:
-    from dynopt.gdbg.changes import ChangeType, DynamicParam, change_param
+    from dynopt.gdbg.changes import ChangeType, change_values
 
     rng = np.random.default_rng(101)
+    phases = np.array([0.3, 1.1, 4.0])
     for label in ("T1", "T2", "T3", "T4", "T5", "T6"):
         kind = ChangeType.from_label(label)
-        p = DynamicParam(50.0, 10.0, 100.0, 5.0, phase=0.3)
+        values = np.full(3, 50.0)
         for t in range(1, 201):
-            change_param(p, kind, rng, t)
-            assert 10.0 <= p.value <= 100.0, f"{label} left [10,100]: {p.value}"
-    p = DynamicParam(50.0, 10.0, 100.0, 5.0, phase=1.1)
-    change_param(p, ChangeType.RECURRENT, rng, 5)
-    early = p.value
-    change_param(p, ChangeType.RECURRENT, rng, 17)
-    assert p.value == early, "periodic regime must repeat exactly every 12"
+            change_values(values, phases, 10.0, 100.0, 5.0, kind, rng, t)
+            assert np.all((10.0 <= values) & (values <= 100.0)), (
+                f"{label} left [10,100]: {values}"
+            )
+    values = np.full(3, 50.0)
+    change_values(values, phases, 10.0, 100.0, 5.0, ChangeType.RECURRENT, rng, 5)
+    early = values.copy()
+    change_values(values, phases, 10.0, 100.0, 5.0, ChangeType.RECURRENT, rng, 17)
+    assert np.array_equal(values, early), "periodic regime must repeat exactly every 12"
 
 
 def _check_rotations() -> None:
@@ -203,8 +206,8 @@ def _check_composition_ground_truth() -> None:
     for family in ("F2", "F3", "F4", "F5", "F6"):
         problem = make_instance(family, "T1", seed=7).problem
         values = problem.evaluate(problem.optima)
-        for value, height in zip(values.tolist(), problem.heights):
-            gap = abs(value - height.value)
+        for value, height in zip(values.tolist(), problem.heights.tolist()):
+            gap = abs(value - height)
             assert gap < 1e-6, f"{family} optimum off its height by {gap}"
 
 

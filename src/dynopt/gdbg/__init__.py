@@ -1,11 +1,6 @@
 """Dynamic benchmark generator (rotation peaks and composition landscapes)."""
 
-from dynopt.gdbg.changes import (
-    ChangeType,
-    DimensionWalk,
-    DynamicParam,
-    change_param,
-)
+from dynopt.gdbg.changes import ChangeType, DimensionWalk, change_values
 from dynopt.gdbg.basefuncs import BASE_FUNCTIONS
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.instance import (
@@ -15,20 +10,18 @@ from dynopt.gdbg.instance import (
     make_instance,
 )
 from dynopt.gdbg.peaks import PeakSet
-from dynopt.gdbg.rotation import givens_matrix, paired_rotation, random_orthogonal
+from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
 
 __all__ = [
     "BASE_FUNCTIONS",
     "ChangeType",
     "CompositionProblem",
     "DimensionWalk",
-    "DynamicParam",
     "FUNCTION_IDS",
     "GdbgConfig",
     "GdbgInstance",
     "PeakSet",
-    "change_param",
-    "givens_matrix",
+    "change_values",
     "make_instance",
     "paired_rotation",
     "random_orthogonal",

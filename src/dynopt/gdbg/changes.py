@@ -1,17 +1,18 @@
-"""Dynamic parameters and the seven change regimes that drive them.
+"""The seven change regimes that drive a benchmark instance's parameters.
 
-Every time-varying quantity of a benchmark instance (peak heights, widths,
-the shared rotation angle) is a :class:`DynamicParam` advanced by
-:func:`change_param` under one of the regimes T1..T7.  T7 reuses the T3
-value dynamics and additionally walks the search dimension via
-:func:`dimension_step`.
+The time-varying quantities of an instance come in families that share
+bounds and a severity (peak heights, peak widths, the rotation angle as a
+one-value family).  Each family is a float array advanced in place by
+:func:`change_values` under one of the regimes T1..T7.  T7 reuses the T3
+value dynamics and additionally walks the search dimension with
+:class:`DimensionWalk`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,75 +50,61 @@ class ChangeType(enum.Enum):
         return self.value
 
 
-def clamp(value: float, lo: float, hi: float) -> float:
-    """``float(np.clip(value, lo, hi))`` for scalars, without numpy's call cost.
-
-    ``value`` comes first in ``max`` so that a NaN stays NaN, as in numpy.
-    """
-    return float(min(max(value, lo), hi))
-
-
-@dataclass
-class DynamicParam:
-    """One bounded scalar that the environment mutates over time."""
-
-    value: float
-    min: float
-    max: float
-    severity: float
-    phase: float = 0.0  # used by the periodic regimes only
-
-    def __post_init__(self) -> None:
-        if not self.max > self.min:
-            raise ValueError("DynamicParam needs max > min")
-        self.value = clamp(self.value, self.min, self.max)
-
-    @property
-    def range(self) -> float:
-        return self.max - self.min
-
-
-def change_param(
-    p: DynamicParam,
+def change_values(
+    values: np.ndarray,
+    phases: np.ndarray,
+    low: float,
+    high: float,
+    severity: float,
     kind: ChangeType,
     rng: np.random.Generator,
     t: int = 0,
 ) -> None:
-    """Advance one dynamic parameter in place under regime ``kind``.
+    """Advance one parameter family in place under regime ``kind``.
 
-    ``t`` is the environment's change counter; only the periodic regimes
-    consult it.  The result is always clamped back into ``[min, max]``.
+    ``values`` and ``phases`` are float arrays of one length ``n``; the
+    family shares its bounds ``[low, high]`` and its ``severity``.  A
+    regime that draws takes one sized draw of ``n`` numbers, the stream of
+    ``n`` scalar draws.  ``t`` is the environment's change counter; only
+    the periodic regimes consult it.  The result is clipped back into
+    ``[low, high]``.
     """
-    span = p.range
+    span = high - low
+    n = values.shape[0]
     if kind is ChangeType.SMALL_STEP:
-        r = rng.uniform(-1.0, 1.0)
-        p.value += SMALL_STEP_ALPHA * span * r * p.severity
+        r = rng.uniform(-1.0, 1.0, n)
+        values += SMALL_STEP_ALPHA * span * r * severity
     elif kind is ChangeType.LARGE_STEP:
-        r = rng.uniform(-1.0, 1.0)
-        step = SMALL_STEP_ALPHA * math.copysign(1.0, r) + (
+        r = rng.uniform(-1.0, 1.0, n)
+        step = SMALL_STEP_ALPHA * np.copysign(1.0, r) + (
             LARGE_STEP_ALPHA_MAX - SMALL_STEP_ALPHA
         ) * r
-        p.value += span * step * p.severity
+        values += span * step * severity
     elif kind in (ChangeType.RANDOM, ChangeType.RANDOM_DIM):
-        p.value += rng.standard_normal() * p.severity
+        values += rng.standard_normal(n) * severity
     elif kind is ChangeType.CHAOTIC:
         # logistic-family map applied directly to the normalized value
-        offset = p.value - p.min
-        p.value = p.min + CHAOS_A * offset * (1.0 - offset / span)
+        offset = values - low
+        values[:] = low + CHAOS_A * offset * (1.0 - offset / span)
     elif kind is ChangeType.RECURRENT:
-        p.value = _recurrent_value(p, t)
+        values[:] = _recurrent_values(phases, low, span, t)
     elif kind is ChangeType.RECURRENT_NOISY:
-        p.value = _recurrent_value(p, t) + rng.standard_normal() * RECURRENT_NOISE_SEVERITY
+        values[:] = _recurrent_values(phases, low, span, t)
+        values += rng.standard_normal(n) * RECURRENT_NOISE_SEVERITY
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unhandled change type {kind}")
-    p.value = clamp(p.value, p.min, p.max)
+    np.clip(values, low, high, out=values)
 
 
-def _recurrent_value(p: DynamicParam, t: int) -> float:
+def _recurrent_values(phases: np.ndarray, low: float, span: float, t: int) -> np.ndarray:
     # purely a function of (t, phase): no state accumulates between changes;
-    # t is reduced modulo the period so the cycle repeats bit-exactly
-    angle = 2.0 * math.pi * (t % RECURRENT_PERIOD) / RECURRENT_PERIOD + p.phase
-    return p.min + p.range * (math.sin(angle) + 1.0) / 2.0
+    # t is reduced modulo the period so the cycle repeats bit-exactly.  The
+    # sine is the scalar math.sin per phase: numpy's vectorised sine is
+    # dispatched per CPU and need not give the same last bit
+    turn = 2.0 * math.pi * (t % RECURRENT_PERIOD) / RECURRENT_PERIOD
+    return np.array(
+        [low + span * (math.sin(turn + phase) + 1.0) / 2.0 for phase in phases.tolist()]
+    )
 
 
 @dataclass

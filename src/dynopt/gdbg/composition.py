@@ -16,11 +16,14 @@ import numpy as np
 
 from dynopt.errors import ConfigError
 from dynopt.gdbg.basefuncs import BASE_FUNCTIONS, NATURAL_HALF_RANGE
-from dynopt.gdbg.changes import DynamicParam
 from dynopt.gdbg.rotation import random_orthogonal
 
 FMAX_GUARD = 1e-12
 DOMINANCE_POWER = 10
+SIGMA = 1.0  # the weights' distance scale
+NORMALIZER = 2000.0  # the common scale of the normalized components
+
+_NORMALIZER = np.array(NORMALIZER)  # 0-d, not a Python float: see basefuncs
 
 
 def stretch_factor(func_name: str, search_half_range: float) -> float:
@@ -29,18 +32,20 @@ def stretch_factor(func_name: str, search_half_range: float) -> float:
 
 
 class CompositionProblem:
-    """``m`` blended components over a box domain."""
+    """``m`` blended components over a box domain.
+
+    ``heights`` is a float array of length ``m`` that the instance driving
+    the landscape changes in place.
+    """
 
     def __init__(
         self,
         optima: np.ndarray,
-        heights: list[DynamicParam],
+        heights: np.ndarray,
         func_names: list[str],
         matrices: np.ndarray,
         lower: float,
         upper: float,
-        sigma: float = 1.0,
-        normalizer: float = 2000.0,
     ) -> None:
         self.optima = np.asarray(optima, dtype=float)
         if self.optima.ndim != 2:
@@ -51,18 +56,15 @@ class CompositionProblem:
         for name in func_names:
             if name not in BASE_FUNCTIONS:
                 raise ConfigError(f"unknown base function {name!r}")
-        self.heights = heights
+        self.heights = np.asarray(heights, dtype=float)
         self.func_names = list(func_names)
         self.matrices = np.asarray(matrices, dtype=float)
         self.lower = float(lower)
         self.upper = float(upper)
-        self.sigma = float(sigma)
-        self.normalizer = float(normalizer)
         half = (self.upper - self.lower) / 2.0
         self.lambdas = np.array(
             [stretch_factor(name, half) for name in func_names]
         )
-        self._normalizer = np.array(self.normalizer)
         # each run of adjacent components sharing a base function is one
         # call on a slice view: base functions act per component and reduce
         # only over the last axis, so a component's value does not depend
@@ -73,8 +75,6 @@ class CompositionProblem:
             stop = start + len(list(run))
             self._runs.append((BASE_FUNCTIONS[name], slice(start, stop)))
             start = stop
-        self._h = np.empty(m)
-        self.refresh_cache()
         self.refresh_normalization()
 
     @property
@@ -84,9 +84,6 @@ class CompositionProblem:
     @property
     def dim(self) -> int:
         return self.optima.shape[1]
-
-    def refresh_cache(self) -> None:
-        self._h[:] = [p.value for p in self.heights]
 
     def refresh_normalization(self) -> None:
         """Recompute what depends on the dimension and the rotations: the
@@ -99,7 +96,7 @@ class CompositionProblem:
         self._abs_fmax = np.abs(self._fmax)
         if np.any(self._abs_fmax < FMAX_GUARD):
             raise ConfigError("degenerate component normalization (corner value ~ 0)")
-        self._weight_scale = np.array(2.0 * self.dim * self.sigma**2)
+        self._weight_scale = np.array(2.0 * self.dim * SIGMA**2)
 
     def _component_values(self, z: np.ndarray) -> np.ndarray:
         """Base-function values of an ``(n, m, dim)`` stack, one run a call."""
@@ -141,17 +138,17 @@ class CompositionProblem:
         # batch, so a row equals its one-row batch bit for bit, which the
         # instance's sentinel memo relies on (`dynopt selftest` checks it)
         f = self._component_values((diff[:, :, None, :] @ self._scaled)[:, :, 0, :])
-        f *= self._normalizer
+        f *= _NORMALIZER
         f /= self._abs_fmax
-        f += self._h
+        f += self.heights
         f *= w
         return np.add.reduce(f, axis=1)
 
     def optimum_value(self) -> float:
-        return float(self._h.min())
+        return float(self.heights.min())
 
     def optimum_position(self) -> np.ndarray:
-        return self.optima[int(np.argmin(self._h))].copy()
+        return self.optima[int(np.argmin(self.heights))].copy()
 
     def rotate_optima(self, matrix: np.ndarray) -> None:
         self.optima = self.optima @ matrix.T

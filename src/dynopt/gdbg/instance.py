@@ -44,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dynopt.errors import ConfigError, DimensionMismatch
-from dynopt.gdbg.changes import (
-    ChangeType,
-    DimensionWalk,
-    DynamicParam,
-    change_param,
-)
+from dynopt.gdbg.changes import ChangeType, DimensionWalk, change_values
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.peaks import PeakSet
 from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
@@ -69,11 +64,14 @@ _COMPOSITION_BASES = {
 
 
 # the generator's fixed constants (CEC 2009 GDBG report, Li et al. 2008);
-# the composition's sigma and normaliser are ``CompositionProblem``'s defaults
+# the composition's sigma and normaliser are constants of its module.  Each
+# changing family shares its bounds and severity: the heights, the widths,
+# and the rotation angle, a family of one
 SEARCH_LOWER, SEARCH_UPPER = -5.0, 5.0
+PEAK_COUNTS = {"F1(10)": 10, "F1(50)": 50}
 HEIGHT_MIN, HEIGHT_MAX, HEIGHT_INIT, HEIGHT_SEVERITY = 10.0, 100.0, 50.0, 5.0
 WIDTH_MIN, WIDTH_MAX, WIDTH_INIT, WIDTH_SEVERITY = 1.0, 10.0, 5.0, 0.5
-ROTATION_SEVERITY = 1.0
+ANGLE_MIN, ANGLE_MAX, ROTATION_SEVERITY = -math.pi, math.pi, 1.0
 
 
 def resolve_frequency(change_frequency: int, dimension: int) -> int:
@@ -89,7 +87,6 @@ class GdbgConfig:
 
     dimension: int = 10
     change_frequency: int = 0  # 0 means the 10_000 * dimension default
-    num_peaks: int = 10
 
     def resolved_frequency(self) -> int:
         return resolve_frequency(self.change_frequency, self.dimension)
@@ -126,13 +123,9 @@ class GdbgInstance(DynamicObjective):
         self._memo_t = -1
         self._memo_row = b""
         self._memo_value = np.zeros(1)
-        self.rotation_angle = DynamicParam(
-            value=0.0,
-            min=-math.pi,
-            max=math.pi,
-            severity=ROTATION_SEVERITY,
-            phase=self.rng.uniform(0.0, 2.0 * math.pi),
-        )
+        # each changing family is a value array with a phase array beside it
+        self.rotation_angle = np.zeros(1)
+        self._angle_phases = self._phases(1)
         if function_id.startswith("F1"):
             self.problem: PeakSet | CompositionProblem = self._build_peaks()
         else:
@@ -140,35 +133,23 @@ class GdbgInstance(DynamicObjective):
 
     # -- construction ---------------------------------------------------
 
-    def _params(
-        self, count: int, init: float, low: float, high: float, severity: float
-    ) -> list[DynamicParam]:
-        return [
-            DynamicParam(
-                value=init,
-                min=low,
-                max=high,
-                severity=severity,
-                phase=self.rng.uniform(0.0, 2.0 * math.pi),
-            )
-            for _ in range(count)
-        ]
-
-    def _heights(self, count: int) -> list[DynamicParam]:
-        return self._params(
-            count, HEIGHT_INIT, HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY
-        )
+    def _phases(self, count: int) -> np.ndarray:
+        return self.rng.uniform(0.0, 2.0 * math.pi, count)
 
     def _build_peaks(self) -> PeakSet:
-        count = self.config.num_peaks
+        count = PEAK_COUNTS[self.function_id]
         centers = self.rng.uniform(
             SEARCH_LOWER, SEARCH_UPPER, size=(count, self.config.dimension)
         )
-        heights = self._heights(count)
-        widths = self._params(
-            count, WIDTH_INIT, WIDTH_MIN, WIDTH_MAX, WIDTH_SEVERITY
+        self._height_phases = self._phases(count)
+        self._width_phases = self._phases(count)
+        return PeakSet(
+            centers,
+            np.full(count, HEIGHT_INIT),
+            np.full(count, WIDTH_INIT),
+            SEARCH_LOWER,
+            SEARCH_UPPER,
         )
-        return PeakSet(centers, heights, widths, SEARCH_LOWER, SEARCH_UPPER)
 
     def _build_composition(self) -> CompositionProblem:
         names = _COMPOSITION_BASES[self.function_id]
@@ -176,9 +157,10 @@ class GdbgInstance(DynamicObjective):
             SEARCH_LOWER, SEARCH_UPPER, size=(len(names), self.config.dimension)
         )
         matrices = random_orthogonal(len(names), self.config.dimension, self.rng)
+        self._height_phases = self._phases(len(names))
         return CompositionProblem(
             optima,
-            self._heights(len(names)),
+            np.full(len(names), HEIGHT_INIT),
             names,
             matrices,
             SEARCH_LOWER,
@@ -270,28 +252,33 @@ class GdbgInstance(DynamicObjective):
     # -- dynamics --------------------------------------------------------
 
     def advance_environment(self) -> None:
-        """Move to the next environment: mutate parameters, rotate positions,
-        and under T7 also step the dimension."""
+        """Move to the next environment: change the heights, the widths and
+        the rotation angle in place, rotate positions, and under T7 also step
+        the dimension."""
         self.t += 1
-        kind = self.change_type
-        for p in self.problem.heights:
-            change_param(p, kind, self.rng, self.t)
-        if isinstance(self.problem, PeakSet):
-            for p in self.problem.widths:
-                change_param(p, kind, self.rng, self.t)
-        change_param(self.rotation_angle, kind, self.rng, self.t)
-        rotation = paired_rotation(
-            self.problem.dim, self.rotation_angle.value, self.rng
+        kind, rng, t = self.change_type, self.rng, self.t
+        problem = self.problem
+        change_values(
+            problem.heights, self._height_phases,
+            HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY, kind, rng, t,
         )
-        if isinstance(self.problem, PeakSet):
-            self.problem.rotate_centers(rotation)
+        if isinstance(problem, PeakSet):
+            change_values(
+                problem.widths, self._width_phases,
+                WIDTH_MIN, WIDTH_MAX, WIDTH_SEVERITY, kind, rng, t,
+            )
+        change_values(
+            self.rotation_angle, self._angle_phases,
+            ANGLE_MIN, ANGLE_MAX, ROTATION_SEVERITY, kind, rng, t,
+        )
+        rotation = paired_rotation(problem.dim, float(self.rotation_angle[0]), rng)
+        if isinstance(problem, PeakSet):
+            problem.rotate_centers(rotation)
         else:
-            self.problem.rotate_optima(rotation)
-        self._previous_dim = self.problem.dim
+            problem.rotate_optima(rotation)
+        self._previous_dim = problem.dim
         if kind is ChangeType.RANDOM_DIM:
-            new_dim = self._walk.step()
-            self.problem.resize(new_dim, self.rng)
-        self.problem.refresh_cache()
+            problem.resize(self._walk.step(), rng)
 
     # -- introspection ----------------------------------------------------
 
@@ -302,15 +289,15 @@ class GdbgInstance(DynamicObjective):
         exactly across runs.
         """
         lines = [
-            f"{self.t},height[{i}],{p.value!r}"
-            for i, p in enumerate(self.problem.heights)
+            f"{self.t},height[{i}],{value!r}"
+            for i, value in enumerate(self.problem.heights.tolist())
         ]
         if isinstance(self.problem, PeakSet):
             lines += [
-                f"{self.t},width[{i}],{p.value!r}"
-                for i, p in enumerate(self.problem.widths)
+                f"{self.t},width[{i}],{value!r}"
+                for i, value in enumerate(self.problem.widths.tolist())
             ]
-        lines.append(f"{self.t},rotation_angle,{self.rotation_angle.value!r}")
+        lines.append(f"{self.t},rotation_angle,{float(self.rotation_angle[0])!r}")
         return lines
 
 
@@ -323,6 +310,5 @@ def make_instance(
     """Build a benchmark instance from a function id, regime, and seed."""
     if isinstance(change_type, str):
         change_type = ChangeType.from_label(change_type)
-    defaults = GdbgConfig(num_peaks=50) if function_id == "F1(50)" else GdbgConfig()
-    config = apply_overrides(defaults, overrides)
+    config = apply_overrides(GdbgConfig(), overrides)
     return GdbgInstance(function_id, change_type, seed, config)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from dynopt.gdbg.changes import DynamicParam
-
 _ONE = np.array(1.0)  # 0-d, not a Python float: see basefuncs
 
 
@@ -15,14 +13,15 @@ class PeakSet:
     The landscape value is the best response over peaks,
     ``H_i / (1 + W_i * sqrt(mean_j (x_j - c_ij)^2))``, so the global
     optimum value is exactly the largest height, attained at that
-    peak's center.
+    peak's center.  ``heights`` and ``widths`` are float arrays of length
+    ``m`` that the instance driving the landscape changes in place.
     """
 
     def __init__(
         self,
         centers: np.ndarray,
-        heights: list[DynamicParam],
-        widths: list[DynamicParam],
+        heights: np.ndarray,
+        widths: np.ndarray,
         lower: float,
         upper: float,
     ) -> None:
@@ -31,13 +30,10 @@ class PeakSet:
             raise ValueError("centers must be an (m, dim) array")
         if len(heights) != len(self.centers) or len(widths) != len(self.centers):
             raise ValueError("one height and width per peak required")
-        self.heights = heights
-        self.widths = widths
+        self.heights = np.asarray(heights, dtype=float)
+        self.widths = np.asarray(widths, dtype=float)
         self.lower = float(lower)
         self.upper = float(upper)
-        self._h = np.empty(len(heights))
-        self._w = np.empty(len(widths))
-        self.refresh_cache()
 
     @property
     def num_peaks(self) -> int:
@@ -46,11 +42,6 @@ class PeakSet:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
-
-    def refresh_cache(self) -> None:
-        """Re-sync value arrays after the dynamic parameters moved."""
-        self._h[:] = [p.value for p in self.heights]
-        self._w[:] = [p.value for p in self.widths]
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """One value per row of an ``(n, dim)`` batch."""
@@ -63,16 +54,16 @@ class PeakSet:
         value = np.add.reduce(diff * diff, axis=2)
         value /= diff.shape[2]
         np.sqrt(value, out=value)
-        value *= self._w
+        value *= self.widths
         value += _ONE
-        np.divide(self._h, value, out=value)
+        np.divide(self.heights, value, out=value)
         return np.maximum.reduce(value, axis=1)
 
     def optimum_value(self) -> float:
-        return float(self._h.max())
+        return float(self.heights.max())
 
     def optimum_position(self) -> np.ndarray:
-        return self.centers[int(np.argmax(self._h))].copy()
+        return self.centers[int(np.argmax(self.heights))].copy()
 
     def rotate_centers(self, matrix: np.ndarray) -> None:
         self.centers = self.centers @ matrix.T

@@ -5,30 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def givens_matrix(dim: int, p: int, q: int, angle: float) -> np.ndarray:
-    """Rotation by ``angle`` in the (p, q) coordinate plane (0-based)."""
-    if p == q:
-        raise ValueError("plane axes must differ")
-    m = np.eye(dim)
-    c, s = np.cos(angle), np.sin(angle)
-    m[p, p] = c
-    m[q, q] = c
-    m[p, q] = -s
-    m[q, p] = s
-    return m
-
-
 def paired_rotation(dim: int, angle: float, rng: np.random.Generator) -> np.ndarray:
     """Compose floor(dim/2) plane rotations over a random pairing of axes.
 
     All planes share one angle; with an odd dimension the leftover axis is
-    untouched.  The result is orthogonal by construction.
+    untouched.  The planes are disjoint, so their product is the identity
+    with one ``(c, -s; s, c)`` block written per plane.  The result is
+    orthogonal by construction.
     """
     perm = rng.permutation(dim)
+    c, s = np.cos(angle), np.sin(angle)
     m = np.eye(dim)
     for k in range(dim // 2):
         p, q = int(perm[2 * k]), int(perm[2 * k + 1])
-        m = givens_matrix(dim, p, q, angle) @ m
+        m[p, p] = c
+        m[q, q] = c
+        m[p, q] = -s
+        m[q, p] = s
     return m
 
 

@@ -20,16 +20,15 @@ from typing import Mapping
 import numpy as np
 
 from dynopt.errors import ConfigError
-from dynopt.gdbg.instance import GdbgConfig, make_instance, resolve_frequency
+from dynopt.gdbg.instance import make_instance, resolve_frequency
 from dynopt.harness import stats
 from dynopt.harness.cases import Case, select_cases
 from dynopt.optimizers.runner import OPTIMIZER_IDS, Trajectory, optimizer_config, run
-from dynopt.overrides import apply_overrides, coerce
+from dynopt.overrides import coerce
 
 DEFAULT_SEED = 12345
 
 _PREFIX_BUCKETS = {
-    "gdbg.": "gdbg_overrides",
     "qcsso.": "qcsso_overrides",
     "ssa.": "ssa_overrides",
     "pso.": "pso_overrides",
@@ -73,7 +72,6 @@ class ExperimentConfig:
     weights: str = "uniform"
     jobs: int = 1
     trace: bool = False
-    gdbg_overrides: dict = field(default_factory=dict)
     qcsso_overrides: dict = field(default_factory=dict)
     ssa_overrides: dict = field(default_factory=dict)
     pso_overrides: dict = field(default_factory=dict)
@@ -100,12 +98,6 @@ class ExperimentConfig:
         if not self.optimizers:
             raise ConfigError("at least one optimizer is required")
         # every override is checked here, before any run spends its budget
-        for key in ("dimension", "change_frequency"):
-            if key in self.gdbg_overrides:
-                raise ConfigError(
-                    f"gdbg.{key} is not a setting; use the experiment key {key!r}"
-                )
-        apply_overrides(GdbgConfig(), self.gdbg_overrides)
         for optimizer_id in OPTIMIZER_IDS:
             optimizer_config(optimizer_id, self.overrides_for(optimizer_id))
 
@@ -113,9 +105,9 @@ class ExperimentConfig:
     def from_pairs(cls, pairs: Mapping[str, object]) -> "ExperimentConfig":
         """Build a config from flat key=value pairs.
 
-        Keys with a ``gdbg.``, ``qcsso.``, ``ssa.``, or ``pso.`` prefix are
-        passed through to the matching component; everything else must name
-        a scalar field of this class.
+        Keys with a ``qcsso.``, ``ssa.``, or ``pso.`` prefix are passed
+        through to the matching optimizer; everything else must name a
+        scalar field of this class.
         """
         kwargs: dict[str, object] = {}
         buckets: dict[str, dict] = {name: {} for name in _PREFIX_BUCKETS.values()}
@@ -166,11 +158,7 @@ def run_single(
         case.function_id,
         case.change_type,
         problem_seed(config.seed, case.case_id, run_index),
-        {
-            **config.gdbg_overrides,
-            "dimension": config.dimension,
-            "change_frequency": frequency,
-        },
+        {"dimension": config.dimension, "change_frequency": frequency},
     )
     trajectory = run(
         optimizer_id,

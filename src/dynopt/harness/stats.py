@@ -59,13 +59,6 @@ def _validate_ratios(name: str, values: np.ndarray) -> None:
         )
 
 
-def window_score(r_last: float, samples: np.ndarray) -> float:
-    """Score of one window: close ratio damped by in-window shortfall."""
-    samples = np.asarray(samples, dtype=float)
-    penalty = 1.0 + float(np.mean(1.0 - samples))
-    return r_last / penalty
-
-
 def case_score(r_last: np.ndarray, samples: np.ndarray) -> float:
     """Mean window score over a (runs, changes) grid.
 

@@ -84,14 +84,14 @@ def test_criterion_2_change_rules_stay_lawful():
         t5_heights = []
         for t in range(1, 1001):
             inst.advance_environment()
-            for p in inst.problem.heights:
-                if not 10.0 <= p.value <= 100.0:
-                    problems.append(f"{label} height {p.value} at t={t}")
-            for p in inst.problem.widths:
-                if not 1.0 <= p.value <= 10.0:
-                    problems.append(f"{label} width {p.value} at t={t}")
+            for value in inst.problem.heights.tolist():
+                if not 10.0 <= value <= 100.0:
+                    problems.append(f"{label} height {value} at t={t}")
+            for value in inst.problem.widths.tolist():
+                if not 1.0 <= value <= 10.0:
+                    problems.append(f"{label} width {value} at t={t}")
             if label == "T5" and t <= 36:
-                t5_heights.append([p.value for p in inst.problem.heights])
+                t5_heights.append(inst.problem.heights.tolist())
         if label == "T5":
             for t in range(12, 36):
                 if t5_heights[t] != t5_heights[t - 12]:
@@ -151,7 +151,7 @@ def test_criterion_3_ground_truth_optima():
             inst = make_instance(fid, "T3", seed=seed)
             for _ in range(5):
                 inst.advance_environment()
-                heights = [p.value for p in inst.problem.heights]
+                heights = inst.problem.heights.tolist()
                 best = int(np.argmin(heights))
                 value = evaluate_one(inst.problem, inst.problem.optima[best])
                 worst_comp_gap = max(worst_comp_gap, abs(value - min(heights)))

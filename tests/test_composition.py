@@ -7,16 +7,16 @@ import pytest
 
 from dynopt.errors import ConfigError
 from dynopt.gdbg import basefuncs as bf
-from dynopt.gdbg.changes import DynamicParam
-from dynopt.gdbg.composition import CompositionProblem, stretch_factor
+from dynopt.gdbg.composition import (
+    NORMALIZER,
+    SIGMA,
+    CompositionProblem,
+    stretch_factor,
+)
 from dynopt.gdbg.instance import make_instance
 from dynopt.gdbg.rotation import random_orthogonal
 
 from conftest import evaluate_one
-
-
-def height(value):
-    return DynamicParam(value=value, min=10.0, max=100.0, severity=5.0)
 
 
 def brute_force_value(x, optima, heights, func_names, matrices, lower, upper,
@@ -55,7 +55,7 @@ def small_problem(func_names, seed=71, identity=False, dim=2):
     rng = np.random.default_rng(seed)
     m = len(func_names)
     optima = rng.uniform(-4.0, 4.0, size=(m, dim))
-    heights = [height(v) for v in rng.uniform(20.0, 90.0, size=m)]
+    heights = rng.uniform(20.0, 90.0, size=m)
     if identity:
         matrices = np.stack([np.eye(dim)] * m)
     else:
@@ -85,7 +85,7 @@ class TestBruteForceOracle:
             x = rng.uniform(-5.0, 5.0, size=2)
             expected = brute_force_value(
                 list(x), prob.optima.tolist(),
-                [p.value for p in prob.heights], names,
+                prob.heights.tolist(), names,
                 prob.matrices.tolist(), -5.0, 5.0,
             )
             assert abs(evaluate_one(prob, x) - expected) < 1e-9
@@ -98,7 +98,7 @@ class TestBruteForceOracle:
             x = rng.uniform(-5.0, 5.0, size=2)
             expected = brute_force_value(
                 list(x), prob.optima.tolist(),
-                [p.value for p in prob.heights], names,
+                prob.heights.tolist(), names,
                 prob.matrices.tolist(), -5.0, 5.0,
             )
             assert abs(evaluate_one(prob, x) - expected) < 1e-9
@@ -111,7 +111,7 @@ def one_vector_value(prob, x):
     must reproduce it bit for bit, or seeded results would move.
     """
     diff = x - prob.optima
-    w = np.exp(-np.sqrt(np.sum(diff * diff, axis=1) / (2.0 * prob.dim * prob.sigma**2)))
+    w = np.exp(-np.sqrt(np.sum(diff * diff, axis=1) / (2.0 * prob.dim * SIGMA**2)))
     wmax = w.max()
     w = np.where(w == wmax, w, w * (1.0 - wmax**10))
     w /= w.sum()
@@ -120,8 +120,8 @@ def one_vector_value(prob, x):
     values = np.array(
         [bf.BASE_FUNCTIONS[name](z[i]) for i, name in enumerate(prob.func_names)]
     )
-    f_prime = prob.normalizer * values / np.abs(prob._fmax)
-    return float(np.sum(w * (f_prime + prob._h)))
+    f_prime = NORMALIZER * values / np.abs(prob._fmax)
+    return float(np.sum(w * (f_prime + prob.heights)))
 
 
 def cycled_f6(count=12, dim=10, seed=41):
@@ -131,7 +131,7 @@ def cycled_f6(count=12, dim=10, seed=41):
     rng = np.random.default_rng(seed)
     optima = rng.uniform(-5.0, 5.0, size=(count, dim))
     matrices = random_orthogonal(count, dim, rng)
-    heights = [height(50.0) for _ in names]
+    heights = np.full(len(names), 50.0)
     return CompositionProblem(optima, heights, names, matrices, -5.0, 5.0)
 
 
@@ -157,7 +157,7 @@ class TestBatchMatchesOneVectorRule:
 class TestOptimum:
     def test_optimum_value_is_smallest_height(self):
         prob = small_problem(["sphere", "rastrigin", "ackley"], identity=True)
-        values = [p.value for p in prob.heights]
+        values = prob.heights.tolist()
         assert prob.optimum_value() == min(values)
         best = int(np.argmin(values))
         assert np.array_equal(prob.optimum_position(), prob.optima[best])
@@ -184,9 +184,8 @@ class TestDominanceWeighting:
         # at component 0's optimum its weight is exactly 1, so the value
         # equals its height no matter how the other component is scored
         optima = np.array([[-3.0, -3.0], [3.0, 3.0]])
-        heights = [height(40.0), height(70.0)]
         prob = CompositionProblem(
-            optima, heights, ["sphere", "sphere"],
+            optima, [40.0, 70.0], ["sphere", "sphere"],
             np.stack([np.eye(2)] * 2), -5.0, 5.0,
         )
         assert abs(evaluate_one(prob, np.array([-3.0, -3.0])) - 40.0) < 1e-9
@@ -199,20 +198,17 @@ class TestNormalizationGuard:
         optima = np.zeros((1, 2))
         with pytest.raises(ConfigError):
             CompositionProblem(
-                optima, [height(50.0)], ["sphere"],
+                optima, [50.0], ["sphere"],
                 np.stack([np.eye(2)]), -5.0, 0.0,
             )
 
 
-class TestCacheContract:
-    def test_height_changes_need_refresh(self):
+class TestInPlaceChanges:
+    def test_height_changes_seen_by_the_next_evaluation(self):
         prob = small_problem(["sphere", "sphere"], identity=True)
         target = prob.optimum_position().copy()
         before = evaluate_one(prob, target)
-        for p in prob.heights:
-            p.value = p.value + 5.0
-        assert evaluate_one(prob, target) == before
-        prob.refresh_cache()
+        prob.heights += 5.0
         assert abs(evaluate_one(prob, target) - (before + 5.0)) < 1e-9
 
 
@@ -220,7 +216,7 @@ class TestRotateOptima:
     def test_quarter_turn_and_clip(self):
         optima = np.array([[2.0, 0.0], [0.0, 1.0]])
         prob = CompositionProblem(
-            optima, [height(40.0), height(50.0)], ["sphere", "sphere"],
+            optima, [40.0, 50.0], ["sphere", "sphere"],
             np.stack([np.eye(2)] * 2), -5.0, 5.0,
         )
         theta = math.pi / 2.0
@@ -261,14 +257,14 @@ class TestConstruction:
     def test_unknown_base_rejected(self):
         with pytest.raises(ConfigError):
             CompositionProblem(
-                np.zeros((1, 2)), [height(50.0)], ["parabola"],
+                np.zeros((1, 2)), [50.0], ["parabola"],
                 np.stack([np.eye(2)]), -5.0, 5.0,
             )
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             CompositionProblem(
-                np.zeros((2, 2)), [height(50.0)], ["sphere", "sphere"],
+                np.zeros((2, 2)), [50.0], ["sphere", "sphere"],
                 np.stack([np.eye(2)] * 2), -5.0, 5.0,
             )
 

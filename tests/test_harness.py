@@ -39,8 +39,9 @@ TINY = dict(
 
 # each bad prefixed override, with the error it must raise
 BAD_OVERRIDES = {
-    "gdbg.height_severity=2.5": "unknown override 'height_severity'",
-    "gdbg.num_peak=25": "unknown override 'num_peak'",
+    "gdbg.height_severity=2.5": "unknown experiment setting 'gdbg.height_severity'",
+    "gdbg.num_peak=25": "unknown experiment setting 'gdbg.num_peak'",
+    "gdbg.num_peaks=25": "unknown experiment setting 'gdbg.num_peaks'",
     "qcsso.popultion=30": "unknown override 'popultion'",
     "ssa.chi=0.7": "unknown override 'chi'",
     "pso.chii=0.7": "unknown override 'chii'",
@@ -192,7 +193,6 @@ class TestConfig:
                 "trace": "yes",
                 "cases": "F2:T1, F3",
                 "optimizers": "qcsso,ssa_baseline",
-                "gdbg.num_peaks": "5",
                 "qcsso.w_mode": "chaotic",
                 "ssa.population": "10",
                 "pso.c1": "1.0",
@@ -202,7 +202,6 @@ class TestConfig:
         assert config.trace is True
         assert config.cases == ("F2:T1", "F3")
         assert config.optimizers == ("qcsso", "ssa_baseline")
-        assert config.gdbg_overrides == {"num_peaks": "5"}
         assert config.qcsso_overrides == {"w_mode": "chaotic"}
         assert config.ssa_overrides == {"population": "10"}
         assert config.pso_overrides == {"c1": "1.0"}
@@ -239,7 +238,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["dimension", "change_frequency"])
     def test_gdbg_copy_of_an_experiment_key_rejected(self, key):
         # one source per setting: the experiment key sets the instance too
-        with pytest.raises(ConfigError, match=f"use the experiment key '{key}'"):
+        with pytest.raises(ConfigError, match=f"unknown experiment setting 'gdbg.{key}'"):
             ExperimentConfig.from_pairs({"change_frequency": "1000", f"gdbg.{key}": "500"})
 
     @pytest.mark.parametrize("pair,message", BAD_OVERRIDES.items(),

@@ -60,9 +60,9 @@ class TestConstruction:
         inst = make_instance("F1(50)", "T1", seed=3)
         assert inst.problem.num_peaks == 50
 
-    def test_explicit_peak_count_wins(self):
-        inst = make_instance("F1(50)", "T1", seed=3, overrides={"num_peaks": 7})
-        assert inst.problem.num_peaks == 7
+    def test_peak_count_is_fixed_by_the_family(self):
+        with pytest.raises(ConfigError, match="unknown override 'num_peaks'"):
+            make_instance("F1(50)", "T1", seed=3, overrides={"num_peaks": 7})
 
     def test_composition_families(self):
         inst = make_instance("F2", "T1", seed=3)
@@ -98,7 +98,7 @@ class TestConstruction:
     def test_config_holds_only_the_settable_keys(self):
         # the generator's other constants are fixed by the GDBG report
         names = [f.name for f in dataclasses.fields(GdbgConfig)]
-        assert names == ["dimension", "change_frequency", "num_peaks"]
+        assert names == ["dimension", "change_frequency"]
         with pytest.raises(ConfigError, match="unknown override"):
             make_instance("F2", "T1", seed=3, overrides={"height_severity": 2.5})
 
@@ -108,8 +108,8 @@ class TestConstruction:
 
     def test_initial_heights_and_widths(self):
         inst = make_instance("F1(10)", "T1", seed=3)
-        assert all(p.value == 50.0 for p in inst.problem.heights)
-        assert all(p.value == 5.0 for p in inst.problem.widths)
+        assert inst.problem.heights.tolist() == [50.0] * 10
+        assert inst.problem.widths.tolist() == [5.0] * 10
         assert inst.optimum_value() == 50.0
 
     def test_bounds(self):
@@ -457,6 +457,17 @@ class TestEnvelopeInvariants:
         assert lines[-1] == "0,rotation_angle,0.0"
         comp = make_instance("F2", "T1", seed=3)
         assert len(comp.param_lines()) == 11
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F2"])
+    def test_a_change_moves_the_landscape_heights_in_place(self, function_id):
+        inst = make_instance(function_id, "T1", seed=3)
+        heights = inst.problem.heights
+        before = heights.copy()
+        inst.advance_environment()
+        assert inst.problem.heights is heights
+        assert not np.array_equal(heights, before)
+        best = heights.max() if inst.maximize else heights.min()
+        assert inst.optimum_value() == best
 
     def test_same_seed_reproduces_landscape(self):
         a = make_instance("F4", "T2", seed=17, overrides={"dimension": 5})

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dynopt.gdbg import basefuncs as bf
-from dynopt.gdbg.composition import CompositionProblem
+from dynopt.gdbg.composition import NORMALIZER, SIGMA, CompositionProblem
 from dynopt.gdbg.instance import FUNCTION_IDS, make_instance
 from dynopt.gdbg.peaks import PeakSet
 
@@ -107,11 +107,11 @@ def einsum_contraction(prob, diff):
 
 def ref_composition(prob, xs, folded=True):
     """The composition rule; ``folded=False`` is the frozen einsum-era path."""
-    h = np.array([p.value for p in prob.heights])
+    h = prob.heights.copy()
     fmax = ref_corner_values(prob, folded)
     diff = xs[:, None, :] - prob.optima
     sq_dist = np.add.reduce(diff * diff, axis=2)
-    w = np.exp(-np.sqrt(sq_dist / (2.0 * prob.dim * prob.sigma**2)))
+    w = np.exp(-np.sqrt(sq_dist / (2.0 * prob.dim * SIGMA**2)))
     wmax = np.maximum.reduce(w, axis=1, keepdims=True)
     damping = [[1.0 - v**10] for v in wmax[:, 0].tolist()]
     w = np.where(w == wmax, w, w * np.array(damping))
@@ -123,13 +123,13 @@ def ref_composition(prob, xs, folded=True):
         stop = start + len(list(run))
         values[:, start:stop] = REF_BASE[name](z[:, start:stop])
         start = stop
-    f_prime = prob.normalizer * values / np.abs(fmax)
+    f_prime = NORMALIZER * values / np.abs(fmax)
     return np.add.reduce(w * (f_prime + h), axis=1)
 
 
 def ref_peaks(peaks, xs):
-    h = np.array([p.value for p in peaks.heights])
-    w = np.array([p.value for p in peaks.widths])
+    h = peaks.heights.copy()
+    w = peaks.widths.copy()
     diff = xs[:, None, :] - peaks.centers
     dist = np.sqrt(np.add.reduce(diff * diff, axis=2) / diff.shape[2])
     return np.maximum.reduce(h / (1.0 + w * dist), axis=1)

@@ -5,22 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from dynopt.gdbg.changes import DynamicParam
 from dynopt.gdbg.instance import make_instance
 from dynopt.gdbg.peaks import PeakSet
 
 from conftest import evaluate_one
 
 
-def param(value, low, high):
-    return DynamicParam(value=value, min=low, max=high, severity=1.0)
-
-
 def two_peaks():
     centers = np.array([[0.0, 0.0], [3.0, 4.0]])
-    heights = [param(80.0, 10.0, 100.0), param(60.0, 10.0, 100.0)]
-    widths = [param(2.0, 1.0, 10.0), param(1.0, 1.0, 10.0)]
-    return PeakSet(centers, heights, widths, -5.0, 5.0)
+    return PeakSet(centers, np.array([80.0, 60.0]), np.array([2.0, 1.0]), -5.0, 5.0)
 
 
 class TestEvaluate:
@@ -41,10 +34,7 @@ class TestEvaluate:
     def test_uses_rms_distance_not_euclidean(self):
         # one peak at the origin, evaluated at distance (3, 4):
         # rms = sqrt(25/2), not 5
-        peaks = PeakSet(
-            np.zeros((1, 2)), [param(50.0, 10.0, 100.0)],
-            [param(2.0, 1.0, 10.0)], -5.0, 5.0,
-        )
+        peaks = PeakSet(np.zeros((1, 2)), [50.0], [2.0], -5.0, 5.0)
         value = evaluate_one(peaks, np.array([3.0, 4.0]))
         expected = 50.0 / (1.0 + 2.0 * math.sqrt(12.5))
         assert abs(value - expected) < 1e-12
@@ -53,10 +43,7 @@ class TestEvaluate:
         peaks = two_peaks()
         # far from the tall peak, next to the short one
         value = evaluate_one(peaks, np.array([2.9, 3.9]))
-        single = PeakSet(
-            np.array([[3.0, 4.0]]), [param(60.0, 10.0, 100.0)],
-            [param(1.0, 1.0, 10.0)], -5.0, 5.0,
-        )
+        single = PeakSet(np.array([[3.0, 4.0]]), [60.0], [1.0], -5.0, 5.0)
         assert value == evaluate_one(single, np.array([2.9, 3.9]))
 
 
@@ -68,7 +55,7 @@ def one_vector_value(peaks, x):
     """
     diff = x - peaks.centers
     dist = np.sqrt(np.mean(diff * diff, axis=1))
-    return float(np.max(peaks._h / (1.0 + peaks._w * dist)))
+    return float(np.max(peaks.heights / (1.0 + peaks.widths * dist)))
 
 
 class TestBatchMatchesOneVectorRule:
@@ -92,8 +79,7 @@ class TestOptimum:
 
     def test_optimum_follows_height_changes(self):
         peaks = two_peaks()
-        peaks.heights[1].value = 95.0
-        peaks.refresh_cache()
+        peaks.heights[1] = 95.0
         assert peaks.optimum_value() == 95.0
         assert np.array_equal(peaks.optimum_position(), [3.0, 4.0])
 
@@ -105,13 +91,13 @@ class TestOptimum:
             assert evaluate_one(peaks, x) <= peaks.optimum_value() + 1e-12
 
 
-class TestCacheContract:
-    def test_stale_until_refreshed(self):
+class TestInPlaceChanges:
+    def test_seen_by_the_next_evaluation(self):
         peaks = two_peaks()
-        peaks.heights[0].value = 90.0
-        assert evaluate_one(peaks, np.array([0.0, 0.0])) == 80.0
-        peaks.refresh_cache()
+        peaks.heights[0] = 90.0
         assert evaluate_one(peaks, np.array([0.0, 0.0])) == 90.0
+        peaks.widths[1] = 2.0
+        assert evaluate_one(peaks, np.array([3.0, 3.0])) == 60.0 / (1.0 + 2.0 * math.sqrt(0.5))
 
 
 class TestRotateCenters:
@@ -126,9 +112,7 @@ class TestRotateCenters:
 
     def test_centers_clipped_to_domain(self):
         centers = np.array([[2.0, 0.0]])
-        peaks = PeakSet(
-            centers, [param(50.0, 10.0, 100.0)], [param(2.0, 1.0, 10.0)], 1.0, 5.0
-        )
+        peaks = PeakSet(centers, [50.0], [2.0], 1.0, 5.0)
         theta = math.pi / 2.0
         rot = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
@@ -168,10 +152,8 @@ class TestResize:
 class TestConstruction:
     def test_mismatched_parameter_counts_rejected(self):
         with pytest.raises(ValueError):
-            PeakSet(np.zeros((2, 3)), [param(50.0, 10.0, 100.0)],
-                    [param(2.0, 1.0, 10.0)] * 2, -5.0, 5.0)
+            PeakSet(np.zeros((2, 3)), [50.0], [2.0, 2.0], -5.0, 5.0)
 
     def test_flat_centers_rejected(self):
         with pytest.raises(ValueError):
-            PeakSet(np.zeros(3), [param(50.0, 10.0, 100.0)],
-                    [param(2.0, 1.0, 10.0)], -5.0, 5.0)
+            PeakSet(np.zeros(3), [50.0], [2.0], -5.0, 5.0)

@@ -5,9 +5,31 @@ import math
 import numpy as np
 import pytest
 
-from dynopt.gdbg.rotation import givens_matrix, paired_rotation, random_orthogonal
+from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
 
 from conftest import FakeRng
+
+
+def givens_matrix(dim, p, q, angle):
+    """Rotation by ``angle`` in the (p, q) coordinate plane (0-based)."""
+    if p == q:
+        raise ValueError("plane axes must differ")
+    m = np.eye(dim)
+    c, s = np.cos(angle), np.sin(angle)
+    m[p, p] = c
+    m[q, q] = c
+    m[p, q] = -s
+    m[q, p] = s
+    return m
+
+
+def givens_product(dim, angle, rng):
+    """The paired rotation as a chain of dense Givens products, its old build."""
+    perm = rng.permutation(dim)
+    m = np.eye(dim)
+    for k in range(dim // 2):
+        m = givens_matrix(dim, int(perm[2 * k]), int(perm[2 * k + 1]), angle) @ m
+    return m
 
 
 class TestGivens:
@@ -44,6 +66,21 @@ class TestPairedRotation:
         m = paired_rotation(4, angle, rng)
         expected = givens_matrix(4, 2, 3, angle) @ givens_matrix(4, 0, 1, angle)
         assert np.abs(m - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("dim", range(2, 16))
+    def test_equals_the_givens_product_bit_for_bit(self, dim):
+        # the planes are disjoint, so every product term is exact; signed
+        # zeros included, and the generator ends in the same state
+        rng = np.random.default_rng(dim)
+        for _ in range(100):
+            angle = float(rng.uniform(-math.pi, math.pi))
+            seed = int(rng.integers(2**32))
+            direct_rng = np.random.default_rng(seed)
+            chain_rng = np.random.default_rng(seed)
+            direct = paired_rotation(dim, angle, direct_rng)
+            chain = givens_product(dim, angle, chain_rng)
+            assert direct.tobytes() == chain.tobytes(), angle
+            assert direct_rng.bit_generator.state == chain_rng.bit_generator.state
 
     def test_odd_dimension_leaves_one_axis_fixed(self):
         rng = FakeRng(permutation=[[0, 1, 2]])

@@ -14,7 +14,6 @@ from dynopt.harness.stats import (
     overall_score,
     std_dev,
     validate_weight_table,
-    window_score,
 )
 
 
@@ -71,17 +70,28 @@ class TestMatrixStats:
                 fn(bad)
 
 
+def window_score(r_last, samples):
+    """Score of one window: close ratio damped by in-window shortfall."""
+    penalty = 1.0 + float(np.mean(1.0 - np.asarray(samples, dtype=float)))
+    return r_last / penalty
+
+
+def one_window(r_last, samples):
+    """``case_score`` of a grid of one run and one change."""
+    return case_score([[r_last]], [[samples]])
+
+
 class TestWindowScore:
     def test_hand_value(self):
         # penalty = 1 + mean(1 - [1, 0.5]) = 1.25; 0.8 / 1.25 = 0.64
-        assert window_score(0.8, [1.0, 0.5]) == 0.64
+        assert one_window(0.8, [1.0, 0.5]) == window_score(0.8, [1.0, 0.5]) == 0.64
 
     def test_perfect_window(self):
-        assert window_score(1.0, [1.0, 1.0, 1.0]) == 1.0
+        assert one_window(1.0, [1.0, 1.0, 1.0]) == 1.0
 
     def test_slow_convergence_halves(self):
         # samples of 0 give penalty 2
-        assert window_score(1.0, [1e-300, 1e-300]) == pytest.approx(0.5)
+        assert one_window(1.0, [1e-300, 1e-300]) == pytest.approx(0.5)
 
 
 class TestCaseScore:
