@@ -7,9 +7,9 @@ already sees the new landscape.
 
 ``evaluate`` takes an ``(n, dim)`` batch and cuts it at change
 boundaries: the rows before a crossing are scored on the old landscape in
-one call, the crossing row on the new one, and the rows after it in
-further calls, so values and counters equal those of a loop of one-row
-calls.
+one call, and the crossing row and the rows after it, up to the next
+change, are one call on the new landscape, so values and counters equal
+those of a loop of one-row calls.
 
 Under T7 a change also moves the dimension by one, usually in the middle
 of a population sweep, so the rest of the population still holds vectors
@@ -18,9 +18,10 @@ iterations, two may fall inside one sweep.  The dimension rule: a row
 whose length is the dimension just before the latest change, or the
 dimension the caller last read from ``dimension()``, is fitted to the
 current one, truncated to its leading coordinates when the dimension
-shrank and zero-padded when it grew.  The crossing call is fitted the
-same way.  Every other length raises
-:class:`~dynopt.errors.DimensionMismatch`.
+shrank and zero-padded when it grew; each segment is fitted once, after
+the change it opens.  Every other length raises
+:class:`~dynopt.errors.DimensionMismatch` before the segment is counted
+(at a crossing, after its change has fired).
 
 The instance remembers one row: the best row scored in the current
 environment, with its value.  After each landscape segment the segment's
@@ -193,17 +194,11 @@ class GdbgInstance(DynamicObjective):
         segments = []
         pos = 0
         while pos < xs.shape[0]:
-            # the length is checked before each segment, as a loop of
-            # single calls would check it before each evaluation
-            rows = self._fit_dimension(xs[pos:])
+            # one segment is one environment: a crossing row opens it
             if (self.eval_count + 1) % self.frequency == 0:
-                self.eval_count += 1
                 self.advance_environment()
-                # the crossing call is already scored in the new environment
-                rows = self._fit_dimension(rows[:1])
-            else:
-                rows = rows[: self.evals_to_change()]
-                self.eval_count += rows.shape[0]
+            rows = self._fit_dimension(xs[pos : pos + self.evals_to_change()])
+            self.eval_count += rows.shape[0]
             segments.append(self.problem.evaluate(rows))
             self._remember(rows, segments[-1])
             pos += rows.shape[0]

@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import hashlib
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -234,6 +233,9 @@ def _ordered_map(jobs: int):
     if jobs == 1:
         yield map
         return
+    # imported here: the pool pulls in multiprocessing, which one job never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield functools.partial(pool.map, chunksize=1)
 

@@ -52,8 +52,9 @@ def std_dev(errors: np.ndarray) -> float:
 
 
 def _validate_ratios(name: str, values: np.ndarray) -> None:
-    if np.any(values <= 0.0) or np.any(values > 1.0):
-        bad = values[(values <= 0.0) | (values > 1.0)]
+    # a comparison with NaN is false, so NaN falls outside the range
+    bad = values[~((values > 0.0) & (values <= 1.0))]
+    if bad.size:
         raise ConfigError(
             f"{name} must lie in (0, 1]; found {float(bad.ravel()[0])!r}"
         )
@@ -108,7 +109,7 @@ def overall_score(
     for case_id, score in scores.items():
         if case_id not in weights:
             raise ConfigError(f"no weight defined for case {case_id!r}")
-        if score < -SCORE_DUST or score > 1.0 + SCORE_DUST:
+        if not -SCORE_DUST <= score <= 1.0 + SCORE_DUST:
             raise ConfigError(f"score for {case_id!r} out of [0, 1]: {score!r}")
         terms.append(weights[case_id] * min(max(score, 0.0), 1.0))
     return float(math.fsum(terms))

@@ -159,7 +159,7 @@ class SwarmBase:
         self.positions = self._resize_matrix(self.positions, new_dim)
         if self.pbest_positions is not None:
             self.pbest_positions = self._resize_matrix(self.pbest_positions, new_dim)
-        self.food_position = self._resize_vector(self.food_position, new_dim)
+        self.food_position = self._resize_matrix(self.food_position[None, :], new_dim)[0]
         self._resize_extra_state(new_dim)
         self._dim_changed = True
 
@@ -180,13 +180,6 @@ class SwarmBase:
             )
             return np.hstack([mat, extra])
         return mat[:, :new_dim].copy()
-
-    def _resize_vector(self, vec: np.ndarray, new_dim: int) -> np.ndarray:
-        old = vec.shape[0]
-        if new_dim > old:
-            extra = self.rng.uniform(self.lower, self.upper, size=new_dim - old)
-            return np.concatenate([vec, extra])
-        return vec[:new_dim].copy()
 
     def _resize_extra_state(self, new_dim: int) -> None:
         """Subclasses resize any further per-dimension state."""

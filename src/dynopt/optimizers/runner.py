@@ -35,9 +35,9 @@ def _ratio(best: float, optimum: float, maximize: bool) -> float:
     # numpy scalar division, so a zero divisor gives inf or nan with a
     # warning rather than raising
     r = np.float64(best) / optimum if maximize else optimum / np.float64(best)
-    if r > 1.0 + RATIO_DUST:
+    if not r <= 1.0 + RATIO_DUST:  # NaN fails too
         raise RuntimeError(
-            f"quality ratio {float(r)!r} exceeds 1: "
+            f"quality ratio {float(r)!r} exceeds 1 or is NaN: "
             f"best={float(best)!r} optimum={optimum!r}"
         )
     return float(min(r, 1.0))

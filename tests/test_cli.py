@@ -1,7 +1,12 @@
 """End-to-end command line behaviour: verbs, artifacts, and exit codes."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dynopt
 from dynopt.cli import main
 
 TINY_CONFIG = """\
@@ -194,6 +199,21 @@ class TestScore:
         assert out.splitlines()[0].startswith("F1(10):T1 qcsso 0.")
         assert "OVERALL qcsso" in out
 
+    def test_nan_ratio_fails_cleanly(self, tmp_path, capsys):
+        out_dir = run_tiny(tmp_path)
+        raw = out_dir / "raw_F1_10_T1_qcsso.csv"
+        header, first, *rest = raw.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index("r_last")] = "nan"
+        raw.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        (out_dir / "scores.csv").unlink()
+        capsys.readouterr()
+        assert main(["score", "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert "error: r_last must lie in (0, 1]; found nan" in captured.err
+        assert "nan" not in captured.out
+        assert not (out_dir / "scores.csv").exists()
+
     def test_empty_directory_fails_cleanly(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -207,6 +227,20 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("ok: ") == 9
         assert "selftest: 9 checks passed" in out
+
+
+class TestImport:
+    def test_one_job_never_loads_the_process_pool(self):
+        # a fresh interpreter: this one may have imported the pool already
+        src = Path(dynopt.__file__).parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import dynopt.cli; "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "False\n"
 
 
 class TestUsage:

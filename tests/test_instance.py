@@ -328,6 +328,49 @@ def count_landscape_calls(monkeypatch, landscape_cls):
     return calls
 
 
+class TestOneCallPerEnvironment:
+    """Each environment a batch touches is one landscape call."""
+
+    @pytest.mark.parametrize("function_id, landscape_cls", [
+        ("F1(10)", PeakSet), ("F6", CompositionProblem),
+    ])
+    def test_a_batch_crossing_one_change_makes_two_calls(
+        self, monkeypatch, function_id, landscape_cls
+    ):
+        batched, looped = (
+            make_instance(function_id, "T1", seed=5,
+                          overrides={"dimension": 5, "change_frequency": 20})
+            for _ in range(2)
+        )
+        xs = np.random.default_rng(6).uniform(-5.0, 5.0, size=(30, 5))
+        calls = count_landscape_calls(monkeypatch, landscape_cls)
+        values = batched.evaluate(xs)
+        assert calls == [(19, 5), (11, 5)]  # the crossing row opens the second
+        assert values.tolist() == [evaluate_one(looped, x) for x in xs]
+        assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t) == (30, 1)
+
+    def test_a_bounce_inside_one_batch_keeps_the_crossing_row_whole(self):
+        def walked_to_six():
+            inst = make_instance(
+                "F1(10)", "T7", 5, {"dimension": 15, "change_frequency": 3}
+            )
+            probe = np.random.default_rng(0)
+            for _ in range(27):
+                inst.evaluate(probe.uniform(-5.0, 5.0, size=(1, inst.dimension())))
+            return inst
+
+        batched, looped = walked_to_six(), walked_to_six()
+        assert (batched.t, batched.dimension()) == (9, 6)
+        # evaluations 28-33 cross change 10 (6 -> 5) and change 11 (5 -> 6)
+        xs = np.random.default_rng(1).uniform(-5.0, 5.0, size=(6, 6))
+        values = batched.evaluate(xs)
+        assert (batched.t, batched.problem.dim) == (11, 6)
+        # the crossing row has the new length and is scored as it stands
+        assert values[-1] == batched.problem.evaluate(xs[-1:])[0]
+        looped.dimension()
+        assert values.tolist() == [evaluate_one(looped, x) for x in xs]
+
+
 class TestBestRowMemo:
     """The best row scored in the current environment is answered from memory."""
 

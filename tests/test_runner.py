@@ -86,6 +86,10 @@ class TestRatio:
         with pytest.raises(RuntimeError):
             _ratio(100.0 / (1.0 + 5e-9), 100.0, False)
 
+    def test_nan_raises(self):
+        with pytest.raises(RuntimeError, match="nan"), np.errstate(invalid="ignore"):
+            _ratio(0.0, 0.0, True)
+
 
 class TestRecorder:
     def test_budget_guard_raises_before_forwarding(self):

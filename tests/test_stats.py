@@ -133,6 +133,12 @@ class TestCaseScore:
         with pytest.raises(ConfigError, match="ratio samples"):
             case_score([[0.5]], [[[1.0000001]]])
 
+    def test_nan_ratios_rejected(self):
+        with pytest.raises(ConfigError, match="r_last must lie in .*nan"):
+            case_score([[0.5, np.nan]], [[[0.5], [0.5]]])
+        with pytest.raises(ConfigError, match="ratio samples must lie in .*nan"):
+            case_score([[0.5]], [[[0.5, np.nan]]])
+
     def test_boundary_ratio_of_one_is_fine(self):
         assert case_score([[1.0]], [[[1.0]]]) == 1.0
 
@@ -191,3 +197,7 @@ class TestOverallScore:
             overall_score({"a": 1.0 + 2e-9}, {"a": 100.0})
         with pytest.raises(ConfigError):
             overall_score({"a": -2e-9}, {"a": 100.0})
+
+    def test_nan_score_raises(self):
+        with pytest.raises(ConfigError, match="out of .*nan"):
+            overall_score({"a": 0.5, "b": float("nan")}, {"a": 50.0, "b": 50.0})
