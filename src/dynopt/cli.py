@@ -205,7 +205,7 @@ def _check_composition_ground_truth() -> None:
     # every component, so each base function is checked at its optimum
     for family in ("F2", "F3", "F4", "F5", "F6"):
         problem = make_instance(family, "T1", seed=7).problem
-        values = problem.evaluate(problem.optima)
+        values = problem.evaluate(problem.centers)
         for value, height in zip(values.tolist(), problem.heights.tolist()):
             gap = abs(value - height)
             assert gap < 1e-6, f"{family} optimum off its height by {gap}"

@@ -16,7 +16,6 @@ import numpy as np
 
 from dynopt.errors import ConfigError
 from dynopt.gdbg.basefuncs import BASE_FUNCTIONS, NATURAL_HALF_RANGE
-from dynopt.gdbg.rotation import random_orthogonal
 
 FMAX_GUARD = 1e-12
 DOMINANCE_POWER = 10
@@ -34,25 +33,27 @@ def stretch_factor(func_name: str, search_half_range: float) -> float:
 class CompositionProblem:
     """``m`` blended components over a box domain.
 
-    ``heights`` is a float array of length ``m`` that the instance driving
-    the landscape changes in place.
+    The landscape only scores: the instance driving it changes ``heights``
+    in place, moves ``centers`` (the components' optima) and, when the
+    dimension moves, replaces ``matrices`` and calls
+    :meth:`refresh_normalization`.
     """
 
     def __init__(
         self,
-        optima: np.ndarray,
+        centers: np.ndarray,
         heights: np.ndarray,
         func_names: list[str],
         matrices: np.ndarray,
         lower: float,
         upper: float,
     ) -> None:
-        self.optima = np.asarray(optima, dtype=float)
-        if self.optima.ndim != 2:
-            raise ValueError("optima must be an (m, dim) array")
-        m = self.optima.shape[0]
+        self.centers = np.asarray(centers, dtype=float)
+        if self.centers.ndim != 2:
+            raise ValueError("centers must be an (m, dim) array")
+        m = self.centers.shape[0]
         if not (len(heights) == len(func_names) == m and matrices.shape[0] == m):
-            raise ValueError("heights, functions and matrices must match optima")
+            raise ValueError("heights, functions and matrices must match centers")
         for name in func_names:
             if name not in BASE_FUNCTIONS:
                 raise ConfigError(f"unknown base function {name!r}")
@@ -78,12 +79,8 @@ class CompositionProblem:
         self.refresh_normalization()
 
     @property
-    def num_components(self) -> int:
-        return self.optima.shape[0]
-
-    @property
     def dim(self) -> int:
-        return self.optima.shape[1]
+        return self.centers.shape[1]
 
     def refresh_normalization(self) -> None:
         """Recompute what depends on the dimension and the rotations: the
@@ -91,7 +88,7 @@ class CompositionProblem:
         rescaling, and the weight scale."""
         self._scaled = self.matrices / self.lambdas[:, None, None]
         # the corners take the same product as evaluate: corner @ (M / lambda)
-        corners = np.full((self.num_components, 1, self.dim), self.upper)
+        corners = np.full((len(self.heights), 1, self.dim), self.upper)
         self._fmax = self._component_values((corners @ self._scaled)[None, :, 0])[0]
         self._abs_fmax = np.abs(self._fmax)
         if np.any(self._abs_fmax < FMAX_GUARD):
@@ -121,7 +118,7 @@ class CompositionProblem:
         # same bits as np.sum / .max without the wrappers' dispatch.  The
         # stretch lambda is folded into the matrices once per normalization:
         # GDBG's (diff / lambda) M, rounded in another order
-        diff = xs[:, None, :] - self.optima
+        diff = xs[:, None, :] - self.centers
         w = np.add.reduce(diff * diff, axis=2)
         w /= self._weight_scale
         np.sqrt(w, out=w)
@@ -148,23 +145,4 @@ class CompositionProblem:
         return float(self.heights.min())
 
     def optimum_position(self) -> np.ndarray:
-        return self.optima[int(np.argmin(self.heights))].copy()
-
-    def rotate_optima(self, matrix: np.ndarray) -> None:
-        self.optima = self.optima @ matrix.T
-        np.clip(self.optima, self.lower, self.upper, out=self.optima)
-
-    def resize(self, new_dim: int, rng: np.random.Generator) -> None:
-        """Resize optima by one coordinate and regenerate the rotations."""
-        old = self.dim
-        if new_dim == old:
-            return
-        if new_dim == old + 1:
-            extra = rng.uniform(self.lower, self.upper, size=(self.num_components, 1))
-            self.optima = np.hstack([self.optima, extra])
-        elif new_dim == old - 1:
-            self.optima = self.optima[:, :-1].copy()
-        else:
-            raise ValueError("dimension may only move one step at a time")
-        self.matrices = random_orthogonal(self.num_components, new_dim, rng)
-        self.refresh_normalization()
+        return self.centers[int(np.argmin(self.heights))].copy()

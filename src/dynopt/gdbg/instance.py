@@ -1,9 +1,11 @@
 """Benchmark instances: a landscape plus the machinery that changes it.
 
-An instance owns its RNG, its change counter ``t``, and an evaluation
-counter.  Evaluations drive time: when the counter crosses a multiple of
-the change frequency the environment advances first and the crossing call
-already sees the new landscape.
+The landscapes only score; the instance makes every draw and every move.
+It owns its RNG, its change counter ``t``, an evaluation counter, and the
+number of the evaluation at which the next change fires, one frequency
+after the last one ``evaluate`` fired (a direct ``advance_environment()``
+leaves it alone).  Evaluations drive time: the crossing evaluation
+advances the environment first and already sees the new landscape.
 
 ``evaluate`` takes an ``(n, dim)`` batch and cuts it at change
 boundaries: the rows before a crossing are scored on the old landscape in
@@ -21,7 +23,8 @@ current one, truncated to its leading coordinates when the dimension
 shrank and zero-padded when it grew; each segment is fitted once, after
 the change it opens.  Every other length raises
 :class:`~dynopt.errors.DimensionMismatch` before the segment is counted
-(at a crossing, after its change has fired).
+(at a crossing, after its change has fired, so offering the rows again
+does not fire it a second time).
 
 The instance remembers one row: the best row scored in the current
 environment, with its value.  After each landscape segment the segment's
@@ -66,8 +69,8 @@ _COMPOSITION_BASES = {
 
 # the generator's fixed constants (CEC 2009 GDBG report, Li et al. 2008);
 # the composition's sigma and normaliser are constants of its module.  Each
-# changing family shares its bounds and severity: the heights, the widths,
-# and the rotation angle, a family of one
+# changing family shares its bounds and severity: the heights, the widths
+# (peaks only), and the rotation angle, a family of one
 SEARCH_LOWER, SEARCH_UPPER = -5.0, 5.0
 PEAK_COUNTS = {"F1(10)": 10, "F1(50)": 50}
 HEIGHT_MIN, HEIGHT_MAX, HEIGHT_INIT, HEIGHT_SEVERITY = 10.0, 100.0, 50.0, 5.0
@@ -117,6 +120,7 @@ class GdbgInstance(DynamicObjective):
         self.t = 0
         self.eval_count = 0
         self.frequency = config.resolved_frequency()
+        self._next_change = self.frequency
         self._walk = DimensionWalk(config.dimension)
         self._previous_dim = config.dimension
         self._read_dim = config.dimension
@@ -124,48 +128,50 @@ class GdbgInstance(DynamicObjective):
         self._memo_t = -1
         self._memo_row = b""
         self._memo_value = np.zeros(1)
-        # each changing family is a value array with a phase array beside it
+        # each changing family is (label, values, phases, low, high,
+        # severity), kept in the order a change draws them: heights, widths,
+        # the rotation angle (whose phase is drawn first, at construction)
         self.rotation_angle = np.zeros(1)
-        self._angle_phases = self._phases(1)
+        angle = self._family("rotation_angle", self.rotation_angle,
+                             ANGLE_MIN, ANGLE_MAX, ROTATION_SEVERITY)
         if function_id.startswith("F1"):
             self.problem: PeakSet | CompositionProblem = self._build_peaks()
         else:
             self.problem = self._build_composition()
+        self._families += (angle,)
 
     # -- construction ---------------------------------------------------
 
-    def _phases(self, count: int) -> np.ndarray:
-        return self.rng.uniform(0.0, 2.0 * math.pi, count)
+    def _family(self, label: str, values: np.ndarray, low: float, high: float,
+                severity: float) -> tuple:
+        """One changing family, with its phases drawn now."""
+        phases = self.rng.uniform(0.0, 2.0 * math.pi, len(values))
+        return label, values, phases, low, high, severity
 
     def _build_peaks(self) -> PeakSet:
         count = PEAK_COUNTS[self.function_id]
         centers = self.rng.uniform(
             SEARCH_LOWER, SEARCH_UPPER, size=(count, self.config.dimension)
         )
-        self._height_phases = self._phases(count)
-        self._width_phases = self._phases(count)
-        return PeakSet(
-            centers,
-            np.full(count, HEIGHT_INIT),
-            np.full(count, WIDTH_INIT),
-            SEARCH_LOWER,
-            SEARCH_UPPER,
+        heights, widths = np.full(count, HEIGHT_INIT), np.full(count, WIDTH_INIT)
+        self._families = (
+            self._family("height[{}]", heights, HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY),
+            self._family("width[{}]", widths, WIDTH_MIN, WIDTH_MAX, WIDTH_SEVERITY),
         )
+        return PeakSet(centers, heights, widths)
 
     def _build_composition(self) -> CompositionProblem:
         names = _COMPOSITION_BASES[self.function_id]
-        optima = self.rng.uniform(
+        centers = self.rng.uniform(
             SEARCH_LOWER, SEARCH_UPPER, size=(len(names), self.config.dimension)
         )
         matrices = random_orthogonal(len(names), self.config.dimension, self.rng)
-        self._height_phases = self._phases(len(names))
+        heights = np.full(len(names), HEIGHT_INIT)
+        self._families = (
+            self._family("height[{}]", heights, HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY),
+        )
         return CompositionProblem(
-            optima,
-            np.full(len(names), HEIGHT_INIT),
-            names,
-            matrices,
-            SEARCH_LOWER,
-            SEARCH_UPPER,
+            centers, heights, names, matrices, SEARCH_LOWER, SEARCH_UPPER
         )
 
     # -- DynamicObjective -----------------------------------------------
@@ -186,7 +192,7 @@ class GdbgInstance(DynamicObjective):
         if (
             xs.shape[0] == 1
             and self._memo_t == self.t
-            and (self.eval_count + 1) % self.frequency
+            and self.eval_count + 1 != self._next_change
             and xs.tobytes() == self._memo_row
         ):
             self.eval_count += 1
@@ -195,7 +201,8 @@ class GdbgInstance(DynamicObjective):
         pos = 0
         while pos < xs.shape[0]:
             # one segment is one environment: a crossing row opens it
-            if (self.eval_count + 1) % self.frequency == 0:
+            if self.eval_count + 1 == self._next_change:
+                self._next_change += self.frequency
                 self.advance_environment()
             rows = self._fit_dimension(xs[pos : pos + self.evals_to_change()])
             self.eval_count += rows.shape[0]
@@ -218,8 +225,7 @@ class GdbgInstance(DynamicObjective):
             self._memo_value = values[i:i + 1].copy()
 
     def evals_to_change(self) -> int:
-        left = self.frequency - 1 - self.eval_count % self.frequency
-        return left or self.frequency
+        return self._next_change - 1 - self.eval_count or self.frequency
 
     def _fit_dimension(self, xs: np.ndarray) -> np.ndarray:
         """Fit rows of a stale length to the current dimension (module docstring)."""
@@ -247,33 +253,30 @@ class GdbgInstance(DynamicObjective):
     # -- dynamics --------------------------------------------------------
 
     def advance_environment(self) -> None:
-        """Move to the next environment: change the heights, the widths and
-        the rotation angle in place, rotate positions, and under T7 also step
-        the dimension."""
+        """Move to the next environment: change every family in place,
+        rotate the centres and clip them to the box, and under T7 also
+        step the dimension."""
         self.t += 1
-        kind, rng, t = self.change_type, self.rng, self.t
-        problem = self.problem
-        change_values(
-            problem.heights, self._height_phases,
-            HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY, kind, rng, t,
-        )
-        if isinstance(problem, PeakSet):
-            change_values(
-                problem.widths, self._width_phases,
-                WIDTH_MIN, WIDTH_MAX, WIDTH_SEVERITY, kind, rng, t,
-            )
-        change_values(
-            self.rotation_angle, self._angle_phases,
-            ANGLE_MIN, ANGLE_MAX, ROTATION_SEVERITY, kind, rng, t,
-        )
+        problem, rng = self.problem, self.rng
+        for _, values, phases, low, high, severity in self._families:
+            change_values(values, phases, low, high, severity,
+                          self.change_type, rng, self.t)
         rotation = paired_rotation(problem.dim, float(self.rotation_angle[0]), rng)
-        if isinstance(problem, PeakSet):
-            problem.rotate_centers(rotation)
-        else:
-            problem.rotate_optima(rotation)
+        centers = problem.centers @ rotation.T
+        np.clip(centers, SEARCH_LOWER, SEARCH_UPPER, out=centers)
         self._previous_dim = problem.dim
-        if kind is ChangeType.RANDOM_DIM:
-            problem.resize(self._walk.step(), rng)
+        if self.change_type is ChangeType.RANDOM_DIM:
+            # grow by one uniform coordinate per centre or drop the last one
+            if self._walk.step() > problem.dim:
+                extra = rng.uniform(SEARCH_LOWER, SEARCH_UPPER, size=(len(centers), 1))
+                centers = np.hstack([centers, extra])
+            else:
+                centers = centers[:, :-1].copy()
+        problem.centers = centers
+        if hasattr(problem, "matrices") and problem.dim != self._previous_dim:
+            # a composition draws its rotations afresh at the new dimension
+            problem.matrices = random_orthogonal(len(centers), problem.dim, rng)
+            problem.refresh_normalization()
 
     # -- introspection ----------------------------------------------------
 
@@ -281,19 +284,13 @@ class GdbgInstance(DynamicObjective):
         """Snapshot all dynamic parameters as ``t,name,value`` text lines.
 
         Values use shortest round-trip decimals so golden files compare
-        exactly across runs.
+        exactly across runs.  A family of one has no index in its name.
         """
-        lines = [
-            f"{self.t},height[{i}],{value!r}"
-            for i, value in enumerate(self.problem.heights.tolist())
+        return [
+            f"{self.t},{label.format(i)},{value!r}"
+            for label, values, *_ in self._families
+            for i, value in enumerate(values.tolist())
         ]
-        if isinstance(self.problem, PeakSet):
-            lines += [
-                f"{self.t},width[{i}],{value!r}"
-                for i, value in enumerate(self.problem.widths.tolist())
-            ]
-        lines.append(f"{self.t},rotation_angle,{float(self.rotation_angle[0])!r}")
-        return lines
 
 
 def make_instance(

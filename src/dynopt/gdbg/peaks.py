@@ -13,17 +13,12 @@ class PeakSet:
     The landscape value is the best response over peaks,
     ``H_i / (1 + W_i * sqrt(mean_j (x_j - c_ij)^2))``, so the global
     optimum value is exactly the largest height, attained at that
-    peak's center.  ``heights`` and ``widths`` are float arrays of length
-    ``m`` that the instance driving the landscape changes in place.
+    peak's center.  The landscape only scores: the instance driving it
+    changes ``heights`` and ``widths`` in place and moves ``centers``.
     """
 
     def __init__(
-        self,
-        centers: np.ndarray,
-        heights: np.ndarray,
-        widths: np.ndarray,
-        lower: float,
-        upper: float,
+        self, centers: np.ndarray, heights: np.ndarray, widths: np.ndarray
     ) -> None:
         self.centers = np.asarray(centers, dtype=float)
         if self.centers.ndim != 2:
@@ -32,12 +27,6 @@ class PeakSet:
             raise ValueError("one height and width per peak required")
         self.heights = np.asarray(heights, dtype=float)
         self.widths = np.asarray(widths, dtype=float)
-        self.lower = float(lower)
-        self.upper = float(upper)
-
-    @property
-    def num_peaks(self) -> int:
-        return len(self.heights)
 
     @property
     def dim(self) -> int:
@@ -64,20 +53,3 @@ class PeakSet:
 
     def optimum_position(self) -> np.ndarray:
         return self.centers[int(np.argmax(self.heights))].copy()
-
-    def rotate_centers(self, matrix: np.ndarray) -> None:
-        self.centers = self.centers @ matrix.T
-        np.clip(self.centers, self.lower, self.upper, out=self.centers)
-
-    def resize(self, new_dim: int, rng: np.random.Generator) -> None:
-        """Grow by one uniform coordinate per peak or drop the last one."""
-        old = self.dim
-        if new_dim == old:
-            return
-        if new_dim == old + 1:
-            extra = rng.uniform(self.lower, self.upper, size=(self.num_peaks, 1))
-            self.centers = np.hstack([self.centers, extra])
-        elif new_dim == old - 1:
-            self.centers = self.centers[:, :-1].copy()
-        else:
-            raise ValueError("dimension may only move one step at a time")

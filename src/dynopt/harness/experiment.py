@@ -27,17 +27,8 @@ from dynopt.overrides import coerce
 
 DEFAULT_SEED = 12345
 
-_PREFIX_BUCKETS = {
-    "qcsso.": "qcsso_overrides",
-    "ssa.": "ssa_overrides",
-    "pso.": "pso_overrides",
-}
-
-_OPTIMIZER_BUCKETS = {
-    "qcsso": "qcsso_overrides",
-    "ssa_baseline": "ssa_overrides",
-    "pso_baseline": "pso_overrides",
-}
+# the key prefix that passes a setting through to each optimizer
+_PREFIXES = {"qcsso": "qcsso", "ssa": "ssa_baseline", "pso": "pso_baseline"}
 
 
 def derive_seed(base: int, *parts: str) -> int:
@@ -71,9 +62,7 @@ class ExperimentConfig:
     weights: str = "uniform"
     jobs: int = 1
     trace: bool = False
-    qcsso_overrides: dict = field(default_factory=dict)
-    ssa_overrides: dict = field(default_factory=dict)
-    pso_overrides: dict = field(default_factory=dict)
+    overrides: dict = field(default_factory=dict)  # optimizer id -> key=value pairs
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -96,8 +85,9 @@ class ExperimentConfig:
                 )
         if not self.optimizers:
             raise ConfigError("at least one optimizer is required")
-        # every override is checked here, before any run spends its budget
-        for optimizer_id in OPTIMIZER_IDS:
+        # every override is checked here, before any run spends its budget;
+        # overrides for an unknown optimizer id fail too
+        for optimizer_id in (*OPTIMIZER_IDS, *self.overrides):
             optimizer_config(optimizer_id, self.overrides_for(optimizer_id))
 
     @classmethod
@@ -108,21 +98,15 @@ class ExperimentConfig:
         through to the matching optimizer; everything else must name a
         scalar field of this class.
         """
-        kwargs: dict[str, object] = {}
-        buckets: dict[str, dict] = {name: {} for name in _PREFIX_BUCKETS.values()}
+        overrides: dict[str, dict] = {}
+        kwargs: dict[str, object] = {"overrides": overrides}
         scalar_fields = {
-            f.name: f
-            for f in dataclasses.fields(cls)
-            if not f.name.endswith("_overrides")
+            f.name: f for f in dataclasses.fields(cls) if f.name != "overrides"
         }
         for key, value in pairs.items():
-            prefixed = False
-            for prefix, bucket in _PREFIX_BUCKETS.items():
-                if key.startswith(prefix):
-                    buckets[bucket][key[len(prefix):]] = value
-                    prefixed = True
-                    break
-            if prefixed:
+            prefix, dot, name = key.partition(".")
+            if dot and prefix in _PREFIXES:
+                overrides.setdefault(_PREFIXES[prefix], {})[name] = value
                 continue
             if key not in scalar_fields:
                 raise ConfigError(f"unknown experiment setting {key!r}")
@@ -132,7 +116,6 @@ class ExperimentConfig:
                 kwargs[key] = tuple(value)
             else:
                 kwargs[key] = coerce(value, type(scalar_fields[key].default))
-        kwargs.update({name: bucket for name, bucket in buckets.items() if bucket})
         return cls(**kwargs)
 
     def resolved_frequency(self) -> int:
@@ -142,7 +125,7 @@ class ExperimentConfig:
         return self.num_change * self.resolved_frequency()
 
     def overrides_for(self, optimizer_id: str) -> dict:
-        return getattr(self, _OPTIMIZER_BUCKETS[optimizer_id])
+        return self.overrides.get(optimizer_id, {})
 
     def selected_cases(self) -> tuple[Case, ...]:
         return select_cases(self.cases)

@@ -111,12 +111,6 @@ class Qcsso(SwarmBase):
         """One overlap-search probe per chain."""
         return self.config.subpopulations
 
-    def exclusion_radius(self) -> float:
-        return self._exclusion_radius
-
-    def probe_sigma(self) -> float:
-        return self._probe_sigma
-
     def subpop_best_indices(self) -> np.ndarray:
         """The index of each chain's best pbest, the first one on ties."""
         by_chain = self.pbest_fitness.reshape(self.k, self.chain)
@@ -192,7 +186,7 @@ class Qcsso(SwarmBase):
         """
         # one (k, dim) draw equals k sequential draws of dim
         noise = self.rng.standard_normal((self.k, self.dim))
-        probes = self.pbest_positions.take(bests, axis=0) + noise * self.probe_sigma()
+        probes = self.pbest_positions.take(bests, axis=0) + noise * self._probe_sigma
         clip_in_place(probes, *self._box)
         values = self.problem.evaluate(probes)
         accepted = self.better(values, self.pbest_fitness[bests])
@@ -235,7 +229,7 @@ class Qcsso(SwarmBase):
         """
         a, b = self._pairs
         diff = centres.take(a, axis=0) - centres.take(b, axis=0)
-        close = row_norms(diff) < self.exclusion_radius()
+        close = row_norms(diff) < self._exclusion_radius
         return [self._pair_list[i] for i in close.nonzero()[0].tolist()]
 
     def _reinit_members(self, members: np.ndarray, fresh: np.ndarray) -> None:

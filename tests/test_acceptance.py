@@ -153,7 +153,7 @@ def test_criterion_3_ground_truth_optima():
                 inst.advance_environment()
                 heights = inst.problem.heights.tolist()
                 best = int(np.argmin(heights))
-                value = evaluate_one(inst.problem, inst.problem.optima[best])
+                value = evaluate_one(inst.problem, inst.problem.centers[best])
                 worst_comp_gap = max(worst_comp_gap, abs(value - min(heights)))
 
     ok = worst_peak_gap < 1e-9 and worst_comp_gap < 1e-6

@@ -19,7 +19,7 @@ from dynopt.gdbg.rotation import random_orthogonal
 from conftest import evaluate_one
 
 
-def brute_force_value(x, optima, heights, func_names, matrices, lower, upper,
+def brute_force_value(x, centers, heights, func_names, matrices, lower, upper,
                       sigma=1.0, normalizer=2000.0):
     """Scalar re-derivation of the composition rule, one component at a time."""
     m = len(func_names)
@@ -28,7 +28,7 @@ def brute_force_value(x, optima, heights, func_names, matrices, lower, upper,
 
     weights = []
     for i in range(m):
-        sq = sum((x[j] - optima[i][j]) ** 2 for j in range(dim))
+        sq = sum((x[j] - centers[i][j]) ** 2 for j in range(dim))
         weights.append(math.exp(-math.sqrt(sq / (2.0 * dim * sigma * sigma))))
     wmax = max(weights)
     weights = [w if w == wmax else w * (1.0 - wmax**10) for w in weights]
@@ -39,7 +39,7 @@ def brute_force_value(x, optima, heights, func_names, matrices, lower, upper,
     for i in range(m):
         func = bf.BASE_FUNCTIONS[func_names[i]]
         lam = half / bf.NATURAL_HALF_RANGE[func_names[i]]
-        shifted = [(x[j] - optima[i][j]) / lam for j in range(dim)]
+        shifted = [(x[j] - centers[i][j]) / lam for j in range(dim)]
         z = [sum(shifted[j] * matrices[i][j][e] for j in range(dim))
              for e in range(dim)]
         corner = [upper / lam] * dim
@@ -54,13 +54,13 @@ def brute_force_value(x, optima, heights, func_names, matrices, lower, upper,
 def small_problem(func_names, seed=71, identity=False, dim=2):
     rng = np.random.default_rng(seed)
     m = len(func_names)
-    optima = rng.uniform(-4.0, 4.0, size=(m, dim))
+    centers = rng.uniform(-4.0, 4.0, size=(m, dim))
     heights = rng.uniform(20.0, 90.0, size=m)
     if identity:
         matrices = np.stack([np.eye(dim)] * m)
     else:
         matrices = random_orthogonal(m, dim, rng)
-    return CompositionProblem(optima, heights, list(func_names), matrices, -5.0, 5.0)
+    return CompositionProblem(centers, heights, list(func_names), matrices, -5.0, 5.0)
 
 
 class TestStretchFactors:
@@ -84,7 +84,7 @@ class TestBruteForceOracle:
         for _ in range(25):
             x = rng.uniform(-5.0, 5.0, size=2)
             expected = brute_force_value(
-                list(x), prob.optima.tolist(),
+                list(x), prob.centers.tolist(),
                 prob.heights.tolist(), names,
                 prob.matrices.tolist(), -5.0, 5.0,
             )
@@ -97,7 +97,7 @@ class TestBruteForceOracle:
         for _ in range(25):
             x = rng.uniform(-5.0, 5.0, size=2)
             expected = brute_force_value(
-                list(x), prob.optima.tolist(),
+                list(x), prob.centers.tolist(),
                 prob.heights.tolist(), names,
                 prob.matrices.tolist(), -5.0, 5.0,
             )
@@ -110,7 +110,7 @@ def one_vector_value(prob, x):
     This is the formula the landscape used before it took batches; a batch
     must reproduce it bit for bit, or seeded results would move.
     """
-    diff = x - prob.optima
+    diff = x - prob.centers
     w = np.exp(-np.sqrt(np.sum(diff * diff, axis=1) / (2.0 * prob.dim * SIGMA**2)))
     wmax = w.max()
     w = np.where(w == wmax, w, w * (1.0 - wmax**10))
@@ -129,10 +129,10 @@ def cycled_f6(count=12, dim=10, seed=41):
     names = make_instance("F6", "T1", seed=seed).problem.func_names
     names = [names[i % len(names)] for i in range(count)]
     rng = np.random.default_rng(seed)
-    optima = rng.uniform(-5.0, 5.0, size=(count, dim))
+    centers = rng.uniform(-5.0, 5.0, size=(count, dim))
     matrices = random_orthogonal(count, dim, rng)
     heights = np.full(len(names), 50.0)
-    return CompositionProblem(optima, heights, names, matrices, -5.0, 5.0)
+    return CompositionProblem(centers, heights, names, matrices, -5.0, 5.0)
 
 
 class TestBatchMatchesOneVectorRule:
@@ -148,7 +148,7 @@ class TestBatchMatchesOneVectorRule:
         else:
             prob = make_instance(case, "T1", seed=41).problem
         rng = np.random.default_rng(42)
-        centers = prob.optima[rng.integers(0, prob.num_components, size=400)]
+        centers = prob.centers[rng.integers(0, len(prob.heights), size=400)]
         scales = 10.0 ** rng.uniform(-3.0, 0.5, size=(400, 1))
         xs = np.clip(centers + scales * rng.standard_normal(centers.shape), -5.0, 5.0)
         assert prob.evaluate(xs).tolist() == [one_vector_value(prob, x) for x in xs]
@@ -160,7 +160,7 @@ class TestOptimum:
         values = prob.heights.tolist()
         assert prob.optimum_value() == min(values)
         best = int(np.argmin(values))
-        assert np.array_equal(prob.optimum_position(), prob.optima[best])
+        assert np.array_equal(prob.optimum_position(), prob.centers[best])
 
     @pytest.mark.parametrize("names", [
         ["sphere"] * 3, ["rastrigin"] * 3, ["griewank"] * 3,
@@ -183,9 +183,9 @@ class TestDominanceWeighting:
     def test_far_component_has_no_pull_at_an_optimum(self):
         # at component 0's optimum its weight is exactly 1, so the value
         # equals its height no matter how the other component is scored
-        optima = np.array([[-3.0, -3.0], [3.0, 3.0]])
+        centers = np.array([[-3.0, -3.0], [3.0, 3.0]])
         prob = CompositionProblem(
-            optima, [40.0, 70.0], ["sphere", "sphere"],
+            centers, [40.0, 70.0], ["sphere", "sphere"],
             np.stack([np.eye(2)] * 2), -5.0, 5.0,
         )
         assert abs(evaluate_one(prob, np.array([-3.0, -3.0])) - 40.0) < 1e-9
@@ -195,10 +195,10 @@ class TestDominanceWeighting:
 class TestNormalizationGuard:
     def test_degenerate_corner_rejected(self):
         # an all-zero corner zeroes every base function, which must refuse
-        optima = np.zeros((1, 2))
+        centers = np.zeros((1, 2))
         with pytest.raises(ConfigError):
             CompositionProblem(
-                optima, [50.0], ["sphere"],
+                centers, [50.0], ["sphere"],
                 np.stack([np.eye(2)]), -5.0, 0.0,
             )
 
@@ -210,47 +210,6 @@ class TestInPlaceChanges:
         before = evaluate_one(prob, target)
         prob.heights += 5.0
         assert abs(evaluate_one(prob, target) - (before + 5.0)) < 1e-9
-
-
-class TestRotateOptima:
-    def test_quarter_turn_and_clip(self):
-        optima = np.array([[2.0, 0.0], [0.0, 1.0]])
-        prob = CompositionProblem(
-            optima, [40.0, 50.0], ["sphere", "sphere"],
-            np.stack([np.eye(2)] * 2), -5.0, 5.0,
-        )
-        theta = math.pi / 2.0
-        rot = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        )
-        prob.rotate_optima(rot)
-        assert np.abs(prob.optima[0] - [0.0, 2.0]).max() < 1e-12
-        assert np.abs(prob.optima[1] - [-1.0, 0.0]).max() < 1e-12
-
-
-class TestResize:
-    def test_grow_regenerates_orthogonal_matrices(self):
-        prob = small_problem(["sphere", "rastrigin"])
-        old = prob.optima.copy()
-        prob.resize(3, np.random.default_rng(89))
-        assert prob.optima.shape == (2, 3)
-        assert np.array_equal(prob.optima[:, :2], old)
-        assert prob.matrices.shape == (2, 3, 3)
-        for m in prob.matrices:
-            assert np.abs(m @ m.T - np.eye(3)).max() < 1e-9
-        # the rescale cache must track the new dimension
-        assert np.isfinite(evaluate_one(prob, np.zeros(3)))
-
-    def test_shrink(self):
-        prob = small_problem(["sphere", "rastrigin"], dim=3)
-        prob.resize(2, np.random.default_rng(89))
-        assert prob.optima.shape == (2, 2)
-        assert prob.matrices.shape == (2, 2, 2)
-        assert np.isfinite(evaluate_one(prob, np.zeros(2)))
-
-    def test_jump_rejected(self):
-        with pytest.raises(ValueError):
-            small_problem(["sphere"]).resize(5, np.random.default_rng(89))
 
 
 class TestConstruction:

@@ -32,9 +32,11 @@ TINY = dict(
     samples_per_window=3,
     dimension=5,
     seed=7,
-    qcsso_overrides={"population": "6", "subpopulations": "2"},
-    ssa_overrides={"population": "6"},
-    pso_overrides={"population": "6"},
+    overrides={
+        "qcsso": {"population": "6", "subpopulations": "2"},
+        "ssa_baseline": {"population": "6"},
+        "pso_baseline": {"population": "6"},
+    },
 )
 
 # each bad prefixed override, with the error it must raise
@@ -202,9 +204,11 @@ class TestConfig:
         assert config.trace is True
         assert config.cases == ("F2:T1", "F3")
         assert config.optimizers == ("qcsso", "ssa_baseline")
-        assert config.qcsso_overrides == {"w_mode": "chaotic"}
-        assert config.ssa_overrides == {"population": "10"}
-        assert config.pso_overrides == {"c1": "1.0"}
+        assert config.overrides == {
+            "qcsso": {"w_mode": "chaotic"},
+            "ssa_baseline": {"population": "10"},
+            "pso_baseline": {"c1": "1.0"},
+        }
 
     def test_from_pairs_accepts_whole_floats(self):
         assert ExperimentConfig.from_pairs({"runs": "10.0"}).runs == 10
@@ -250,9 +254,13 @@ class TestConfig:
 
     def test_overrides_for(self):
         config = tiny_config()
-        assert config.overrides_for("qcsso") == TINY["qcsso_overrides"]
-        assert config.overrides_for("ssa_baseline") == TINY["ssa_overrides"]
-        assert config.overrides_for("pso_baseline") == TINY["pso_overrides"]
+        for optimizer_id in ("qcsso", "ssa_baseline", "pso_baseline"):
+            assert config.overrides_for(optimizer_id) == TINY["overrides"][optimizer_id]
+        assert ExperimentConfig().overrides_for("qcsso") == {}
+
+    def test_overrides_for_an_unknown_optimizer_rejected(self):
+        with pytest.raises(ConfigError, match="unknown optimizer 'ssa'"):
+            ExperimentConfig(overrides={"ssa": {"population": "6"}})
 
 
 class TestRunSingle:
@@ -328,8 +336,10 @@ class TestRunExperiment:
             samples_per_window=3,
             dimension=5,
             seed=11,
-            qcsso_overrides={"population": "6", "subpopulations": "2"},
-            ssa_overrides={"population": "6"},
+            overrides={
+                "qcsso": {"population": "6", "subpopulations": "2"},
+                "ssa_baseline": {"population": "6"},
+            },
         )
         serial = run_experiment(ExperimentConfig(**settings))
         parallel = run_experiment(ExperimentConfig(**settings, jobs=2))

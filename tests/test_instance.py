@@ -1,6 +1,7 @@
 """Benchmark instances: construction, the change boundary, and goldens."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,14 @@ class TestConstruction:
     def test_peak_family(self):
         inst = make_instance("F1(10)", "T1", seed=3)
         assert isinstance(inst.problem, PeakSet)
-        assert inst.problem.num_peaks == 10
+        assert len(inst.problem.heights) == 10
         assert inst.maximize is True
         assert inst.dimension() == 10
         assert inst.frequency == 100_000
 
     def test_fifty_peak_variant(self):
         inst = make_instance("F1(50)", "T1", seed=3)
-        assert inst.problem.num_peaks == 50
+        assert len(inst.problem.heights) == 50
 
     def test_peak_count_is_fixed_by_the_family(self):
         with pytest.raises(ConfigError, match="unknown override 'num_peaks'"):
@@ -67,7 +68,7 @@ class TestConstruction:
     def test_composition_families(self):
         inst = make_instance("F2", "T1", seed=3)
         assert isinstance(inst.problem, CompositionProblem)
-        assert inst.problem.num_components == 10
+        assert len(inst.problem.heights) == 10
         assert inst.problem.func_names == ["sphere"] * 10
         assert inst.maximize is False
 
@@ -269,6 +270,113 @@ class TestDimensionChanges:
         with pytest.raises(DimensionMismatch):
             evaluate_one(inst, x)
         assert inst.eval_count == used
+
+
+class TestChangeClock:
+    def test_a_rejected_crossing_row_fires_its_change_once(self):
+        def four_evaluations():
+            inst = make_instance(
+                "F2", "T7", seed=9,
+                overrides={"dimension": 10, "change_frequency": 5},
+            )
+            for _ in range(4):
+                evaluate_one(inst, np.zeros(10))
+            return inst
+
+        inst, twin = four_evaluations(), four_evaluations()
+        for _ in range(2):
+            with pytest.raises(DimensionMismatch):
+                inst.evaluate(np.zeros((1, 13)))
+            assert (inst.t, inst.eval_count) == (1, 4)
+        x = np.linspace(-1.0, 1.0, 11)
+        value = evaluate_one(inst, x)  # evaluation 5, in environment 1
+        assert (inst.t, inst.eval_count, inst.problem.dim) == (1, 5, 11)
+        assert value == evaluate_one(twin, x)
+        assert (twin.t, twin.eval_count) == (1, 5)
+        assert inst.evals_to_change() == twin.evals_to_change() == 4
+        assert inst.param_lines() == twin.param_lines()
+
+    def test_a_direct_advance_leaves_the_schedule(self):
+        inst = make_instance(
+            "F1(10)", "T1", seed=5,
+            overrides={"dimension": 5, "change_frequency": 10},
+        )
+        inst.advance_environment()
+        assert inst.evals_to_change() == 9
+        for _ in range(9):
+            evaluate_one(inst, np.zeros(5))
+        assert inst.t == 1
+        evaluate_one(inst, np.zeros(5))
+        assert inst.t == 2
+
+
+def plane_turn(theta):
+    """A stand-in for ``paired_rotation``: turn the first plane by ``theta``."""
+
+    def rotation(dim, angle, rng):
+        matrix = np.eye(dim)
+        matrix[:2, :2] = [
+            [math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]
+        ]
+        return matrix
+
+    return rotation
+
+
+class TestCentreMoves:
+    """The instance moves the centres of either landscape at each change."""
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F2"])
+    def test_quarter_turn(self, monkeypatch, function_id):
+        inst = make_instance(function_id, "T1", seed=3, overrides={"dimension": 5})
+        inst.problem.centers[1] = [3.0, 4.0, 1.0, -2.0, 0.5]
+        monkeypatch.setattr("dynopt.gdbg.instance.paired_rotation", plane_turn(math.pi / 2))
+        inst.advance_environment()
+        assert np.abs(inst.problem.centers[1] - [-4.0, 3.0, 1.0, -2.0, 0.5]).max() < 1e-12
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F2"])
+    def test_centers_clipped_to_the_box(self, monkeypatch, function_id):
+        inst = make_instance(function_id, "T1", seed=3, overrides={"dimension": 5})
+        inst.problem.centers[0] = [4.0, 4.0, 0.0, 0.0, 0.0]
+        monkeypatch.setattr("dynopt.gdbg.instance.paired_rotation", plane_turn(math.pi / 4))
+        inst.advance_environment()  # (4, 4) -> (0, 4 sqrt 2), clipped down to 5
+        assert np.abs(inst.problem.centers[0] - [0.0, 5.0, 0.0, 0.0, 0.0]).max() < 1e-12
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F2"])
+    def test_growth_appends_an_in_box_coordinate(self, monkeypatch, function_id):
+        inst = make_instance(function_id, "T7", seed=3, overrides={"dimension": 10})
+        old = inst.problem.centers.copy()
+        monkeypatch.setattr("dynopt.gdbg.instance.paired_rotation", plane_turn(0.0))
+        inst.advance_environment()
+        centers = inst.problem.centers
+        assert centers.shape == (len(old), 11)
+        assert np.array_equal(centers[:, :10], old)
+        assert np.all((centers[:, 10] >= -5.0) & (centers[:, 10] <= 5.0))
+
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F2"])
+    def test_shrinking_drops_the_last_coordinate(self, monkeypatch, function_id):
+        inst = make_instance(function_id, "T7", seed=3, overrides={"dimension": 15})
+        old = inst.problem.centers.copy()
+        monkeypatch.setattr("dynopt.gdbg.instance.paired_rotation", plane_turn(0.0))
+        inst.advance_environment()  # the walk reverses at the cap: 15 -> 14
+        assert np.array_equal(inst.problem.centers, old[:, :14])
+
+    @pytest.mark.parametrize("dimension, moved", [(10, 11), (15, 14)])
+    def test_a_composition_resize_redraws_orthogonal_matrices(self, dimension, moved):
+        inst = make_instance("F6", "T7", seed=3, overrides={"dimension": dimension})
+        inst.advance_environment()
+        prob = inst.problem
+        assert prob.dim == moved
+        assert prob.matrices.shape == (10, moved, moved)
+        for m in prob.matrices:
+            assert np.abs(m @ m.T - np.eye(moved)).max() < 1e-9
+        fresh = CompositionProblem(
+            prob.centers, prob.heights, prob.func_names, prob.matrices, -5.0, 5.0
+        )
+        for name in ("_scaled", "_fmax", "_weight_scale"):
+            assert getattr(prob, name).tobytes() == getattr(fresh, name).tobytes(), name
+        xs = np.random.default_rng(4).uniform(-5.0, 5.0, size=(20, moved))
+        assert prob.evaluate(xs).tobytes() == fresh.evaluate(xs).tobytes()
 
 
 class TestBatchEvaluation:

@@ -84,7 +84,7 @@ def ref_corner_values(prob, folded=True):
     lambda, then rotated.
     """
     corner = np.full(prob.dim, prob.upper)
-    fmax = np.empty(prob.num_components)
+    fmax = np.empty(len(prob.heights))
     for i, name in enumerate(prob.func_names):
         if folded:
             z = corner @ (prob.matrices[i] / prob.lambdas[i])
@@ -109,7 +109,7 @@ def ref_composition(prob, xs, folded=True):
     """The composition rule; ``folded=False`` is the frozen einsum-era path."""
     h = prob.heights.copy()
     fmax = ref_corner_values(prob, folded)
-    diff = xs[:, None, :] - prob.optima
+    diff = xs[:, None, :] - prob.centers
     sq_dist = np.add.reduce(diff * diff, axis=2)
     w = np.exp(-np.sqrt(sq_dist / (2.0 * prob.dim * SIGMA**2)))
     wmax = np.maximum.reduce(w, axis=1, keepdims=True)
@@ -140,18 +140,12 @@ def ref_peaks(peaks, xs):
 POINT_KINDS = ("uniform", "near-1e-7", "near-1e-12", "exact")
 
 
-def _centers(problem):
-    if isinstance(problem, PeakSet):
-        return problem.centers
-    return problem.optima
-
-
 def sample_rows(problem, kind, n, rng):
     """``n`` rows of one kind: uniform, within a distance of an optimum, or on one."""
     dim = problem.dim
     if kind == "uniform":
-        return rng.uniform(problem.lower, problem.upper, size=(n, dim))
-    centers = _centers(problem)[rng.integers(0, len(_centers(problem)), size=n)]
+        return rng.uniform(-5.0, 5.0, size=(n, dim))
+    centers = problem.centers[rng.integers(0, len(problem.centers), size=n)]
     if kind == "exact":
         return centers.copy()
     scale = 1e-7 if kind == "near-1e-7" else 1e-12
@@ -242,7 +236,7 @@ CONTRACTION_KINDS = ("uniform", "near-1e-3", "near-1e-7", "near-1e-12", "exact")
 
 def _rows(problem, kind, rng):
     if kind == "near-1e-3":
-        centers = problem.optima[rng.integers(0, problem.num_components, size=50)]
+        centers = problem.centers[rng.integers(0, len(problem.centers), size=50)]
         return centers + 1e-3 * rng.uniform(-1.0, 1.0, size=centers.shape)
     return sample_rows(problem, kind, 50, rng)
 
@@ -264,7 +258,7 @@ class TestContractionAgainstEinsum:
         rng = np.random.default_rng(75)
         for prob in _composition_states(function_id, dim):
             for kind in CONTRACTION_KINDS:
-                diff = _rows(prob, kind, rng)[:, None, :] - prob.optima
+                diff = _rows(prob, kind, rng)[:, None, :] - prob.centers
                 old = einsum_contraction(prob, diff)
                 gap = np.abs(folded_contraction(prob, diff) - old)
                 norm = np.sqrt(np.add.reduce(old * old, axis=2))[:, :, None]

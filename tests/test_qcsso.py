@@ -85,24 +85,24 @@ class TestStructure:
 
     def test_exclusion_radius_default_and_override(self):
         opt = make_opt(dim=4)
-        assert abs(opt.exclusion_radius() - 0.1 * 10.0 * 2.0) < 1e-12
+        assert abs(opt._exclusion_radius - 0.1 * 10.0 * 2.0) < 1e-12
         opt = make_opt(config=QcssoConfig(exclusion_radius=2.5))
-        assert opt.exclusion_radius() == 2.5
+        assert opt._exclusion_radius == 2.5
         # a radius that is not positive, NaN included, takes the default
         opt = make_opt(dim=4, config=QcssoConfig(exclusion_radius=float("nan")))
-        assert abs(opt.exclusion_radius() - 0.1 * 10.0 * 2.0) < 1e-12
+        assert abs(opt._exclusion_radius - 0.1 * 10.0 * 2.0) < 1e-12
 
     def test_probe_sigma_tracks_bounds(self):
         opt = make_opt(dim=3)
-        assert opt.probe_sigma() == 1.0
+        assert opt._probe_sigma == 1.0
 
     def test_radius_and_sigma_follow_a_dimension_change(self):
         problem = SwitchableProblem(dimension=4)
         opt = make_opt(problem=problem)
         problem.shift(dimension=9)
         opt.sync_dimension()
-        assert opt.exclusion_radius() == 0.1 * float(np.linalg.norm(np.full(9, 10.0)))
-        assert opt.probe_sigma() == 1.0
+        assert opt._exclusion_radius == 0.1 * float(np.linalg.norm(np.full(9, 10.0)))
+        assert opt._probe_sigma == 1.0
 
 
 class TestContext:
@@ -502,7 +502,7 @@ class TestExclusionDistances:
 
     def test_close_pairs_use_the_default_radius(self):
         opt = make_opt(dim=5, config=QcssoConfig(population=10, subpopulations=5))
-        radius = opt.exclusion_radius()
+        radius = opt._exclusion_radius
         bests = np.arange(0, 10, 2)
         step = np.full(5, radius / math.sqrt(5.0))
         for scale, expected in ((0.999, [(0, 1)]), (1.001, [])):
@@ -688,7 +688,7 @@ class TestChangeResponse:
             assert opt.dim == inst.dimension()
             assert (opt.lower, opt.upper) == (-5.0, 5.0) == inst.bounds()
             radius = 0.1 * float(np.linalg.norm(np.full(opt.dim, 10.0)))
-            assert opt.exclusion_radius() == radius
+            assert opt._exclusion_radius == radius
             assert np.all(np.abs(opt.positions) <= 5.0)
         assert len(dims) > 2
 
