@@ -8,7 +8,7 @@ harness that turns runs into error statistics and competition-style scores.
 
 from dynopt.errors import BudgetExhausted, ConfigError, DimensionMismatch
 from dynopt.gdbg import ChangeType, GdbgInstance, make_instance
-from dynopt.objective import DynamicObjective, StaticFunctionProblem
+from dynopt.objective import DynamicObjective
 from dynopt.optimizers import OPTIMIZER_IDS, run
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "DynamicObjective",
     "GdbgInstance",
     "OPTIMIZER_IDS",
-    "StaticFunctionProblem",
     "make_instance",
     "run",
 ]

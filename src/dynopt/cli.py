@@ -246,8 +246,7 @@ def _check_run_bookkeeping() -> None:
         overrides={"dimension": 5, "change_frequency": 200},
     )
     trajectory = run(
-        "qcsso", inst, budget=600, seed=3,
-        s_samples=5, frequency=200, collect_ratios=True,
+        "qcsso", inst, budget=600, seed=3, s_samples=5, collect_ratios=True
     )
     assert trajectory.evaluations == 600, "budget must be spent exactly"
     assert len(trajectory.e_last) == 3, "three windows must close"
@@ -266,7 +265,7 @@ def _check_dimension_walk_runs() -> None:
             overrides={"dimension": 10, "change_frequency": 200},
         )
         try:
-            trajectory = run(optimizer_id, inst, budget=600, seed=5, frequency=200)
+            trajectory = run(optimizer_id, inst, budget=600, seed=5)
         except DimensionMismatch as exc:
             raise AssertionError(f"{optimizer_id} crashed under T7: {exc}") from exc
         assert trajectory.evaluations == 600, f"{optimizer_id} stopped early"
@@ -276,6 +275,7 @@ def _check_dimension_walk_runs() -> None:
 
 def _check_batch_equals_rows() -> None:
     from dynopt.gdbg.instance import FUNCTION_IDS, make_instance
+    from dynopt.optimizers.runner import BudgetedRecorder
 
     rng = np.random.default_rng(17)
     # the sentinel memo rests on this: a composition row is one BLAS
@@ -292,8 +292,11 @@ def _check_batch_equals_rows() -> None:
                 " one-row batches"
             )
     batched, looped = (
-        make_instance("F3", "T7", seed=19,
-                      overrides={"dimension": 5, "change_frequency": 8})
+        BudgetedRecorder(
+            make_instance("F3", "T7", seed=19,
+                          overrides={"dimension": 5, "change_frequency": 8}),
+            budget=20,
+        )
         for _ in range(2)
     )
     xs = rng.uniform(-5.0, 5.0, size=(20, 5))  # crosses two dimension moves
@@ -301,17 +304,18 @@ def _check_batch_equals_rows() -> None:
     assert values == [looped.evaluate(x[None, :])[0] for x in xs], (
         "a change-crossing batch differs from its one-row batches"
     )
-    assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t), (
-        "a change-crossing batch moved the clock differently"
-    )
+    assert (batched.problem.eval_count, batched.problem.t) == (
+        looped.problem.eval_count, looped.problem.t
+    ), "a change-crossing batch moved the clock differently"
     # replaying a batch's best row: eval 11 is answered from the instance's
     # memory, eval 12 is a crossing row and is scored on the new landscape
     inst = make_instance("F6", "T1", seed=19,
                          overrides={"dimension": 5, "change_frequency": 12})
+    clock = BudgetedRecorder(inst, budget=12)
     xs = rng.uniform(-5.0, 5.0, size=(10, 5))
-    best = xs[int(np.argmin(inst.evaluate(xs))), None]  # a one-row batch
+    best = xs[int(np.argmin(clock.evaluate(xs))), None]  # a one-row batch
     replays = [
-        (inst.evaluate(best)[0], inst.problem.evaluate(best)[0]) for _ in range(2)
+        (clock.evaluate(best)[0], inst.problem.evaluate(best)[0]) for _ in range(2)
     ]
     assert inst.t == 1 and all(a == b for a, b in replays), (
         "a replayed best row differs from a landscape call"

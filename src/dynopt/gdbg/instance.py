@@ -1,17 +1,11 @@
 """Benchmark instances: a landscape plus the machinery that changes it.
 
 The landscapes only score; the instance makes every draw and every move.
-It owns its RNG, its change counter ``t``, an evaluation counter, and the
-number of the evaluation at which the next change fires, one frequency
-after the last one ``evaluate`` fired (a direct ``advance_environment()``
-leaves it alone).  Evaluations drive time: the crossing evaluation
-advances the environment first and already sees the new landscape.
-
-``evaluate`` takes an ``(n, dim)`` batch and cuts it at change
-boundaries: the rows before a crossing are scored on the old landscape in
-one call, and the crossing row and the rows after it, up to the next
-change, are one call on the new landscape, so values and counters equal
-those of a loop of one-row calls.
+It owns its RNG, its change counter ``t`` and an evaluation counter.  It
+changes only when told: a run's clock (the budget recorder) calls
+``advance_environment()`` on every ``frequency``-th evaluation, before
+that evaluation is scored, and ``evaluate`` scores an ``(n, dim)`` batch
+in the current environment with one landscape call.
 
 Under T7 a change also moves the dimension by one, usually in the middle
 of a population sweep, so the rest of the population still holds vectors
@@ -20,24 +14,21 @@ iterations, two may fall inside one sweep.  The dimension rule: a row
 whose length is the dimension just before the latest change, or the
 dimension the caller last read from ``dimension()``, is fitted to the
 current one, truncated to its leading coordinates when the dimension
-shrank and zero-padded when it grew; each segment is fitted once, after
-the change it opens.  Every other length raises
-:class:`~dynopt.errors.DimensionMismatch` before the segment is counted
-(at a crossing, after its change has fired, so offering the rows again
-does not fire it a second time).
+shrank and zero-padded when it grew.  Every other length raises
+:class:`~dynopt.errors.DimensionMismatch` before the batch is counted.
 
 The instance remembers one row: the best row scored in the current
-environment, with its value.  After each landscape segment the segment's
-best row (first among ties) replaces it when strictly better, or when
-``t`` has moved since it was set.  A one-row request whose bytes equal the
-remembered row, made while ``t`` is unchanged and on a row where no change
-lands, returns the remembered value and counts one evaluation without
-calling the landscape.  This is how the optimizers' change sentinel, which
-re-scores the best point they know, is answered between changes.  It is
-exact: the landscape is a pure function of the environment and the row,
-and a batch row equals its one-row batch bit for bit, so the value is
-the one a call would return.  Bytes are compared, so ``-0.0`` and ``0.0``
-differ and a row of another length never matches.
+environment, with its value.  After each landscape call the batch's best
+row (first among ties) replaces it when strictly better, or when ``t``
+has moved since it was set.  A one-row request whose bytes equal the
+remembered row, made while ``t`` is unchanged, returns the remembered
+value and counts one evaluation without calling the landscape.  This is
+how the optimizers' change sentinel, which re-scores the best point they
+know, is answered between changes.  It is exact: the landscape is a pure
+function of the environment and the row, and a batch row equals its
+one-row batch bit for bit, so the value is the one a call would return.
+Bytes are compared, so ``-0.0`` and ``0.0`` differ and a row of another
+length never matches.
 """
 
 from __future__ import annotations
@@ -120,7 +111,6 @@ class GdbgInstance(DynamicObjective):
         self.t = 0
         self.eval_count = 0
         self.frequency = config.resolved_frequency()
-        self._next_change = self.frequency
         self._walk = DimensionWalk(config.dimension)
         self._previous_dim = config.dimension
         self._read_dim = config.dimension
@@ -188,31 +178,23 @@ class GdbgInstance(DynamicObjective):
         return self.function_id.startswith("F1")
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        """Score ``xs`` in the current environment (module docstring)."""
         xs = as_rows(xs)
         if (
             xs.shape[0] == 1
             and self._memo_t == self.t
-            and self.eval_count + 1 != self._next_change
             and xs.tobytes() == self._memo_row
         ):
             self.eval_count += 1
             return self._memo_value.copy()
-        segments = []
-        pos = 0
-        while pos < xs.shape[0]:
-            # one segment is one environment: a crossing row opens it
-            if self.eval_count + 1 == self._next_change:
-                self._next_change += self.frequency
-                self.advance_environment()
-            rows = self._fit_dimension(xs[pos : pos + self.evals_to_change()])
-            self.eval_count += rows.shape[0]
-            segments.append(self.problem.evaluate(rows))
-            self._remember(rows, segments[-1])
-            pos += rows.shape[0]
-        return segments[0] if len(segments) == 1 else np.concatenate(segments)
+        rows = self._fit_dimension(xs)
+        self.eval_count += rows.shape[0]
+        values = self.problem.evaluate(rows)
+        self._remember(rows, values)
+        return values
 
     def _remember(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Keep the segment's best row if it beats the memo of this environment."""
+        """Keep the batch's best row if it beats the memo of this environment."""
         if self.maximize:
             i = int(values.argmax())
             better = values[i] > self._memo_value[0]
@@ -223,9 +205,6 @@ class GdbgInstance(DynamicObjective):
             self._memo_t = self.t
             self._memo_row = rows[i].tobytes()
             self._memo_value = values[i:i + 1].copy()
-
-    def evals_to_change(self) -> int:
-        return self._next_change - 1 - self.eval_count or self.frequency
 
     def _fit_dimension(self, xs: np.ndarray) -> np.ndarray:
         """Fit rows of a stale length to the current dimension (module docstring)."""
@@ -246,9 +225,6 @@ class GdbgInstance(DynamicObjective):
 
     def optimum_position(self) -> np.ndarray:
         return self.problem.optimum_position()
-
-    def change_count(self) -> int:
-        return self.t
 
     # -- dynamics --------------------------------------------------------
 

@@ -135,12 +135,12 @@ def run_single(
     config: ExperimentConfig, case: Case, optimizer_id: str, run_index: int
 ) -> Trajectory:
     """One optimizer, one landscape instance, full budget."""
-    frequency = config.resolved_frequency()
     problem = make_instance(
         case.function_id,
         case.change_type,
         problem_seed(config.seed, case.case_id, run_index),
-        {"dimension": config.dimension, "change_frequency": frequency},
+        {"dimension": config.dimension,
+         "change_frequency": config.resolved_frequency()},
     )
     trajectory = run(
         optimizer_id,
@@ -148,7 +148,6 @@ def run_single(
         config.budget(),
         optimizer_seed(config.seed, case.case_id, optimizer_id, run_index),
         s_samples=config.samples_per_window,
-        frequency=frequency,
         collect_ratios=True,
         trace=config.trace,
         overrides=config.overrides_for(optimizer_id),

@@ -1,8 +1,8 @@
 """Shared plumbing for the swarm optimizers.
 
 Each optimizer runs against a :class:`~dynopt.objective.DynamicObjective`
-(usually wrapped in a budget recorder), owns one RNG, and survives both
-landscape changes and dimension changes mid-run.
+(in a run, through the budget recorder that fires its changes), owns one
+RNG, and survives both landscape changes and dimension changes mid-run.
 """
 
 from __future__ import annotations

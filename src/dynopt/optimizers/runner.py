@@ -1,10 +1,11 @@
-"""Budget enforcement, per-window recording, and the single-run entry point.
+"""The per-run clock, window recording, and the single-run entry point.
 
-A run wraps the objective in a recorder that raises once the evaluation
-budget is spent and that snapshots the best error each time the landscape
-shifts under the optimizer. The resulting trajectory carries everything the
-scoring layer needs: the error at each window close and a fixed number of
-in-window convergence samples.
+A run wraps the objective in a clock that meters the evaluation budget,
+fires each change of the problem on the evaluation where it falls, and
+snapshots the best error of the window that change closes.  The
+resulting trajectory carries everything the scoring layer needs: the
+error at each window close and a fixed number of in-window convergence
+samples.
 """
 
 from __future__ import annotations
@@ -43,37 +44,40 @@ def _ratio(best: float, optimum: float, maximize: bool) -> float:
     return float(min(r, 1.0))
 
 
-class BudgetedRecorder(DynamicObjective):
-    """Objective wrapper that meters evaluations and records window results.
+class BudgetedRecorder:
+    """The per-run clock: meters evaluations, fires changes, records windows.
 
-    Window boundaries are observed through the wrapped problem's change
-    counter. The evaluation that triggers a change is scored against the new
-    landscape, so the previous window's record is frozen just before it.
-    A batch is fed to the problem in segments of at most
-    ``evals_to_change()`` rows, so a change can only fall on the first row
-    of a segment. With ``collect_ratios``, each window's best is sampled at
-    ``s_samples`` fixed offsets (CEC 2009 GDBG protocol); a closed window
-    adds the ratios to ``ratio_samples`` and the ``(eval_count, error)``
-    pairs to ``trace``, so the trace is bounded by windows x samples.
+    A problem with a ``frequency`` changes on evaluations ``frequency``,
+    ``2 * frequency``, ...: on such a crossing evaluation the clock closes
+    the window, calls ``problem.advance_environment()`` and scores the
+    crossing row in the new environment, so each window is one
+    environment and its record is frozen just before the row that opens
+    the next.  ``evaluate`` cuts a batch at the least of the rows left,
+    the budget left and the next change, and hands each segment to the
+    problem whole; the first row past the budget raises before it is
+    scored or opens a change.  With ``collect_ratios``, each window's
+    best is sampled at ``s_samples`` fixed offsets (CEC 2009 GDBG
+    protocol); a closed window adds the ratios to ``ratio_samples`` and
+    the ``(eval_count, error)`` pairs to ``trace``, so the trace is
+    bounded by windows x samples.
     """
 
     def __init__(
         self,
         problem: DynamicObjective,
         budget: int,
-        frequency: int | None = None,
         s_samples: int = 20,
         collect_ratios: bool = False,
     ) -> None:
         if budget < 0:
             raise ConfigError("budget must be non-negative")
-        if collect_ratios and not frequency:
-            raise ConfigError("ratio sampling requires a change frequency")
+        if collect_ratios and not problem.frequency:
+            raise ConfigError("ratio sampling requires a changing problem")
         if s_samples < 1:
             raise ConfigError("s_samples must be at least 1")
         self.problem = problem
         self.budget = int(budget)
-        self.frequency = int(frequency) if frequency else 0
+        self.frequency = int(problem.frequency)
         self.s_samples = int(s_samples)
         self.collect_ratios = bool(collect_ratios)
 
@@ -83,7 +87,9 @@ class BudgetedRecorder(DynamicObjective):
         self.ratio_samples: list[list[float]] = []
         self.trace: list[tuple[int, float]] = []
 
-        self._seen_changes = problem.change_count()
+        # the evaluation on which the next change fires; past the budget
+        # when the problem never changes
+        self._next_change = self.frequency or self.budget + 1
         self._window_best: float | None = None
         self._window_optimum = 0.0
         self._window_err = float("inf")
@@ -95,7 +101,7 @@ class BudgetedRecorder(DynamicObjective):
 
         self.best_value: float | None = None
 
-    # -- DynamicObjective surface ------------------------------------
+    # -- what the swarm reads -----------------------------------------
 
     def dimension(self) -> int:
         return self.problem.dimension()
@@ -103,20 +109,14 @@ class BudgetedRecorder(DynamicObjective):
     def bounds(self) -> tuple[float, float]:
         return self.problem.bounds()
 
-    def optimum_value(self) -> float:
-        return self.problem.optimum_value()
-
-    def change_count(self) -> int:
-        return self.problem.change_count()
-
     @property
     def maximize(self) -> bool:
         return self.problem.maximize
 
-    # -- recording ----------------------------------------------------
+    # -- the clock ------------------------------------------------------
 
     def _sample_offsets(self, first: bool) -> list[int]:
-        if not (self.collect_ratios and self.frequency):
+        if not self.collect_ratios:
             return []
         width = self.frequency - 1 if first else self.frequency
         return [(s * width) // self.s_samples for s in range(1, self.s_samples + 1)]
@@ -124,6 +124,8 @@ class BudgetedRecorder(DynamicObjective):
     def _close_window(self) -> None:
         self.e_last.append(self._window_err)
         if self.collect_ratios:
+            # a window reaches its last offset unless it is empty, as the
+            # first window is at frequency 1
             samples = self._window_samples[: self.s_samples]
             while len(samples) < self.s_samples:
                 samples.append(self._window_ratio)
@@ -146,10 +148,15 @@ class BudgetedRecorder(DynamicObjective):
         while pos < xs.shape[0]:
             if self.used >= self.budget:
                 raise BudgetExhausted(f"evaluation budget of {self.budget} spent")
+            if self.used + 1 == self._next_change:
+                # the crossing row opens the next environment
+                self._next_change += self.frequency
+                self._close_window()
+                self.problem.advance_environment()
             k = min(
                 xs.shape[0] - pos,
                 self.budget - self.used,
-                self.problem.evals_to_change(),
+                self._next_change - 1 - self.used,
             )
             segments.append(self.problem.evaluate(xs[pos:pos + k]))
             self._record(segments[-1])
@@ -161,10 +168,6 @@ class BudgetedRecorder(DynamicObjective):
         k = values.shape[0]
         first = self.used + 1
         self.used += k
-        seen = self.problem.change_count()
-        if seen != self._seen_changes:
-            self._seen_changes = seen
-            self._close_window()
 
         # a window is one environment, so its optimum is read once;
         # ``running[i + 1]`` is the window's best up to and including row i
@@ -263,18 +266,22 @@ def run(
     trace: bool = False,
     overrides: dict[str, str] | None = None,
 ) -> Trajectory:
-    """Run one optimizer against one problem until the budget is spent."""
+    """Run one optimizer against one problem until the budget is spent.
+
+    The change schedule is the problem's own: ``frequency`` may restate
+    ``problem.frequency``, and ``None`` takes it.
+    """
+    if frequency is not None and frequency != problem.frequency:
+        raise ConfigError(
+            f"frequency {frequency} differs from the problem's {problem.frequency}"
+        )
     recorder = BudgetedRecorder(
-        problem,
-        budget,
-        frequency=frequency,
-        s_samples=s_samples,
-        collect_ratios=collect_ratios,
+        problem, budget, s_samples=s_samples, collect_ratios=collect_ratios
     )
     if budget > 0:
         try:
             optimizer = _build_optimizer(
-                optimizer_id, recorder, seed, budget, frequency, overrides
+                optimizer_id, recorder, seed, budget, problem.frequency, overrides
             )
             optimizer.run_forever()
         except BudgetExhausted:

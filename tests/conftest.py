@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from dynopt.objective import DynamicObjective, StaticFunctionProblem
+from dynopt.errors import DimensionMismatch
+from dynopt.objective import DynamicObjective, as_rows
 
 
 class FakeRng:
@@ -58,6 +60,60 @@ class FakeRng:
         return not (self._random or self._uniform or self._normal or self._perm)
 
 
+def check_dimension(problem: DynamicObjective, xs: np.ndarray) -> np.ndarray:
+    """``xs`` as an ``(n, dim)`` float batch of the problem's dimension."""
+    xs = as_rows(xs)
+    if xs.shape[1] != problem.dimension():
+        raise DimensionMismatch(
+            f"expected rows of length {problem.dimension()}, got shape {xs.shape}"
+        )
+    return xs
+
+
+class StaticFunctionProblem(DynamicObjective):
+    """Wrap a plain function as a never-changing objective.
+
+    The function takes one vector, so ``evaluate`` calls it row by row.
+    """
+
+    def __init__(
+        self,
+        func: Callable[[np.ndarray], float],
+        dimension: int,
+        lower: float,
+        upper: float,
+        optimum: float = 0.0,
+        maximize: bool = False,
+    ) -> None:
+        if upper <= lower:
+            raise ValueError("upper bound must exceed lower bound")
+        self._func = func
+        self._dim = int(dimension)
+        self._lower = float(lower)
+        self._upper = float(upper)
+        self._optimum = float(optimum)
+        self._maximize = bool(maximize)
+        self.evaluations = 0
+
+    def dimension(self) -> int:
+        return self._dim
+
+    def bounds(self) -> tuple[float, float]:
+        return self._lower, self._upper
+
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        xs = check_dimension(self, xs)
+        self.evaluations += xs.shape[0]
+        return np.array([self._func(x) for x in xs], dtype=float)
+
+    def optimum_value(self) -> float:
+        return self._optimum
+
+    @property
+    def maximize(self) -> bool:
+        return self._maximize
+
+
 class SwitchableProblem(DynamicObjective):
     """Quadratic bowl whose offset, center, and dimension tests can move.
 
@@ -95,16 +151,13 @@ class SwitchableProblem(DynamicObjective):
         return self._lower, self._upper
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        xs = self.check_dimension(xs)
+        xs = check_dimension(self, xs)
         self.evaluations += xs.shape[0]
         diff = xs - self._center[: self._dim]
         return self.offset + np.sum(diff * diff, axis=1)
 
     def optimum_value(self) -> float:
         return self.offset
-
-    def change_count(self) -> int:
-        return self.t
 
 
 def evaluate_one(problem, x) -> float:

@@ -16,7 +16,6 @@ from dynopt.gdbg.instance import make_instance
 from dynopt.gdbg.rotation import paired_rotation
 from dynopt.harness import stats
 from dynopt.harness.experiment import ExperimentConfig, run_experiment
-from dynopt.objective import StaticFunctionProblem
 from dynopt.optimizers.qcsso import Qcsso, QcssoConfig
 from dynopt.optimizers.rules import (
     contraction_expansion,
@@ -27,7 +26,7 @@ from dynopt.optimizers.rules import (
 from dynopt.optimizers.runner import run
 from dynopt.cli import main as cli_main
 
-from conftest import evaluate_one
+from conftest import StaticFunctionProblem, evaluate_one
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

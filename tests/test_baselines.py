@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from dynopt.objective import StaticFunctionProblem
 from dynopt.optimizers.base import SwarmBase, clip_in_place
 from dynopt.optimizers.baselines import (
     PsoBaseline,
@@ -16,7 +15,13 @@ from dynopt.optimizers.baselines import (
 from dynopt.optimizers.qcsso import Qcsso
 from dynopt.optimizers.runner import _OPTIMIZERS, OPTIMIZER_IDS
 
-from conftest import FakeRng, SwitchableProblem, evaluate_one, sphere_problem
+from conftest import (
+    FakeRng,
+    StaticFunctionProblem,
+    SwitchableProblem,
+    evaluate_one,
+    sphere_problem,
+)
 
 
 def make_ssa(population=3, dim=1, budget=400, seed=5, problem=None):

@@ -38,7 +38,7 @@ def cell_line(case, optimizer_id: str) -> str:
         {"dimension": LONG.dimension, "change_frequency": frequency},
     )
     recorder = BudgetedRecorder(
-        problem, LONG.budget(), frequency=frequency,
+        problem, LONG.budget(),
         s_samples=LONG.samples_per_window, collect_ratios=True,
     )
     optimizer = _build_optimizer(

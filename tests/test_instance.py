@@ -22,8 +22,9 @@ DATA_DIR = Path(__file__).parent / "data"
 def drive_instance(function_id, change_type, seed, dimension, frequency, evals):
     """Evaluate a seeded random walk and dump values plus parameter history.
 
-    The probe stream is independent of the instance's own RNG, re-queries
-    the current dimension before every call, and snapshots every dynamic
+    The walk runs through a run's clock, which fires the changes.  The
+    probe stream is independent of the instance's own RNG, re-queries the
+    current dimension before every call, and snapshots every dynamic
     parameter whenever the environment advances.  The text it produces is
     byte-stable, which is what the golden files pin down.
     """
@@ -31,18 +32,25 @@ def drive_instance(function_id, change_type, seed, dimension, frequency, evals):
         function_id, change_type, seed,
         overrides={"dimension": dimension, "change_frequency": frequency},
     )
+    clock = BudgetedRecorder(inst, budget=evals)
     probe = np.random.default_rng(seed + 1)
     lines = [f"# {function_id} {change_type} seed={seed} freq={frequency}"]
     lines.extend(inst.param_lines())
-    last_t = inst.change_count()
+    last_t = inst.t
     for i in range(evals):
         x = probe.uniform(-5.0, 5.0, size=inst.dimension())
-        value = evaluate_one(inst, x)
+        value = evaluate_one(clock, x)
         lines.append(f"{i},{value!r}")
-        if inst.change_count() != last_t:
-            last_t = inst.change_count()
+        if inst.t != last_t:
+            last_t = inst.t
             lines.extend(inst.param_lines())
     return "\n".join(lines) + "\n"
+
+
+def clocked(*args, **kwargs):
+    """A fresh instance and a run's clock that fires its changes."""
+    inst = make_instance(*args, **kwargs)
+    return inst, BudgetedRecorder(inst, budget=10**6)
 
 
 class TestConstruction:
@@ -121,32 +129,32 @@ class TestConstruction:
 
 class TestChangeBoundary:
     def test_change_fires_on_crossing_evaluation(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T1", seed=5,
             overrides={"dimension": 5, "change_frequency": 10},
         )
         x = np.zeros(5)
         for _ in range(9):
-            evaluate_one(inst, x)
-            assert inst.change_count() == 0
-        evaluate_one(inst, x)
-        assert inst.change_count() == 1
+            evaluate_one(clock, x)
+            assert inst.t == 0
+        evaluate_one(clock, x)
+        assert inst.t == 1
         for _ in range(9):
-            evaluate_one(inst, x)
-            assert inst.change_count() == 1
-        evaluate_one(inst, x)
-        assert inst.change_count() == 2
+            evaluate_one(clock, x)
+            assert inst.t == 1
+        evaluate_one(clock, x)
+        assert inst.t == 2
 
     def test_crossing_call_scored_in_new_environment(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T2", seed=5,
             overrides={"dimension": 5, "change_frequency": 10},
         )
         x = np.full(5, 0.5)
-        before = evaluate_one(inst, x)
+        before = evaluate_one(clock, x)
         for _ in range(8):
-            evaluate_one(inst, x)
-        crossing = evaluate_one(inst, x)
+            evaluate_one(clock, x)
+        crossing = evaluate_one(clock, x)
         # the same point, scored directly against the post-change landscape
         assert crossing == evaluate_one(inst.problem, x)
         assert crossing != before
@@ -157,156 +165,161 @@ class TestChangeBoundary:
             inst.evaluate(np.zeros((1, 6)))
 
     def test_optimum_moves_with_changes(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T3", seed=5,
             overrides={"dimension": 5, "change_frequency": 10},
         )
         first = inst.optimum_value()
         for _ in range(10):
-            evaluate_one(inst, np.zeros(5))
+            evaluate_one(clock, np.zeros(5))
         assert inst.optimum_value() != first
 
 
 class TestDimensionChanges:
     def test_walk_grows_then_bounces(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T7", seed=7,
             overrides={"dimension": 14, "change_frequency": 5},
         )
         assert inst.dimension() == 14
         for _ in range(5):
-            evaluate_one(inst, np.zeros(inst.dimension()))
+            evaluate_one(clock, np.zeros(inst.dimension()))
         assert inst.dimension() == 15
         for _ in range(5):
-            evaluate_one(inst, np.zeros(inst.dimension()))
+            evaluate_one(clock, np.zeros(inst.dimension()))
         assert inst.dimension() == 14
 
     def test_crossing_call_zero_pads_when_growing(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T7", seed=9,
             overrides={"dimension": 10, "change_frequency": 5},
         )
         x = np.linspace(-1.0, 1.0, 10)
         for _ in range(4):
-            evaluate_one(inst, x)
-        crossing = evaluate_one(inst, x)  # dimension moves 10 -> 11 here
+            evaluate_one(clock, x)
+        crossing = evaluate_one(clock, x)  # dimension moves 10 -> 11 here
         assert inst.dimension() == 11
         padded = np.concatenate([x, [0.0]])
         assert crossing == evaluate_one(inst.problem, padded)
 
     def test_crossing_call_truncates_when_shrinking(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T7", seed=9,
             overrides={"dimension": 15, "change_frequency": 5},
         )
         x = np.linspace(-1.0, 1.0, 15)
         for _ in range(4):
-            evaluate_one(inst, x)
-        crossing = evaluate_one(inst, x)  # walk reverses at the cap: 15 -> 14
+            evaluate_one(clock, x)
+        crossing = evaluate_one(clock, x)  # walk reverses at the cap: 15 -> 14
         assert inst.dimension() == 14
         assert crossing == evaluate_one(inst.problem, x[:14])
 
     def test_previous_length_is_padded_after_growth(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T7", seed=9,
             overrides={"dimension": 10, "change_frequency": 5},
         )
         x = np.linspace(-1.0, 1.0, 10)
         for _ in range(5):
-            evaluate_one(inst, x)  # the fifth call moves the dimension 10 -> 11
+            evaluate_one(clock, x)  # the fifth call moves the dimension 10 -> 11
         assert inst.dimension() == 11
         padded = np.concatenate([x, [0.0]])
-        assert evaluate_one(inst, x) == evaluate_one(inst.problem, padded)
-        assert evaluate_one(inst, padded) == evaluate_one(inst.problem, padded)
+        assert evaluate_one(clock, x) == evaluate_one(inst.problem, padded)
+        assert evaluate_one(clock, padded) == evaluate_one(inst.problem, padded)
 
     def test_previous_length_is_truncated_after_shrink(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T7", seed=9,
             overrides={"dimension": 15, "change_frequency": 5},
         )
         x = np.linspace(-1.0, 1.0, 15)
         for _ in range(5):
-            evaluate_one(inst, x)  # the walk reverses at the cap: 15 -> 14
+            evaluate_one(clock, x)  # the walk reverses at the cap: 15 -> 14
         assert inst.dimension() == 14
-        assert evaluate_one(inst, x) == evaluate_one(inst.problem, x[:14])
+        assert evaluate_one(clock, x) == evaluate_one(inst.problem, x[:14])
 
     def test_other_lengths_still_rejected_after_a_change(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F2", "T7", seed=9,
             overrides={"dimension": 10, "change_frequency": 5},
         )
         for _ in range(5):
-            evaluate_one(inst, np.zeros(10))
+            evaluate_one(clock, np.zeros(10))
         assert inst.dimension() == 11
         used = inst.eval_count
         for bad in (9, 12, 15):
             with pytest.raises(DimensionMismatch):
-                inst.evaluate(np.zeros((1, bad)))
+                clock.evaluate(np.zeros((1, bad)))
         with pytest.raises(DimensionMismatch):
-            inst.evaluate(np.zeros(10))  # a vector is not a batch
-        assert inst.eval_count == used
+            clock.evaluate(np.zeros(10))  # a vector is not a batch
+        assert inst.eval_count == clock.used == used
 
     def test_last_read_length_is_fitted_after_two_changes(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F2", "T7", seed=9,
             overrides={"dimension": 10, "change_frequency": 5},
         )
         assert inst.dimension() == 10
         x = np.linspace(-1.0, 1.0, 10)
         for _ in range(10):
-            evaluate_one(inst, x)  # two changes, 10 -> 11 -> 12, within one "sweep"
+            evaluate_one(clock, x)  # two changes, 10 -> 11 -> 12, within one "sweep"
         assert inst.problem.dim == 12
         padded = np.concatenate([x, [0.0, 0.0]])
-        assert evaluate_one(inst, x) == evaluate_one(inst.problem, padded)
-        assert evaluate_one(inst, x[:11]) == evaluate_one(inst.problem, padded)
+        assert evaluate_one(clock, x) == evaluate_one(inst.problem, padded)
+        assert evaluate_one(clock, x[:11]) == evaluate_one(inst.problem, padded)
         used = inst.eval_count
         for bad in (9, 13):
             with pytest.raises(DimensionMismatch):
-                inst.evaluate(np.zeros((1, bad)))
+                clock.evaluate(np.zeros((1, bad)))
         with pytest.raises(DimensionMismatch):
-            inst.evaluate(np.zeros((3, 13)))
+            clock.evaluate(np.zeros((3, 13)))
         # once the caller reads the new dimension, length 10 is stale twice over
         assert inst.dimension() == 12
         with pytest.raises(DimensionMismatch):
-            evaluate_one(inst, x)
-        assert inst.eval_count == used
+            evaluate_one(clock, x)
+        assert inst.eval_count == clock.used == used
 
 
 class TestChangeClock:
     def test_a_rejected_crossing_row_fires_its_change_once(self):
         def four_evaluations():
-            inst = make_instance(
+            inst, clock = clocked(
                 "F2", "T7", seed=9,
                 overrides={"dimension": 10, "change_frequency": 5},
             )
             for _ in range(4):
-                evaluate_one(inst, np.zeros(10))
-            return inst
+                evaluate_one(clock, np.zeros(10))
+            return inst, clock
 
-        inst, twin = four_evaluations(), four_evaluations()
+        (inst, clock), (twin, twin_clock) = four_evaluations(), four_evaluations()
         for _ in range(2):
             with pytest.raises(DimensionMismatch):
-                inst.evaluate(np.zeros((1, 13)))
-            assert (inst.t, inst.eval_count) == (1, 4)
+                clock.evaluate(np.zeros((1, 13)))
+            assert (inst.t, inst.eval_count, clock.used) == (1, 4, 4)
         x = np.linspace(-1.0, 1.0, 11)
-        value = evaluate_one(inst, x)  # evaluation 5, in environment 1
+        value = evaluate_one(clock, x)  # evaluation 5, in environment 1
         assert (inst.t, inst.eval_count, inst.problem.dim) == (1, 5, 11)
-        assert value == evaluate_one(twin, x)
+        assert value == evaluate_one(twin_clock, x)
         assert (twin.t, twin.eval_count) == (1, 5)
-        assert inst.evals_to_change() == twin.evals_to_change() == 4
+        # both fire their next change on evaluation 10
+        assert clock._next_change == twin_clock._next_change == 10
         assert inst.param_lines() == twin.param_lines()
+        # the rejected row left no trace in the window record
+        assert (clock.used, clock.e_last, clock.best_value) == (
+            twin_clock.used, twin_clock.e_last, twin_clock.best_value
+        )
 
     def test_a_direct_advance_leaves_the_schedule(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T1", seed=5,
             overrides={"dimension": 5, "change_frequency": 10},
         )
         inst.advance_environment()
-        assert inst.evals_to_change() == 9
+        assert clock._next_change == 10
         for _ in range(9):
-            evaluate_one(inst, np.zeros(5))
+            evaluate_one(clock, np.zeros(5))
         assert inst.t == 1
-        evaluate_one(inst, np.zeros(5))
+        evaluate_one(clock, np.zeros(5))
         assert inst.t == 2
 
 
@@ -401,22 +414,22 @@ class TestBatchEvaluation:
         ],
     )
     def test_instance_batch_equals_twin_fed_by_rows(self, function_id, kind, start, rows):
-        batched, looped = (
-            make_instance(
+        (batched, batched_clock), (looped, looped_clock) = (
+            clocked(
                 function_id, kind, seed=9,
                 overrides={"dimension": 10, "change_frequency": 20},
             )
             for _ in range(2)
         )
-        for inst in (batched, looped):
+        for clock in (batched_clock, looped_clock):
             for _ in range(start):
-                evaluate_one(inst, np.zeros(inst.dimension()))
+                evaluate_one(clock, np.zeros(clock.dimension()))
         xs = np.random.default_rng(6).uniform(
             -5.0, 5.0, size=(rows, batched.dimension())
         )
         looped.dimension()
-        values = batched.evaluate(xs)
-        assert values.tolist() == [evaluate_one(looped, x) for x in xs]
+        values = batched_clock.evaluate(xs)
+        assert values.tolist() == [evaluate_one(looped_clock, x) for x in xs]
         assert batched.eval_count == looped.eval_count == start + rows
         assert batched.t == looped.t
         assert batched.problem.dim == looped.problem.dim
@@ -445,38 +458,40 @@ class TestOneCallPerEnvironment:
     def test_a_batch_crossing_one_change_makes_two_calls(
         self, monkeypatch, function_id, landscape_cls
     ):
-        batched, looped = (
-            make_instance(function_id, "T1", seed=5,
-                          overrides={"dimension": 5, "change_frequency": 20})
+        (batched, batched_clock), (looped, looped_clock) = (
+            clocked(function_id, "T1", seed=5,
+                    overrides={"dimension": 5, "change_frequency": 20})
             for _ in range(2)
         )
         xs = np.random.default_rng(6).uniform(-5.0, 5.0, size=(30, 5))
         calls = count_landscape_calls(monkeypatch, landscape_cls)
-        values = batched.evaluate(xs)
+        values = batched_clock.evaluate(xs)
         assert calls == [(19, 5), (11, 5)]  # the crossing row opens the second
-        assert values.tolist() == [evaluate_one(looped, x) for x in xs]
+        assert values.tolist() == [evaluate_one(looped_clock, x) for x in xs]
         assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t) == (30, 1)
 
     def test_a_bounce_inside_one_batch_keeps_the_crossing_row_whole(self):
         def walked_to_six():
-            inst = make_instance(
+            inst, clock = clocked(
                 "F1(10)", "T7", 5, {"dimension": 15, "change_frequency": 3}
             )
             probe = np.random.default_rng(0)
             for _ in range(27):
-                inst.evaluate(probe.uniform(-5.0, 5.0, size=(1, inst.dimension())))
-            return inst
+                clock.evaluate(probe.uniform(-5.0, 5.0, size=(1, inst.dimension())))
+            return inst, clock
 
-        batched, looped = walked_to_six(), walked_to_six()
+        (batched, batched_clock), (looped, looped_clock) = (
+            walked_to_six(), walked_to_six()
+        )
         assert (batched.t, batched.dimension()) == (9, 6)
         # evaluations 28-33 cross change 10 (6 -> 5) and change 11 (5 -> 6)
         xs = np.random.default_rng(1).uniform(-5.0, 5.0, size=(6, 6))
-        values = batched.evaluate(xs)
+        values = batched_clock.evaluate(xs)
         assert (batched.t, batched.problem.dim) == (11, 6)
         # the crossing row has the new length and is scored as it stands
         assert values[-1] == batched.problem.evaluate(xs[-1:])[0]
         looped.dimension()
-        assert values.tolist() == [evaluate_one(looped, x) for x in xs]
+        assert values.tolist() == [evaluate_one(looped_clock, x) for x in xs]
 
 
 class TestBestRowMemo:
@@ -500,23 +515,23 @@ class TestBestRowMemo:
         assert value == evaluate_one(inst.problem, best)
 
     def test_crossing_row_is_scored_on_the_new_landscape(self, monkeypatch):
-        batched, looped = (
-            make_instance("F6", "T1", seed=5,
-                          overrides={"dimension": 5, "change_frequency": 20})
+        (batched, batched_clock), (looped, looped_clock) = (
+            clocked("F6", "T1", seed=5,
+                    overrides={"dimension": 5, "change_frequency": 20})
             for _ in range(2)
         )
         xs = np.random.default_rng(6).uniform(-5.0, 5.0, size=(19, 5))
-        values = batched.evaluate(xs)
-        assert values.tolist() == [evaluate_one(looped, x) for x in xs]
+        values = batched_clock.evaluate(xs)
+        assert values.tolist() == [evaluate_one(looped_clock, x) for x in xs]
         best = xs[int(np.argmin(values))]
         calls = count_landscape_calls(monkeypatch, CompositionProblem)
-        crossing = evaluate_one(batched, best)  # the 20th evaluation moves t
+        crossing = evaluate_one(batched_clock, best)  # the 20th evaluation moves t
         assert len(calls) == 1
-        assert crossing == evaluate_one(looped, best)
+        assert crossing == evaluate_one(looped_clock, best)
         assert crossing != values.min()
         assert (batched.eval_count, batched.t) == (looped.eval_count, looped.t) == (20, 1)
         # the crossing row is now the best row of the new environment
-        assert evaluate_one(batched, best) == crossing
+        assert evaluate_one(batched_clock, best) == crossing
         assert len(calls) == 2  # the twin's crossing call; the replay used none
 
     def test_a_zero_of_the_other_sign_calls_the_landscape(self, monkeypatch):
@@ -542,19 +557,19 @@ class TestBestRowMemo:
         assert after == evaluate_one(inst.problem, x) != before
 
     def test_a_dimension_move_calls_the_landscape(self, monkeypatch):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T7", seed=9,
             overrides={"dimension": 10, "change_frequency": 5},
         )
         x = np.linspace(-1.0, 1.0, 10)
         calls = count_landscape_calls(monkeypatch, PeakSet)
         for _ in range(4):
-            evaluate_one(inst, x)
+            evaluate_one(clock, x)
         assert len(calls) == 1
-        evaluate_one(inst, x)  # the crossing call moves the dimension 10 -> 11
+        evaluate_one(clock, x)  # the crossing call moves the dimension 10 -> 11
         assert inst.problem.dim == 11 and len(calls) == 2
         padded = np.concatenate([x, [0.0]])
-        assert evaluate_one(inst, x) == evaluate_one(inst.problem, padded)
+        assert evaluate_one(clock, x) == evaluate_one(inst.problem, padded)
         assert len(calls) == 4  # the stale length and the direct call
 
     def test_ssa_sentinel_costs_no_landscape_call(self, monkeypatch):
@@ -570,7 +585,7 @@ class TestBestRowMemo:
         inst = make_instance("F2", "T1", seed=5, overrides={"dimension": 5})
         iterations = 20
         budget = 50 + 51 * iterations  # the population, then 20 full iterations
-        recorder = BudgetedRecorder(inst, budget, frequency=inst.frequency)
+        recorder = BudgetedRecorder(inst, budget)
         opt = SsaBaseline(recorder, seed=3, budget=budget, frequency=inst.frequency)
         with pytest.raises(BudgetExhausted):
             opt.run_forever()
@@ -581,24 +596,26 @@ class TestBestRowMemo:
 
 class TestEnvelopeInvariants:
     def test_peak_values_bounded_by_optimum(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F1(10)", "T3", seed=13,
             overrides={"dimension": 5, "change_frequency": 25},
         )
         rng = np.random.default_rng(14)
         for _ in range(150):
             x = rng.uniform(-5.0, 5.0, size=5)
-            assert evaluate_one(inst, x) <= inst.optimum_value() + 1e-12
+            assert evaluate_one(clock, x) <= inst.optimum_value() + 1e-12
+        assert inst.t == 6
 
     def test_composition_values_bounded_below_by_optimum(self):
-        inst = make_instance(
+        inst, clock = clocked(
             "F3", "T3", seed=13,
             overrides={"dimension": 5, "change_frequency": 25},
         )
         rng = np.random.default_rng(15)
         for _ in range(150):
             x = rng.uniform(-5.0, 5.0, size=5)
-            assert evaluate_one(inst, x) >= inst.optimum_value() - 1e-9
+            assert evaluate_one(clock, x) >= inst.optimum_value() - 1e-9
+        assert inst.t == 6
 
     def test_param_lines_shape(self):
         inst = make_instance("F1(10)", "T1", seed=3)

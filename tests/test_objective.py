@@ -1,13 +1,12 @@
-"""The objective contract and the static wrapper used throughout the tests."""
+"""The objective contract, through the static wrapper the tests share."""
 
 import numpy as np
 import pytest
 
 from dynopt.errors import DimensionMismatch
-from dynopt.objective import StaticFunctionProblem
 from dynopt.optimizers.runner import OPTIMIZER_IDS, _build_optimizer
 
-from conftest import SwitchableProblem, sphere_problem
+from conftest import StaticFunctionProblem, SwitchableProblem, sphere_problem
 
 
 def test_counts_evaluations():
@@ -23,7 +22,7 @@ def test_value_and_optimum():
     values = prob.evaluate(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 2.0]]))
     assert values.tolist() == [14.0, 4.0]
     assert prob.optimum_value() == 0.0
-    assert prob.change_count() == 0
+    assert prob.frequency == 0  # one environment that never changes
     assert prob.maximize is False
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from dynopt.errors import ConfigError
 from dynopt.gdbg import make_instance
-from dynopt.optimizers import rules
+from dynopt.optimizers import BudgetedRecorder, rules
 from dynopt.optimizers.qcsso import Qcsso, QcssoConfig, row_norms
 
 from conftest import FakeRng, SwitchableProblem, evaluate_one, sphere_problem
@@ -679,7 +679,8 @@ class TestChangeResponse:
 
     def test_t7_walk_keeps_the_box_and_rescales_the_radius(self):
         inst = make_instance("F3", "T7", 11, overrides={"change_frequency": 200})
-        opt = Qcsso(inst, seed=29, budget=10**6, frequency=200)
+        clock = BudgetedRecorder(inst, 10**6)  # fires the changes
+        opt = Qcsso(clock, seed=29, budget=10**6, frequency=200)
         dims = {opt.dim}
         for _ in range(12):
             opt.iterate()

@@ -21,17 +21,17 @@ SMALL_POP = {"population": "6"}
 
 
 class ScriptedProblem(DynamicObjective):
-    """Returns preset values; chosen evaluations land after a change.
+    """Returns preset values and changes every ``frequency`` evaluations.
 
-    ``change_at`` holds 1-based evaluation counts whose value is already
-    scored against the next environment, matching how the benchmark
-    advances mid-evaluation on a window boundary.
+    The clock advances the environment before each crossing evaluation,
+    so the value of evaluation ``k * frequency`` is already scored against
+    environment ``k``, matching the benchmark.
     """
 
-    def __init__(self, values, change_at=(), optima=(0.0,), maximize=False,
+    def __init__(self, values, frequency=0, optima=(0.0,), maximize=False,
                  dim=2):
         self._values = list(values)
-        self._change_at = set(change_at)
+        self.frequency = frequency
         self._optima = list(optima)
         self._maximize = maximize
         self._dim = dim
@@ -49,19 +49,14 @@ class ScriptedProblem(DynamicObjective):
         return -5.0, 5.0
 
     def evaluate(self, xs):
-        values = []
-        for _ in range(len(xs)):
-            self.count += 1
-            if self.count in self._change_at:
-                self.t += 1
-            values.append(self._values[self.count - 1])
-        return np.array(values)
+        self.count += len(xs)
+        return np.array(self._values[self.count - len(xs):self.count])
+
+    def advance_environment(self):
+        self.t += 1
 
     def optimum_value(self):
         return self._optima[min(self.t, len(self._optima) - 1)]
-
-    def change_count(self):
-        return self.t
 
 
 def feed(recorder, n):
@@ -102,17 +97,18 @@ class TestRecorder:
         assert rec.used == 3
 
     def test_e_last_frozen_before_the_crossing_evaluation(self):
+        # each crossing value beats the window it closes, yet stays out of it
         problem = ScriptedProblem(
-            [5.0, 3.0, 7.0, 9.0], change_at={3, 4}, optima=[0.0, 1.0]
+            [5.0, 3.0, 2.0, 9.0, 8.0, 0.5], frequency=3, optima=[0.0, 1.0]
         )
-        rec = BudgetedRecorder(problem, budget=4)
-        feed(rec, 4)
-        assert rec.e_last == [3.0, 6.0]  # |7 - new optimum 1|
-        assert rec.best_value == 3.0
+        rec = BudgetedRecorder(problem, budget=6)
+        feed(rec, 6)
+        assert rec.e_last == [3.0, 1.0]  # |2 - new optimum 1|
+        assert rec.best_value == 0.5
 
     def test_window_best_resets_after_a_change(self):
         problem = ScriptedProblem(
-            [2.0, 9.0, 8.0, 1.0], change_at={2, 4}, optima=[0.0, 0.0]
+            [2.0, 9.0, 8.0, 1.0], frequency=2, optima=[0.0, 0.0]
         )
         rec = BudgetedRecorder(problem, budget=4)
         feed(rec, 4)
@@ -121,28 +117,37 @@ class TestRecorder:
 
     def test_ratio_sampling_offsets(self):
         problem = ScriptedProblem(
-            [50.0, 80.0, 90.0, 100.0], change_at={4},
+            [50.0, 80.0, 90.0, 100.0], frequency=4,
             optima=[100.0, 200.0], maximize=True,
         )
-        rec = BudgetedRecorder(
-            problem, budget=4, frequency=4, s_samples=2, collect_ratios=True
-        )
+        rec = BudgetedRecorder(problem, budget=4, s_samples=2, collect_ratios=True)
         feed(rec, 4)
         # first window spans 3 evaluations, samples land at offsets 1 and 3
         assert rec.r_last == [0.9]
         assert rec.ratio_samples == [[0.5, 0.9]]
         assert rec.e_last == [10.0]
 
-    def test_short_window_pads_with_closing_ratio(self):
+    def test_more_samples_than_rows_repeat_the_window_best(self):
+        # a window never closes before its last offset, so with more samples
+        # than rows every sample is taken; offsets share rows
         problem = ScriptedProblem(
-            [50.0, 80.0], change_at={2}, optima=[100.0, 100.0], maximize=True
+            [50.0, 80.0, 90.0], frequency=2, optima=[100.0, 100.0],
+            maximize=True,
         )
-        rec = BudgetedRecorder(
-            problem, budget=2, frequency=10, s_samples=3, collect_ratios=True
-        )
-        feed(rec, 2)
+        rec = BudgetedRecorder(problem, budget=3, s_samples=3, collect_ratios=True)
+        feed(rec, 3)
         assert rec.r_last == [0.5]
         assert rec.ratio_samples == [[0.5, 0.5, 0.5]]
+
+    def test_an_empty_window_pads_with_its_closing_ratio(self):
+        # at frequency 1 the first evaluation already crosses, so the first
+        # window closes with no row and no sample
+        problem = ScriptedProblem([50.0], frequency=1, optima=[100.0], maximize=True)
+        rec = BudgetedRecorder(problem, budget=1, s_samples=3, collect_ratios=True)
+        feed(rec, 1)
+        assert rec.e_last == [float("inf")]
+        assert rec.r_last == [0.0]
+        assert rec.ratio_samples == [[0.0, 0.0, 0.0]]
 
     def test_no_window_closed_without_changes(self):
         problem = ScriptedProblem([4.0, 2.0, 3.0])
@@ -158,20 +163,18 @@ class TestRecorder:
         # the script of test_ratio_sampling_offsets: the trace keeps the
         # error at the two sample points of the closed window
         problem = ScriptedProblem(
-            [50.0, 80.0, 90.0, 100.0], change_at={4},
+            [50.0, 80.0, 90.0, 100.0], frequency=4,
             optima=[100.0, 200.0], maximize=True,
         )
-        rec = BudgetedRecorder(
-            problem, budget=4, frequency=4, s_samples=2, collect_ratios=True
-        )
+        rec = BudgetedRecorder(problem, budget=4, s_samples=2, collect_ratios=True)
         feed(rec, 4)
         assert rec.trace == [(1, 50.0), (3, 10.0)]
 
     def test_open_window_adds_nothing_to_the_trace(self):
-        problem = ScriptedProblem([50.0, 80.0, 90.0], optima=[100.0], maximize=True)
-        rec = BudgetedRecorder(
-            problem, budget=3, frequency=4, s_samples=2, collect_ratios=True
+        problem = ScriptedProblem(
+            [50.0, 80.0, 90.0], frequency=4, optima=[100.0], maximize=True
         )
+        rec = BudgetedRecorder(problem, budget=3, s_samples=2, collect_ratios=True)
         feed(rec, 3)
         assert rec.trace == []
         assert rec.ratio_samples == []
@@ -183,11 +186,9 @@ class TestRecorder:
         past = 100.0 * (1.0 + 5e-9) if maximize else 100.0 / (1.0 + 5e-9)
         worse = 50.0 if maximize else 200.0
         problem = ScriptedProblem(
-            [worse, past, worse], optima=[100.0], maximize=maximize
+            [worse, past, worse], frequency=10, optima=[100.0], maximize=maximize
         )
-        rec = BudgetedRecorder(
-            problem, budget=3, frequency=10, s_samples=2, collect_ratios=True
-        )
+        rec = BudgetedRecorder(problem, budget=3, s_samples=2, collect_ratios=True)
         with pytest.raises(RuntimeError, match="exceeds 1"):
             rec.evaluate(np.zeros((3, 2)))
 
@@ -205,7 +206,6 @@ class TestRecorder:
         rec = BudgetedRecorder(problem, budget=1)
         assert rec.dimension() == 3
         assert rec.maximize is True
-        assert rec.optimum_value() == 0.0
         assert rec.bounds() == (-5.0, 5.0)
 
 
@@ -327,6 +327,53 @@ class TestRun:
         assert len(traj.e_last) == 6
         assert problem.t == 6
 
+    def test_a_frequency_other_than_the_problems_is_rejected(self):
+        # windows of 200 on a problem that changes every 100 evaluations
+        # would pad every sample of a window with its closing ratio
+        problem = make_instance(
+            "F1(10)", "T1", 5, {"dimension": 5, "change_frequency": 100}
+        )
+        with pytest.raises(ConfigError, match="frequency 200 differs"):
+            run("ssa_baseline", problem, 600, 3, s_samples=5, frequency=200,
+                collect_ratios=True)
+
+    def test_the_frequency_is_the_problems_own(self):
+        trajectories = []
+        for frequency in (None, 100):
+            problem = make_instance(
+                "F1(10)", "T1", 5, {"dimension": 5, "change_frequency": 100}
+            )
+            trajectories.append(run(
+                "ssa_baseline", problem, 600, 3, s_samples=5,
+                frequency=frequency, collect_ratios=True, trace=True,
+            ))
+        taken, restated = trajectories
+        assert len(taken.e_last) == 6
+        assert taken.ratio_samples == restated.ratio_samples
+        # five samples spread over each window, none padded: the first
+        # window spans evaluations 1-99, window w evaluations 100w-100w+99
+        counts = [count for count, _ in taken.trace]
+        assert counts == [19, 39, 59, 79, 99] + [
+            100 * w + offset - 1 for w in range(1, 6) for offset in (20, 40, 60, 80, 100)
+        ]
+
+    def test_a_static_problem_is_scored_in_whole_batches(self):
+        problem = sphere_problem()
+        sizes = []
+        score = problem.evaluate
+
+        def logged(xs):
+            sizes.append(len(xs))
+            return score(xs)
+
+        problem.evaluate = logged
+        traj = run("qcsso", problem, budget=300, seed=3, overrides=SMALL_QCSSO)
+        assert traj.evaluations == sum(sizes) == 300
+        # the initial population is one call, then every iteration's
+        # population batch; the budget cuts the last call short
+        assert sizes[0] == 6
+        assert sizes.count(6) > len(sizes) // 4
+
     def test_overrides_reach_the_optimizer_config(self):
         with pytest.raises(ConfigError):
             run(
@@ -371,8 +418,7 @@ class TestBatchRecording:
                 overrides={"dimension": "10", "change_frequency": "40"},
             )
             rec = BudgetedRecorder(
-                problem, budget=230, frequency=40, s_samples=7,
-                collect_ratios=True,
+                problem, budget=230, s_samples=7, collect_ratios=True
             )
             # uneven batches cross single and double changes; the budget
             # cuts the last batch short
@@ -388,13 +434,12 @@ class TestBatchRecording:
     def test_batch_matches_rows_on_a_scripted_problem(self, maximize):
         def make():
             problem = ScriptedProblem(
-                [5.0, 3.0, 7.0, 2.0, 2.0, 9.0, 1.0, 4.0], change_at={3, 6},
+                [5.0, 3.0, 7.0, 2.0, 2.0, 9.0, 1.0, 4.0], frequency=3,
                 optima=[1.0, 0.5, 0.25] if not maximize else [9.0, 9.5, 10.0],
                 maximize=maximize,
             )
             return BudgetedRecorder(
-                problem, budget=7, frequency=3, s_samples=2,
-                collect_ratios=True,
+                problem, budget=7, s_samples=2, collect_ratios=True
             )
 
         batched, looped = make(), make()
