@@ -5,7 +5,8 @@ Verbs:
 * ``list``: print every benchmark case id, one per line.
 * ``run``: execute an experiment and write CSV artifacts to ``--out``.
 * ``score``: recompute case scores from the raw tables in ``--out``.
-* ``selftest``: run the built-in invariant checks.
+* ``selftest``: a known-answer run: print the numeric environment and exit
+  1 unless the golden grid's results hash to the digest recorded here.
 
 Exit codes are stable for scripting: 0 on success, 1 on a runtime failure,
 2 on a usage error. The seed is taken from ``--seed``, else the config
@@ -15,7 +16,7 @@ file, else the default 12345.
 from __future__ import annotations
 
 import argparse
-import math
+import hashlib
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 from dynopt.errors import ConfigError, DimensionMismatch
 from dynopt.harness import csvio, stats
 from dynopt.harness.cases import all_cases
-from dynopt.harness.experiment import ExperimentConfig, run_experiment
+from dynopt.harness.experiment import ExperimentConfig, run_experiment, run_single
 from dynopt.overrides import parse_config_text
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,16 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--weights", help="weight table: uniform, official, or a file path"
     )
 
-    score_parser = verbs.add_parser(
-        "score", help="recompute scores from raw tables in --out"
-    )
+    score_parser = verbs.add_parser("score", help="rescore the raw tables in --out")
     score_parser.add_argument("--out", required=True, help="results directory")
     score_parser.add_argument(
         "--weights", default="uniform",
         help="weight table: uniform, official, or a file path",
     )
 
-    verbs.add_parser("selftest", help="run built-in invariant checks")
+    verbs.add_parser("selftest", help="check the recorded results reproduce here")
     return parser
 
 
@@ -80,18 +79,14 @@ def _build_config(
         if not path.is_file():
             parser.error(f"config file not found: {args.config}")
         pairs.update(parse_config_text(path.read_text(encoding="utf-8")))
-    if args.case:
-        pairs["cases"] = ",".join(args.case)
-    if args.optimizer:
-        pairs["optimizers"] = ",".join(args.optimizer)
-    if args.seed is not None:
-        pairs["seed"] = args.seed
-    if args.jobs is not None:
-        pairs["jobs"] = args.jobs
+    for key, values in (("cases", args.case), ("optimizers", args.optimizer)):
+        if values:
+            pairs[key] = ",".join(values)
+    for key in ("seed", "jobs", "weights"):
+        if getattr(args, key) is not None:
+            pairs[key] = getattr(args, key)
     if args.trace:
         pairs["trace"] = True
-    if args.weights is not None:
-        pairs["weights"] = args.weights
     return ExperimentConfig.from_pairs(pairs)
 
 
@@ -119,14 +114,10 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scores = result.scores()
     overall = result.overall(weights)
     csvio.write_scores(out_dir, scores, overall)
-    print(
-        f"ran {len(cases)} case(s) x {len(config.optimizers)} optimizer(s) "
-        f"x {config.runs} run(s), budget {config.budget()} evaluations each"
-    )
-    print(
-        f"wrote {len(error_tables)} error table(s), {len(raw_tables)} raw "
-        f"table(s), scores.csv in {out_dir}"
-    )
+    print(f"ran {len(cases)} case(s) x {len(config.optimizers)} optimizer(s) "
+          f"x {config.runs} run(s), budget {config.budget()} evaluations each")
+    print(f"wrote {len(error_tables)} error table(s), {len(raw_tables)} raw "
+          f"table(s), scores.csv in {out_dir}")
     for optimizer_id, value in overall.items():
         print(f"OVERALL {optimizer_id} {value:.4f}")
     return 0
@@ -154,202 +145,76 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-# -- selftest ------------------------------------------------------------
+# -- selftest: one known-answer run ---------------------------------------
+
+# every case x optimizer, one run of three windows.  tests/data/golden_grid.txt
+# holds the grid's text and GOLDEN_DIGEST its sha256 (regenerate both together),
+# which holds only on GOLDEN_ENVIRONMENT: the kernels set the results' low bits
+GRID = ExperimentConfig(runs=1, num_change=3, change_frequency=200, seed=12345)
+GOLDEN_DIGEST = "fbd042c401aa5549585f8e3d9c2e623bad6e8a3b6a101cbeaaf0abfaf9b2f58e"
+GOLDEN_ENVIRONMENT = {
+    "numpy": "2.4.6",
+    "dispatch": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "blas core": "SkylakeX",
+}
 
 
-def _check_change_rules() -> None:
-    from dynopt.gdbg.changes import ChangeType, change_values
-
-    rng = np.random.default_rng(101)
-    phases = np.array([0.3, 1.1, 4.0])
-    for label in ("T1", "T2", "T3", "T4", "T5", "T6"):
-        kind = ChangeType.from_label(label)
-        values = np.full(3, 50.0)
-        for t in range(1, 201):
-            change_values(values, phases, 10.0, 100.0, 5.0, kind, rng, t)
-            assert np.all((10.0 <= values) & (values <= 100.0)), (
-                f"{label} left [10,100]: {values}"
-            )
-    values = np.full(3, 50.0)
-    change_values(values, phases, 10.0, 100.0, 5.0, ChangeType.RECURRENT, rng, 5)
-    early = values.copy()
-    change_values(values, phases, 10.0, 100.0, 5.0, ChangeType.RECURRENT, rng, 17)
-    assert np.array_equal(values, early), "periodic regime must repeat exactly every 12"
+def cell_line(case, optimizer_id: str) -> str:
+    """One grid cell: its before-change errors and ratios as ``repr`` text."""
+    trajectory = run_single(GRID, case, optimizer_id, 0)
+    values = [*trajectory.e_last, *trajectory.r_last]
+    return ",".join([case.case_id, optimizer_id, *map(repr, values)])
 
 
-def _check_rotations() -> None:
-    from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
-
-    rng = np.random.default_rng(202)
-    for dim in range(2, 16):
-        angle = rng.uniform(-math.pi, math.pi)
-        for matrix in (paired_rotation(dim, angle, rng), random_orthogonal(1, dim, rng)[0]):
-            drift = np.abs(matrix @ matrix.T - np.eye(dim)).max()
-            assert drift < 1e-9, f"rotation not orthogonal at dim {dim}: {drift}"
-
-
-def _check_peak_ground_truth() -> None:
-    from dynopt.gdbg.instance import make_instance
-
-    inst = make_instance("F1(10)", "T1", seed=5)
-    for _ in range(5):
-        x = inst.problem.optimum_position()
-        gap = abs(inst.problem.evaluate(x[None, :])[0] - inst.optimum_value())
-        assert gap < 1e-9, f"peak value off its optimum by {gap}"
-        inst.advance_environment()
-
-
-def _check_composition_ground_truth() -> None:
-    from dynopt.gdbg.instance import make_instance
-
-    # every component, so each base function is checked at its optimum
-    for family in ("F2", "F3", "F4", "F5", "F6"):
-        problem = make_instance(family, "T1", seed=7).problem
-        values = problem.evaluate(problem.centers)
-        for value, height in zip(values.tolist(), problem.heights.tolist()):
-            gap = abs(value - height)
-            assert gap < 1e-6, f"{family} optimum off its height by {gap}"
-
-
-def _check_statistics() -> None:
-    rng = np.random.default_rng(303)
-    for _ in range(25):
-        runs = int(rng.integers(2, 11))
-        changes = int(rng.integers(2, 11))
-        mat = rng.uniform(0.0, 100.0, size=(runs, changes))
-        assert abs(stats.average_best(mat) - np.mean([min(row) for row in mat])) < 1e-12
-        assert abs(stats.average_worst(mat) - np.mean([max(row) for row in mat])) < 1e-12
-        assert abs(stats.average_mean(mat) - mat.mean()) < 1e-12
-        assert abs(stats.std_dev(mat) - mat.std()) < 1e-12
-
-
-def _check_schedules() -> None:
-    from dynopt.optimizers.rules import (
-        contraction_expansion,
-        follower_coefficient,
-        logistic_step,
-    )
-
-    assert contraction_expansion(0, 100) == 100.0
-    assert abs(contraction_expansion(100, 100)) < 1e-12
-    assert abs(follower_coefficient(0, 40) - 0.75 * math.sin(math.pi / 4)) < 1e-12
-    assert follower_coefficient(40, 40) == 0.0
-    assert abs(logistic_step(0.70) - 0.84) < 1e-12
-
-
-def _check_run_bookkeeping() -> None:
-    from dynopt.gdbg.instance import make_instance
-    from dynopt.optimizers.runner import run
-
-    inst = make_instance(
-        "F1(10)", "T1", seed=11,
-        overrides={"dimension": 5, "change_frequency": 200},
-    )
-    trajectory = run(
-        "qcsso", inst, budget=600, seed=3, s_samples=5, collect_ratios=True
-    )
-    assert trajectory.evaluations == 600, "budget must be spent exactly"
-    assert len(trajectory.e_last) == 3, "three windows must close"
-    for row in trajectory.ratio_samples:
-        assert len(row) == 5
-        assert all(0.0 < r <= 1.0 for r in row)
-
-
-def _check_dimension_walk_runs() -> None:
-    from dynopt.gdbg.instance import make_instance
-    from dynopt.optimizers.runner import OPTIMIZER_IDS, run
-
-    for optimizer_id in OPTIMIZER_IDS:
-        inst = make_instance(
-            "F3", "T7", seed=13,
-            overrides={"dimension": 10, "change_frequency": 200},
-        )
-        try:
-            trajectory = run(optimizer_id, inst, budget=600, seed=5)
-        except DimensionMismatch as exc:
-            raise AssertionError(f"{optimizer_id} crashed under T7: {exc}") from exc
-        assert trajectory.evaluations == 600, f"{optimizer_id} stopped early"
-        assert len(trajectory.e_last) == 3, f"{optimizer_id} closed too few windows"
-        assert inst.dimension() != 10, "the dimension must have moved"
-
-
-def _check_batch_equals_rows() -> None:
-    from dynopt.gdbg.instance import FUNCTION_IDS, make_instance
-    from dynopt.optimizers.runner import BudgetedRecorder
-
-    rng = np.random.default_rng(17)
-    # the sentinel memo rests on this: a composition row is one BLAS
-    # vector-matrix product per component, whatever the batch size
-    for function_id in FUNCTION_IDS:
-        for dim in (5, 10, 15):
-            inst = make_instance(
-                function_id, "T1", seed=19, overrides={"dimension": dim}
-            )
-            xs = rng.uniform(-5.0, 5.0, size=(50, dim))
-            rows = [inst.problem.evaluate(x[None, :])[0] for x in xs]
-            assert inst.problem.evaluate(xs).tolist() == rows, (
-                f"{function_id} at dimension {dim}: the batch differs from its"
-                " one-row batches"
-            )
-    batched, looped = (
-        BudgetedRecorder(
-            make_instance("F3", "T7", seed=19,
-                          overrides={"dimension": 5, "change_frequency": 8}),
-            budget=20,
-        )
-        for _ in range(2)
-    )
-    xs = rng.uniform(-5.0, 5.0, size=(20, 5))  # crosses two dimension moves
-    values = batched.evaluate(xs).tolist()
-    assert values == [looped.evaluate(x[None, :])[0] for x in xs], (
-        "a change-crossing batch differs from its one-row batches"
-    )
-    assert (batched.problem.eval_count, batched.problem.t) == (
-        looped.problem.eval_count, looped.problem.t
-    ), "a change-crossing batch moved the clock differently"
-    # replaying a batch's best row: eval 11 is answered from the instance's
-    # memory, eval 12 is a crossing row and is scored on the new landscape
-    inst = make_instance("F6", "T1", seed=19,
-                         overrides={"dimension": 5, "change_frequency": 12})
-    clock = BudgetedRecorder(inst, budget=12)
-    xs = rng.uniform(-5.0, 5.0, size=(10, 5))
-    best = xs[int(np.argmin(clock.evaluate(xs))), None]  # a one-row batch
-    replays = [
-        (clock.evaluate(best)[0], inst.problem.evaluate(best)[0]) for _ in range(2)
-    ]
-    assert inst.t == 1 and all(a == b for a, b in replays), (
-        "a replayed best row differs from a landscape call"
+def grid_text() -> str:
+    return "".join(
+        cell_line(case, opt) + "\n"
+        for case in GRID.selected_cases()
+        for opt in GRID.optimizers
     )
 
 
-_SELFTEST_CHECKS = (
-    ("change rules stay in range", _check_change_rules),
-    ("rotations preserve norms", _check_rotations),
-    ("peak optimum is attained at its center", _check_peak_ground_truth),
-    ("composition optima equal their heights", _check_composition_ground_truth),
-    ("statistics match naive recomputation", _check_statistics),
-    ("schedule anchors", _check_schedules),
-    ("run bookkeeping closes every window", _check_run_bookkeeping),
-    ("every optimizer runs through dimension changes", _check_dimension_walk_runs),
-    ("batch evaluation equals its one-row batches", _check_batch_equals_rows),
-)
+def numeric_environment() -> dict[str, str]:
+    """The numpy version, its dispatched kernels, the BLAS and its core."""
+    import ctypes
+
+    from numpy._core import _multiarray_umath as umath
+
+    dispatch = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = "unknown"
+    # the OpenBLAS numpy loaded: opening it again returns the same handle
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in libs.glob("libscipy_openblas64_*.so"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            corename = lib.scipy_openblas_get_corename64_
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return {
+        "numpy": np.__version__,
+        "dispatch": " ".join(dispatch),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas core": core,
+    }
 
 
 def _cmd_selftest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    failures = 0
-    for name, check in _SELFTEST_CHECKS:
-        try:
-            check()
-        except AssertionError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"ok: {name}")
-    if failures:
-        print(f"selftest: {failures} check(s) failed")
-        return 1
-    print(f"selftest: {len(_SELFTEST_CHECKS)} checks passed")
-    return 0
+    text = grid_text()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    shown = {"current": (numeric_environment(), digest)}
+    if digest != GOLDEN_DIGEST:
+        shown = {"recorded": (GOLDEN_ENVIRONMENT, GOLDEN_DIGEST), **shown}
+    for title, (environment, hexdigest) in shown.items():
+        print(f"{title}:")
+        for key, value in {**environment, "digest": hexdigest}.items():
+            print(f"  {key:<10} {value}")
+    if digest == GOLDEN_DIGEST:
+        print(f"selftest: ok, the {len(text.splitlines())} golden grid runs reproduce")
+        return 0
+    print("selftest: FAIL: this environment does not reproduce the golden grid")
+    return 1
 
 
 _HANDLERS = {

@@ -69,8 +69,9 @@ class ExperimentConfig:
             raise ConfigError("runs must be at least 1")
         if self.num_change < 1:
             raise ConfigError("num_change must be at least 1")
-        if self.change_frequency < 0:
-            raise ConfigError("change_frequency must be non-negative")
+        if self.change_frequency < 0 or self.change_frequency == 1:
+            # at 1 the first evaluation already crosses, leaving window 0 empty
+            raise ConfigError("change_frequency must be 0 (the default) or at least 2")
         if self.samples_per_window < 1:
             raise ConfigError("samples_per_window must be at least 1")
         if self.jobs < 1:

@@ -56,7 +56,6 @@ class SwarmBase:
         problem: DynamicObjective,
         seed: int,
         budget: int,
-        frequency: int | None = None,
         config=None,
     ) -> None:
         self.config = config or self.config_type()
@@ -68,7 +67,7 @@ class SwarmBase:
         self.maximize = problem.maximize
         self.dim = problem.dimension()
         self._set_bounds()
-        window = int(frequency) if frequency else int(budget)
+        window = int(problem.frequency or budget)
         # an iteration scores the population, the sentinel and any probes
         per_iteration = self.n + 1 + self.probes_per_iteration()
         self.max_iterations = max(1, window // per_iteration)

@@ -43,10 +43,9 @@ class SsaBaseline(SwarmBase):
         problem: DynamicObjective,
         seed: int,
         budget: int,
-        frequency: int | None = None,
         config: SsaConfig | None = None,
     ) -> None:
-        super().__init__(problem, seed, budget, frequency, config)
+        super().__init__(problem, seed, budget, config)
         self._members = np.arange(self.n).reshape(1, self.n)  # one chain
 
     def move(self) -> None:
@@ -72,10 +71,9 @@ class PsoBaseline(SwarmBase):
         problem: DynamicObjective,
         seed: int,
         budget: int,
-        frequency: int | None = None,
         config: PsoConfig | None = None,
     ) -> None:
-        super().__init__(problem, seed, budget, frequency, config)
+        super().__init__(problem, seed, budget, config)
         self.velocities = np.zeros((self.n, self.dim))
         cfg = self.config
         # the gains as 0-d operands (see ``SwarmBase._set_bounds``)

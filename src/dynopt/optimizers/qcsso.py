@@ -73,10 +73,9 @@ class Qcsso(SwarmBase):
         problem: DynamicObjective,
         seed: int,
         budget: int,
-        frequency: int | None = None,
         config: QcssoConfig | None = None,
     ) -> None:
-        super().__init__(problem, seed, budget, frequency, config)
+        super().__init__(problem, seed, budget, config)
         cfg = self.config
         self.k = cfg.subpopulations
         self.chain = self.n // self.k

@@ -73,6 +73,8 @@ class BudgetedRecorder:
             raise ConfigError("budget must be non-negative")
         if collect_ratios and not problem.frequency:
             raise ConfigError("ratio sampling requires a changing problem")
+        if problem.frequency == 1:
+            raise ConfigError("a frequency of 1 leaves the first window empty")
         if s_samples < 1:
             raise ConfigError("s_samples must be at least 1")
         self.problem = problem
@@ -124,17 +126,12 @@ class BudgetedRecorder:
     def _close_window(self) -> None:
         self.e_last.append(self._window_err)
         if self.collect_ratios:
-            # a window reaches its last offset unless it is empty, as the
-            # first window is at frequency 1
-            samples = self._window_samples[: self.s_samples]
-            while len(samples) < self.s_samples:
-                samples.append(self._window_ratio)
+            # a window holds at least one row (the frequency is at least
+            # 2), so it has reached its last sample offset
             self.r_last.append(self._window_ratio)
-            self.ratio_samples.append(samples)
+            self.ratio_samples.append(self._window_samples)
             self.trace += self._window_trace
         self._window_best = None
-        self._window_err = float("inf")
-        self._window_ratio = 0.0
         self._window_evals = 0
         self._window_samples = []
         self._window_trace = []
@@ -247,11 +244,10 @@ def _build_optimizer(
     problem: DynamicObjective,
     seed: int,
     budget: int,
-    frequency: int | None,
     overrides: dict[str, str] | None,
 ):
     config = optimizer_config(optimizer_id, overrides)
-    return _OPTIMIZERS[optimizer_id](problem, seed, budget, frequency, config)
+    return _OPTIMIZERS[optimizer_id](problem, seed, budget, config)
 
 
 def run(
@@ -280,9 +276,7 @@ def run(
     )
     if budget > 0:
         try:
-            optimizer = _build_optimizer(
-                optimizer_id, recorder, seed, budget, problem.frequency, overrides
-            )
+            optimizer = _build_optimizer(optimizer_id, recorder, seed, budget, overrides)
             optimizer.run_forever()
         except BudgetExhausted:
             pass

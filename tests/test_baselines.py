@@ -192,7 +192,8 @@ class TestSkeleton:
     def test_sentinel_population_probes(self, optimizer_id):
         cls = _OPTIMIZERS[optimizer_id]
         problem = BatchLog(dimension=3)
-        opt = cls(problem, seed=4, budget=10**6, frequency=1000)
+        problem.frequency = 1000  # the window the iterations fill
+        opt = cls(problem, seed=4, budget=10**6)
         assert problem.sizes == [opt.n]  # the initial population
         del problem.sizes[:]
         opt.iterate()

@@ -1,12 +1,15 @@
 """End-to-end command line behaviour: verbs, artifacts, and exit codes."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dynopt
+from dynopt import cli
 from dynopt.cli import main
 
 TINY_CONFIG = """\
@@ -137,6 +140,18 @@ class TestRun:
         assert excinfo.value.code == 2
         assert "weights must be one of" in capsys.readouterr().err
 
+    def test_change_frequency_of_one_exits_2(self, tmp_path, capsys):
+        text = TINY_CONFIG.replace("change_frequency = 120", "change_frequency = 1")
+        config = write_config(tmp_path, text)
+        argv = ["run", "--config", config, "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "change_frequency must be 0 (the default) or at least 2" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         argv = [
             "run", "--config", str(tmp_path / "missing.cfg"),
@@ -222,11 +237,34 @@ class TestScore:
 
 
 class TestSelftest:
-    def test_all_checks_pass(self, capsys):
+    def test_reproduces_the_recorded_digest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok: ") == 9
-        assert "selftest: 9 checks passed" in out
+        assert np.__version__ in out
+        assert cli.numeric_environment()["blas core"] in out
+        assert cli.GOLDEN_DIGEST in out
+        assert list(tmp_path.iterdir()) == []  # writes no files
+
+    def test_a_digest_mismatch_prints_both_environments(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "GOLDEN_DIGEST", "0" * 64)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "recorded:" in out and "current:" in out
+        assert out.count("blas core") == 2
+        assert "0" * 64 in out
+
+    def test_another_blas_core_fails(self, tmp_path):
+        if cli.numeric_environment() != cli.GOLDEN_ENVIRONMENT:
+            pytest.skip("the digest was recorded on another numeric environment")
+        src = str(Path(dynopt.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": "Prescott"}
+        done = subprocess.run(
+            [sys.executable, "-m", "dynopt.cli", "selftest"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "recorded:" in done.stdout
 
 
 class TestImport:

@@ -155,6 +155,15 @@ class TestBatchMatchesOneVectorRule:
 
 
 class TestOptimum:
+    def test_every_component_attains_its_height_at_its_center(self):
+        # every component, so each base function is checked at its optimum
+        for family in ("F2", "F3", "F4", "F5", "F6"):
+            problem = make_instance(family, "T1", seed=7).problem
+            values = problem.evaluate(problem.centers)
+            for value, height in zip(values.tolist(), problem.heights.tolist()):
+                gap = abs(value - height)
+                assert gap < 1e-6, f"{family} optimum off its height by {gap}"
+
     def test_optimum_value_is_smallest_height(self):
         prob = small_problem(["sphere", "rastrigin", "ackley"], identity=True)
         values = prob.heights.tolist()

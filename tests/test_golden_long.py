@@ -44,7 +44,7 @@ def cell_line(case, optimizer_id: str) -> str:
     optimizer = _build_optimizer(
         optimizer_id, recorder,
         optimizer_seed(LONG.seed, case.case_id, optimizer_id, 0),
-        LONG.budget(), frequency, None,
+        LONG.budget(), None,
     )
     recycles = exclusions = 0
     try:

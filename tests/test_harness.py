@@ -230,6 +230,9 @@ class TestConfig:
             ExperimentConfig(num_change=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(change_frequency=-1)
+        with pytest.raises(ConfigError, match="at least 2"):
+            ExperimentConfig(change_frequency=1)
+        assert ExperimentConfig(change_frequency=2).budget() == 120
         with pytest.raises(ConfigError):
             ExperimentConfig(samples_per_window=0)
         with pytest.raises(ConfigError):

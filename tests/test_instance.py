@@ -397,11 +397,12 @@ class TestBatchEvaluation:
 
     @pytest.mark.parametrize("function_id", FUNCTION_IDS)
     def test_landscape_batch_equals_row_loop(self, function_id):
-        inst = make_instance(function_id, "T1", seed=3)
-        xs = np.random.default_rng(4).uniform(-5.0, 5.0, size=(40, inst.dimension()))
-        assert inst.problem.evaluate(xs).tolist() == [
-            evaluate_one(inst.problem, x) for x in xs
-        ]
+        for dim in (10, 5, 15):
+            inst = make_instance(function_id, "T1", 3, {"dimension": dim})
+            xs = np.random.default_rng(4).uniform(-5.0, 5.0, size=(40, dim))
+            assert inst.problem.evaluate(xs).tolist() == [
+                evaluate_one(inst.problem, x) for x in xs
+            ]
 
     @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])
     @pytest.mark.parametrize(
@@ -533,6 +534,7 @@ class TestBestRowMemo:
         # the crossing row is now the best row of the new environment
         assert evaluate_one(batched_clock, best) == crossing
         assert len(calls) == 2  # the twin's crossing call; the replay used none
+        assert crossing == evaluate_one(batched.problem, best)
 
     def test_a_zero_of_the_other_sign_calls_the_landscape(self, monkeypatch):
         inst = make_instance("F2", "T1", seed=7, overrides={"dimension": 5})
@@ -586,7 +588,7 @@ class TestBestRowMemo:
         iterations = 20
         budget = 50 + 51 * iterations  # the population, then 20 full iterations
         recorder = BudgetedRecorder(inst, budget)
-        opt = SsaBaseline(recorder, seed=3, budget=budget, frequency=inst.frequency)
+        opt = SsaBaseline(recorder, seed=3, budget=budget)
         with pytest.raises(BudgetExhausted):
             opt.run_forever()
         assert len(completed) == iterations

@@ -81,7 +81,7 @@ def test_optimizers_pass_float_batches(optimizer_id):
     overrides = {"population": "6"}
     if optimizer_id == "qcsso":
         overrides["subpopulations"] = "2"
-    opt = _build_optimizer(optimizer_id, problem, 3, 10_000, None, overrides)
+    opt = _build_optimizer(optimizer_id, problem, 3, 10_000, overrides)
     for _ in range(3):
         opt.iterate()
     problem.shift(offset=5.0)  # the sentinel sees it and memory is re-scored

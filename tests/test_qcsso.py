@@ -74,7 +74,9 @@ class TestStructure:
     def test_iteration_budget_from_window(self):
         opt = make_opt(budget=5600)
         assert opt.max_iterations == 100  # 5600 // (50 + 5 + 1)
-        windowed = Qcsso(sphere_problem(), seed=1, budget=5600, frequency=1120)
+        problem = sphere_problem()
+        problem.frequency = 1120  # the window of a changing problem
+        windowed = Qcsso(problem, seed=1, budget=5600)
         assert windowed.max_iterations == 20
 
     def test_initial_food_is_best_pbest(self):
@@ -297,8 +299,8 @@ class TestSwarmUpdateMatchesMemberLoop:
             subpopulations=subpopulations,
             leaders_per_chain=chain if leaders == "chain" else leaders,
         )
-        opt = Qcsso(make_instance(function_id, "T1", 5), seed=9, budget=10**6,
-                    frequency=5000, config=cfg)
+        inst = make_instance(function_id, "T1", 5, {"change_frequency": 5000})
+        opt = Qcsso(inst, seed=9, budget=10**6, config=cfg)
         for _ in range(3):  # a bootstrap, then two lockstep updates
             opt.iterate()
         assert opt.maximize is (function_id == "F1(10)")
@@ -459,8 +461,8 @@ class TestOverlapSearch:
     def test_chain_bests_and_food_hold_through_the_iteration(self):
         # aging reads the chain bests that remember found, as the
         # probes and any recycles left them, and the food is the best pbest
-        opt = Qcsso(make_instance("F1(10)", "T1", 5), seed=3, budget=10**6,
-                    frequency=5000)
+        inst = make_instance("F1(10)", "T1", 5, {"change_frequency": 5000})
+        opt = Qcsso(inst, seed=3, budget=10**6)
         aging = opt.aging_step
         excluded = []
 
@@ -585,8 +587,8 @@ class TestAging:
     def test_block_coins_equal_the_scalar_loop(self, function_id, probability):
         # 1.0 recycles every candidate, the last one included, back to back
         cfg = QcssoConfig(reinit_probability=probability)
-        opt = Qcsso(make_instance(function_id, "T1", 5), seed=13, budget=10**6,
-                    frequency=5000, config=cfg)
+        inst = make_instance(function_id, "T1", 5, {"change_frequency": 5000})
+        opt = Qcsso(inst, seed=13, budget=10**6, config=cfg)
         ages = np.random.default_rng(17)
         for _ in range(12):
             opt.ages = ages.integers(0, 40, size=opt.n)
@@ -680,7 +682,7 @@ class TestChangeResponse:
     def test_t7_walk_keeps_the_box_and_rescales_the_radius(self):
         inst = make_instance("F3", "T7", 11, overrides={"change_frequency": 200})
         clock = BudgetedRecorder(inst, 10**6)  # fires the changes
-        opt = Qcsso(clock, seed=29, budget=10**6, frequency=200)
+        opt = Qcsso(clock, seed=29, budget=10**6)
         dims = {opt.dim}
         for _ in range(12):
             opt.iterate()

@@ -139,15 +139,14 @@ class TestRecorder:
         assert rec.r_last == [0.5]
         assert rec.ratio_samples == [[0.5, 0.5, 0.5]]
 
-    def test_an_empty_window_pads_with_its_closing_ratio(self):
+    def test_a_frequency_of_one_is_rejected(self):
         # at frequency 1 the first evaluation already crosses, so the first
-        # window closes with no row and no sample
+        # window would close with no row and no sample
         problem = ScriptedProblem([50.0], frequency=1, optima=[100.0], maximize=True)
-        rec = BudgetedRecorder(problem, budget=1, s_samples=3, collect_ratios=True)
-        feed(rec, 1)
-        assert rec.e_last == [float("inf")]
-        assert rec.r_last == [0.0]
-        assert rec.ratio_samples == [[0.0, 0.0, 0.0]]
+        with pytest.raises(ConfigError, match="frequency of 1"):
+            BudgetedRecorder(problem, budget=1, s_samples=3, collect_ratios=True)
+        with pytest.raises(ConfigError, match="frequency of 1"):
+            BudgetedRecorder(problem, budget=1)
 
     def test_no_window_closed_without_changes(self):
         problem = ScriptedProblem([4.0, 2.0, 3.0])
@@ -244,6 +243,8 @@ class TestRun:
         assert len(traj.e_last) == 5
         assert len(traj.r_last) == 5
         assert all(len(row) == 4 for row in traj.ratio_samples)
+        for row in traj.ratio_samples:
+            assert all(0.0 < r <= 1.0 for r in row)
         assert all(0.0 < r <= 1.0 for r in traj.r_last)
         assert all(e >= 0.0 for e in traj.e_last)
 
@@ -328,8 +329,8 @@ class TestRun:
         assert problem.t == 6
 
     def test_a_frequency_other_than_the_problems_is_rejected(self):
-        # windows of 200 on a problem that changes every 100 evaluations
-        # would pad every sample of a window with its closing ratio
+        # the schedule is the problem's own: windows of 200 on a problem
+        # that changes every 100 evaluations are refused
         problem = make_instance(
             "F1(10)", "T1", 5, {"dimension": 5, "change_frequency": 100}
         )
