@@ -96,6 +96,17 @@ def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _write_scores(out_dir: Path, weights: dict[str, float]) -> tuple[dict, dict]:
+    """Score the raw tables in ``out_dir`` and write its ``scores.csv``."""
+    scores = csvio.recompute_scores(out_dir)
+    overall = {
+        optimizer_id: stats.overall_score(per_case, weights)
+        for optimizer_id, per_case in scores.items()
+    }
+    csvio.write_scores(out_dir, scores, overall)
+    return scores, overall
+
+
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         config = _build_config(args, parser)
@@ -111,9 +122,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     raw_tables = csvio.write_raw_tables(out_dir, result)
     if config.trace:
         csvio.write_trajectories(out_dir, result)
-    scores = result.scores()
-    overall = result.overall(weights)
-    csvio.write_scores(out_dir, scores, overall)
+    _, overall = _write_scores(out_dir, weights)
     print(f"ran {len(cases)} case(s) x {len(config.optimizers)} optimizer(s) "
           f"x {config.runs} run(s), budget {config.budget()} evaluations each")
     print(f"wrote {len(error_tables)} error table(s), {len(raw_tables)} raw "
@@ -129,17 +138,11 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except ConfigError as exc:
         parser.error(str(exc))
 
-    out_dir = Path(args.out)
-    scores = csvio.recompute_scores(out_dir)
+    scores, overall = _write_scores(Path(args.out), weights)
     case_order = [c.case_id for c in all_cases()]
-    overall = {
-        optimizer_id: stats.overall_score(per_case, weights)
-        for optimizer_id, per_case in scores.items()
-    }
     for optimizer_id, per_case in scores.items():
         for case_id in sorted(per_case, key=case_order.index):
             print(f"{case_id} {optimizer_id} {per_case[case_id]:.6f}")
-    csvio.write_scores(out_dir, scores, overall)
     for optimizer_id, value in overall.items():
         print(f"OVERALL {optimizer_id} {value:.4f}")
     return 0

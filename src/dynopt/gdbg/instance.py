@@ -7,28 +7,22 @@ changes only when told: a run's clock (the budget recorder) calls
 that evaluation is scored, and ``evaluate`` scores an ``(n, dim)`` batch
 in the current environment with one landscape call.
 
-Under T7 a change also moves the dimension by one, usually in the middle
-of a population sweep, so the rest of the population still holds vectors
-of an old length.  When changes come faster than the optimizer's
-iterations, two may fall inside one sweep.  The dimension rule: a row
-whose length is the dimension just before the latest change, or the
-dimension the caller last read from ``dimension()``, is fitted to the
-current one, truncated to its leading coordinates when the dimension
-shrank and zero-padded when it grew.  Every other length raises
-:class:`~dynopt.errors.DimensionMismatch` before the batch is counted.
+A row whose length is not the current dimension raises
+:class:`~dynopt.errors.DimensionMismatch` before the batch is counted;
+under T7 the clock fits the rows a change makes stale before they get
+here.
 
 The instance remembers one row: the best row scored in the current
-environment, with its value.  After each landscape call the batch's best
-row (first among ties) replaces it when strictly better, or when ``t``
-has moved since it was set.  A one-row request whose bytes equal the
-remembered row, made while ``t`` is unchanged, returns the remembered
-value and counts one evaluation without calling the landscape.  This is
-how the optimizers' change sentinel, which re-scores the best point they
-know, is answered between changes.  It is exact: the landscape is a pure
+environment, with its value, and forgets it at each change.  After each
+landscape call the batch's best row (first among ties) replaces it when
+strictly better, or when none is remembered.  A one-row request whose
+bytes equal the remembered row returns the remembered value and counts
+one evaluation without calling the landscape.  This is how the
+optimizers' change sentinel, which re-scores the best point they know,
+is answered between changes.  It is exact: the landscape is a pure
 function of the environment and the row, and a batch row equals its
 one-row batch bit for bit, so the value is the one a call would return.
-Bytes are compared, so ``-0.0`` and ``0.0`` differ and a row of another
-length never matches.
+Bytes are compared, so ``-0.0`` and ``0.0`` differ.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dynopt.errors import ConfigError, DimensionMismatch
-from dynopt.gdbg.changes import ChangeType, DimensionWalk, change_values
+from dynopt.gdbg.changes import DIM_MAX, DIM_MIN, ChangeType, DimensionWalk, change_values
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.peaks import PeakSet
 from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
@@ -101,8 +95,8 @@ class GdbgInstance(DynamicObjective):
             raise ConfigError(
                 f"unknown function id {function_id!r}; expected one of {FUNCTION_IDS}"
             )
-        if not 5 <= config.dimension <= 15:
-            raise ConfigError("dimension must lie in [5, 15]")
+        if not DIM_MIN <= config.dimension <= DIM_MAX:
+            raise ConfigError(f"dimension must lie in [{DIM_MIN}, {DIM_MAX}]")
         self.function_id = function_id
         self.change_type = change_type
         self.seed = int(seed)
@@ -112,10 +106,7 @@ class GdbgInstance(DynamicObjective):
         self.eval_count = 0
         self.frequency = config.resolved_frequency()
         self._walk = DimensionWalk(config.dimension)
-        self._previous_dim = config.dimension
-        self._read_dim = config.dimension
-        # the best row scored in environment ``_memo_t`` (module docstring)
-        self._memo_t = -1
+        # the best row scored in this environment (module docstring)
         self._memo_row = b""
         self._memo_value = np.zeros(1)
         # each changing family is (label, values, phases, low, high,
@@ -167,8 +158,7 @@ class GdbgInstance(DynamicObjective):
     # -- DynamicObjective -----------------------------------------------
 
     def dimension(self) -> int:
-        self._read_dim = self.problem.dim
-        return self._read_dim
+        return self.problem.dim
 
     def bounds(self) -> tuple[float, float]:
         return SEARCH_LOWER, SEARCH_UPPER
@@ -180,17 +170,15 @@ class GdbgInstance(DynamicObjective):
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Score ``xs`` in the current environment (module docstring)."""
         xs = as_rows(xs)
-        if (
-            xs.shape[0] == 1
-            and self._memo_t == self.t
-            and xs.tobytes() == self._memo_row
-        ):
+        d = self.problem.dim
+        if xs.shape[1] != d:
+            raise DimensionMismatch(f"expected rows of length {d}, got length {xs.shape[1]}")
+        if xs.shape[0] == 1 and xs.tobytes() == self._memo_row:
             self.eval_count += 1
             return self._memo_value.copy()
-        rows = self._fit_dimension(xs)
-        self.eval_count += rows.shape[0]
-        values = self.problem.evaluate(rows)
-        self._remember(rows, values)
+        self.eval_count += xs.shape[0]
+        values = self.problem.evaluate(xs)
+        self._remember(xs, values)
         return values
 
     def _remember(self, rows: np.ndarray, values: np.ndarray) -> None:
@@ -201,24 +189,9 @@ class GdbgInstance(DynamicObjective):
         else:
             i = int(values.argmin())
             better = values[i] < self._memo_value[0]
-        if better or self._memo_t != self.t:
-            self._memo_t = self.t
+        if better or not self._memo_row:
             self._memo_row = rows[i].tobytes()
             self._memo_value = values[i:i + 1].copy()
-
-    def _fit_dimension(self, xs: np.ndarray) -> np.ndarray:
-        """Fit rows of a stale length to the current dimension (module docstring)."""
-        d = self.problem.dim
-        length = xs.shape[1]
-        if length == d:
-            return xs
-        if length not in (self._previous_dim, self._read_dim):
-            raise DimensionMismatch(
-                f"expected rows of length {d}, got length {length}"
-            )
-        if length > d:
-            return xs[:, :d]
-        return np.hstack([xs, np.zeros((xs.shape[0], d - length))])
 
     def optimum_value(self) -> float:
         return self.problem.optimum_value()
@@ -233,14 +206,15 @@ class GdbgInstance(DynamicObjective):
         rotate the centres and clip them to the box, and under T7 also
         step the dimension."""
         self.t += 1
+        self._memo_row = b""
         problem, rng = self.problem, self.rng
+        old_dim = problem.dim
         for _, values, phases, low, high, severity in self._families:
             change_values(values, phases, low, high, severity,
                           self.change_type, rng, self.t)
         rotation = paired_rotation(problem.dim, float(self.rotation_angle[0]), rng)
         centers = problem.centers @ rotation.T
         np.clip(centers, SEARCH_LOWER, SEARCH_UPPER, out=centers)
-        self._previous_dim = problem.dim
         if self.change_type is ChangeType.RANDOM_DIM:
             # grow by one uniform coordinate per centre or drop the last one
             if self._walk.step() > problem.dim:
@@ -249,7 +223,7 @@ class GdbgInstance(DynamicObjective):
             else:
                 centers = centers[:, :-1].copy()
         problem.centers = centers
-        if hasattr(problem, "matrices") and problem.dim != self._previous_dim:
+        if hasattr(problem, "matrices") and problem.dim != old_dim:
             # a composition draws its rotations afresh at the new dimension
             problem.matrices = random_orthogonal(len(centers), problem.dim, rng)
             problem.refresh_normalization()

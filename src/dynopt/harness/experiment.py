@@ -19,6 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from dynopt.errors import ConfigError
+from dynopt.gdbg.changes import DIM_MAX, DIM_MIN
 from dynopt.gdbg.instance import make_instance, resolve_frequency
 from dynopt.harness import stats
 from dynopt.harness.cases import Case, select_cases
@@ -72,6 +73,8 @@ class ExperimentConfig:
         if self.change_frequency < 0 or self.change_frequency == 1:
             # at 1 the first evaluation already crosses, leaving window 0 empty
             raise ConfigError("change_frequency must be 0 (the default) or at least 2")
+        if not DIM_MIN <= self.dimension <= DIM_MAX:
+            raise ConfigError(f"dimension must lie in [{DIM_MIN}, {DIM_MAX}]")
         if self.samples_per_window < 1:
             raise ConfigError("samples_per_window must be at least 1")
         if self.jobs < 1:

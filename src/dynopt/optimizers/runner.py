@@ -60,6 +60,15 @@ class BudgetedRecorder:
     protocol); a closed window adds the ratios to ``ratio_samples`` and
     the ``(eval_count, error)`` pairs to ``trace``, so the trace is
     bounded by windows x samples.
+
+    Under T7 a change also moves the dimension, usually in the middle of
+    a population sweep, and with short windows two changes can fall
+    inside one sweep.  The one dimension rule: before a segment is
+    scored, rows of the length the swarm last read from ``dimension()``
+    (before any read, the length at construction) are fitted to the
+    problem's current dimension, truncated to their leading coordinates
+    or zero-padded; a row of any other length goes to the problem
+    unchanged, which rejects it unless it has the current length.
     """
 
     def __init__(
@@ -84,6 +93,7 @@ class BudgetedRecorder:
         self.collect_ratios = bool(collect_ratios)
 
         self.used = 0
+        self._read_dim = problem.dimension()
         self.e_last: list[float] = []
         self.r_last: list[float] = []
         self.ratio_samples: list[list[float]] = []
@@ -106,7 +116,8 @@ class BudgetedRecorder:
     # -- what the swarm reads -----------------------------------------
 
     def dimension(self) -> int:
-        return self.problem.dimension()
+        self._read_dim = self.problem.dimension()
+        return self._read_dim
 
     def bounds(self) -> tuple[float, float]:
         return self.problem.bounds()
@@ -140,6 +151,7 @@ class BudgetedRecorder:
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Score rows until the budget is spent; the row after it raises."""
         xs = as_rows(xs)
+        length = xs.shape[1]
         segments = []
         pos = 0
         while pos < xs.shape[0]:
@@ -155,7 +167,14 @@ class BudgetedRecorder:
                 self.budget - self.used,
                 self._next_change - 1 - self.used,
             )
-            segments.append(self.problem.evaluate(xs[pos:pos + k]))
+            rows = xs[pos:pos + k]
+            dim = self.problem.dimension()
+            if length == self._read_dim != dim:
+                # stale rows: the swarm read the dimension before a change
+                rows = rows[:, :dim] if length > dim else np.hstack(
+                    [rows, np.zeros((k, dim - length))]
+                )
+            segments.append(self.problem.evaluate(rows))
             self._record(segments[-1])
             pos += k
         return segments[0] if len(segments) == 1 else np.concatenate(segments)

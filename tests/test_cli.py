@@ -152,6 +152,16 @@ class TestRun:
         )
         assert not (tmp_path / "x").exists()
 
+    def test_dimension_outside_the_walk_exits_2(self, tmp_path, capsys):
+        text = TINY_CONFIG.replace("dimension = 5", "dimension = 4")
+        config = write_config(tmp_path, text)
+        argv = ["run", "--config", config, "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "dimension must lie in [5, 15]" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         argv = [
             "run", "--config", str(tmp_path / "missing.cfg"),
@@ -202,9 +212,23 @@ class TestSeedPrecedence:
         assert self.raw_bytes(out_a) == self.raw_bytes(plain)
 
 
+def run_two_by_two(tmp_path):
+    """Two cases x two optimizers, the optimizers out of registry order."""
+    out_dir = tmp_path / "two"
+    config = write_config(tmp_path, "runs = 2\nnum_change = 2\nchange_frequency = 200\n")
+    argv = [
+        "run", "--config", config, "--out", str(out_dir),
+        "--case", "F1(10):T1", "--case", "F2:T1",
+        "--optimizer", "pso_baseline", "--optimizer", "qcsso", "--seed", "5",
+    ]
+    assert main(argv) == 0
+    return out_dir
+
+
 class TestScore:
-    def test_rewrites_scores_from_raw_tables(self, tmp_path, capsys):
-        out_dir = run_tiny(tmp_path)
+    @pytest.mark.parametrize("make_run", [run_tiny, run_two_by_two])
+    def test_rewrites_scores_from_raw_tables(self, tmp_path, capsys, make_run):
+        out_dir = make_run(tmp_path)
         original = (out_dir / "scores.csv").read_bytes()
         (out_dir / "scores.csv").unlink()
         capsys.readouterr()

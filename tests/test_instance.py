@@ -38,7 +38,7 @@ def drive_instance(function_id, change_type, seed, dimension, frequency, evals):
     lines.extend(inst.param_lines())
     last_t = inst.t
     for i in range(evals):
-        x = probe.uniform(-5.0, 5.0, size=inst.dimension())
+        x = probe.uniform(-5.0, 5.0, size=clock.dimension())
         value = evaluate_one(clock, x)
         lines.append(f"{i},{value!r}")
         if inst.t != last_t:
@@ -183,10 +183,10 @@ class TestDimensionChanges:
         )
         assert inst.dimension() == 14
         for _ in range(5):
-            evaluate_one(clock, np.zeros(inst.dimension()))
+            evaluate_one(clock, np.zeros(clock.dimension()))
         assert inst.dimension() == 15
         for _ in range(5):
-            evaluate_one(clock, np.zeros(inst.dimension()))
+            evaluate_one(clock, np.zeros(clock.dimension()))
         assert inst.dimension() == 14
 
     def test_crossing_call_zero_pads_when_growing(self):
@@ -259,22 +259,24 @@ class TestDimensionChanges:
             "F2", "T7", seed=9,
             overrides={"dimension": 10, "change_frequency": 5},
         )
-        assert inst.dimension() == 10
+        assert clock.dimension() == 10
         x = np.linspace(-1.0, 1.0, 10)
         for _ in range(10):
             evaluate_one(clock, x)  # two changes, 10 -> 11 -> 12, within one "sweep"
         assert inst.problem.dim == 12
         padded = np.concatenate([x, [0.0, 0.0]])
         assert evaluate_one(clock, x) == evaluate_one(inst.problem, padded)
-        assert evaluate_one(clock, x[:11]) == evaluate_one(inst.problem, padded)
         used = inst.eval_count
+        # the length between the two changes was never read
+        with pytest.raises(DimensionMismatch):
+            evaluate_one(clock, padded[:11])
         for bad in (9, 13):
             with pytest.raises(DimensionMismatch):
                 clock.evaluate(np.zeros((1, bad)))
         with pytest.raises(DimensionMismatch):
             clock.evaluate(np.zeros((3, 13)))
         # once the caller reads the new dimension, length 10 is stale twice over
-        assert inst.dimension() == 12
+        assert clock.dimension() == 12
         with pytest.raises(DimensionMismatch):
             evaluate_one(clock, x)
         assert inst.eval_count == clock.used == used
@@ -426,9 +428,9 @@ class TestBatchEvaluation:
             for _ in range(start):
                 evaluate_one(clock, np.zeros(clock.dimension()))
         xs = np.random.default_rng(6).uniform(
-            -5.0, 5.0, size=(rows, batched.dimension())
+            -5.0, 5.0, size=(rows, batched_clock.dimension())
         )
-        looped.dimension()
+        looped_clock.dimension()
         values = batched_clock.evaluate(xs)
         assert values.tolist() == [evaluate_one(looped_clock, x) for x in xs]
         assert batched.eval_count == looped.eval_count == start + rows
@@ -478,20 +480,20 @@ class TestOneCallPerEnvironment:
             )
             probe = np.random.default_rng(0)
             for _ in range(27):
-                clock.evaluate(probe.uniform(-5.0, 5.0, size=(1, inst.dimension())))
+                clock.evaluate(probe.uniform(-5.0, 5.0, size=(1, clock.dimension())))
             return inst, clock
 
         (batched, batched_clock), (looped, looped_clock) = (
             walked_to_six(), walked_to_six()
         )
-        assert (batched.t, batched.dimension()) == (9, 6)
+        assert (batched.t, batched_clock.dimension()) == (9, 6)
         # evaluations 28-33 cross change 10 (6 -> 5) and change 11 (5 -> 6)
         xs = np.random.default_rng(1).uniform(-5.0, 5.0, size=(6, 6))
         values = batched_clock.evaluate(xs)
         assert (batched.t, batched.problem.dim) == (11, 6)
         # the crossing row has the new length and is scored as it stands
         assert values[-1] == batched.problem.evaluate(xs[-1:])[0]
-        looped.dimension()
+        looped_clock.dimension()
         assert values.tolist() == [evaluate_one(looped_clock, x) for x in xs]
 
 
@@ -549,14 +551,20 @@ class TestBestRowMemo:
         assert len(calls) == 2
 
     def test_a_direct_advance_calls_the_landscape(self, monkeypatch):
+        # the change empties the memo, so the old environment's best row,
+        # here the best of a batch, is scored afresh
         inst = make_instance("F2", "T1", seed=7, overrides={"dimension": 5})
-        x = np.full(5, 0.5)
-        before = evaluate_one(inst, x)
+        xs = np.random.default_rng(4).uniform(-5.0, 5.0, size=(10, 5))
+        values = inst.evaluate(xs)
+        x = xs[int(np.argmin(values))]
         inst.advance_environment()
         calls = count_landscape_calls(monkeypatch, CompositionProblem)
         after = evaluate_one(inst, x)
         assert len(calls) == 1
-        assert after == evaluate_one(inst.problem, x) != before
+        assert after == evaluate_one(inst.problem, x) != values.min()
+        # and it becomes the new environment's remembered row
+        assert evaluate_one(inst, x) == after
+        assert len(calls) == 2 and inst.eval_count == 12
 
     def test_a_dimension_move_calls_the_landscape(self, monkeypatch):
         inst, clock = clocked(
@@ -572,7 +580,9 @@ class TestBestRowMemo:
         assert inst.problem.dim == 11 and len(calls) == 2
         padded = np.concatenate([x, [0.0]])
         assert evaluate_one(clock, x) == evaluate_one(inst.problem, padded)
-        assert len(calls) == 4  # the stale length and the direct call
+        # the stale row is fitted to the crossing row, which is remembered;
+        # only the direct call reaches the landscape
+        assert len(calls) == 3
 
     def test_ssa_sentinel_costs_no_landscape_call(self, monkeypatch):
         calls = count_landscape_calls(monkeypatch, CompositionProblem)

@@ -328,6 +328,37 @@ class TestRun:
         assert len(traj.e_last) == 6
         assert problem.t == 6
 
+    @pytest.mark.parametrize("frequency", [20, 200])
+    @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
+    def test_every_batch_has_the_length_last_read(self, monkeypatch, optimizer_id, frequency):
+        # the clock's one dimension rule rests on this: a swarm offers only
+        # rows of the length it last read from the clock, however many
+        # changes fired since (at 20, two fall inside one iteration)
+        reads, offered = [], []
+        dimension, evaluate = BudgetedRecorder.dimension, BudgetedRecorder.evaluate
+
+        def spied_dimension(self):
+            reads.append(dimension(self))
+            return reads[-1]
+
+        def spied_evaluate(self, xs):
+            values = evaluate(self, xs)
+            offered.append((xs.shape[1], reads[-1], self.problem.dimension()))
+            return values
+
+        monkeypatch.setattr(BudgetedRecorder, "dimension", spied_dimension)
+        monkeypatch.setattr(BudgetedRecorder, "evaluate", spied_evaluate)
+        problem = make_instance(
+            "F3", "T7", seed=13,
+            overrides={"dimension": "10", "change_frequency": str(frequency)},
+        )
+        run(optimizer_id, problem, budget=6 * frequency, seed=5,
+            collect_ratios=True, s_samples=4)
+        assert problem.t == 6
+        assert all(length == read for length, read, _ in offered)
+        # some batches were stale: a change moved the dimension under them
+        assert any(length != now for length, _, now in offered)
+
     def test_a_frequency_other_than_the_problems_is_rejected(self):
         # the schedule is the problem's own: windows of 200 on a problem
         # that changes every 100 evaluations are refused
