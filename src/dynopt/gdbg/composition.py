@@ -133,7 +133,8 @@ class CompositionProblem:
         w /= np.add.reduce(w, axis=1, keepdims=True)
         # each (row, component) product has the same sizes whatever the
         # batch, so a row equals its one-row batch bit for bit, which the
-        # instance's sentinel memo relies on (`dynopt selftest` checks it)
+        # instance's sentinel memo relies on (`tests/test_composition.py`
+        # checks it, in ``TestRowEqualsBatch``)
         f = self._component_values((diff[:, :, None, :] @ self._scaled)[:, :, 0, :])
         f *= _NORMALIZER
         f /= self._abs_fmax

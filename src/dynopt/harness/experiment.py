@@ -152,7 +152,6 @@ def run_single(
         config.budget(),
         optimizer_seed(config.seed, case.case_id, optimizer_id, run_index),
         s_samples=config.samples_per_window,
-        collect_ratios=True,
         trace=config.trace,
         overrides=config.overrides_for(optimizer_id),
     )

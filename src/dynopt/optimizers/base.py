@@ -8,6 +8,7 @@ RNG, and survives both landscape changes and dimension changes mid-run.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,17 @@ def clip_in_place(rows: np.ndarray, lower: float, upper: float) -> None:
     """
     np.maximum(lower, rows, out=rows)
     np.minimum(upper, rows, out=rows)
+
+
+@dataclass(frozen=True)
+class SwarmConfig:
+    """The setting every swarm shares; each swarm's config extends it."""
+
+    population: int = 50
+
+    def __post_init__(self) -> None:
+        if self.population < 1:
+            raise ConfigError("population must be at least 1")
 
 
 class SwarmBase:
@@ -59,14 +71,18 @@ class SwarmBase:
         config=None,
     ) -> None:
         self.config = config or self.config_type()
-        if self.config.population < 1:
-            raise ConfigError("population must be at least 1")
         self.problem = problem
         self.rng = np.random.default_rng(int(seed))
         self.n = int(self.config.population)
         self.maximize = problem.maximize
         self.dim = problem.dimension()
-        self._set_bounds()
+        # one box for every coordinate, whatever the dimension
+        lower, upper = problem.bounds()
+        self.lower, self.upper = float(lower), float(upper)
+        # the clips take the pair as 0-d arrays: a Python float operand costs
+        # numpy 2 a conversion on every call, a 0-d array does not (same
+        # bits); the draws keep the floats, which take ``uniform``'s scalar path
+        self._box = (np.array(self.lower), np.array(self.upper))
         window = int(problem.frequency or budget)
         # an iteration scores the population, the sentinel and any probes
         per_iteration = self.n + 1 + self.probes_per_iteration()
@@ -154,22 +170,12 @@ class SwarmBase:
         if new_dim == self.dim:
             return
         self.dim = new_dim
-        self._set_bounds()
         self.positions = self._resize_matrix(self.positions, new_dim)
         if self.pbest_positions is not None:
             self.pbest_positions = self._resize_matrix(self.pbest_positions, new_dim)
         self.food_position = self._resize_matrix(self.food_position[None, :], new_dim)[0]
         self._resize_extra_state(new_dim)
         self._dim_changed = True
-
-    def _set_bounds(self) -> None:
-        """Take the problem's box: one ``(lower, upper)`` float pair."""
-        lower, upper = self.problem.bounds()
-        self.lower, self.upper = float(lower), float(upper)
-        # the clips take the pair as 0-d arrays: a Python float operand costs
-        # numpy 2 a conversion on every call, a 0-d array does not (same
-        # bits); the draws keep the floats, which take ``uniform``'s scalar path
-        self._box = (np.array(self.lower), np.array(self.upper))
 
     def _resize_matrix(self, mat: np.ndarray, new_dim: int) -> np.ndarray:
         old = mat.shape[1]

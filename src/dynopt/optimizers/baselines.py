@@ -13,17 +13,16 @@ import numpy as np
 
 from dynopt.objective import DynamicObjective
 from dynopt.optimizers import rules
-from dynopt.optimizers.base import SwarmBase, clip_in_place
+from dynopt.optimizers.base import SwarmBase, SwarmConfig, clip_in_place
 
 
 @dataclass(frozen=True)
-class SsaConfig:
-    population: int = 50
+class SsaConfig(SwarmConfig):
+    pass
 
 
 @dataclass(frozen=True)
-class PsoConfig:
-    population: int = 50
+class PsoConfig(SwarmConfig):
     chi: float = 0.7298
     c1: float = 1.49618
     c2: float = 1.49618
@@ -76,12 +75,8 @@ class PsoBaseline(SwarmBase):
         super().__init__(problem, seed, budget, config)
         self.velocities = np.zeros((self.n, self.dim))
         cfg = self.config
-        # the gains as 0-d operands (see ``SwarmBase._set_bounds``)
+        # the gains and the velocity clip as 0-d operands, as the box is
         self._gains = tuple(np.array(v) for v in (cfg.chi, cfg.c1, cfg.c2))
-
-    def _set_bounds(self) -> None:
-        """Also fix the velocity clip of the new box, as 0-d bounds."""
-        super()._set_bounds()
         span = self.upper - self.lower
         self._velocity_box = (np.array(-span), np.array(span))
 

@@ -20,7 +20,7 @@ import numpy as np
 from dynopt.errors import ConfigError
 from dynopt.objective import DynamicObjective
 from dynopt.optimizers import rules
-from dynopt.optimizers.base import SwarmBase, clip_in_place
+from dynopt.optimizers.base import SwarmBase, SwarmConfig, clip_in_place
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -34,10 +34,9 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QcssoConfig:
+class QcssoConfig(SwarmConfig):
     """Tunable constants; every field accepts a flat key=value override."""
 
-    population: int = 50
     subpopulations: int = 5
     leaders_per_chain: int = 2
     w_mode: str = "fixed"  # "fixed" or "chaotic"
@@ -52,6 +51,11 @@ class QcssoConfig:
     probe_sigma_scale: float = 0.1
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.subpopulations < 1:
+            raise ConfigError("subpopulations must be at least 1")
+        if self.leaders_per_chain < 0:
+            raise ConfigError("leaders_per_chain must be at least 0")
         if self.population % self.subpopulations != 0:
             raise ConfigError("population must split evenly into subpopulations")
         if self.w_mode not in ("fixed", "chaotic"):
@@ -86,6 +90,8 @@ class Qcsso(SwarmBase):
         self._w_state = cfg.w_init
         # applied once per follower rank: a 0-d operand, as for the bounds
         self._momentum = np.array(cfg.momentum)
+        self._probe_sigma = cfg.probe_sigma_scale * (self.upper - self.lower)
+        self._resize_extra_state(self.dim)
 
         self.ages = np.zeros(self.n, dtype=int)
         # per-iteration observability, mainly for tests
@@ -94,17 +100,15 @@ class Qcsso(SwarmBase):
 
     # -- configuration-derived quantities ---------------------------------
 
-    def _set_bounds(self) -> None:
-        """Also fix the exclusion radius and probe sigma of the new box."""
-        super()._set_bounds()
+    def _resize_extra_state(self, new_dim: int) -> None:
+        """Fix the exclusion radius, by default a tenth of the box's diagonal."""
         cfg = self.config
         span = self.upper - self.lower
         self._exclusion_radius = (
             cfg.exclusion_radius
             if cfg.exclusion_radius > 0
-            else 0.1 * float(np.linalg.norm(np.full(self.dim, span)))
+            else 0.1 * float(np.linalg.norm(np.full(new_dim, span)))
         )
-        self._probe_sigma = cfg.probe_sigma_scale * span
 
     def probes_per_iteration(self) -> int:
         """One overlap-search probe per chain."""

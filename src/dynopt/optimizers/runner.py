@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +30,7 @@ _OPTIMIZERS = {
 OPTIMIZER_IDS = tuple(_OPTIMIZERS)
 
 RATIO_DUST = 1e-9
+_COUNT = itemgetter(0)  # the evaluation of a sample pair
 
 
 def _ratio(best: float, optimum: float, maximize: bool) -> float:
@@ -55,11 +57,18 @@ class BudgetedRecorder:
     the next.  ``evaluate`` cuts a batch at the least of the rows left,
     the budget left and the next change, and hands each segment to the
     problem whole; the first row past the budget raises before it is
-    scored or opens a change.  With ``collect_ratios``, each window's
-    best is sampled at ``s_samples`` fixed offsets (CEC 2009 GDBG
-    protocol); a closed window adds the ratios to ``ratio_samples`` and
-    the ``(eval_count, error)`` pairs to ``trace``, so the trace is
-    bounded by windows x samples.
+    scored or opens a change.
+
+    Each window keeps one record: its best, ``best_value``, and that best
+    at ``s_samples`` evaluations fixed when the window opens (CEC 2009
+    GDBG protocol).  For a changing problem the ratio guard checks every
+    new best as it is found, so a value past the optimum raises even in a
+    window that never closes.  Closing a window derives the rest: the
+    error and ratio of its best go to ``e_last`` and ``r_last``, the
+    sampled ratios to ``ratio_samples`` and the ``(evaluation, error)``
+    pairs to ``trace``, which is bounded by windows x samples.  A problem
+    that never changes has one window, so its ``best_value`` is the best
+    of the whole run.
 
     Under T7 a change also moves the dimension, usually in the middle of
     a population sweep, and with short windows two changes can fall
@@ -72,16 +81,10 @@ class BudgetedRecorder:
     """
 
     def __init__(
-        self,
-        problem: DynamicObjective,
-        budget: int,
-        s_samples: int = 20,
-        collect_ratios: bool = False,
+        self, problem: DynamicObjective, budget: int, s_samples: int = 20
     ) -> None:
         if budget < 0:
             raise ConfigError("budget must be non-negative")
-        if collect_ratios and not problem.frequency:
-            raise ConfigError("ratio sampling requires a changing problem")
         if problem.frequency == 1:
             raise ConfigError("a frequency of 1 leaves the first window empty")
         if s_samples < 1:
@@ -90,7 +93,6 @@ class BudgetedRecorder:
         self.budget = int(budget)
         self.frequency = int(problem.frequency)
         self.s_samples = int(s_samples)
-        self.collect_ratios = bool(collect_ratios)
 
         self.used = 0
         self._read_dim = problem.dimension()
@@ -102,16 +104,11 @@ class BudgetedRecorder:
         # the evaluation on which the next change fires; past the budget
         # when the problem never changes
         self._next_change = self.frequency or self.budget + 1
-        self._window_best: float | None = None
-        self._window_optimum = 0.0
-        self._window_err = float("inf")
-        self._window_ratio = 0.0
-        self._window_evals = 0
-        self._window_samples: list[float] = []
-        self._window_trace: list[tuple[int, float]] = []
-        self._offsets = self._sample_offsets(first=True)
-
-        self.best_value: float | None = None
+        # the open window's record, with ``best_value`` and the
+        # ``(evaluation, best)`` sample pairs that ``_open_window`` sets
+        self._optimum = 0.0
+        self._ratio = 0.0
+        self._open_window(start=1, width=self.frequency - 1)
 
     # -- what the swarm reads -----------------------------------------
 
@@ -128,25 +125,29 @@ class BudgetedRecorder:
 
     # -- the clock ------------------------------------------------------
 
-    def _sample_offsets(self, first: bool) -> list[int]:
-        if not self.collect_ratios:
-            return []
-        width = self.frequency - 1 if first else self.frequency
-        return [(s * width) // self.s_samples for s in range(1, self.s_samples + 1)]
+    def _open_window(self, start: int, width: int) -> None:
+        """Start an empty record for ``width`` rows from evaluation ``start``.
+
+        Offset ``(s * width) // s_samples`` is sampled after the first row
+        that reaches it; a problem that never changes samples nothing.
+        """
+        self.best_value: float | None = None
+        self._samples: list[tuple[int, float | None]] = [
+            (start + max((s * width) // self.s_samples - 1, 0), None)
+            for s in range(1, self.s_samples + 1)
+        ] if self.frequency else []
 
     def _close_window(self) -> None:
-        self.e_last.append(self._window_err)
-        if self.collect_ratios:
-            # a window holds at least one row (the frequency is at least
-            # 2), so it has reached its last sample offset
-            self.r_last.append(self._window_ratio)
-            self.ratio_samples.append(self._window_samples)
-            self.trace += self._window_trace
-        self._window_best = None
-        self._window_evals = 0
-        self._window_samples = []
-        self._window_trace = []
-        self._offsets = self._sample_offsets(first=False)
+        # a window holds at least one row (the frequency is at least 2),
+        # so it has reached its last sample point
+        optimum, maximize = self._optimum, self.maximize
+        self.e_last.append(abs(self.best_value - optimum))
+        self.r_last.append(self._ratio)
+        self.ratio_samples.append(
+            [_ratio(best, optimum, maximize) for _, best in self._samples]
+        )
+        self.trace += [(count, abs(best - optimum)) for count, best in self._samples]
+        self._open_window(start=self.used + 1, width=self.frequency)
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Score rows until the budget is spent; the row after it raises."""
@@ -187,41 +188,28 @@ class BudgetedRecorder:
 
         # a window is one environment, so its optimum is read once;
         # ``running[i + 1]`` is the window's best up to and including row i
-        fresh = self._window_best is None
+        fresh = self.best_value is None
         if fresh:
-            self._window_optimum = float(self.problem.optimum_value())
-        optimum = self._window_optimum
+            self._optimum = float(self.problem.optimum_value())
         running = np.empty(k + 1)
-        running[0] = values[0] if fresh else self._window_best
+        running[0] = values[0] if fresh else self.best_value
         running[1:] = values
         (np.maximum if self.maximize else np.minimum).accumulate(running, out=running)
         best = float(running[-1])
-        if best != self._window_best:
+        if best != self.best_value:
             # the best only moves toward the optimum, so the segment's last
             # best carries its largest ratio and is the one the guard checks
-            self._window_best = best
-            self._window_err = abs(best - optimum)
-            if self.collect_ratios:
-                self._window_ratio = _ratio(best, optimum, self.maximize)
-            if self.best_value is None or (
-                best > self.best_value if self.maximize else best < self.best_value
-            ):
-                self.best_value = best
+            self.best_value = best
+            if self.frequency:
+                self._ratio = _ratio(best, self._optimum, self.maximize)
 
-        window_start = self._window_evals
-        self._window_evals += k
-        due = bisect.bisect_right(self._offsets, self._window_evals)
-        if due:
-            # an offset is sampled after the first row that reaches it
-            rows = np.maximum(np.array(self._offsets[:due]) - window_start - 1, 0)
-            sampled = running[rows + 1]
-            self._window_samples += [
-                _ratio(s, optimum, self.maximize) for s in sampled.tolist()
-            ]
-            self._window_trace += zip(
-                (first + rows).tolist(), np.abs(sampled - optimum).tolist()
-            )
-            del self._offsets[:due]
+        # a sample point takes the window's best after its row
+        lo = bisect.bisect_left(self._samples, first, key=_COUNT)
+        hi = bisect.bisect_right(self._samples, self.used, key=_COUNT)
+        if lo < hi:
+            counts = [count for count, _ in self._samples[lo:hi]]
+            sampled = running[np.array(counts) - (first - 1)].tolist()
+            self._samples[lo:hi] = zip(counts, sampled)
 
 
 @dataclass
@@ -231,8 +219,6 @@ class Trajectory:
     ``trace`` is filled only on request: the error at each ratio-sample point.
     """
 
-    optimizer_id: str
-    seed: int
     evaluations: int
     e_last: list[float] = field(default_factory=list)
     r_last: list[float] = field(default_factory=list)
@@ -277,22 +263,26 @@ def run(
     *,
     s_samples: int = 20,
     frequency: int | None = None,
-    collect_ratios: bool = False,
+    collect_ratios: bool | None = None,
     trace: bool = False,
     overrides: dict[str, str] | None = None,
 ) -> Trajectory:
     """Run one optimizer against one problem until the budget is spent.
 
     The change schedule is the problem's own: ``frequency`` may restate
-    ``problem.frequency``, and ``None`` takes it.
+    ``problem.frequency``, and ``collect_ratios`` whether the problem
+    changes (its windows are sampled); ``None`` takes either.
     """
     if frequency is not None and frequency != problem.frequency:
         raise ConfigError(
             f"frequency {frequency} differs from the problem's {problem.frequency}"
         )
-    recorder = BudgetedRecorder(
-        problem, budget, s_samples=s_samples, collect_ratios=collect_ratios
-    )
+    if collect_ratios is not None and collect_ratios != bool(problem.frequency):
+        raise ConfigError(
+            f"collect_ratios {collect_ratios} differs from the problem's "
+            f"{bool(problem.frequency)}: only a changing problem is sampled"
+        )
+    recorder = BudgetedRecorder(problem, budget, s_samples=s_samples)
     if budget > 0:
         try:
             optimizer = _build_optimizer(optimizer_id, recorder, seed, budget, overrides)
@@ -300,8 +290,6 @@ def run(
         except BudgetExhausted:
             pass
     return Trajectory(
-        optimizer_id=optimizer_id,
-        seed=seed,
         evaluations=recorder.used,
         e_last=recorder.e_last,
         r_last=recorder.r_last,

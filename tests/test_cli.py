@@ -162,6 +162,22 @@ class TestRun:
         assert "dimension must lie in [5, 15]" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("qcsso.subpopulations = 0", "subpopulations must be at least 1"),
+        ("qcsso.subpopulations = -5", "subpopulations must be at least 1"),
+        ("qcsso.leaders_per_chain = -1", "leaders_per_chain must be at least 0"),
+        ("pso.population = 0", "population must be at least 1"),
+        ("ssa.population = 0", "population must be at least 1"),
+    ])
+    def test_optimizer_setting_out_of_range_exits_2(self, tmp_path, capsys, line, message):
+        config = write_config(tmp_path, TINY_CONFIG + line + "\n")
+        argv = ["run", "--config", config, "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         argv = [
             "run", "--config", str(tmp_path / "missing.cfg"),

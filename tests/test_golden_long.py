@@ -38,8 +38,7 @@ def cell_line(case, optimizer_id: str) -> str:
         {"dimension": LONG.dimension, "change_frequency": frequency},
     )
     recorder = BudgetedRecorder(
-        problem, LONG.budget(),
-        s_samples=LONG.samples_per_window, collect_ratios=True,
+        problem, LONG.budget(), s_samples=LONG.samples_per_window
     )
     optimizer = _build_optimizer(
         optimizer_id, recorder,

@@ -99,7 +99,8 @@ class TestRecorder:
     def test_e_last_frozen_before_the_crossing_evaluation(self):
         # each crossing value beats the window it closes, yet stays out of it
         problem = ScriptedProblem(
-            [5.0, 3.0, 2.0, 9.0, 8.0, 0.5], frequency=3, optima=[0.0, 1.0]
+            [5.0, 3.0, 2.0, 9.0, 8.0, 0.5], frequency=3,
+            optima=[0.0, 1.0, 0.5],
         )
         rec = BudgetedRecorder(problem, budget=6)
         feed(rec, 6)
@@ -115,12 +116,19 @@ class TestRecorder:
         # the new window starts from the crossing value, not the old best
         assert rec.e_last == [2.0, 8.0]
 
+    def test_best_value_is_the_open_windows_best(self):
+        problem = ScriptedProblem([1.0, 9.0, 8.0], frequency=2, optima=[0.0, 0.0])
+        rec = BudgetedRecorder(problem, budget=3)
+        feed(rec, 3)
+        # the closed window's 1.0 is better, but belongs to another environment
+        assert rec.best_value == 8.0
+
     def test_ratio_sampling_offsets(self):
         problem = ScriptedProblem(
             [50.0, 80.0, 90.0, 100.0], frequency=4,
             optima=[100.0, 200.0], maximize=True,
         )
-        rec = BudgetedRecorder(problem, budget=4, s_samples=2, collect_ratios=True)
+        rec = BudgetedRecorder(problem, budget=4, s_samples=2)
         feed(rec, 4)
         # first window spans 3 evaluations, samples land at offsets 1 and 3
         assert rec.r_last == [0.9]
@@ -134,7 +142,7 @@ class TestRecorder:
             [50.0, 80.0, 90.0], frequency=2, optima=[100.0, 100.0],
             maximize=True,
         )
-        rec = BudgetedRecorder(problem, budget=3, s_samples=3, collect_ratios=True)
+        rec = BudgetedRecorder(problem, budget=3, s_samples=3)
         feed(rec, 3)
         assert rec.r_last == [0.5]
         assert rec.ratio_samples == [[0.5, 0.5, 0.5]]
@@ -144,7 +152,7 @@ class TestRecorder:
         # window would close with no row and no sample
         problem = ScriptedProblem([50.0], frequency=1, optima=[100.0], maximize=True)
         with pytest.raises(ConfigError, match="frequency of 1"):
-            BudgetedRecorder(problem, budget=1, s_samples=3, collect_ratios=True)
+            BudgetedRecorder(problem, budget=1, s_samples=3)
         with pytest.raises(ConfigError, match="frequency of 1"):
             BudgetedRecorder(problem, budget=1)
 
@@ -165,7 +173,7 @@ class TestRecorder:
             [50.0, 80.0, 90.0, 100.0], frequency=4,
             optima=[100.0, 200.0], maximize=True,
         )
-        rec = BudgetedRecorder(problem, budget=4, s_samples=2, collect_ratios=True)
+        rec = BudgetedRecorder(problem, budget=4, s_samples=2)
         feed(rec, 4)
         assert rec.trace == [(1, 50.0), (3, 10.0)]
 
@@ -173,7 +181,7 @@ class TestRecorder:
         problem = ScriptedProblem(
             [50.0, 80.0, 90.0], frequency=4, optima=[100.0], maximize=True
         )
-        rec = BudgetedRecorder(problem, budget=3, s_samples=2, collect_ratios=True)
+        rec = BudgetedRecorder(problem, budget=3, s_samples=2)
         feed(rec, 3)
         assert rec.trace == []
         assert rec.ratio_samples == []
@@ -187,7 +195,7 @@ class TestRecorder:
         problem = ScriptedProblem(
             [worse, past, worse], frequency=10, optima=[100.0], maximize=maximize
         )
-        rec = BudgetedRecorder(problem, budget=3, s_samples=2, collect_ratios=True)
+        rec = BudgetedRecorder(problem, budget=3, s_samples=2)
         with pytest.raises(RuntimeError, match="exceeds 1"):
             rec.evaluate(np.zeros((3, 2)))
 
@@ -195,8 +203,6 @@ class TestRecorder:
         problem = ScriptedProblem([1.0])
         with pytest.raises(ConfigError):
             BudgetedRecorder(problem, budget=-1)
-        with pytest.raises(ConfigError):
-            BudgetedRecorder(problem, budget=5, collect_ratios=True)
         with pytest.raises(ConfigError):
             BudgetedRecorder(problem, budget=5, s_samples=0)
 
@@ -217,13 +223,22 @@ class TestRun:
             overrides=overrides,
         )
         assert traj.evaluations == 137
-        assert traj.optimizer_id == optimizer_id
 
     def test_zero_budget_runs_nothing(self):
         traj = run("qcsso", sphere_problem(), budget=0, seed=3)
         assert traj.evaluations == 0
         assert traj.e_last == []
         assert traj.best_value is None
+
+    def test_ratio_sampling_is_the_problems_own(self):
+        # ``collect_ratios`` may only restate whether the problem changes
+        changing = make_instance(
+            "F1(10)", "T1", 5, {"dimension": 5, "change_frequency": 100}
+        )
+        with pytest.raises(ConfigError, match="collect_ratios False differs"):
+            run("ssa_baseline", changing, 300, 3, collect_ratios=False)
+        with pytest.raises(ConfigError, match="collect_ratios True differs"):
+            run("ssa_baseline", sphere_problem(), 300, 3, collect_ratios=True)
 
     def test_unknown_optimizer(self):
         with pytest.raises(ConfigError, match="unknown optimizer"):
@@ -236,7 +251,7 @@ class TestRun:
         )
         traj = run(
             "qcsso", problem, budget=250, seed=4,
-            frequency=50, collect_ratios=True, s_samples=4,
+            frequency=50, s_samples=4,
             overrides=SMALL_QCSSO,
         )
         assert traj.evaluations == 250
@@ -257,7 +272,7 @@ class TestRun:
             )
             traj = run(
                 "ssa_baseline", problem, budget=300, seed=6,
-                frequency=60, collect_ratios=True, overrides=SMALL_POP,
+                frequency=60, overrides=SMALL_POP,
             )
             results.append(traj)
         assert results[0].e_last == results[1].e_last
@@ -272,7 +287,7 @@ class TestRun:
         )
         traj = run(
             "pso_baseline", problem, budget=windows * frequency, seed=9,
-            frequency=frequency, collect_ratios=True, s_samples=s_samples,
+            frequency=frequency, s_samples=s_samples,
             trace=True, overrides=SMALL_POP,
         )
         assert len(traj.trace) == windows * s_samples
@@ -290,7 +305,7 @@ class TestRun:
         )
         traj = run(
             "pso_baseline", problem, budget=90, seed=9, frequency=30,
-            collect_ratios=True, s_samples=5, overrides=SMALL_POP,
+            s_samples=5, overrides=SMALL_POP,
         )
         assert traj.trace == []
 
@@ -303,7 +318,7 @@ class TestRun:
         )
         traj = run(
             optimizer_id, problem, budget=600, seed=8,
-            frequency=200, collect_ratios=True, s_samples=4,
+            frequency=200, s_samples=4,
         )
         assert traj.evaluations == 600
         assert len(traj.e_last) == 3
@@ -322,7 +337,7 @@ class TestRun:
         )
         traj = run(
             optimizer_id, problem, budget=6 * frequency, seed=5,
-            frequency=frequency, collect_ratios=True, s_samples=4,
+            frequency=frequency, s_samples=4,
         )
         assert traj.evaluations == problem.eval_count == 6 * frequency
         assert len(traj.e_last) == 6
@@ -353,7 +368,7 @@ class TestRun:
             overrides={"dimension": "10", "change_frequency": str(frequency)},
         )
         run(optimizer_id, problem, budget=6 * frequency, seed=5,
-            collect_ratios=True, s_samples=4)
+            s_samples=4)
         assert problem.t == 6
         assert all(length == read for length, read, _ in offered)
         # some batches were stale: a change moved the dimension under them
@@ -366,8 +381,7 @@ class TestRun:
             "F1(10)", "T1", 5, {"dimension": 5, "change_frequency": 100}
         )
         with pytest.raises(ConfigError, match="frequency 200 differs"):
-            run("ssa_baseline", problem, 600, 3, s_samples=5, frequency=200,
-                collect_ratios=True)
+            run("ssa_baseline", problem, 600, 3, s_samples=5, frequency=200)
 
     def test_the_frequency_is_the_problems_own(self):
         trajectories = []
@@ -377,7 +391,7 @@ class TestRun:
             )
             trajectories.append(run(
                 "ssa_baseline", problem, 600, 3, s_samples=5,
-                frequency=frequency, collect_ratios=True, trace=True,
+                frequency=frequency, trace=True,
             ))
         taken, restated = trajectories
         assert len(taken.e_last) == 6
@@ -449,9 +463,7 @@ class TestBatchRecording:
                 function_id, kind, seed=31,
                 overrides={"dimension": "10", "change_frequency": "40"},
             )
-            rec = BudgetedRecorder(
-                problem, budget=230, s_samples=7, collect_ratios=True
-            )
+            rec = BudgetedRecorder(problem, budget=230, s_samples=7)
             # uneven batches cross single and double changes; the budget
             # cuts the last batch short
             values.append(self.drive(rec, (13, 50, 1, 64, 90, 50), by_rows))
@@ -470,9 +482,7 @@ class TestBatchRecording:
                 optima=[1.0, 0.5, 0.25] if not maximize else [9.0, 9.5, 10.0],
                 maximize=maximize,
             )
-            return BudgetedRecorder(
-                problem, budget=7, s_samples=2, collect_ratios=True
-            )
+            return BudgetedRecorder(problem, budget=7, s_samples=2)
 
         batched, looped = make(), make()
         with pytest.raises(BudgetExhausted):
@@ -487,10 +497,7 @@ class TestBatchRecording:
 
 class TestTrajectory:
     def test_serialize_layout(self):
-        traj = Trajectory(
-            optimizer_id="qcsso", seed=1, evaluations=2,
-            e_last=[0.125], trace=[(1, 0.5), (2, 0.25)],
-        )
+        traj = Trajectory(evaluations=2, e_last=[0.125], trace=[(1, 0.5), (2, 0.25)])
         assert traj.serialize() == (
             "eval_count,error\n"
             "1,0.5\n"
@@ -500,8 +507,5 @@ class TestTrajectory:
         )
 
     def test_serialize_uses_full_precision(self):
-        traj = Trajectory(
-            optimizer_id="qcsso", seed=1, evaluations=1,
-            e_last=[0.1 + 0.2], trace=[],
-        )
+        traj = Trajectory(evaluations=1, e_last=[0.1 + 0.2], trace=[])
         assert "0,0.30000000000000004" in traj.serialize()
