@@ -105,6 +105,7 @@ class GdbgInstance(DynamicObjective):
         self.t = 0
         self.eval_count = 0
         self.frequency = config.resolved_frequency()
+        self.maximize = function_id.startswith("F1")
         self._walk = DimensionWalk(config.dimension)
         # the best row scored in this environment (module docstring)
         self._memo_row = b""
@@ -162,10 +163,6 @@ class GdbgInstance(DynamicObjective):
 
     def bounds(self) -> tuple[float, float]:
         return SEARCH_LOWER, SEARCH_UPPER
-
-    @property
-    def maximize(self) -> bool:
-        return self.function_id.startswith("F1")
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Score ``xs`` in the current environment (module docstring)."""

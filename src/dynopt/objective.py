@@ -24,6 +24,7 @@ class DynamicObjective(abc.ABC):
     """Minimal contract between a (possibly changing) problem and a solver."""
 
     frequency = 0  # evaluations per environment; 0 is one environment
+    maximize = False  # the sense, fixed for the objective's life
 
     @abc.abstractmethod
     def dimension(self) -> int:
@@ -44,10 +45,6 @@ class DynamicObjective(abc.ABC):
     @abc.abstractmethod
     def optimum_value(self) -> float:
         """Objective value of the current global optimum."""
-
-    @property
-    def maximize(self) -> bool:
-        return False
 
 
 def as_rows(xs: np.ndarray) -> np.ndarray:

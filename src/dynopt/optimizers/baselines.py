@@ -37,20 +37,10 @@ class SsaBaseline(SwarmBase):
 
     config_type = SsaConfig
 
-    def __init__(
-        self,
-        problem: DynamicObjective,
-        seed: int,
-        budget: int,
-        config: SsaConfig | None = None,
-    ) -> None:
-        super().__init__(problem, seed, budget, config)
-        self._members = np.arange(self.n).reshape(1, self.n)  # one chain
-
     def move(self) -> None:
         l_eff = min(self.l_window, self.max_iterations)
         rules.salp_chain(
-            self.positions, self._members, self.food_position,
+            self.positions.reshape(1, self.n, self.dim), self.food_position,
             self.lower, self.upper,
             rules.salp_coefficient(l_eff, self.max_iterations), self.rng,
         )

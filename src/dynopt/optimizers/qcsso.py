@@ -125,7 +125,7 @@ class Qcsso(SwarmBase):
     def ssa_bootstrap(self) -> None:
         """Classic salp chain rules, used on the first iteration of a window."""
         rules.salp_chain(
-            self.positions, self._chains, self.food_position,
+            self.positions.reshape(self.k, self.chain, self.dim), self.food_position,
             self.lower, self.upper,
             rules.salp_coefficient(self.l_window, self.max_iterations), self.rng,
         )
@@ -149,10 +149,8 @@ class Qcsso(SwarmBase):
         block = self.rng.random((k, (5 * heads + 2 * (chain - heads)) * dim))
         head_draws = block[:, : 5 * heads * dim].reshape(k, heads, 5, dim)
         follower_draws = block[:, 5 * heads * dim :].reshape(k, chain - heads, 2, dim)
-        d1, d2 = (
-            np.concatenate([head_draws[:, :, j], follower_draws[:, :, j]], axis=1)
-            for j in (0, 1)
-        )
+        pair_draws = np.concatenate([head_draws[:, :, :2], follower_draws], axis=1)
+        d1, d2 = pair_draws[:, :, 0], pair_draws[:, :, 1]
 
         x = self.positions.reshape(k, chain, dim)
         attractor = rules.local_attractor(x, self.food_position, d1, d2)

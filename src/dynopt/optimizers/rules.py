@@ -80,16 +80,17 @@ def _rank_scales(chain: int) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-def salp_chain(positions, members, food, lower, upper, c1, rng) -> None:
-    """Classic salp chain move of several chains, in place on ``positions``.
+def salp_chain(chains, food, lower, upper, c1, rng) -> None:
+    """Classic salp chain move of several chains, in place on ``chains``.
 
-    ``members`` is a ``(k, chain)`` index matrix, one row per chain (a
-    flat sequence is one chain).  Each leader ``members[:, 0]`` lands at
-    ``food ± c1 * ((upper - lower) * c2 + lower)``, adding where the side
-    coin is at least 0.5; each follower then averages its position with
-    its already moved predecessor, ``x_i <- (x_{i-1} + x_i) / 2``, one
-    rank at a time.  The draws are one ``(k, 2, dim)`` block: per chain
-    c2, then the side coin, which is the stream of k single-chain calls.
+    ``chains`` is a ``(k, chain, dim)`` array, one chain per row, such as
+    a ``reshape`` view of a swarm's positions.  Each leader
+    ``chains[:, 0]`` lands at ``food ± c1 * ((upper - lower) * c2 + lower)``,
+    adding where the side coin is at least 0.5; each follower then
+    averages its position with its already moved predecessor,
+    ``x_i <- (x_{i-1} + x_i) / 2``, one rank at a time.  The draws are one
+    ``(k, 2, dim)`` block: per chain c2, then the side coin, which is the
+    stream of k single-chain calls.
 
     The averaging runs as one accumulate: with rank i scaled by
     2^max(i-1, 0), the running sum at rank i is 2^i times the averaged
@@ -100,17 +101,15 @@ def salp_chain(positions, members, food, lower, upper, c1, rng) -> None:
     is subnormal and rounds) or a scaled sum overflows, which takes chains
     of ~1000 members.
     """
-    members = np.atleast_2d(members)
-    draws = rng.random((members.shape[0], 2) + np.shape(food))
+    draws = rng.random((chains.shape[0], 2) + np.shape(food))
     c2, side = draws[:, 0], draws[:, 1] >= 0.5
     step = c1 * ((upper - lower) * c2 + lower)
-    ranks = positions[members.T]  # (chain, k, dim): one slab per rank
+    ranks = chains.swapaxes(0, 1)  # (chain, k, dim): one slab per rank
     ranks[0] = np.where(side, food + step, food - step)
     up, down = _rank_scales(ranks.shape[0])
     ranks *= up
     np.add.accumulate(ranks, axis=0, out=ranks)
     ranks *= down
-    positions[members.T] = ranks
 
 
 def local_attractor(x, food, d1, d2):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +29,6 @@ _OPTIMIZERS = {
 OPTIMIZER_IDS = tuple(_OPTIMIZERS)
 
 RATIO_DUST = 1e-9
-_COUNT = itemgetter(0)  # the evaluation of a sample pair
 
 
 def _ratio(best: float, optimum: float, maximize: bool) -> float:
@@ -68,7 +66,7 @@ class BudgetedRecorder:
     sampled ratios to ``ratio_samples`` and the ``(evaluation, error)``
     pairs to ``trace``, which is bounded by windows x samples.  A problem
     that never changes has one window, so its ``best_value`` is the best
-    of the whole run.
+    of the whole run.  The problem's sense, ``maximize``, is read once.
 
     Under T7 a change also moves the dimension, usually in the middle of
     a population sweep, and with short windows two changes can fall
@@ -90,6 +88,10 @@ class BudgetedRecorder:
         if s_samples < 1:
             raise ConfigError("s_samples must be at least 1")
         self.problem = problem
+        self.maximize = problem.maximize
+        # the sense's elementwise best: its ``reduce`` takes a segment's
+        # best and its ``accumulate`` the running best a sample point reads
+        self._best = np.maximum if self.maximize else np.minimum
         self.budget = int(budget)
         self.frequency = int(problem.frequency)
         self.s_samples = int(s_samples)
@@ -104,8 +106,8 @@ class BudgetedRecorder:
         # the evaluation on which the next change fires; past the budget
         # when the problem never changes
         self._next_change = self.frequency or self.budget + 1
-        # the open window's record, with ``best_value`` and the
-        # ``(evaluation, best)`` sample pairs that ``_open_window`` sets
+        # the open window's record, with ``best_value``, the evaluations
+        # of its sample points and their bests that ``_open_window`` sets
         self._optimum = 0.0
         self._ratio = 0.0
         self._open_window(start=1, width=self.frequency - 1)
@@ -119,10 +121,6 @@ class BudgetedRecorder:
     def bounds(self) -> tuple[float, float]:
         return self.problem.bounds()
 
-    @property
-    def maximize(self) -> bool:
-        return self.problem.maximize
-
     # -- the clock ------------------------------------------------------
 
     def _open_window(self, start: int, width: int) -> None:
@@ -132,10 +130,13 @@ class BudgetedRecorder:
         that reaches it; a problem that never changes samples nothing.
         """
         self.best_value: float | None = None
-        self._samples: list[tuple[int, float | None]] = [
-            (start + max((s * width) // self.s_samples - 1, 0), None)
+        self._sample_at: list[int] = [
+            start + max((s * width) // self.s_samples - 1, 0)
             for s in range(1, self.s_samples + 1)
         ] if self.frequency else []
+        # the bests of the points reached so far, so the next unfilled
+        # point is ``_sample_at[len(_sampled)]``
+        self._sampled: list[float] = []
 
     def _close_window(self) -> None:
         # a window holds at least one row (the frequency is at least 2),
@@ -144,9 +145,12 @@ class BudgetedRecorder:
         self.e_last.append(abs(self.best_value - optimum))
         self.r_last.append(self._ratio)
         self.ratio_samples.append(
-            [_ratio(best, optimum, maximize) for _, best in self._samples]
+            [_ratio(best, optimum, maximize) for best in self._sampled]
         )
-        self.trace += [(count, abs(best - optimum)) for count, best in self._samples]
+        self.trace += [
+            (count, abs(best - optimum))
+            for count, best in zip(self._sample_at, self._sampled)
+        ]
         self._open_window(start=self.used + 1, width=self.frequency)
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
@@ -186,30 +190,31 @@ class BudgetedRecorder:
         first = self.used + 1
         self.used += k
 
-        # a window is one environment, so its optimum is read once;
-        # ``running[i + 1]`` is the window's best up to and including row i
+        # a window is one environment, so its optimum is read once
         fresh = self.best_value is None
         if fresh:
             self._optimum = float(self.problem.optimum_value())
-        running = np.empty(k + 1)
-        running[0] = values[0] if fresh else self.best_value
-        running[1:] = values
-        (np.maximum if self.maximize else np.minimum).accumulate(running, out=running)
-        best = float(running[-1])
+        start = values[0] if fresh else self.best_value
+        at, filled = self._sample_at, len(self._sampled)
+        if filled < len(at) and at[filled] <= self.used:
+            # a sample point takes the window's best after its row:
+            # ``running[i + 1]`` is the window's best up to and including row i
+            running = np.empty(k + 1)
+            running[0] = start
+            running[1:] = values
+            self._best.accumulate(running, out=running)
+            reached = at[filled:bisect.bisect_right(at, self.used, filled)]
+            self._sampled += running[np.array(reached) - (first - 1)].tolist()
+            best = float(running[-1])
+        else:
+            # the reduction equals the accumulate's last element, NaN included
+            best = float(self._best.reduce(values, initial=start))
         if best != self.best_value:
             # the best only moves toward the optimum, so the segment's last
             # best carries its largest ratio and is the one the guard checks
             self.best_value = best
             if self.frequency:
                 self._ratio = _ratio(best, self._optimum, self.maximize)
-
-        # a sample point takes the window's best after its row
-        lo = bisect.bisect_left(self._samples, first, key=_COUNT)
-        hi = bisect.bisect_right(self._samples, self.used, key=_COUNT)
-        if lo < hi:
-            counts = [count for count, _ in self._samples[lo:hi]]
-            sampled = running[np.array(counts) - (first - 1)].tolist()
-            self._samples[lo:hi] = zip(counts, sampled)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dynopt.gdbg.instance import make_instance
 from dynopt.optimizers.base import SwarmBase, clip_in_place
 from dynopt.optimizers.baselines import (
     PsoBaseline,
@@ -13,7 +14,7 @@ from dynopt.optimizers.baselines import (
     SsaConfig,
 )
 from dynopt.optimizers.qcsso import Qcsso
-from dynopt.optimizers.runner import _OPTIMIZERS, OPTIMIZER_IDS
+from dynopt.optimizers.runner import _OPTIMIZERS, OPTIMIZER_IDS, BudgetedRecorder
 
 from conftest import (
     FakeRng,
@@ -202,6 +203,23 @@ class TestSkeleton:
         # the derived evaluations per iteration fill the window
         spent = sum(problem.sizes)
         assert spent * opt.max_iterations <= 1000 < spent * (opt.max_iterations + 1)
+
+    @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
+    def test_positions_stay_c_contiguous(self, optimizer_id):
+        """The salp chain moves a ``reshape`` view of ``positions`` in place,
+        which is a view only while the array is C-contiguous."""
+        problem = BudgetedRecorder(
+            make_instance("F1(10)", "T7", 3, {"dimension": "5", "change_frequency": "150"}),
+            budget=10**5,
+        )
+        opt = _OPTIMIZERS[optimizer_id](problem, seed=4, budget=10**5)
+        assert opt.positions.flags.c_contiguous
+        opt.iterate()
+        assert opt.positions.flags.c_contiguous
+        while opt.dim == 5:  # until a T7 change has moved the dimension
+            opt.iterate()
+        assert opt.positions.flags.c_contiguous
+        assert opt.positions.shape == (opt.n, problem.dimension())
 
     @pytest.mark.parametrize("optimizer_id", ["ssa_baseline", "pso_baseline"])
     def test_baselines_flag_a_detected_change(self, optimizer_id):

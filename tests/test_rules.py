@@ -173,22 +173,20 @@ class TestArrayForms:
             assert jump.tobytes() == moved[idx].tobytes()
 
 
-def salp_chain_by_ranks(positions, members, food, lower, upper, c1, rng):
+def salp_chain_by_ranks(chains, food, lower, upper, c1, rng):
     """The salp chain averaged one rank at a time, as a loop would.
 
     ``rules.salp_chain`` folds the averaging into one scaled accumulate;
     it must reproduce this loop bit for bit.
     """
-    members = np.atleast_2d(members)
-    draws = rng.random((members.shape[0], 2) + np.shape(food))
+    draws = rng.random((chains.shape[0], 2) + np.shape(food))
     c2, side = draws[:, 0], draws[:, 1] >= 0.5
     step = c1 * ((upper - lower) * c2 + lower)
-    ranks = positions[members.T]
-    ranks[0] = np.where(side, food + step, food - step)
-    for prev, cur in zip(ranks, ranks[1:]):
-        cur += prev
+    chains[:, 0] = np.where(side, food + step, food - step)
+    for rank in range(1, chains.shape[1]):
+        cur = chains[:, rank]
+        cur += chains[:, rank - 1]
         cur /= 2.0
-    positions[members.T] = ranks
 
 
 def random_chain_start(rng, n, dim, kind):
@@ -208,9 +206,6 @@ class TestSalpChain:
         for trial in range(3000):
             k, chain, dim = (int(v) for v in rng.integers([1, 1, 1], [7, 65, 16]))
             start = random_chain_start(rng, k * chain, dim, trial % 3)
-            members = rng.permutation(k * chain).reshape(k, chain)
-            if k == 1 and trial % 2:
-                members = members[0]  # a flat sequence is one chain
             food = rng.uniform(-5.0, 5.0, size=dim)
             if trial % 4:
                 lower, upper = -5.0, 5.0
@@ -220,18 +215,13 @@ class TestSalpChain:
             seed = int(rng.integers(1 << 31))
             got, want = start.copy(), start.copy()
             rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-            rules.salp_chain(got, members, food, lower, upper, c1, rng_got)
-            salp_chain_by_ranks(want, members, food, lower, upper, c1, rng_want)
+            # the chains are views: the moves land in the (k * chain, dim) swarms
+            rules.salp_chain(got.reshape(k, chain, dim), food, lower, upper, c1, rng_got)
+            salp_chain_by_ranks(
+                want.reshape(k, chain, dim), food, lower, upper, c1, rng_want
+            )
             assert got.tobytes() == want.tobytes(), (k, chain, dim)
             assert rng_got.bit_generator.state == rng_want.bit_generator.state
-
-    def test_members_outside_the_chains_are_untouched(self):
-        start = np.random.default_rng(3).uniform(-5.0, 5.0, size=(9, 2))
-        positions = start.copy()
-        rules.salp_chain(positions, [[4, 0, 7]], np.zeros(2), -5.0, 5.0, 1.0,
-                         np.random.default_rng(4))
-        others = [1, 2, 3, 5, 6, 8]
-        assert positions[others].tobytes() == start[others].tobytes()
 
     def test_coefficient_anchors(self):
         assert rules.salp_coefficient(0, 10) == 2.0
@@ -241,7 +231,7 @@ class TestSalpChain:
         positions = np.array([[0.0], [5.0], [9.0]])
         rng = FakeRng(random=[0.6, 0.7])
         rules.salp_chain(
-            positions, [0, 1, 2], np.array([1.0]),
+            positions.reshape(1, 3, 1), np.array([1.0]),
             np.array([-5.0]), np.array([5.0]), 2.0, rng,
         )
         # step = 2 * (10 * 0.6 - 5) = 2, and side 0.7 >= 0.5 adds it
@@ -250,13 +240,12 @@ class TestSalpChain:
 
     def test_k_chains_equal_k_single_chain_calls(self):
         start = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 3))
-        members = np.random.default_rng(6).permutation(12).reshape(3, 4)
         food, lower, upper = np.array([0.5, -1.0, 2.0]), np.full(3, -5.0), np.full(3, 5.0)
         lockstep, one_by_one = start.copy(), start.copy()
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        rules.salp_chain(lockstep, members, food, lower, upper, 0.8, rng_a)
-        for row in members:
-            rules.salp_chain(one_by_one, row, food, lower, upper, 0.8, rng_b)
+        rules.salp_chain(lockstep.reshape(3, 4, 3), food, lower, upper, 0.8, rng_a)
+        for chain in one_by_one.reshape(3, 1, 4, 3):
+            rules.salp_chain(chain, food, lower, upper, 0.8, rng_b)
         assert lockstep.tobytes() == one_by_one.tobytes()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 

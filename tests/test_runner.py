@@ -162,6 +162,17 @@ class TestRecorder:
         feed(rec, 3)
         assert rec.e_last == []
 
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_a_nan_row_holds_the_best_as_a_running_best_does(self, maximize):
+        # a segment's best is the last element of the window's running best,
+        # which keeps a NaN once it has met one
+        problem = ScriptedProblem([1.0, np.nan, 0.5, 2.0], maximize=maximize)
+        rec = BudgetedRecorder(problem, budget=4)
+        rec.evaluate(np.zeros((3, 2)))
+        assert np.isnan(rec.best_value)
+        rec.evaluate(np.zeros((1, 2)))
+        assert np.isnan(rec.best_value)
+
     def test_no_best_value_without_any_evaluation(self):
         rec = BudgetedRecorder(ScriptedProblem([1.0]), budget=1)
         assert rec.best_value is None
