@@ -3,8 +3,10 @@
 Verbs:
 
 * ``list``: print every benchmark case id, one per line.
-* ``run``: execute an experiment and write CSV artifacts to ``--out``.
-* ``score``: recompute case scores from the raw tables in ``--out``.
+* ``run``: execute an experiment, writing each cell's raw table to ``--out``
+  as the cell finishes, then the summary tables.
+* ``score``: rewrite the summary tables (``errors_*.csv``, ``scores.csv``)
+  from the raw tables in ``--out``.
 * ``selftest``: a known-answer run: print the numeric environment and exit
   1 unless the golden grid's results hash to the digest recorded here.
 
@@ -16,6 +18,7 @@ file, else the default 12345.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 from pathlib import Path
@@ -23,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from dynopt.errors import ConfigError, DimensionMismatch
-from dynopt.harness import csvio, stats
+from dynopt.harness import csvio
 from dynopt.harness.cases import all_cases
-from dynopt.harness.experiment import ExperimentConfig, run_experiment, run_single
+from dynopt.harness.experiment import ExperimentConfig, run_experiment
 from dynopt.overrides import parse_config_text
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,15 +99,13 @@ def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _write_scores(out_dir: Path, weights: dict[str, float]) -> tuple[dict, dict]:
-    """Score the raw tables in ``out_dir`` and write its ``scores.csv``."""
-    scores = csvio.recompute_scores(out_dir)
-    overall = {
-        optimizer_id: stats.overall_score(per_case, weights)
-        for optimizer_id, per_case in scores.items()
-    }
+def _write_summary(out_dir: Path, weights: dict[str, float]) -> tuple[list, dict, dict]:
+    """Write ``errors_*.csv`` and ``scores.csv`` from every raw table in ``out_dir``."""
+    result = csvio.read_results(out_dir)
+    scores, overall = result.scores(), result.overall(weights)
+    tables = csvio.write_errors_tables(out_dir, result)
     csvio.write_scores(out_dir, scores, overall)
-    return scores, overall
+    return tables, scores, overall
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -117,16 +118,16 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(config)
-    error_tables = csvio.write_errors_tables(out_dir, result)
-    raw_tables = csvio.write_raw_tables(out_dir, result)
-    if config.trace:
-        csvio.write_trajectories(out_dir, result)
-    _, overall = _write_scores(out_dir, weights)
+    # closed on any error, so the pool cancels the runs not yet started
+    with contextlib.closing(run_experiment(config)) as cells:
+        for cell in cells:
+            csvio.write_raw_table(out_dir, cell)
+            csvio.write_cell_trajectories(out_dir, cell)
+    error_tables, _, overall = _write_summary(out_dir, weights)
     print(f"ran {len(cases)} case(s) x {len(config.optimizers)} optimizer(s) "
           f"x {config.runs} run(s), budget {config.budget()} evaluations each")
-    print(f"wrote {len(error_tables)} error table(s), {len(raw_tables)} raw "
-          f"table(s), scores.csv in {out_dir}")
+    print(f"wrote {len(error_tables)} error table(s), "
+          f"{len(cases) * len(config.optimizers)} raw table(s), scores.csv in {out_dir}")
     for optimizer_id, value in overall.items():
         print(f"OVERALL {optimizer_id} {value:.4f}")
     return 0
@@ -138,7 +139,7 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except ConfigError as exc:
         parser.error(str(exc))
 
-    scores, overall = _write_scores(Path(args.out), weights)
+    _, scores, overall = _write_summary(Path(args.out), weights)
     case_order = [c.case_id for c in all_cases()]
     for optimizer_id, per_case in scores.items():
         for case_id in sorted(per_case, key=case_order.index):
@@ -163,18 +164,13 @@ GOLDEN_ENVIRONMENT = {
 }
 
 
-def cell_line(case, optimizer_id: str) -> str:
-    """One grid cell: its before-change errors and ratios as ``repr`` text."""
-    trajectory = run_single(GRID, case, optimizer_id, 0)
-    values = [*trajectory.e_last, *trajectory.r_last]
-    return ",".join([case.case_id, optimizer_id, *map(repr, values)])
-
-
 def grid_text() -> str:
+    """One line per grid cell: its before-change errors and ratios as ``repr``."""
     return "".join(
-        cell_line(case, opt) + "\n"
-        for case in GRID.selected_cases()
-        for opt in GRID.optimizers
+        ",".join([cell.case.case_id, cell.optimizer_id,
+                  *map(repr, [*cell.errors[0].tolist(), *cell.r_last[0].tolist()])])
+        + "\n"
+        for cell in run_experiment(GRID)
     )
 
 

@@ -1,19 +1,23 @@
 """CSV export and import for experiment results.
 
-Three artifact kinds live in an output directory:
+Four artifact kinds live in an output directory:
 
+* ``raw_<family>_<type>_<optimizer>.csv``: every window close of every run
+  of one cell at full precision; every summary is derived from these.
+* ``trajectory_<family>_<type>_<optimizer>_run<k>.csv``: with tracing on,
+  one run's best error at each ratio-sample point, then its window closes.
 * ``errors_<family>.csv``: the four error statistics per optimizer and
   change type, in 2-digit scientific notation.
-* ``raw_<family>_<type>_<optimizer>.csv``: every window close of every run
-  at full precision, enough to recompute scores exactly.
 * ``scores.csv``: per-case scores plus one weighted overall row per
   optimizer.
 
-All files are UTF-8 with LF line endings, written deterministically.
+All files are UTF-8 with LF line endings, written deterministically, each
+whole or not at all: through a sibling ``.part`` file that replaces it.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 from typing import Mapping
@@ -26,9 +30,10 @@ from dynopt.harness import stats
 from dynopt.harness.cases import (
     CHANGE_LABELS,
     WEIGHT_TABLES,
+    Case,
     all_cases,
 )
-from dynopt.harness.experiment import CaseResult, ExperimentResult
+from dynopt.harness.experiment import CaseResult, ExperimentResult, optimizer_order
 from dynopt.overrides import parse_config_text
 
 STAT_ROWS = ("Avg.Best", "Avg.Worst", "Avg.Mean", "STD")
@@ -50,8 +55,11 @@ def format_error(value: float) -> str:
     return f"{value:.2E}"
 
 
-def _write_lines(path: Path, lines: list[str]) -> Path:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write(path: Path, text: str) -> Path:
+    """Write ``text`` to a sibling ``.part`` file, then move it over ``path``."""
+    part = path.with_name(path.name + ".part")
+    part.write_text(text, encoding="utf-8")
+    os.replace(part, path)
     return path
 
 
@@ -71,17 +79,13 @@ def trajectory_filename(
 
 
 def write_errors_tables(out_dir: Path, result: ExperimentResult) -> list[Path]:
-    """One statistics table per landscape family that was run."""
-    out_dir = Path(out_dir)
-    function_ids: list[str] = []
-    for case_id in result.case_ids():
-        fid = case_id.split(":")[0]
-        if fid not in function_ids:
-            function_ids.append(fid)
+    """One statistics table per landscape family, optimizers in registry order."""
+    families = {cell.case.function_id for cell in result.results.values()}
+    optimizers = optimizer_order({opt for _, opt in result.results})
     written = []
-    for fid in function_ids:
+    for fid in (fid for fid in FUNCTION_IDS if fid in families):
         lines = ["algorithm,stat," + ",".join(CHANGE_LABELS)]
-        for optimizer_id in result.config.optimizers:
+        for optimizer_id in optimizers:
             rows = {stat: [] for stat in STAT_ROWS}
             for label in CHANGE_LABELS:
                 cell = result.results.get((f"{fid}:{label}", optimizer_id))
@@ -90,7 +94,8 @@ def write_errors_tables(out_dir: Path, result: ExperimentResult) -> list[Path]:
                     rows[stat].append(format_error(values[stat]) if values else "")
             for stat in STAT_ROWS:
                 lines.append(f"{optimizer_id},{stat}," + ",".join(rows[stat]))
-        written.append(_write_lines(out_dir / errors_filename(fid), lines))
+        path = Path(out_dir) / errors_filename(fid)
+        written.append(_write(path, "\n".join(lines) + "\n"))
     return written
 
 
@@ -118,7 +123,21 @@ def write_raw_table(out_dir: Path, case_result: CaseResult) -> Path:
     path = Path(out_dir) / raw_filename(
         case.function_id, case.change_type, case_result.optimizer_id
     )
-    return _write_lines(path, lines)
+    return _write(path, "\n".join(lines) + "\n")
+
+
+def write_cell_trajectories(out_dir: Path, case_result: CaseResult) -> list[Path]:
+    """One cell's serialized runs; only present when tracing was on."""
+    case, optimizer_id = case_result.case, case_result.optimizer_id
+    return [
+        _write(
+            Path(out_dir) / trajectory_filename(
+                case.function_id, case.change_type, optimizer_id, run_index
+            ),
+            trajectory.serialize(),
+        )
+        for run_index, trajectory in enumerate(case_result.trajectories or ())
+    ]
 
 
 def write_raw_tables(out_dir: Path, result: ExperimentResult) -> list[Path]:
@@ -129,20 +148,11 @@ def write_raw_tables(out_dir: Path, result: ExperimentResult) -> list[Path]:
 
 
 def write_trajectories(out_dir: Path, result: ExperimentResult) -> list[Path]:
-    """Serialized per-run trajectories; only present when tracing was on."""
-    written = []
-    for case_result in result.results.values():
-        if not case_result.trajectories:
-            continue
-        case = case_result.case
-        for run_index, trajectory in enumerate(case_result.trajectories):
-            path = Path(out_dir) / trajectory_filename(
-                case.function_id, case.change_type,
-                case_result.optimizer_id, run_index,
-            )
-            path.write_text(trajectory.serialize(), encoding="utf-8")
-            written.append(path)
-    return written
+    return [
+        path
+        for case_result in result.results.values()
+        for path in write_cell_trajectories(out_dir, case_result)
+    ]
 
 
 def write_scores(
@@ -163,7 +173,7 @@ def write_scores(
                 lines.append(f"{case_id},{optimizer_id},{per_case[case_id]:.6f}")
     for optimizer_id, value in overall.items():
         lines.append(f"OVERALL,{optimizer_id},{value:.4f}")
-    return _write_lines(Path(out_dir) / "scores.csv", lines)
+    return _write(Path(out_dir) / "scores.csv", "\n".join(lines) + "\n")
 
 
 def scan_raw_files(out_dir: Path) -> list[tuple[str, str, str, Path]]:
@@ -188,7 +198,7 @@ def read_raw_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if header[:4] != ["run", "change", "E_last", "r_last"]:
         raise ConfigError(f"raw table {path} has unexpected header {lines[0]!r}")
     s_count = len(header) - 4
-    records: dict[tuple[int, int], tuple[float, float, list[float]]] = {}
+    records: dict[tuple[int, int], list[float]] = {}  # E_last, r_last, samples
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 4 + s_count:
@@ -198,53 +208,37 @@ def read_raw_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ConfigError(f"raw table {path} has a negative index: {line!r}")
         if key in records:
             raise ConfigError(f"raw table {path} repeats a row: {line!r}")
-        records[key] = (
-            float(cells[2]),
-            float(cells[3]),
-            [float(v) for v in cells[4:]],
-        )
+        records[key] = [float(v) for v in cells[2:]]
     if not records:
         raise ConfigError(f"raw table {path} has no data rows")
     runs = max(key[0] for key in records) + 1
     changes = max(key[1] for key in records) + 1
     if len(records) != runs * changes:
         raise ConfigError(f"raw table {path} is missing rows")
-    errors = np.empty((runs, changes))
-    r_last = np.empty((runs, changes))
-    samples = np.empty((runs, changes, s_count))
-    for (run_index, change_index), (err, ratio, row) in records.items():
-        errors[run_index, change_index] = err
-        r_last[run_index, change_index] = ratio
-        samples[run_index, change_index] = row
-    return errors, r_last, samples
+    table = np.empty((runs, changes, 2 + s_count))
+    for (run_index, change_index), row in records.items():
+        table[run_index, change_index] = row
+    # contiguous copies, so every reduction sums as over the written arrays
+    return table[..., 0].copy(), table[..., 1].copy(), table[..., 2:].copy()
 
 
-def optimizer_order(optimizer_ids) -> list[str]:
-    """Known optimizers in their registry order, then any others by name."""
-    from dynopt.optimizers.runner import OPTIMIZER_IDS
-
-    def key(opt: str):
-        try:
-            return (0, OPTIMIZER_IDS.index(opt), opt)
-        except ValueError:
-            return (1, 0, opt)
-
-    return sorted(optimizer_ids, key=key)
-
-
-def recompute_scores(out_dir: Path) -> dict[str, dict[str, float]]:
-    """Rebuild per-case scores from the raw tables in a directory."""
+def read_results(out_dir: Path) -> ExperimentResult:
+    """Every raw table in a directory, read back into its cell."""
     found = scan_raw_files(out_dir)
     if not found:
         raise ConfigError(f"no raw tables found in {out_dir}")
-    grouped: dict[str, dict[str, float]] = {}
+    results = {}
     for function_id, change_type, optimizer_id, path in found:
-        _, r_last, samples = read_raw_table(path)
-        case_id = f"{function_id}:{change_type}"
-        grouped.setdefault(optimizer_id, {})[case_id] = stats.case_score(
-            r_last, samples
+        case = Case(function_id, change_type)
+        results[(case.case_id, optimizer_id)] = CaseResult(
+            case, optimizer_id, *read_raw_table(path)
         )
-    return {opt: grouped[opt] for opt in optimizer_order(grouped)}
+    return ExperimentResult(results)
+
+
+def recompute_scores(out_dir: Path) -> dict[str, dict[str, float]]:
+    """Per-case scores from the raw tables in a directory (the benchmark's call)."""
+    return read_results(out_dir).scores()
 
 
 def load_weight_table(spec: str) -> dict[str, float]:

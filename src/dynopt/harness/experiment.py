@@ -1,4 +1,4 @@
-"""Experiment orchestration: seeds, case grids, runs, and score assembly.
+"""Experiment orchestration: seeds, the case grid, and the runs of each cell.
 
 Every optimizer sees the same landscape sequence for a given case and run
 index, so comparisons are paired. Seeds are derived by hashing the case,
@@ -14,7 +14,7 @@ import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -188,19 +188,14 @@ class CaseResult:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
-    results: dict[tuple[str, str], CaseResult]
+    """Cells keyed by (case id, optimizer id), as read back from raw tables."""
 
-    def case_ids(self) -> list[str]:
-        seen = []
-        for case_id, _ in self.results:
-            if case_id not in seen:
-                seen.append(case_id)
-        return seen
+    results: dict[tuple[str, str], CaseResult]
+    config: ExperimentConfig | None = None  # not read here; the benchmark passes it
 
     def scores(self) -> dict[str, dict[str, float]]:
-        """Per optimizer: case id to case score."""
-        out: dict[str, dict[str, float]] = {opt: {} for opt in self.config.optimizers}
+        """Per optimizer, in registry order: case id to case score."""
+        out = {opt: {} for opt in optimizer_order({opt for _, opt in self.results})}
         for (case_id, optimizer_id), result in self.results.items():
             out[optimizer_id][case_id] = result.score()
         return out
@@ -212,6 +207,12 @@ class ExperimentResult:
         }
 
 
+def optimizer_order(optimizer_ids) -> list[str]:
+    """Known optimizers in their registry order, then any others by name."""
+    known = [opt for opt in OPTIMIZER_IDS if opt in optimizer_ids]
+    return known + sorted(set(optimizer_ids) - set(OPTIMIZER_IDS))
+
+
 @contextlib.contextmanager
 def _ordered_map(jobs: int):
     """The builtin ``map`` for one job, else a process pool's ordered map."""
@@ -221,26 +222,29 @@ def _ordered_map(jobs: int):
     # imported here: the pool pulls in multiprocessing, which one job never needs
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
         yield functools.partial(pool.map, chunksize=1)
+    finally:
+        # a consumer that stops early must not wait for the runs still queued
+        pool.shutdown(cancel_futures=True)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the whole case grid, optionally fanning runs out to processes.
+def run_experiment(config: ExperimentConfig) -> Iterator[CaseResult]:
+    """Run the case grid, yielding each (case, optimizer) cell in grid order.
 
-    Runs come back in task order, so each cell is assembled from the next
-    ``runs`` trajectories as soon as they arrive, whatever ``jobs`` is.
+    One ordered map covers every run of the grid, so a pool stays full
+    across cells, and each cell is the next ``runs`` trajectories whatever
+    ``jobs`` is. Closing the generator cancels the runs not yet started.
     """
-    cases = config.selected_cases()
-    if not cases:
-        raise ConfigError("case selection matched nothing")
-    tasks = list(itertools.product(cases, config.optimizers, range(config.runs)))
-    results: dict[tuple[str, str], CaseResult] = {}
+    tasks = list(itertools.product(
+        config.selected_cases(), config.optimizers, range(config.runs)
+    ))
     with _ordered_map(config.jobs) as ordered_map:
         trajectories = ordered_map(run_single, itertools.repeat(config), *zip(*tasks))
         for case, optimizer_id, _ in tasks[:: config.runs]:
             runs = list(itertools.islice(trajectories, config.runs))
-            results[(case.case_id, optimizer_id)] = CaseResult(
+            yield CaseResult(
                 case=case,
                 optimizer_id=optimizer_id,
                 errors=np.array([t.e_last for t in runs], dtype=float),
@@ -248,4 +252,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 samples=np.array([t.ratio_samples for t in runs], dtype=float),
                 trajectories=runs if config.trace else None,
             )
-    return ExperimentResult(config=config, results=results)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dynopt.errors import DimensionMismatch
+from dynopt.harness.experiment import ExperimentResult, run_experiment
 from dynopt.objective import DynamicObjective, as_rows
 
 
@@ -163,6 +164,13 @@ class SwitchableProblem(DynamicObjective):
 def evaluate_one(problem, x) -> float:
     """Value of the one point ``x``, scored as a one-row batch."""
     return float(problem.evaluate(np.asarray(x, dtype=float)[None, :])[0])
+
+
+def collect_cells(config) -> ExperimentResult:
+    """Every cell ``run_experiment`` yields, keyed by (case id, optimizer id)."""
+    return ExperimentResult({
+        (cell.case.case_id, cell.optimizer_id): cell for cell in run_experiment(config)
+    })
 
 
 def sphere_problem(dimension=5, lower=-5.0, upper=5.0, **kwargs) -> StaticFunctionProblem:

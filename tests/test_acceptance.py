@@ -15,7 +15,7 @@ import pytest
 from dynopt.gdbg.instance import make_instance
 from dynopt.gdbg.rotation import paired_rotation
 from dynopt.harness import stats
-from dynopt.harness.experiment import ExperimentConfig, run_experiment
+from dynopt.harness.experiment import ExperimentConfig
 from dynopt.optimizers.qcsso import Qcsso, QcssoConfig
 from dynopt.optimizers.rules import (
     contraction_expansion,
@@ -26,7 +26,7 @@ from dynopt.optimizers.rules import (
 from dynopt.optimizers.runner import run
 from dynopt.cli import main as cli_main
 
-from conftest import StaticFunctionProblem, evaluate_one
+from conftest import StaticFunctionProblem, collect_cells, evaluate_one
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -246,7 +246,7 @@ def test_criterion_6_beats_baselines_at_desk_scale():
         dimension=10,
         seed=12345,
     )
-    outcome = run_experiment(config)
+    outcome = collect_cells(config)
     means = {
         optimizer_id: stats.average_mean(
             outcome.results[("F1(10):T1", optimizer_id)].errors

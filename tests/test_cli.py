@@ -11,6 +11,7 @@ import pytest
 import dynopt
 from dynopt import cli
 from dynopt.cli import main
+from dynopt.harness import experiment
 
 TINY_CONFIG = """\
 # small desk check
@@ -194,6 +195,57 @@ class TestRun:
         assert excinfo.value.code == 2
 
 
+class TestCellWrites:
+    def test_a_failed_cell_leaves_the_earlier_cells_on_disk(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def argv(out_name):
+            return [
+                "run", "--config", write_config(tmp_path),
+                "--out", str(tmp_path / out_name), "--seed", "7",
+                "--case", "F1(10):T1", "--case", "F2:T1",
+                "--optimizer", "qcsso", "--optimizer", "pso_baseline",
+            ]
+
+        assert main(argv("clean")) == 0
+        real_run_single = experiment.run_single
+
+        def third_cell_fails(config, case, optimizer_id, run_index):
+            if (case.case_id, optimizer_id) == ("F2:T1", "qcsso"):
+                raise RuntimeError("the third cell failed")
+            return real_run_single(config, case, optimizer_id, run_index)
+
+        monkeypatch.setattr(experiment, "run_single", third_cell_fails)
+        capsys.readouterr()
+        assert main(argv("failed")) == 1
+        assert "error: the third cell failed" in capsys.readouterr().err
+        # no later raw table, no summary and no ``.part`` file
+        written = sorted(p.name for p in (tmp_path / "failed").iterdir())
+        assert written == ["raw_F1_10_T1_pso_baseline.csv", "raw_F1_10_T1_qcsso.csv"]
+        for name in written:
+            clean = (tmp_path / "clean" / name).read_bytes()
+            assert (tmp_path / "failed" / name).read_bytes() == clean
+
+    def test_trace_output_is_the_same_for_one_and_two_jobs(self, tmp_path):
+        # a peak family, a composition family and a T7 case, every optimizer
+        text = TINY_CONFIG.replace("runs = 1", "runs = 2")
+        outs = {}
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            argv = [
+                "run", "--config", write_config(tmp_path, text),
+                "--out", str(out_dir), "--seed", "7", "--trace", "--jobs", jobs,
+                "--case", "F1(10):T1", "--case", "F3:T2", "--case", "F1(10):T7",
+            ]
+            assert main(argv) == 0
+            outs[jobs] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        names = set(outs["1"])
+        assert len([n for n in names if n.startswith("raw_")]) == 3 * 3
+        assert len([n for n in names if n.startswith("trajectory_")]) == 3 * 3 * 2
+        assert {"errors_F1_10.csv", "errors_F3.csv", "scores.csv"} <= names
+        assert outs["1"] == outs["2"]
+
+
 class TestSeedPrecedence:
     def raw_bytes(self, out_dir):
         return (out_dir / "raw_F1_10_T1_qcsso.csv").read_bytes()
@@ -245,11 +297,16 @@ class TestScore:
     @pytest.mark.parametrize("make_run", [run_tiny, run_two_by_two])
     def test_rewrites_scores_from_raw_tables(self, tmp_path, capsys, make_run):
         out_dir = make_run(tmp_path)
-        original = (out_dir / "scores.csv").read_bytes()
-        (out_dir / "scores.csv").unlink()
+        summaries = [*out_dir.glob("errors_*.csv"), out_dir / "scores.csv"]
+        original = {path: path.read_bytes() for path in summaries}
+        for path in summaries:
+            path.unlink()
         capsys.readouterr()
         assert main(["score", "--out", str(out_dir)]) == 0
-        assert (out_dir / "scores.csv").read_bytes() == original
+        assert {path: path.read_bytes() for path in summaries} == original
+        # optimizers in registry order, whatever order --optimizer gave
+        errors_lines = (out_dir / "errors_F1_10.csv").read_text().splitlines()
+        assert errors_lines[1].startswith("qcsso,Avg.Best,")
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("F1(10):T1 qcsso 0.")
         assert "OVERALL qcsso" in out

@@ -1,11 +1,13 @@
 """Seed derivation, case selection, weights, and experiment orchestration."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from dynopt.errors import ConfigError
+from dynopt.harness import experiment
 from dynopt.harness.cases import (
     CHANGE_LABELS,
     Case,
@@ -24,6 +26,8 @@ from dynopt.harness.experiment import (
 )
 from dynopt.harness.stats import overall_score, validate_weight_table
 from dynopt.overrides import parse_kv_pairs
+
+from conftest import collect_cells
 
 TINY = dict(
     runs=1,
@@ -283,6 +287,19 @@ class TestRunSingle:
         assert all(e >= 0.0 for e in traj.e_last)
 
 
+class Markers:
+    """Where ``marked_run_single`` leaves its files; set per test."""
+
+    dir = None
+
+
+def marked_run_single(config, case, optimizer_id, run_index):
+    """``run_single`` that leaves a marker file first, then takes a while."""
+    (Markers.dir / f"{case.function_id}_{case.change_type}_{optimizer_id}_{run_index}").touch()
+    time.sleep(0.1)
+    return run_single(config, case, optimizer_id, run_index)
+
+
 class TestOneCell:
     """One (case, optimizer) cell through ``run_experiment``."""
 
@@ -291,7 +308,7 @@ class TestOneCell:
         config = tiny_config(
             cases=("F1(10):T1",), optimizers=(optimizer_id,), **changes
         )
-        return run_experiment(config).results[("F1(10):T1", optimizer_id)]
+        return collect_cells(config).results[("F1(10):T1", optimizer_id)]
 
     def test_dense_arrays(self):
         result = self.cell("qcsso", runs=2)
@@ -316,12 +333,11 @@ class TestRunExperiment:
         config = tiny_config(
             cases=("F1(10):T1",), optimizers=("qcsso", "ssa_baseline")
         )
-        outcome = run_experiment(config)
+        outcome = collect_cells(config)
         assert set(outcome.results) == {
             ("F1(10):T1", "qcsso"),
             ("F1(10):T1", "ssa_baseline"),
         }
-        assert outcome.case_ids() == ["F1(10):T1"]
         scores = outcome.scores()
         assert set(scores) == {"qcsso", "ssa_baseline"}
         assert set(scores["qcsso"]) == {"F1(10):T1"}
@@ -344,20 +360,39 @@ class TestRunExperiment:
                 "ssa_baseline": {"population": "6"},
             },
         )
-        serial = run_experiment(ExperimentConfig(**settings))
-        parallel = run_experiment(ExperimentConfig(**settings, jobs=2))
+        serial = collect_cells(ExperimentConfig(**settings))
+        parallel = collect_cells(ExperimentConfig(**settings, jobs=2))
         for key, result in serial.results.items():
             twin = parallel.results[key]
             assert np.array_equal(result.errors, twin.errors)
             assert np.array_equal(result.r_last, twin.r_last)
             assert np.array_equal(result.samples, twin.samples)
 
+    def test_a_consumer_that_stops_early_does_not_wait_for_queued_runs(
+        self, tmp_path, monkeypatch
+    ):
+        # forked workers inherit both patches; each run leaves a marker as it starts
+        monkeypatch.setattr(experiment, "run_single", marked_run_single)
+        monkeypatch.setattr(Markers, "dir", tmp_path)
+        config = tiny_config(
+            cases=("F1:T1", "F2:T1", "F3:T1", "F4:T1", "F5:T1", "F6:T1"),
+            optimizers=("qcsso", "pso_baseline"), runs=2, jobs=2,
+        )
+        with pytest.raises(RuntimeError, match="writer failed"):
+            for _ in run_experiment(config):
+                raise RuntimeError("writer failed")
+        total = len(config.selected_cases()) * len(config.optimizers) * config.runs
+        started = len(list(tmp_path.iterdir()))
+        # the first cell's two runs, then the few the pool had already taken
+        # (two running, three queued): far fewer than the grid's 28
+        assert 2 <= started <= total // 2
+
     def test_run_order_does_not_matter(self):
         config_a = tiny_config(cases=("F1(10):T1", "F2:T1"),
                                optimizers=("qcsso",))
         config_b = tiny_config(cases=("F2:T1", "F1(10):T1"),
                                optimizers=("qcsso",))
-        a = run_experiment(config_a)
-        b = run_experiment(config_b)
+        a = collect_cells(config_a)
+        b = collect_cells(config_b)
         for key, result in a.results.items():
             assert np.array_equal(result.errors, b.results[key].errors)
