@@ -223,15 +223,21 @@ def read_raw_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def read_results(out_dir: Path) -> ExperimentResult:
-    """Every raw table in a directory, read back into its cell."""
+    """Every raw table in a directory as its cell; the tables must share one shape."""
     found = scan_raw_files(out_dir)
     if not found:
         raise ConfigError(f"no raw tables found in {out_dir}")
-    results = {}
+    results, shapes = {}, {}
     for function_id, change_type, optimizer_id, path in found:
         case = Case(function_id, change_type)
-        results[(case.case_id, optimizer_id)] = CaseResult(
-            case, optimizer_id, *read_raw_table(path)
+        cell = CaseResult(case, optimizer_id, *read_raw_table(path))
+        results[(case.case_id, optimizer_id)] = cell
+        shapes.setdefault(cell.samples.shape, path.name)
+    if len(shapes) > 1:
+        (one, first), (other, second) = list(shapes.items())[:2]
+        raise ConfigError(
+            f"raw tables {first} and {second} in {out_dir} differ in (runs, "
+            f"windows, samples per window): {one} against {other}"
         )
     return ExperimentResult(results)
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from dynopt.errors import ConfigError
 from dynopt.objective import DynamicObjective
+from dynopt.optimizers import rules
 
 CHANGE_TOLERANCE = 1e-12
 
@@ -118,6 +119,15 @@ class SwarmBase:
 
     def clamp_positions(self) -> None:
         clip_in_place(self.positions, *self._box)
+
+    def salp_step(self, chains: int) -> None:
+        """Move the population as ``chains`` equal classic salp chains."""
+        l_eff = min(self.l_window, self.max_iterations)
+        rules.salp_chain(
+            self.positions.reshape(chains, -1, self.dim), self.food_position,
+            self.lower, self.upper,
+            rules.salp_coefficient(l_eff, self.max_iterations), self.rng,
+        )
 
     # -- memory -------------------------------------------------------------
 

@@ -12,8 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from dynopt.objective import DynamicObjective
-from dynopt.optimizers import rules
 from dynopt.optimizers.base import SwarmBase, SwarmConfig, clip_in_place
+
+# Clerc and Kennedy's constriction factor and the two acceleration
+# coefficients it is derived with, one triple (IEEE TEVC 6(1), 2002)
+CHI = 0.7298
+C1 = 1.49618
+C2 = 1.49618
 
 
 @dataclass(frozen=True)
@@ -23,9 +28,7 @@ class SsaConfig(SwarmConfig):
 
 @dataclass(frozen=True)
 class PsoConfig(SwarmConfig):
-    chi: float = 0.7298
-    c1: float = 1.49618
-    c2: float = 1.49618
+    pass
 
 
 class SsaBaseline(SwarmBase):
@@ -38,12 +41,7 @@ class SsaBaseline(SwarmBase):
     config_type = SsaConfig
 
     def move(self) -> None:
-        l_eff = min(self.l_window, self.max_iterations)
-        rules.salp_chain(
-            self.positions.reshape(1, self.n, self.dim), self.food_position,
-            self.lower, self.upper,
-            rules.salp_coefficient(l_eff, self.max_iterations), self.rng,
-        )
+        self.salp_step(1)
 
     def remember(self) -> None:
         self.promote(self.positions, self.fitness)
@@ -64,9 +62,8 @@ class PsoBaseline(SwarmBase):
     ) -> None:
         super().__init__(problem, seed, budget, config)
         self.velocities = np.zeros((self.n, self.dim))
-        cfg = self.config
         # the gains and the velocity clip as 0-d operands, as the box is
-        self._gains = tuple(np.array(v) for v in (cfg.chi, cfg.c1, cfg.c2))
+        self._gains = tuple(np.array(v) for v in (CHI, C1, C2))
         span = self.upper - self.lower
         self._velocity_box = (np.array(-span), np.array(span))
 

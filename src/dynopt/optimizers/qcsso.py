@@ -22,6 +22,9 @@ from dynopt.objective import DynamicObjective
 from dynopt.optimizers import rules
 from dynopt.optimizers.base import SwarmBase, SwarmConfig, clip_in_place
 
+# an overlap probe's spread around its chain's best, as a share of the box
+PROBE_SIGMA_SCALE = 0.1
+
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an ``(n, dim)`` array.
@@ -35,35 +38,23 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QcssoConfig(SwarmConfig):
-    """Tunable constants; every field accepts a flat key=value override."""
+    """The settings a run may vary; each accepts a flat key=value override."""
 
     subpopulations: int = 5
-    leaders_per_chain: int = 2
     w_mode: str = "fixed"  # "fixed" or "chaotic"
-    w_fixed: float = 0.96
-    w_init: float = 0.70
-    momentum: float = 0.5
-    c3_threshold: float = 0.5
     max_age_limit: int = 30
     min_age_limit: int = 10
     reinit_probability: float = 0.1
     exclusion_radius: float = 0.0  # 0 means 0.1 * ||upper - lower||
-    probe_sigma_scale: float = 0.1
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.subpopulations < 1:
             raise ConfigError("subpopulations must be at least 1")
-        if self.leaders_per_chain < 0:
-            raise ConfigError("leaders_per_chain must be at least 0")
         if self.population % self.subpopulations != 0:
             raise ConfigError("population must split evenly into subpopulations")
         if self.w_mode not in ("fixed", "chaotic"):
             raise ConfigError("w_mode must be 'fixed' or 'chaotic'")
-        if not 0.0 < self.w_init < 1.0:
-            raise ConfigError("w_init must lie inside (0, 1)")
-        if not 0.0 < self.w_fixed < 1.0:
-            raise ConfigError("w_fixed must lie inside (0, 1)")
 
 
 class Qcsso(SwarmBase):
@@ -80,17 +71,16 @@ class Qcsso(SwarmBase):
         config: QcssoConfig | None = None,
     ) -> None:
         super().__init__(problem, seed, budget, config)
-        cfg = self.config
-        self.k = cfg.subpopulations
+        self.k = self.config.subpopulations
         self.chain = self.n // self.k
         # member indices, one row per chain
         self._chains = np.arange(self.n).reshape(self.k, self.chain)
         self._pairs = np.triu_indices(self.k, 1)
         self._pair_list = list(zip(*(side.tolist() for side in self._pairs)))
-        self._w_state = cfg.w_init
+        self._w_state = rules.W_INIT
         # applied once per follower rank: a 0-d operand, as for the bounds
-        self._momentum = np.array(cfg.momentum)
-        self._probe_sigma = cfg.probe_sigma_scale * (self.upper - self.lower)
+        self._momentum = np.array(rules.MOMENTUM)
+        self._probe_sigma = PROBE_SIGMA_SCALE * (self.upper - self.lower)
         self._resize_extra_state(self.dim)
 
         self.ages = np.zeros(self.n, dtype=int)
@@ -122,14 +112,6 @@ class Qcsso(SwarmBase):
 
     # -- iteration pieces ------------------------------------------------------
 
-    def ssa_bootstrap(self) -> None:
-        """Classic salp chain rules, used on the first iteration of a window."""
-        rules.salp_chain(
-            self.positions.reshape(self.k, self.chain, self.dim), self.food_position,
-            self.lower, self.upper,
-            rules.salp_coefficient(self.l_window, self.max_iterations), self.rng,
-        )
-
     def swarm_update(self) -> None:
         """Quantum jumps for the chain heads, momentum following for the rest.
 
@@ -141,11 +123,10 @@ class Qcsso(SwarmBase):
         a time across the chains.  Past the window's horizon the schedule
         holds at its end: B = C = 0.
         """
-        cfg = self.config
         k, chain, dim = self.k, self.chain, self.dim
         l_eff = min(self.l_window, self.max_iterations)
-        w = cfg.w_fixed if cfg.w_mode == "fixed" else self._w_state
-        heads = min(cfg.leaders_per_chain, chain)
+        w = rules.W_FIXED if self.config.w_mode == "fixed" else self._w_state
+        heads = min(rules.LEADERS_PER_CHAIN, chain)
         block = self.rng.random((k, (5 * heads + 2 * (chain - heads)) * dim))
         head_draws = block[:, : 5 * heads * dim].reshape(k, heads, 5, dim)
         follower_draws = block[:, 5 * heads * dim :].reshape(k, chain - heads, 2, dim)
@@ -161,14 +142,13 @@ class Qcsso(SwarmBase):
             rules.contraction_expansion(l_eff, self.max_iterations),
             best_mean, w,
             head_draws[:, :, 2], head_draws[:, :, 3], head_draws[:, :, 4],
-            cfg.c3_threshold,
         )
         # rank-major, so that each rank's slab across the chains is one
         # contiguous (k, dim) block
         ranks = x.swapaxes(0, 1).copy()
         ranks[:heads] = heads_moved.swapaxes(0, 1)
         rules.follower_chain(
-            ranks, attractor.swapaxes(0, 1), heads,
+            ranks, attractor.swapaxes(0, 1),
             rules.follower_coefficient(l_eff, self.max_iterations), self._momentum,
         )
         self.positions = ranks.swapaxes(0, 1).reshape(self.n, dim)
@@ -284,8 +264,8 @@ class Qcsso(SwarmBase):
     # -- the two hooks of ``SwarmBase.iterate`` --------------------------------
 
     def move(self) -> None:
-        if self.l_window == 0:
-            self.ssa_bootstrap()
+        if self.l_window == 0:  # the classic salp rules bootstrap each window
+            self.salp_step(self.k)
         else:
             self.swarm_update()
 

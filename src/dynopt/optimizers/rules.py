@@ -23,6 +23,12 @@ import numpy as np
 LOGISTIC_D = 4.0
 CHAOTIC_SCALE = 3.0
 FOLLOWER_GAIN = 0.75
+# weights, momentum and side-coin threshold: Sun et al., Evol. Comput. 20(3), 2012
+W_FIXED = 0.96
+W_INIT = 0.70
+MOMENTUM = 0.5
+C3_THRESHOLD = 0.5
+LEADERS_PER_CHAIN = 2  # quantum heads at the front of each chain
 # the draw maps 1 - d take 1 as a 0-d array: a Python float operand costs
 # numpy 2 a conversion on every call, a 0-d array does not (same bits)
 _ONE = np.array(1.0)
@@ -132,7 +138,7 @@ def quantum_update(
     d4,
     dr,
     d3,
-    c3_threshold: float = 0.5,
+    c3_threshold: float = C3_THRESHOLD,
 ):
     """Quantum-style jump around the attractor.
 
@@ -150,25 +156,25 @@ def quantum_update(
     return attractor + np.where(c3 > c3_threshold, step, -step)
 
 
-def follower_chain(x, attractor, heads: int, c: float, momentum: float) -> None:
+def follower_chain(x, attractor, c: float, momentum: float) -> None:
     """Momentum following of every rank past the heads, in place on ``x``.
 
     ``x`` and ``attractor`` are rank-major stacks, ``(chain, ...)``; the
-    first ``heads`` ranks of ``x`` have already moved.  Each later rank i
-    becomes ``x_{i-1} + c * (A_i - x_i) + momentum * (x_{i-1} - x_{i-2})``,
-    one rank at a time, reading its two predecessors as already moved; with
-    fewer than two heads the first ranks read the chain's not yet moved
-    tail (ranks -1 and -2).  The pulls ``c * (A_i - x_i)`` read only
-    unmoved ranks, so they are one array step; each rank then takes
+    first ``LEADERS_PER_CHAIN`` ranks of ``x`` have already moved.  Each
+    later rank i becomes
+    ``x_{i-1} + c * (A_i - x_i) + momentum * (x_{i-1} - x_{i-2})``, one
+    rank at a time, reading its two predecessors as already moved.  The
+    pulls ``c * (A_i - x_i)`` read only unmoved ranks, so they are one
+    array step; each rank then takes
     ``(x_{i-1} + pull) + momentum * (x_{i-1} - x_{i-2})``, the same
     operations in the same order as the formula.  ``momentum`` enters once
     per rank, so a caller passes it as a 0-d array (same bits, no
     conversion per call).
     """
-    pulls = c * (attractor[heads:] - x[heads:])
+    pulls = c * (attractor[LEADERS_PER_CHAIN:] - x[LEADERS_PER_CHAIN:])
     ranks = list(x)  # one view per rank
     step = np.empty_like(ranks[0])
-    for rank, pull in enumerate(pulls, start=heads):
+    for rank, pull in enumerate(pulls, start=LEADERS_PER_CHAIN):
         prev, out = ranks[rank - 1], ranks[rank]
         np.subtract(prev, ranks[rank - 2], out=step)
         step *= momentum

@@ -1,5 +1,6 @@
 """Reference optimizers: scripted replays and change handling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from dynopt.gdbg.instance import make_instance
 from dynopt.optimizers.base import SwarmBase, clip_in_place
 from dynopt.optimizers.baselines import (
+    C1,
+    C2,
+    CHI,
     PsoBaseline,
     PsoConfig,
     SsaBaseline,
@@ -36,6 +40,16 @@ def make_pso(population=2, dim=1, budget=300, seed=5, problem=None,
     problem = problem or sphere_problem(dimension=dim)
     cfg = config or PsoConfig(population=population)
     return PsoBaseline(problem, seed=seed, budget=budget, config=cfg)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("config_type", [SsaConfig, PsoConfig])
+    def test_defaults(self, config_type):
+        # the one setting a baseline takes: a new setting is added here on purpose
+        assert dataclasses.asdict(config_type()) == {"population": 50}
+
+    def test_pso_gains(self):
+        assert (CHI, C1, C2) == (0.7298, 1.49618, 1.49618)
 
 
 class TestSsa:

@@ -166,9 +166,18 @@ class TestRun:
     @pytest.mark.parametrize("line, message", [
         ("qcsso.subpopulations = 0", "subpopulations must be at least 1"),
         ("qcsso.subpopulations = -5", "subpopulations must be at least 1"),
-        ("qcsso.leaders_per_chain = -1", "leaders_per_chain must be at least 0"),
         ("pso.population = 0", "population must be at least 1"),
         ("ssa.population = 0", "population must be at least 1"),
+        # rule constants are no settings, even at their own values
+        ("qcsso.leaders_per_chain = 2", "unknown override 'leaders_per_chain'"),
+        ("qcsso.w_fixed = 0.96", "unknown override 'w_fixed'"),
+        ("qcsso.w_init = 0.70", "unknown override 'w_init'"),
+        ("qcsso.momentum = 0.5", "unknown override 'momentum'"),
+        ("qcsso.c3_threshold = 0.5", "unknown override 'c3_threshold'"),
+        ("qcsso.probe_sigma_scale = 0.1", "unknown override 'probe_sigma_scale'"),
+        ("pso.chi = 0.7298", "unknown override 'chi'"),
+        ("pso.c1 = 1.49618", "unknown override 'c1'"),
+        ("pso.c2 = 1.49618", "unknown override 'c2'"),
     ])
     def test_optimizer_setting_out_of_range_exits_2(self, tmp_path, capsys, line, message):
         config = write_config(tmp_path, TINY_CONFIG + line + "\n")
@@ -244,6 +253,31 @@ class TestCellWrites:
         assert len([n for n in names if n.startswith("trajectory_")]) == 3 * 3 * 2
         assert {"errors_F1_10.csv", "errors_F3.csv", "scores.csv"} <= names
         assert outs["1"] == outs["2"]
+
+    def test_raw_tables_of_another_run_shape_are_refused(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+
+        def run(text, case, seed):
+            argv = [
+                "run", "--config", write_config(tmp_path, text), "--out", str(out_dir),
+                "--case", case, "--optimizer", "qcsso", "--seed", seed,
+            ]
+            return main(argv)
+
+        assert run(TINY_CONFIG, "F1(10):T1", "1") == 0  # 1 run x 2 windows
+        scores = (out_dir / "scores.csv").read_bytes()
+        capsys.readouterr()
+        other = TINY_CONFIG.replace("runs = 1", "runs = 3").replace(
+            "num_change = 2", "num_change = 4").replace("dimension = 5", "dimension = 8")
+        assert run(other, "F2:T1", "2") == 1
+        err = capsys.readouterr().err
+        assert "raw tables raw_F1_10_T1_qcsso.csv and raw_F2_T1_qcsso.csv" in err
+        assert "(1, 2, 3) against (3, 4, 3)" in err
+        # the new cell's raw table landed, but no summary mixes the two runs
+        assert (out_dir / "raw_F2_T1_qcsso.csv").is_file()
+        assert (out_dir / "scores.csv").read_bytes() == scores
+        assert not (out_dir / "errors_F2.csv").exists()
+        assert main(["score", "--out", str(out_dir)]) == 1
 
 
 class TestSeedPrecedence:

@@ -51,7 +51,7 @@ BAD_OVERRIDES = {
     "qcsso.popultion=30": "unknown override 'popultion'",
     "ssa.chi=0.7": "unknown override 'chi'",
     "pso.chii=0.7": "unknown override 'chii'",
-    "pso.chi=lots": "cannot interpret",
+    "pso.population=lots": "cannot interpret",
     "qcsso.population=7": "split evenly",
 }
 
@@ -201,7 +201,7 @@ class TestConfig:
                 "optimizers": "qcsso,ssa_baseline",
                 "qcsso.w_mode": "chaotic",
                 "ssa.population": "10",
-                "pso.c1": "1.0",
+                "pso.population": "12",
             }
         )
         assert config.runs == 3
@@ -211,7 +211,7 @@ class TestConfig:
         assert config.overrides == {
             "qcsso": {"w_mode": "chaotic"},
             "ssa_baseline": {"population": "10"},
-            "pso_baseline": {"c1": "1.0"},
+            "pso_baseline": {"population": "12"},
         }
 
     def test_from_pairs_accepts_whole_floats(self):

@@ -89,7 +89,8 @@ class TestApplyOverrides:
     def test_string_values_coerced_to_field_types(self):
         cfg = apply_overrides(GdbgConfig(), {"dimension": "12"})
         assert cfg.dimension == 12
-        assert apply_overrides(QcssoConfig(), {"momentum": "0.25"}).momentum == 0.25
+        cfg = apply_overrides(QcssoConfig(), {"reinit_probability": "0.25"})
+        assert cfg.reinit_probability == 0.25
         assert apply_overrides(ExperimentConfig(), {"trace": "true"}).trace is True
 
     def test_original_untouched(self):

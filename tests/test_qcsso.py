@@ -1,6 +1,7 @@
 """The multi-population quantum salp optimizer: structure and update rules."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from dynopt.errors import ConfigError
 from dynopt.gdbg import make_instance
 from dynopt.optimizers import BudgetedRecorder, rules
-from dynopt.optimizers.qcsso import Qcsso, QcssoConfig, row_norms
+from dynopt.optimizers.qcsso import PROBE_SIGMA_SCALE, Qcsso, QcssoConfig, row_norms
 
 from conftest import FakeRng, SwitchableProblem, evaluate_one, sphere_problem
 
@@ -25,17 +26,12 @@ def make_opt(dim=5, budget=5600, config=None, seed=11, problem=None):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = QcssoConfig()
-        assert cfg.population == 50
-        assert cfg.subpopulations == 5
-        assert cfg.leaders_per_chain == 2
-        assert cfg.w_mode == "fixed"
-        assert cfg.w_fixed == 0.96
-        assert cfg.w_init == 0.70
-        assert cfg.momentum == 0.5
-        assert cfg.max_age_limit == 30
-        assert cfg.min_age_limit == 10
-        assert cfg.reinit_probability == 0.1
+        # every setting with its default: a new setting is added here on purpose
+        assert dataclasses.asdict(QcssoConfig()) == {
+            "population": 50, "subpopulations": 5, "w_mode": "fixed",
+            "max_age_limit": 30, "min_age_limit": 10,
+            "reinit_probability": 0.1, "exclusion_radius": 0.0,
+        }
 
     def test_uneven_split_rejected(self):
         with pytest.raises(ConfigError):
@@ -44,16 +40,6 @@ class TestConfig:
     def test_unknown_w_mode_rejected(self):
         with pytest.raises(ConfigError):
             QcssoConfig(w_mode="linear")
-
-    def test_degenerate_w_init_rejected(self):
-        with pytest.raises(ConfigError):
-            QcssoConfig(w_init=1.0)
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5])
-    def test_degenerate_w_fixed_rejected(self, bad):
-        # w = 1 would make u = 0 and every quantum jump log(r / 0) = inf
-        with pytest.raises(ConfigError):
-            QcssoConfig(w_fixed=bad)
 
 
 class TestStructure:
@@ -96,7 +82,8 @@ class TestStructure:
 
     def test_probe_sigma_tracks_bounds(self):
         opt = make_opt(dim=3)
-        assert opt._probe_sigma == 1.0
+        assert PROBE_SIGMA_SCALE == 0.1
+        assert opt._probe_sigma == 1.0  # a tenth of the box's side
 
     def test_radius_and_sigma_follow_a_dimension_change(self):
         problem = SwitchableProblem(dimension=4)
@@ -160,7 +147,7 @@ class TestContext:
         opt = make_opt()
         food = opt.food_position
         before = food.copy()
-        opt.ssa_bootstrap()
+        opt.salp_step(opt.k)
         opt.l_window = 1
         opt.swarm_update()
         assert opt.food_position is food
@@ -177,7 +164,7 @@ class TestSsaBootstrap:
         opt.rng = rng
         opt.l_window, opt.max_iterations = 0, 10
         opt.food_position = np.array([1.0])
-        opt.ssa_bootstrap()
+        opt.salp_step(opt.k)
         # c1 = 2 at l = 0; chain one: step = 2*(10*0.6 - 5) = 2, side up
         assert abs(opt.positions[0, 0] - 3.0) < 1e-12
         # follower averages its old position with the fresh leader, in place
@@ -194,16 +181,14 @@ class TestSsaBootstrap:
         for l, expected_c1 in ((0, 2.0), (5, 2.0 * math.exp(-4.0))):
             opt.rng = FakeRng(random=[1.0, 1.0])  # c2 = 1, side up
             opt.l_window = l
-            opt.ssa_bootstrap()
+            opt.salp_step(opt.k)
             # step = c1 * (10*1 - 5) = 5 * c1
             assert abs(opt.positions[0, 0] - 5.0 * expected_c1) < 1e-12
 
 
 class TestSwarmUpdate:
     def test_scripted_leaders_and_follower(self):
-        opt = make_opt(
-            dim=1, config=QcssoConfig(population=6, subpopulations=2, w_fixed=0.5)
-        )
+        opt = make_opt(dim=1, config=QcssoConfig(population=6, subpopulations=2))
         opt.positions = np.array([[1.0], [2.0], [3.0], [-1.0], [-2.0], [-3.0]])
         opt.pbest_positions = np.ones((6, 1))  # best mean 1
         opt.food_position = np.array([0.0])
@@ -212,8 +197,8 @@ class TestSwarmUpdate:
         opt.swarm_update()
 
         # all unit draws are 0.5: attractor = (x + food)/2,
-        # u = 3*0.5*0.5*0.5 = 0.375, r = 0.5, c3 = 0.5 (not above threshold)
-        log_term = math.log(0.5 / 0.375)
+        # u = 3*0.96*0.04*0.5, r = 0.5, c3 = 0.5 (not above threshold)
+        log_term = math.log(0.5 / (3.0 * 0.96 * (1.0 - 0.96) * 0.5))
 
         def leader(x):
             return (x + 0.0) / 2.0 - 2.0 * abs(1.0 - x) * log_term
@@ -232,17 +217,6 @@ class TestSwarmUpdate:
         assert abs(opt.positions[5, 0] - follower2) < 1e-12
         assert opt.rng.exhausted()
 
-    def test_leader_count_honours_config(self):
-        # with three leaders per chain the fourth member still follows
-        opt = make_opt(
-            dim=1,
-            config=QcssoConfig(population=4, subpopulations=1, leaders_per_chain=3),
-        )
-        opt.positions = np.zeros((4, 1))
-        # 3 leaders x 5 draws + 1 follower x 2 draws
-        opt.rng = FakeRng(random=[0.5] * 17)
-        opt.swarm_update()
-        assert opt.rng.exhausted()
 
 
 def reference_swarm_update(opt, b_l, best_mean, w, c):
@@ -252,23 +226,22 @@ def reference_swarm_update(opt, b_l, best_mean, w, c):
     member, each member draws r1 then r2 for its attractor, and a head then
     draws c4, r and c3 for its jump.
     """
-    cfg = opt.config
     for chain in range(opt.k):
         members = np.arange(chain * opt.chain, (chain + 1) * opt.chain)
         for rank, idx in enumerate(members):
             x = opt.positions[idx]
             d1, d2 = opt.rng.random((2, opt.dim))
             attractor = rules.local_attractor(x, opt.food_position, d1, d2)
-            if rank < cfg.leaders_per_chain:
+            if rank < rules.LEADERS_PER_CHAIN:
                 d4, dr, d3 = opt.rng.random((3, opt.dim))
                 opt.positions[idx] = rules.quantum_update(
-                    x, attractor, b_l, best_mean, w, d4, dr, d3, cfg.c3_threshold,
+                    x, attractor, b_l, best_mean, w, d4, dr, d3, rules.C3_THRESHOLD,
                 )
             else:
                 x_prev = opt.positions[members[rank - 1]]
                 x_prev2 = opt.positions[members[rank - 2]]
                 opt.positions[idx] = (
-                    x_prev + c * (attractor - x) + cfg.momentum * (x_prev - x_prev2)
+                    x_prev + c * (attractor - x) + rules.MOMENTUM * (x_prev - x_prev2)
                 )
 
 
@@ -291,14 +264,10 @@ class TestSwarmUpdateMatchesMemberLoop:
     """The lockstep update equals the member loop bit for bit, stream included."""
 
     @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])  # max and min
-    @pytest.mark.parametrize("subpopulations", [1, 5, 10])
-    @pytest.mark.parametrize("leaders", [0, 1, 2, "chain"])
-    def test_positions_and_stream(self, function_id, subpopulations, leaders):
-        chain = 50 // subpopulations
-        cfg = QcssoConfig(
-            subpopulations=subpopulations,
-            leaders_per_chain=chain if leaders == "chain" else leaders,
-        )
+    # chains of 50, 10 and 5 members, then of two heads and of one
+    @pytest.mark.parametrize("subpopulations", [1, 5, 10, 25, 50])
+    def test_positions_and_stream(self, function_id, subpopulations):
+        cfg = QcssoConfig(subpopulations=subpopulations)
         inst = make_instance(function_id, "T1", 5, {"change_frequency": 5000})
         opt = Qcsso(inst, seed=9, budget=10**6, config=cfg)
         for _ in range(3):  # a bootstrap, then two lockstep updates
@@ -708,7 +677,7 @@ class TestChangeResponse:
 
 class TestChaoticInertia:
     def test_state_advances_through_the_logistic_map(self):
-        cfg = QcssoConfig(w_mode="chaotic", w_init=0.70)
+        cfg = QcssoConfig(w_mode="chaotic")
         opt = make_opt(config=cfg)
         assert opt._w_state == 0.70
         assert_update_uses(opt, w=0.70, b_l=100.0, c=C_START)
@@ -718,7 +687,7 @@ class TestChaoticInertia:
         assert abs(opt._w_state - 0.5376) < 1e-12
 
     def test_next_update_jumps_with_the_advanced_state(self):
-        opt = make_opt(config=QcssoConfig(w_mode="chaotic", w_init=0.70))
+        opt = make_opt(config=QcssoConfig(w_mode="chaotic"))
         opt.iterate()
         opt.iterate()
         assert_update_uses(

@@ -305,7 +305,7 @@ class TestQuantumUpdate:
 def follow(x_prev2, x_prev, x_i, attractor, c, momentum):
     """One follower moved by ``follower_chain``: a chain of two heads and it."""
     x = np.array([[x_prev2], [x_prev], [x_i]])
-    rules.follower_chain(x, np.array([[0.0], [0.0], [attractor]]), 2, c, momentum)
+    rules.follower_chain(x, np.array([[0.0], [0.0], [attractor]]), c, momentum)
     return float(x[2, 0])
 
 
@@ -322,34 +322,22 @@ class TestFollowerUpdate:
         # pure attraction: x_prev + c * (A - x_i)
         assert follow(0.0, 0.0, 1.0, 3.0, 0.5, 0.0) == 1.0
 
-    @pytest.mark.parametrize("heads", [0, 1, 2, "chain"])
-    def test_chain_equals_the_rank_formula(self, heads):
+    def test_chain_equals_the_rank_formula(self):
         rng = np.random.default_rng(107)
-        for chain, k, dim in ((2, 1, 1), (3, 2, 4), (10, 5, 10), (25, 2, 50)):
-            h = chain if heads == "chain" else min(heads, chain)
+        for chain, k, dim in ((2, 1, 1), (3, 2, 4), (10, 5, 10), (25, 2, 50), (1, 3, 2)):
             x = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
             attractor = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
             c, momentum = rng.random(2)
             expected = x.copy()
-            for rank in range(h, chain):
+            for rank in range(2, chain):  # past the two heads
                 x_prev, x_prev2 = expected[rank - 1], expected[rank - 2]
                 expected[rank] = (
                     x_prev + c * (attractor[rank] - expected[rank])
                     + momentum * (x_prev - x_prev2)
                 )
             moved = x.copy()
-            rules.follower_chain(moved, attractor, h, c, momentum)
+            rules.follower_chain(moved, attractor, c, momentum)
             assert moved.tobytes() == expected.tobytes()
-
-    def test_without_heads_the_first_ranks_read_the_unmoved_tail(self):
-        x = np.array([[1.0], [2.0], [4.0], [8.0]])
-        attractor = np.array([[3.0], [5.0], [0.0], [0.0]])
-        moved = x.copy()
-        rules.follower_chain(moved, attractor, 0, 0.5, 0.25)
-        # rank 0 reads ranks 3 and 2 as they were, rank 1 reads rank 3 so
-        first = 8.0 + 0.5 * (3.0 - 1.0) + 0.25 * (8.0 - 4.0)
-        second = first + 0.5 * (5.0 - 2.0) + 0.25 * (first - 8.0)
-        assert moved[:2, 0].tolist() == [first, second]
 
 
 class TestModuleConstants:
@@ -357,3 +345,6 @@ class TestModuleConstants:
         assert rules.LOGISTIC_D == 4.0
         assert rules.CHAOTIC_SCALE == 3.0
         assert rules.FOLLOWER_GAIN == 0.75
+        assert (rules.W_FIXED, rules.W_INIT, rules.MOMENTUM) == (0.96, 0.70, 0.5)
+        assert rules.C3_THRESHOLD == 0.5
+        assert rules.LEADERS_PER_CHAIN == 2
