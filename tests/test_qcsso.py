@@ -266,16 +266,20 @@ class TestSwarmUpdateMatchesMemberLoop:
     @pytest.mark.parametrize("function_id", ["F1(10)", "F3"])  # max and min
     # chains of 50, 10 and 5 members, then of two heads and of one
     @pytest.mark.parametrize("subpopulations", [1, 5, 10, 25, 50])
-    def test_positions_and_stream(self, function_id, subpopulations):
-        cfg = QcssoConfig(subpopulations=subpopulations)
+    @pytest.mark.parametrize("w_mode", ["fixed", "chaotic"])
+    def test_positions_and_stream(self, function_id, subpopulations, w_mode):
+        cfg = QcssoConfig(subpopulations=subpopulations, w_mode=w_mode)
         inst = make_instance(function_id, "T1", 5, {"change_frequency": 5000})
         opt = Qcsso(inst, seed=9, budget=10**6, config=cfg)
         for _ in range(3):  # a bootstrap, then two lockstep updates
             opt.iterate()
         assert opt.maximize is (function_id == "F1(10)")
         assert opt.l_window == 3
+        w = rules.W_FIXED
+        if w_mode == "chaotic":  # the state has advanced once per iteration
+            w = rules.logistic_step(rules.logistic_step(rules.logistic_step(rules.W_INIT)))
         assert_update_uses(
-            opt, w=0.96,
+            opt, w=w,
             b_l=rules.contraction_expansion(3, opt.max_iterations),
             c=rules.follower_coefficient(3, opt.max_iterations),
         )

@@ -322,22 +322,24 @@ class TestFollowerUpdate:
         # pure attraction: x_prev + c * (A - x_i)
         assert follow(0.0, 0.0, 1.0, 3.0, 0.5, 0.0) == 1.0
 
-    def test_chain_equals_the_rank_formula(self):
+    @pytest.mark.parametrize(
+        "chain, k, dim", [(2, 1, 1), (3, 2, 4), (10, 5, 10), (25, 2, 50), (1, 3, 2)]
+    )
+    def test_chain_equals_the_rank_formula(self, chain, k, dim):
         rng = np.random.default_rng(107)
-        for chain, k, dim in ((2, 1, 1), (3, 2, 4), (10, 5, 10), (25, 2, 50), (1, 3, 2)):
-            x = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
-            attractor = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
-            c, momentum = rng.random(2)
-            expected = x.copy()
-            for rank in range(2, chain):  # past the two heads
-                x_prev, x_prev2 = expected[rank - 1], expected[rank - 2]
-                expected[rank] = (
-                    x_prev + c * (attractor[rank] - expected[rank])
-                    + momentum * (x_prev - x_prev2)
-                )
-            moved = x.copy()
-            rules.follower_chain(moved, attractor, c, momentum)
-            assert moved.tobytes() == expected.tobytes()
+        x = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
+        attractor = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
+        c, momentum = rng.random(2)
+        expected = x.copy()
+        for rank in range(2, chain):  # past the two heads
+            x_prev, x_prev2 = expected[rank - 1], expected[rank - 2]
+            expected[rank] = (
+                x_prev + c * (attractor[rank] - expected[rank])
+                + momentum * (x_prev - x_prev2)
+            )
+        moved = x.copy()
+        rules.follower_chain(moved, attractor, c, momentum)
+        assert moved.tobytes() == expected.tobytes()
 
 
 class TestModuleConstants:
