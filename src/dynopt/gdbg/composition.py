@@ -22,7 +22,10 @@ DOMINANCE_POWER = 10
 SIGMA = 1.0  # the weights' distance scale
 NORMALIZER = 2000.0  # the common scale of the normalized components
 
-_NORMALIZER = np.array(NORMALIZER)  # 0-d, not a Python float: see basefuncs
+# 0-d, not Python floats: see basefuncs
+_NORMALIZER = np.array(NORMALIZER)
+_POWER = np.array(float(DOMINANCE_POWER))
+_ONE = np.array(1.0)
 
 
 def stretch_factor(func_name: str, search_half_range: float) -> float:
@@ -125,10 +128,12 @@ class CompositionProblem:
         np.negative(w, out=w)
         np.exp(w, out=w)
         wmax = np.maximum.reduce(w, axis=1)
-        # only the closest component keeps full weight once it dominates;
-        # the power is taken one row at a time because numpy's vectorised
-        # power may differ from the scalar one in the last bit
-        damping = np.array([1.0 - v**DOMINANCE_POWER for v in wmax.tolist()])
+        # only the closest component keeps full weight once it dominates.
+        # float_power, not power: numpy's power has SIMD loops that may
+        # differ in the last bit from C's pow, which Python's ``v**10`` and
+        # float_power both call (`tests/test_composition.py` pins them equal)
+        damping = np.float_power(wmax, _POWER)
+        np.subtract(_ONE, damping, out=damping)
         np.multiply(w, damping[:, None], out=w, where=w != wmax[:, None])
         w /= np.add.reduce(w, axis=1, keepdims=True)
         # each (row, component) product has the same sizes whatever the

@@ -40,8 +40,9 @@ from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
 from dynopt.objective import DynamicObjective, as_rows
 from dynopt.overrides import apply_overrides
 
-FUNCTION_IDS = ("F1(10)", "F1(50)", "F2", "F3", "F4", "F5", "F6")
-
+# the grid's families: the peak families (maximized) and the composition
+# families (minimized), each named once here
+PEAK_COUNTS = {"F1(10)": 10, "F1(50)": 50}
 _COMPOSITION_BASES = {
     "F2": ["sphere"] * 10,
     "F3": ["rastrigin"] * 10,
@@ -50,6 +51,7 @@ _COMPOSITION_BASES = {
     "F6": ["sphere", "sphere", "rastrigin", "rastrigin", "weierstrass",
            "weierstrass", "griewank", "griewank", "ackley", "ackley"],
 }
+FUNCTION_IDS = (*PEAK_COUNTS, *_COMPOSITION_BASES)
 
 
 # the generator's fixed constants (CEC 2009 GDBG report, Li et al. 2008);
@@ -57,7 +59,6 @@ _COMPOSITION_BASES = {
 # changing family shares its bounds and severity: the heights, the widths
 # (peaks only), and the rotation angle, a family of one
 SEARCH_LOWER, SEARCH_UPPER = -5.0, 5.0
-PEAK_COUNTS = {"F1(10)": 10, "F1(50)": 50}
 HEIGHT_MIN, HEIGHT_MAX, HEIGHT_INIT, HEIGHT_SEVERITY = 10.0, 100.0, 50.0, 5.0
 WIDTH_MIN, WIDTH_MAX, WIDTH_INIT, WIDTH_SEVERITY = 1.0, 10.0, 5.0, 0.5
 ANGLE_MIN, ANGLE_MAX, ROTATION_SEVERITY = -math.pi, math.pi, 1.0
@@ -105,7 +106,7 @@ class GdbgInstance(DynamicObjective):
         self.t = 0
         self.eval_count = 0
         self.frequency = config.resolved_frequency()
-        self.maximize = function_id.startswith("F1")
+        self.maximize = function_id in PEAK_COUNTS
         self._walk = DimensionWalk(config.dimension)
         # the best row scored in this environment (module docstring)
         self._memo_row = b""
@@ -116,7 +117,7 @@ class GdbgInstance(DynamicObjective):
         self.rotation_angle = np.zeros(1)
         angle = self._family("rotation_angle", self.rotation_angle,
                              ANGLE_MIN, ANGLE_MAX, ROTATION_SEVERITY)
-        if function_id.startswith("F1"):
+        if function_id in PEAK_COUNTS:
             self.problem: PeakSet | CompositionProblem = self._build_peaks()
         else:
             self.problem = self._build_composition()

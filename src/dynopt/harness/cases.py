@@ -11,9 +11,10 @@ import re
 from dataclasses import dataclass
 
 from dynopt.errors import ConfigError
-from dynopt.gdbg.instance import FUNCTION_IDS
+from dynopt.gdbg.changes import ChangeType
+from dynopt.gdbg.instance import FUNCTION_IDS, PEAK_COUNTS
 
-CHANGE_LABELS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
+CHANGE_LABELS = tuple(change.value for change in ChangeType)
 
 _SELECTOR_RE = re.compile(r"^[A-Za-z0-9()]+(:[A-Za-z0-9]+)?$")
 
@@ -93,7 +94,7 @@ def official_weights() -> dict[str, float]:
     16 points split 2.4 and 1.6 the same way."""
     table: dict[str, float] = {}
     for case in all_cases():
-        if case.function_id.startswith("F1"):
+        if case.function_id in PEAK_COUNTS:
             table[case.case_id] = 1.0 if case.change_type == "T7" else 1.5
         else:
             table[case.case_id] = 1.6 if case.change_type == "T7" else 2.4

@@ -34,9 +34,8 @@ from dynopt.harness.cases import (
     all_cases,
 )
 from dynopt.harness.experiment import CaseResult, ExperimentResult, optimizer_order
+from dynopt.optimizers.runner import Trajectory
 from dynopt.overrides import parse_config_text
-
-STAT_ROWS = ("Avg.Best", "Avg.Worst", "Avg.Mean", "STD")
 
 
 def family_tag(function_id: str) -> str:
@@ -46,7 +45,9 @@ def family_tag(function_id: str) -> str:
 
 _TAG_TO_FUNCTION = {family_tag(fid): fid for fid in FUNCTION_IDS}
 _RAW_NAME = re.compile(
-    r"^raw_(?P<tag>F1_10|F1_50|F[2-6])_(?P<change>T[1-7])_(?P<alg>[a-z][a-z0-9_]*)\.csv$"
+    rf"^raw_(?P<tag>{'|'.join(map(re.escape, _TAG_TO_FUNCTION))})"
+    rf"_(?P<change>{'|'.join(map(re.escape, CHANGE_LABELS))})"
+    r"_(?P<alg>[a-z][a-z0-9_]*)\.csv$"
 )
 
 
@@ -86,13 +87,13 @@ def write_errors_tables(out_dir: Path, result: ExperimentResult) -> list[Path]:
     for fid in (fid for fid in FUNCTION_IDS if fid in families):
         lines = ["algorithm,stat," + ",".join(CHANGE_LABELS)]
         for optimizer_id in optimizers:
-            rows = {stat: [] for stat in STAT_ROWS}
+            rows = {stat: [] for stat in stats.STAT_ROWS}
             for label in CHANGE_LABELS:
                 cell = result.results.get((f"{fid}:{label}", optimizer_id))
-                values = cell.stat_rows() if cell else None
-                for stat in STAT_ROWS:
+                values = stats.error_stats(cell.errors) if cell else None
+                for stat in stats.STAT_ROWS:
                     rows[stat].append(format_error(values[stat]) if values else "")
-            for stat in STAT_ROWS:
+            for stat in stats.STAT_ROWS:
                 lines.append(f"{optimizer_id},{stat}," + ",".join(rows[stat]))
         path = Path(out_dir) / errors_filename(fid)
         written.append(_write(path, "\n".join(lines) + "\n"))
@@ -126,15 +127,24 @@ def write_raw_table(out_dir: Path, case_result: CaseResult) -> Path:
     return _write(path, "\n".join(lines) + "\n")
 
 
+def _trajectory_text(trajectory: Trajectory) -> str:
+    """One run's traced errors, then its window-close errors, at full precision."""
+    lines = ["eval_count,error"]
+    lines += [f"{count},{err!r}" for count, err in trajectory.trace]
+    lines.append("change_index,E_last")
+    lines += [f"{index},{err!r}" for index, err in enumerate(trajectory.e_last)]
+    return "\n".join(lines) + "\n"
+
+
 def write_cell_trajectories(out_dir: Path, case_result: CaseResult) -> list[Path]:
-    """One cell's serialized runs; only present when tracing was on."""
+    """One cell's runs as trajectory files; only present when tracing was on."""
     case, optimizer_id = case_result.case, case_result.optimizer_id
     return [
         _write(
             Path(out_dir) / trajectory_filename(
                 case.function_id, case.change_type, optimizer_id, run_index
             ),
-            trajectory.serialize(),
+            _trajectory_text(trajectory),
         )
         for run_index, trajectory in enumerate(case_result.trajectories or ())
     ]

@@ -177,14 +177,6 @@ class CaseResult:
     def score(self) -> float:
         return stats.case_score(self.r_last, self.samples)
 
-    def stat_rows(self) -> dict[str, float]:
-        return {
-            "Avg.Best": stats.average_best(self.errors),
-            "Avg.Worst": stats.average_worst(self.errors),
-            "Avg.Mean": stats.average_mean(self.errors),
-            "STD": stats.std_dev(self.errors),
-        }
-
 
 @dataclass
 class ExperimentResult:

@@ -20,35 +20,26 @@ WEIGHT_TOLERANCE = 1e-9
 SCORE_DUST = 1e-9
 
 
-def _as_error_matrix(errors: np.ndarray) -> np.ndarray:
+# the rows of an errors table, in table order
+STAT_ROWS = ("Avg.Best", "Avg.Worst", "Avg.Mean", "STD")
+
+
+def error_stats(errors: np.ndarray) -> dict[str, float]:
+    """The four error statistics of a (runs, changes) matrix, in table order.
+
+    The mean over runs of each run's smallest and of its largest window
+    error, the grand mean, and the population standard deviation over
+    every entry.
+    """
     mat = np.asarray(errors, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
         raise ConfigError("error matrix must be 2-D with at least one entry")
-    return mat
-
-
-def average_best(errors: np.ndarray) -> float:
-    """Mean over runs of each run's smallest window error."""
-    mat = _as_error_matrix(errors)
-    return float(np.mean(np.min(mat, axis=1)))
-
-
-def average_worst(errors: np.ndarray) -> float:
-    """Mean over runs of each run's largest window error."""
-    mat = _as_error_matrix(errors)
-    return float(np.mean(np.max(mat, axis=1)))
-
-
-def average_mean(errors: np.ndarray) -> float:
-    """Grand mean over every run and change."""
-    mat = _as_error_matrix(errors)
-    return float(np.mean(mat))
-
-
-def std_dev(errors: np.ndarray) -> float:
-    """Population standard deviation over every entry."""
-    mat = _as_error_matrix(errors)
-    return float(np.std(mat))
+    return dict(zip(STAT_ROWS, (
+        float(np.mean(np.min(mat, axis=1))),
+        float(np.mean(np.max(mat, axis=1))),
+        float(np.mean(mat)),
+        float(np.std(mat)),
+    )))
 
 
 def _validate_ratios(name: str, values: np.ndarray) -> None:

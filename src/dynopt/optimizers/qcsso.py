@@ -55,6 +55,10 @@ class QcssoConfig(SwarmConfig):
             raise ConfigError("population must split evenly into subpopulations")
         if self.w_mode not in ("fixed", "chaotic"):
             raise ConfigError("w_mode must be 'fixed' or 'chaotic'")
+        if not 0 <= self.min_age_limit <= self.max_age_limit:
+            raise ConfigError("min_age_limit must lie in [0, max_age_limit]")
+        if not 0.0 <= self.reinit_probability <= 1.0:  # NaN fails too
+            raise ConfigError("reinit_probability must lie in [0, 1]")
 
 
 class Qcsso(SwarmBase):

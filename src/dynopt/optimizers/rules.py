@@ -29,16 +29,18 @@ W_INIT = 0.70
 MOMENTUM = 0.5
 C3_THRESHOLD = 0.5
 LEADERS_PER_CHAIN = 2  # quantum heads at the front of each chain
-# the draw maps 1 - d take 1 as a 0-d array: a Python float operand costs
-# numpy 2 a conversion on every call, a 0-d array does not (same bits)
+# the draw maps 1 - d and the side coin take their constants as 0-d arrays:
+# a Python float operand costs numpy 2 a conversion on every call, a 0-d
+# array does not (same bits)
 _ONE = np.array(1.0)
+_C3_THRESHOLD = np.array(C3_THRESHOLD)
 
 
-def logistic_step(w: float, d: float = LOGISTIC_D) -> float:
-    """One step of the logistic map ``w' = d * w * (1 - w)``."""
+def logistic_step(w: float) -> float:
+    """One step of the logistic map ``w' = LOGISTIC_D * w * (1 - w)``."""
     if not 0.0 < w < 1.0:
         raise ValueError("logistic map state must lie strictly inside (0, 1)")
-    return d * w * (1.0 - w)
+    return LOGISTIC_D * w * (1.0 - w)
 
 
 def chaotic_operator(w: float, d4):
@@ -129,31 +131,21 @@ def local_attractor(x, food, d1, d2):
     return (r1 * x + r2 * food) / (r1 + r2)
 
 
-def quantum_update(
-    x,
-    attractor,
-    b_l: float,
-    bestmean,
-    w: float,
-    d4,
-    dr,
-    d3,
-    c3_threshold: float = C3_THRESHOLD,
-):
+def quantum_update(x, attractor, b_l: float, bestmean, w: float, d4, dr, d3):
     """Quantum-style jump around the attractor.
 
     ``d4``, ``dr`` and ``d3`` are the unit draws of c4 (through the
     chaotic operator), r and the side coin c3, each mapped as ``1 - d``,
     and a caller draws them in that order.  The displacement is
-    ``B * |bestmean - x| * ln(r / u)`` and is added where c3 exceeds the
-    threshold, subtracted elsewhere.  Callers clamp the result to the
-    search bounds.
+    ``B * |bestmean - x| * ln(r / u)`` and is added where c3 exceeds
+    ``C3_THRESHOLD``, subtracted elsewhere.  Callers clamp the result to
+    the search bounds.
     """
     u = chaotic_operator(w, d4)
     r = _ONE - dr
     c3 = _ONE - d3
     step = b_l * np.abs(bestmean - x) * np.log(r / u)
-    return attractor + np.where(c3 > c3_threshold, step, -step)
+    return attractor + np.where(c3 > _C3_THRESHOLD, step, -step)
 
 
 def follower_chain(x, attractor, c: float, momentum: float) -> None:

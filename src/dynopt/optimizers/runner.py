@@ -231,15 +231,6 @@ class Trajectory:
     best_value: float | None = None
     trace: list[tuple[int, float]] = field(default_factory=list)
 
-    def serialize(self) -> str:
-        lines = ["eval_count,error"]
-        for count, err in self.trace:
-            lines.append(f"{count},{err!r}")
-        lines.append("change_index,E_last")
-        for index, err in enumerate(self.e_last):
-            lines.append(f"{index},{err!r}")
-        return "\n".join(lines) + "\n"
-
 
 def optimizer_config(optimizer_id: str, overrides: dict[str, str] | None = None):
     """The optimizer's own config type with key=value overrides applied."""

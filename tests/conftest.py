@@ -161,6 +161,25 @@ class SwitchableProblem(DynamicObjective):
         return self.offset
 
 
+def environment_note() -> str:
+    """What a failed golden comparison should say about the numeric environment.
+
+    The golden files hold only on ``GOLDEN_ENVIRONMENT``; the note names
+    each key where this process differs from it.
+    """
+    from dynopt.cli import GOLDEN_ENVIRONMENT, numeric_environment
+
+    current = numeric_environment()
+    differing = [
+        f"{key} is {current.get(key)!r}, recorded {recorded!r}"
+        for key, recorded in GOLDEN_ENVIRONMENT.items()
+        if current.get(key) != recorded
+    ]
+    if not differing:
+        return "the numeric environment is the recorded one"
+    return "the numeric environment differs from the recorded one: " + "; ".join(differing)
+
+
 def evaluate_one(problem, x) -> float:
     """Value of the one point ``x``, scored as a one-row batch."""
     return float(problem.evaluate(np.asarray(x, dtype=float)[None, :])[0])

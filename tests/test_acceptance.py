@@ -55,12 +55,8 @@ def test_criterion_1_statistics_match_brute_force():
             "mean": mean,
             "std": math.sqrt(var),
         }
-        got = {
-            "best": stats.average_best(mat),
-            "worst": stats.average_worst(mat),
-            "mean": stats.average_mean(mat),
-            "std": stats.std_dev(mat),
-        }
+        # error_stats gives Avg.Best, Avg.Worst, Avg.Mean, STD in this order
+        got = dict(zip(expected, stats.error_stats(mat).values()))
         for key in expected:
             worst_gap = max(worst_gap, abs(expected[key] - got[key]))
     elapsed = time.perf_counter() - started
@@ -248,9 +244,9 @@ def test_criterion_6_beats_baselines_at_desk_scale():
     )
     outcome = collect_cells(config)
     means = {
-        optimizer_id: stats.average_mean(
+        optimizer_id: stats.error_stats(
             outcome.results[("F1(10):T1", optimizer_id)].errors
-        )
+        )["Avg.Mean"]
         for optimizer_id in config.optimizers
     }
     elapsed = time.perf_counter() - started

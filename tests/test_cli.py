@@ -168,6 +168,10 @@ class TestRun:
         ("qcsso.subpopulations = -5", "subpopulations must be at least 1"),
         ("pso.population = 0", "population must be at least 1"),
         ("ssa.population = 0", "population must be at least 1"),
+        ("qcsso.reinit_probability = 1.5", "reinit_probability must lie in [0, 1]"),
+        ("qcsso.reinit_probability = nan", "reinit_probability must lie in [0, 1]"),
+        ("qcsso.min_age_limit = -3", "min_age_limit must lie in [0, max_age_limit]"),
+        ("qcsso.max_age_limit = 2", "min_age_limit must lie in [0, max_age_limit]"),
         # rule constants are no settings, even at their own values
         ("qcsso.leaders_per_chain = 2", "unknown override 'leaders_per_chain'"),
         ("qcsso.w_fixed = 0.96", "unknown override 'w_fixed'"),

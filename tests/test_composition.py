@@ -8,6 +8,7 @@ import pytest
 from dynopt.errors import ConfigError
 from dynopt.gdbg import basefuncs as bf
 from dynopt.gdbg.composition import (
+    DOMINANCE_POWER,
     NORMALIZER,
     SIGMA,
     CompositionProblem,
@@ -199,6 +200,19 @@ class TestDominanceWeighting:
         )
         assert abs(evaluate_one(prob, np.array([-3.0, -3.0])) - 40.0) < 1e-9
         assert abs(evaluate_one(prob, np.array([3.0, 3.0])) - 70.0) < 1e-9
+
+    def test_vector_power_equals_python_power(self):
+        # the damping takes wmax^10 through np.float_power, which must give
+        # the bits of Python's scalar ``v**10`` (np.power need not)
+        rng = np.random.default_rng(2009)
+        near_one = 1.0 - rng.uniform(0.0, 1e-12, 1000)
+        wmax = np.concatenate([
+            np.exp(-np.sqrt(rng.uniform(0.0, 200.0, 100_000))), near_one,
+            [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)],
+        ])
+        expected = np.array([v**DOMINANCE_POWER for v in wmax.tolist()])
+        got = np.float_power(wmax, np.array(float(DOMINANCE_POWER)))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestNormalizationGuard:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dynopt.errors import ConfigError
-from dynopt.harness.cases import Case, uniform_weights
+from dynopt.gdbg.instance import FUNCTION_IDS
+from dynopt.harness.cases import CHANGE_LABELS, Case, uniform_weights
 from dynopt.harness.csvio import (
     errors_filename,
     family_tag,
@@ -16,12 +17,14 @@ from dynopt.harness.csvio import (
     recompute_scores,
     scan_raw_files,
     trajectory_filename,
+    write_cell_trajectories,
     write_errors_tables,
     write_raw_table,
     write_scores,
 )
 from dynopt.harness.experiment import CaseResult, ExperimentConfig, ExperimentResult
 from dynopt.harness import stats
+from dynopt.optimizers.runner import OPTIMIZER_IDS, Trajectory
 
 
 def small_case_result(function_id="F1(10)", change_type="T1",
@@ -186,7 +189,7 @@ class TestErrorsTables:
         lines = written[0].read_text(encoding="utf-8").splitlines()
         assert lines[0] == "algorithm,stat,T1,T2,T3,T4,T5,T6,T7"
         result = small_case_result()
-        stats_by_name = result.stat_rows()
+        stats_by_name = stats.error_stats(result.errors)
         assert lines[1] == (
             f"qcsso,Avg.Best,{format_error(stats_by_name['Avg.Best'])},,,,,,"
         )
@@ -256,6 +259,21 @@ class TestScanning:
             ("F2", "T1", "ssa_baseline"),
         ]
 
+    def test_scan_finds_every_raw_filename(self, tmp_path):
+        names = [
+            (fid, label, opt)
+            for fid in FUNCTION_IDS for label in CHANGE_LABELS for opt in OPTIMIZER_IDS
+        ]
+        for name in names:
+            (tmp_path / raw_filename(*name)).write_text("x", encoding="utf-8")
+        junk = ["raw_F7_T1_qcsso.csv", "raw_F2_T8_qcsso.csv",
+                raw_filename("F2", "T1", "qcsso") + ".part"]
+        for name in junk:
+            (tmp_path / name).write_text("x", encoding="utf-8")
+        found = scan_raw_files(tmp_path)
+        assert sorted((f, c, a) for f, c, a, _ in found) == sorted(names)
+        assert all(path.name == raw_filename(f, c, a) for f, c, a, path in found)
+
     def test_optimizer_order(self):
         assert optimizer_order(["pso_baseline", "qcsso", "zzz", "abc"]) == [
             "qcsso",
@@ -281,6 +299,37 @@ class TestScanning:
     def test_recompute_scores_requires_raw_files(self, tmp_path):
         with pytest.raises(ConfigError, match="no raw tables"):
             recompute_scores(tmp_path)
+
+
+class TestTrajectoryFiles:
+    @staticmethod
+    def written(tmp_path, *trajectories):
+        cell = small_case_result("F2", "T1", "pso_baseline")
+        cell.trajectories = list(trajectories) or None
+        return [
+            path.read_text(encoding="utf-8")
+            for path in write_cell_trajectories(tmp_path, cell)
+        ]
+
+    def test_layout(self, tmp_path):
+        traj = Trajectory(evaluations=2, e_last=[0.125], trace=[(1, 0.5), (2, 0.25)])
+        assert self.written(tmp_path, traj) == [
+            "eval_count,error\n"
+            "1,0.5\n"
+            "2,0.25\n"
+            "change_index,E_last\n"
+            "0,0.125\n"
+        ]
+        assert (tmp_path / trajectory_filename("F2", "T1", "pso_baseline", 0)).is_file()
+
+    def test_uses_full_precision(self, tmp_path):
+        traj = Trajectory(evaluations=1, e_last=[0.1 + 0.2], trace=[])
+        [text] = self.written(tmp_path, traj)
+        assert "0,0.30000000000000004" in text
+
+    def test_untraced_cell_writes_nothing(self, tmp_path):
+        assert self.written(tmp_path) == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWeightLoading:

@@ -21,18 +21,35 @@ from pathlib import Path
 
 from dynopt.cli import GOLDEN_DIGEST, grid_text
 
+from conftest import environment_note
+
 GOLDEN = Path(__file__).parent / "data" / "golden_grid.txt"
 
 
 def test_grid_matches_golden_byte_for_byte():
     actual = grid_text()
     expected = GOLDEN.read_text(encoding="utf-8")
-    assert actual.splitlines() == expected.splitlines()
-    assert actual == expected
+    assert actual.splitlines() == expected.splitlines(), environment_note()
+    assert actual == expected, environment_note()
 
 
 def test_golden_file_is_the_recorded_digest():
     assert hashlib.sha256(GOLDEN.read_bytes()).hexdigest() == GOLDEN_DIGEST
+
+
+
+def test_environment_note_names_each_differing_key(monkeypatch):
+    from dynopt import cli
+
+    moved = {**cli.GOLDEN_ENVIRONMENT, "blas core": "Haswell", "numpy": "2.0.0"}
+    monkeypatch.setattr(cli, "numeric_environment", lambda: moved)
+    note = environment_note()
+    recorded = cli.GOLDEN_ENVIRONMENT["blas core"]
+    assert f"blas core is 'Haswell', recorded {recorded!r}" in note
+    assert "numpy is '2.0.0'" in note
+    assert "dispatch" not in note
+    monkeypatch.setattr(cli, "numeric_environment", lambda: dict(cli.GOLDEN_ENVIRONMENT))
+    assert environment_note() == "the numeric environment is the recorded one"
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from dynopt.harness import ExperimentConfig
 from dynopt.harness.experiment import optimizer_seed, problem_seed
 from dynopt.optimizers.runner import BudgetedRecorder, _build_optimizer
 
+from conftest import environment_note
+
 GOLDEN = Path(__file__).parent / "data" / "golden_long.txt"
 LONG = ExperimentConfig(
     cases=("F1(10):T1", "F6:T1", "F1(10):T7"),
@@ -71,8 +73,8 @@ def long_text() -> str:
 def test_long_runs_match_golden_byte_for_byte():
     actual = long_text()
     expected = GOLDEN.read_text(encoding="utf-8")
-    assert actual.splitlines() == expected.splitlines()
-    assert actual == expected
+    assert actual.splitlines() == expected.splitlines(), environment_note()
+    assert actual == expected, environment_note()
 
 
 if __name__ == "__main__":

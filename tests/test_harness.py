@@ -24,7 +24,7 @@ from dynopt.harness.experiment import (
     run_experiment,
     run_single,
 )
-from dynopt.harness.stats import overall_score, validate_weight_table
+from dynopt.harness.stats import error_stats, overall_score, validate_weight_table
 from dynopt.overrides import parse_kv_pairs
 
 from conftest import collect_cells
@@ -316,7 +316,7 @@ class TestOneCell:
         assert result.r_last.shape == (2, 2)
         assert result.samples.shape == (2, 2, 3)
         assert 0.0 < result.score() <= 1.0
-        rows = result.stat_rows()
+        rows = error_stats(result.errors)
         assert list(rows) == ["Avg.Best", "Avg.Worst", "Avg.Mean", "STD"]
         assert rows["Avg.Best"] <= rows["Avg.Mean"] <= rows["Avg.Worst"]
         assert result.trajectories is None

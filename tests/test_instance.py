@@ -14,7 +14,7 @@ from dynopt.gdbg.instance import FUNCTION_IDS, GdbgConfig, GdbgInstance, make_in
 from dynopt.gdbg.peaks import PeakSet
 from dynopt.optimizers import BudgetedRecorder, SsaBaseline
 
-from conftest import evaluate_one
+from conftest import environment_note, evaluate_one
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -678,7 +678,7 @@ class TestGoldenTrajectories:
         args = self.CASES[filename]
         produced = drive_instance(*args)
         expected = (DATA_DIR / filename).read_text(encoding="utf-8")
-        assert produced == expected
+        assert produced == expected, environment_note()
 
 
 if __name__ == "__main__":

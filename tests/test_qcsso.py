@@ -235,7 +235,7 @@ def reference_swarm_update(opt, b_l, best_mean, w, c):
             if rank < rules.LEADERS_PER_CHAIN:
                 d4, dr, d3 = opt.rng.random((3, opt.dim))
                 opt.positions[idx] = rules.quantum_update(
-                    x, attractor, b_l, best_mean, w, d4, dr, d3, rules.C3_THRESHOLD,
+                    x, attractor, b_l, best_mean, w, d4, dr, d3,
                 )
             else:
                 x_prev = opt.positions[members[rank - 1]]

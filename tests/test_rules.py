@@ -22,9 +22,6 @@ class TestLogisticStep:
     def test_fixed_point(self):
         assert rules.logistic_step(0.75) == 0.75
 
-    def test_custom_gain(self):
-        assert rules.logistic_step(0.5, d=2.0) == 0.5
-
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_states_outside_open_interval(self, bad):
         with pytest.raises(ValueError):
@@ -275,13 +272,15 @@ class TestQuantumUpdate:
         assert plus == 1.0 + math.log(2.0)
         assert minus == 1.0 - math.log(2.0)
 
-    def test_threshold_is_configurable(self):
-        # c3 = 0.4 subtracts at the default threshold but adds below it
-        draws = [0.75, 0.625, 0.6]
-        low = rules.quantum_update(1.0, 1.0, 2.0, 1.5, 0.5, *draws, c3_threshold=0.3)
-        high = rules.quantum_update(1.0, 1.0, 2.0, 1.5, 0.5, *draws, c3_threshold=0.5)
-        assert low == 1.0 + math.log(2.0)
-        assert high == 1.0 - math.log(2.0)
+    @pytest.mark.parametrize("offset, sign", [(2.0**-53, 1.0), (0.0, -1.0),
+                                              (-(2.0**-53), -1.0)])
+    def test_coin_beside_the_threshold(self, offset, sign):
+        # the step is added only where c3 = 1 - d3 exceeds C3_THRESHOLD
+        c3 = rules.C3_THRESHOLD + offset
+        d3 = 1.0 - c3
+        assert 1.0 - d3 == c3
+        value = rules.quantum_update(1.0, 1.0, 2.0, 1.5, 0.5, 0.75, 0.625, d3)
+        assert value == 1.0 + sign * math.log(2.0)
 
     def test_zero_amplitude_pins_to_attractor(self):
         rng = np.random.default_rng(103)

@@ -9,7 +9,6 @@ from dynopt.objective import DynamicObjective
 from dynopt.optimizers.runner import (
     OPTIMIZER_IDS,
     BudgetedRecorder,
-    Trajectory,
     _ratio,
     run,
 )
@@ -505,18 +504,3 @@ class TestBatchRecording:
         assert len(batched.e_last) == 2
         self.assert_same(batched, looped)
 
-
-class TestTrajectory:
-    def test_serialize_layout(self):
-        traj = Trajectory(evaluations=2, e_last=[0.125], trace=[(1, 0.5), (2, 0.25)])
-        assert traj.serialize() == (
-            "eval_count,error\n"
-            "1,0.5\n"
-            "2,0.25\n"
-            "change_index,E_last\n"
-            "0,0.125\n"
-        )
-
-    def test_serialize_uses_full_precision(self):
-        traj = Trajectory(evaluations=1, e_last=[0.1 + 0.2], trace=[])
-        assert "0,0.30000000000000004" in traj.serialize()

@@ -7,12 +7,10 @@ import pytest
 
 from dynopt.errors import ConfigError
 from dynopt.harness.stats import (
-    average_best,
-    average_mean,
-    average_worst,
+    STAT_ROWS,
     case_score,
+    error_stats,
     overall_score,
-    std_dev,
     validate_weight_table,
 )
 
@@ -35,17 +33,20 @@ def brute_stats(rows):
 class TestMatrixStats:
     def test_hand_values(self):
         mat = np.array([[4.0, 2.0, 6.0], [1.0, 5.0, 3.0]])
-        assert average_best(mat) == 1.5  # (2 + 1) / 2
-        assert average_worst(mat) == 5.5  # (6 + 5) / 2
-        assert average_mean(mat) == 3.5
-        assert abs(std_dev(mat) - np.std(mat.ravel())) < 1e-15
+        stats = error_stats(mat)
+        assert stats["Avg.Best"] == 1.5  # (2 + 1) / 2
+        assert stats["Avg.Worst"] == 5.5  # (6 + 5) / 2
+        assert stats["Avg.Mean"] == 3.5
+        assert abs(stats["STD"] - np.std(mat.ravel())) < 1e-15
+
+    def test_rows_in_table_order(self):
+        assert tuple(error_stats([[1.0]])) == STAT_ROWS
+        assert STAT_ROWS == ("Avg.Best", "Avg.Worst", "Avg.Mean", "STD")
 
     def test_single_entry(self):
-        mat = np.array([[7.0]])
-        assert average_best(mat) == 7.0
-        assert average_worst(mat) == 7.0
-        assert average_mean(mat) == 7.0
-        assert std_dev(mat) == 0.0
+        assert error_stats(np.array([[7.0]])) == {
+            "Avg.Best": 7.0, "Avg.Worst": 7.0, "Avg.Mean": 7.0, "STD": 0.0,
+        }
 
     def test_against_naive_recomputation(self):
         rng = np.random.default_rng(404)
@@ -53,21 +54,18 @@ class TestMatrixStats:
             runs = int(rng.integers(1, 12))
             changes = int(rng.integers(1, 15))
             mat = rng.uniform(0.0, 50.0, size=(runs, changes))
-            b, w, m, s = brute_stats(mat.tolist())
-            assert abs(average_best(mat) - b) < 1e-12
-            assert abs(average_worst(mat) - w) < 1e-12
-            assert abs(average_mean(mat) - m) < 1e-12
-            assert abs(std_dev(mat) - s) < 1e-12
+            expected = brute_stats(mat.tolist())
+            for got, want in zip(error_stats(mat).values(), expected):
+                assert abs(got - want) < 1e-12
 
     def test_list_input_accepted(self):
-        assert average_mean([[1.0, 3.0]]) == 2.0
+        assert error_stats([[1.0, 3.0]])["Avg.Mean"] == 2.0
 
     @pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.zeros((0, 3)),
                                      np.zeros((2, 2, 2))])
     def test_non_matrix_rejected(self, bad):
-        for fn in (average_best, average_worst, average_mean, std_dev):
-            with pytest.raises(ConfigError):
-                fn(bad)
+        with pytest.raises(ConfigError):
+            error_stats(bad)
 
 
 def window_score(r_last, samples):
