@@ -38,17 +38,6 @@ class ChangeType(enum.Enum):
     RECURRENT_NOISY = "T6"
     RANDOM_DIM = "T7"
 
-    @classmethod
-    def from_label(cls, label: str) -> "ChangeType":
-        label = label.strip().upper()
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown change type {label!r} (expected T1..T7)")
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 def change_values(
     values: np.ndarray,

@@ -248,7 +248,5 @@ def make_instance(
     overrides: dict | None = None,
 ) -> GdbgInstance:
     """Build a benchmark instance from a function id, regime, and seed."""
-    if isinstance(change_type, str):
-        change_type = ChangeType.from_label(change_type)
     config = apply_overrides(GdbgConfig(), overrides)
-    return GdbgInstance(function_id, change_type, seed, config)
+    return GdbgInstance(function_id, ChangeType(change_type), seed, config)

@@ -17,8 +17,8 @@ whole or not at all: through a sibling ``.part`` file that replaces it.
 
 from __future__ import annotations
 
+import math
 import os
-import re
 from pathlib import Path
 from typing import Mapping
 
@@ -34,21 +34,13 @@ from dynopt.harness.cases import (
     all_cases,
 )
 from dynopt.harness.experiment import CaseResult, ExperimentResult, optimizer_order
-from dynopt.optimizers.runner import Trajectory
+from dynopt.optimizers.runner import OPTIMIZER_IDS, Trajectory
 from dynopt.overrides import parse_config_text
 
 
 def family_tag(function_id: str) -> str:
     """Filesystem-safe tag for a landscape family: ``F1(10)`` -> ``F1_10``."""
     return function_id.replace("(", "_").replace(")", "")
-
-
-_TAG_TO_FUNCTION = {family_tag(fid): fid for fid in FUNCTION_IDS}
-_RAW_NAME = re.compile(
-    rf"^raw_(?P<tag>{'|'.join(map(re.escape, _TAG_TO_FUNCTION))})"
-    rf"_(?P<change>{'|'.join(map(re.escape, CHANGE_LABELS))})"
-    r"_(?P<alg>[a-z][a-z0-9_]*)\.csv$"
-)
 
 
 def format_error(value: float) -> str:
@@ -187,14 +179,15 @@ def write_scores(
 
 
 def scan_raw_files(out_dir: Path) -> list[tuple[str, str, str, Path]]:
-    """Find raw tables, as (function_id, change_type, optimizer_id, path)."""
+    """The raw tables ``dynopt run`` writes that exist in ``out_dir``, as
+    (function_id, change_type, optimizer_id, path) in grid then registry order."""
+    present = set(os.listdir(out_dir))  # one listing, not a stat per name
     found = []
-    for path in sorted(Path(out_dir).iterdir()):
-        match = _RAW_NAME.match(path.name)
-        if not match:
-            continue
-        function_id = _TAG_TO_FUNCTION[match.group("tag")]
-        found.append((function_id, match.group("change"), match.group("alg"), path))
+    for case in all_cases():
+        for optimizer_id in OPTIMIZER_IDS:
+            cell = (case.function_id, case.change_type, optimizer_id)
+            if raw_filename(*cell) in present:
+                found.append((*cell, Path(out_dir) / raw_filename(*cell)))
     return found
 
 
@@ -219,6 +212,10 @@ def read_raw_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if key in records:
             raise ConfigError(f"raw table {path} repeats a row: {line!r}")
         records[key] = [float(v) for v in cells[2:]]
+        if not 0.0 <= records[key][0] < math.inf:  # NaN fails too
+            raise ConfigError(
+                f"raw table {path} has a negative or non-finite E_last: {line!r}"
+            )
     if not records:
         raise ConfigError(f"raw table {path} has no data rows")
     runs = max(key[0] for key in records) + 1

@@ -24,7 +24,7 @@ from dynopt.gdbg.instance import make_instance, resolve_frequency
 from dynopt.harness import stats
 from dynopt.harness.cases import Case, select_cases
 from dynopt.optimizers.runner import OPTIMIZER_IDS, Trajectory, optimizer_config, run
-from dynopt.overrides import coerce
+from dynopt.overrides import apply_overrides
 
 DEFAULT_SEED = 12345
 
@@ -81,17 +81,11 @@ class ExperimentConfig:
             raise ConfigError("jobs must be at least 1")
         self.optimizers = tuple(self.optimizers)
         self.cases = tuple(self.cases)
-        for opt in self.optimizers:
-            if opt not in OPTIMIZER_IDS:
-                raise ConfigError(
-                    f"unknown optimizer {opt!r}; expected one of "
-                    f"{', '.join(OPTIMIZER_IDS)}"
-                )
         if not self.optimizers:
             raise ConfigError("at least one optimizer is required")
-        # every override is checked here, before any run spends its budget;
-        # overrides for an unknown optimizer id fail too
-        for optimizer_id in (*OPTIMIZER_IDS, *self.overrides):
+        # every selected or overridden id and its overrides are checked
+        # here, before any run spends its budget
+        for optimizer_id in dict.fromkeys((*self.optimizers, *self.overrides)):
             optimizer_config(optimizer_id, self.overrides_for(optimizer_id))
 
     @classmethod
@@ -100,27 +94,20 @@ class ExperimentConfig:
 
         Keys with a ``qcsso.``, ``ssa.``, or ``pso.`` prefix are passed
         through to the matching optimizer; everything else must name a
-        scalar field of this class.
+        setting of this class, coerced to its field's type.
         """
+        known = {f.name for f in dataclasses.fields(cls)} - {"overrides"}
         overrides: dict[str, dict] = {}
-        kwargs: dict[str, object] = {"overrides": overrides}
-        scalar_fields = {
-            f.name: f for f in dataclasses.fields(cls) if f.name != "overrides"
-        }
+        settings: dict[str, object] = {"overrides": overrides}
         for key, value in pairs.items():
             prefix, dot, name = key.partition(".")
             if dot and prefix in _PREFIXES:
                 overrides.setdefault(_PREFIXES[prefix], {})[name] = value
-                continue
-            if key not in scalar_fields:
-                raise ConfigError(f"unknown experiment setting {key!r}")
-            if key in ("cases", "optimizers"):
-                if isinstance(value, str):
-                    value = [part.strip() for part in value.split(",") if part.strip()]
-                kwargs[key] = tuple(value)
+            elif key in known:
+                settings[key] = value
             else:
-                kwargs[key] = coerce(value, type(scalar_fields[key].default))
-        return cls(**kwargs)
+                raise ConfigError(f"unknown experiment setting {key!r}")
+        return apply_overrides(cls(), settings)
 
     def resolved_frequency(self) -> int:
         return resolve_frequency(self.change_frequency, self.dimension)
@@ -200,9 +187,8 @@ class ExperimentResult:
 
 
 def optimizer_order(optimizer_ids) -> list[str]:
-    """Known optimizers in their registry order, then any others by name."""
-    known = [opt for opt in OPTIMIZER_IDS if opt in optimizer_ids]
-    return known + sorted(set(optimizer_ids) - set(OPTIMIZER_IDS))
+    """The registered optimizers among ``optimizer_ids``, in registry order."""
+    return [opt for opt in OPTIMIZER_IDS if opt in optimizer_ids]
 
 
 @contextlib.contextmanager

@@ -59,6 +59,8 @@ class QcssoConfig(SwarmConfig):
             raise ConfigError("min_age_limit must lie in [0, max_age_limit]")
         if not 0.0 <= self.reinit_probability <= 1.0:  # NaN fails too
             raise ConfigError("reinit_probability must lie in [0, 1]")
+        if not self.exclusion_radius >= 0.0:  # NaN fails too
+            raise ConfigError("exclusion_radius must be at least 0")
 
 
 class Qcsso(SwarmBase):
@@ -82,8 +84,6 @@ class Qcsso(SwarmBase):
         self._pairs = np.triu_indices(self.k, 1)
         self._pair_list = list(zip(*(side.tolist() for side in self._pairs)))
         self._w_state = rules.W_INIT
-        # applied once per follower rank: a 0-d operand, as for the bounds
-        self._momentum = np.array(rules.MOMENTUM)
         self._probe_sigma = PROBE_SIGMA_SCALE * (self.upper - self.lower)
         self._resize_extra_state(self.dim)
 
@@ -153,7 +153,7 @@ class Qcsso(SwarmBase):
         ranks[:heads] = heads_moved.swapaxes(0, 1)
         rules.follower_chain(
             ranks, attractor.swapaxes(0, 1),
-            rules.follower_coefficient(l_eff, self.max_iterations), self._momentum,
+            rules.follower_coefficient(l_eff, self.max_iterations),
         )
         self.positions = ranks.swapaxes(0, 1).reshape(self.n, dim)
 

@@ -29,11 +29,12 @@ W_INIT = 0.70
 MOMENTUM = 0.5
 C3_THRESHOLD = 0.5
 LEADERS_PER_CHAIN = 2  # quantum heads at the front of each chain
-# the draw maps 1 - d and the side coin take their constants as 0-d arrays:
-# a Python float operand costs numpy 2 a conversion on every call, a 0-d
-# array does not (same bits)
+# the draw maps 1 - d, the side coin and the follower momentum take their
+# constants as 0-d arrays: a Python float operand costs numpy 2 a
+# conversion on every call, a 0-d array does not (same bits)
 _ONE = np.array(1.0)
 _C3_THRESHOLD = np.array(C3_THRESHOLD)
+_MOMENTUM = np.array(MOMENTUM)
 
 
 def logistic_step(w: float) -> float:
@@ -148,20 +149,18 @@ def quantum_update(x, attractor, b_l: float, bestmean, w: float, d4, dr, d3):
     return attractor + np.where(c3 > _C3_THRESHOLD, step, -step)
 
 
-def follower_chain(x, attractor, c: float, momentum: float) -> None:
+def follower_chain(x, attractor, c: float) -> None:
     """Momentum following of every rank past the heads, in place on ``x``.
 
     ``x`` and ``attractor`` are rank-major stacks, ``(chain, ...)``; the
     first ``LEADERS_PER_CHAIN`` ranks of ``x`` have already moved.  Each
     later rank i becomes
-    ``x_{i-1} + c * (A_i - x_i) + momentum * (x_{i-1} - x_{i-2})``, one
+    ``x_{i-1} + c * (A_i - x_i) + MOMENTUM * (x_{i-1} - x_{i-2})``, one
     rank at a time, reading its two predecessors as already moved.  The
     pulls ``c * (A_i - x_i)`` read only unmoved ranks, so they are one
     array step; each rank then takes
-    ``(x_{i-1} + pull) + momentum * (x_{i-1} - x_{i-2})``, the same
-    operations in the same order as the formula.  ``momentum`` enters once
-    per rank, so a caller passes it as a 0-d array (same bits, no
-    conversion per call).
+    ``(x_{i-1} + pull) + MOMENTUM * (x_{i-1} - x_{i-2})``, the same
+    operations in the same order as the formula.
     """
     pulls = c * (attractor[LEADERS_PER_CHAIN:] - x[LEADERS_PER_CHAIN:])
     ranks = list(x)  # one view per rank
@@ -169,6 +168,6 @@ def follower_chain(x, attractor, c: float, momentum: float) -> None:
     for rank, pull in enumerate(pulls, start=LEADERS_PER_CHAIN):
         prev, out = ranks[rank - 1], ranks[rank]
         np.subtract(prev, ranks[rank - 2], out=step)
-        step *= momentum
+        step *= _MOMENTUM
         np.add(prev, pull, out=out)
         out += step

@@ -44,6 +44,11 @@ def coerce(value: Any, target_type: type) -> Any:
         target_type is int and isinstance(value, bool)
     ):
         return value
+    if target_type is tuple:
+        # a comma-separated string, or any sequence
+        if isinstance(value, str):
+            return tuple(part.strip() for part in value.split(",") if part.strip())
+        return tuple(value)
     text = str(value).strip()
     if target_type is bool:
         low = text.lower()
@@ -62,7 +67,7 @@ def coerce(value: Any, target_type: type) -> Any:
             return as_int
         if target_type is float:
             return float(text)
-    except ValueError:
+    except (ValueError, OverflowError):  # int() of an infinity overflows
         raise ConfigError(f"cannot interpret {value!r} as {target_type.__name__}") from None
     if target_type is str:
         return text

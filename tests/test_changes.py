@@ -40,14 +40,17 @@ def change(family, kind, rng, t=0):
 class TestChangeType:
     def test_labels_roundtrip(self):
         for label in ("T1", "T2", "T3", "T4", "T5", "T6", "T7"):
-            assert ChangeType.from_label(label).value == label
+            assert ChangeType(label).value == label
+        assert ChangeType("T3") is ChangeType.RANDOM
 
-    def test_lowercase_accepted(self):
-        assert ChangeType.from_label(" t3 ") is ChangeType.RANDOM
+    @pytest.mark.parametrize("label", ["t3", " T3 ", "T3 "])
+    def test_lowercase_or_padded_label_rejected(self, label):
+        with pytest.raises(ValueError):
+            ChangeType(label)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
-            ChangeType.from_label("T9")
+            ChangeType("T9")
 
 
 class TestChangeValues:

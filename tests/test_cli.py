@@ -170,6 +170,8 @@ class TestRun:
         ("ssa.population = 0", "population must be at least 1"),
         ("qcsso.reinit_probability = 1.5", "reinit_probability must lie in [0, 1]"),
         ("qcsso.reinit_probability = nan", "reinit_probability must lie in [0, 1]"),
+        ("qcsso.exclusion_radius = -1", "exclusion_radius must be at least 0"),
+        ("qcsso.exclusion_radius = nan", "exclusion_radius must be at least 0"),
         ("qcsso.min_age_limit = -3", "min_age_limit must lie in [0, max_age_limit]"),
         ("qcsso.max_age_limit = 2", "min_age_limit must lie in [0, max_age_limit]"),
         # rule constants are no settings, even at their own values
@@ -190,6 +192,20 @@ class TestRun:
             main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("line, value", [
+        ("runs = abc", "abc"),
+        ("runs = inf", "inf"),
+        ("qcsso.population = 1e400", "1e400"),
+    ])
+    def test_unreadable_number_exits_2(self, tmp_path, capsys, line, value):
+        config = write_config(tmp_path, TINY_CONFIG + line + "\n")
+        argv = ["run", "--config", config, "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"cannot interpret {value!r} as int" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from dynopt.harness.csvio import (
     optimizer_order,
     raw_filename,
     read_raw_table,
+    read_results,
     recompute_scores,
     scan_raw_files,
     trajectory_filename,
@@ -172,6 +173,20 @@ class TestRawTables:
         with pytest.raises(ConfigError, match="negative index"):
             read_raw_table(path)
 
+    @pytest.mark.parametrize("e_last", ["-5.0", "nan", "inf"])
+    def test_read_rejects_an_impossible_error(self, tmp_path, e_last):
+        path = tmp_path / "raw_F2_T1_qcsso.csv"
+        path.write_text(
+            "run,change,E_last,r_last,r_1\n"
+            "0,0,1.0,0.5,0.5\n"
+            f"0,1,{e_last},0.5,0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="negative or non-finite E_last") as excinfo:
+            read_raw_table(path)
+        assert str(path) in str(excinfo.value)
+        assert f"0,1,{e_last}," in str(excinfo.value)
+
     def test_read_rejects_headerless_data(self, tmp_path):
         path = tmp_path / "raw_F2_T1_qcsso.csv"
         path.write_text(
@@ -274,12 +289,40 @@ class TestScanning:
         assert sorted((f, c, a) for f, c, a, _ in found) == sorted(names)
         assert all(path.name == raw_filename(f, c, a) for f, c, a, path in found)
 
+    def test_scan_lists_grid_order_then_registry_order(self, tmp_path):
+        names = [
+            ("F2", "T1", "pso_baseline"),
+            ("F1(10)", "T3", "ssa_baseline"),
+            ("F2", "T1", "qcsso"),
+            ("F1(10)", "T3", "pso_baseline"),
+            ("F1(50)", "T1", "qcsso"),
+        ]
+        for name in names:
+            (tmp_path / raw_filename(*name)).write_text("x", encoding="utf-8")
+        junk = ["raw_F1_10_T1_foo.csv", raw_filename("F3", "T2", "qcsso") + ".part"]
+        for name in junk:
+            (tmp_path / name).write_text("x", encoding="utf-8")
+        found = scan_raw_files(tmp_path)
+        assert [(f, c, a) for f, c, a, _ in found] == [
+            ("F1(10)", "T3", "ssa_baseline"),
+            ("F1(10)", "T3", "pso_baseline"),
+            ("F1(50)", "T1", "qcsso"),
+            ("F2", "T1", "qcsso"),
+            ("F2", "T1", "pso_baseline"),
+        ]
+
+    def test_read_results_scores_only_registered_optimizers(self, tmp_path):
+        write_raw_table(tmp_path, small_case_result("F1(10)", "T1", "qcsso"))
+        write_raw_table(tmp_path, small_case_result("F1(10)", "T1", "foo"))
+        assert (tmp_path / "raw_F1_10_T1_foo.csv").is_file()
+        result = read_results(tmp_path)
+        assert list(result.results) == [("F1(10):T1", "qcsso")]
+        assert list(result.scores()) == ["qcsso"]
+
     def test_optimizer_order(self):
-        assert optimizer_order(["pso_baseline", "qcsso", "zzz", "abc"]) == [
+        assert optimizer_order(["pso_baseline", "qcsso"]) == [
             "qcsso",
             "pso_baseline",
-            "abc",
-            "zzz",
         ]
 
     def test_recompute_scores_matches_case_score(self, tmp_path):

@@ -214,6 +214,21 @@ class TestConfig:
             "pso_baseline": {"population": "12"},
         }
 
+    @pytest.mark.parametrize("cases", [
+        "F2:T1, F3", ("F2:T1", "F3"), ["F2:T1", "F3"],
+    ])
+    def test_cases_as_string_tuple_or_list(self, cases):
+        config = ExperimentConfig.from_pairs({"cases": cases, "runs": "2"})
+        assert config == ExperimentConfig(cases=("F2:T1", "F3"), runs=2)
+
+    def test_an_unknown_selected_optimizer_fails_once(self):
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig.from_pairs({"optimizers": "qcsso, nope"})
+        assert str(excinfo.value) == (
+            "unknown optimizer 'nope'; expected one of "
+            "qcsso, ssa_baseline, pso_baseline"
+        )
+
     def test_from_pairs_accepts_whole_floats(self):
         assert ExperimentConfig.from_pairs({"runs": "10.0"}).runs == 10
 

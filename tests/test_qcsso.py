@@ -76,9 +76,10 @@ class TestStructure:
         assert abs(opt._exclusion_radius - 0.1 * 10.0 * 2.0) < 1e-12
         opt = make_opt(config=QcssoConfig(exclusion_radius=2.5))
         assert opt._exclusion_radius == 2.5
-        # a radius that is not positive, NaN included, takes the default
-        opt = make_opt(dim=4, config=QcssoConfig(exclusion_radius=float("nan")))
-        assert abs(opt._exclusion_radius - 0.1 * 10.0 * 2.0) < 1e-12
+        # 0 takes the default; a negative or NaN radius is refused
+        for radius in (-1.0, float("nan")):
+            with pytest.raises(ConfigError, match="exclusion_radius"):
+                QcssoConfig(exclusion_radius=radius)
 
     def test_probe_sigma_tracks_bounds(self):
         opt = make_opt(dim=3)

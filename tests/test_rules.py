@@ -301,25 +301,26 @@ class TestQuantumUpdate:
         assert value == expected
 
 
-def follow(x_prev2, x_prev, x_i, attractor, c, momentum):
+def follow(x_prev2, x_prev, x_i, attractor, c):
     """One follower moved by ``follower_chain``: a chain of two heads and it."""
     x = np.array([[x_prev2], [x_prev], [x_i]])
-    rules.follower_chain(x, np.array([[0.0], [0.0], [attractor]]), c, momentum)
+    rules.follower_chain(x, np.array([[0.0], [0.0], [attractor]]), c)
     return float(x[2, 0])
 
 
 class TestFollowerUpdate:
     def test_hand_value(self):
-        # 2 + 0.5*(0 - 0) + 0.5*(2 - 1) = 2.5
-        value = follow(x_prev2=1.0, x_prev=2.0, x_i=0.0, attractor=0.0, c=0.5, momentum=0.5)
+        # 2 + 0.5*(0 - 0) + MOMENTUM*(2 - 1) = 2.5
+        value = follow(x_prev2=1.0, x_prev=2.0, x_i=0.0, attractor=0.0, c=0.5)
         assert value == 2.5
 
     def test_zero_coefficients_follow_predecessor(self):
-        assert follow(1.0, 4.0, 9.0, 7.0, 0.0, 0.0) == 4.0
+        # equal predecessors zero the momentum term
+        assert follow(4.0, 4.0, 9.0, 7.0, 0.0) == 4.0
 
     def test_attraction_term(self):
-        # pure attraction: x_prev + c * (A - x_i)
-        assert follow(0.0, 0.0, 1.0, 3.0, 0.5, 0.0) == 1.0
+        # pure attraction, equal predecessors: x_prev + c * (A - x_i)
+        assert follow(0.0, 0.0, 1.0, 3.0, 0.5) == 1.0
 
     @pytest.mark.parametrize(
         "chain, k, dim", [(2, 1, 1), (3, 2, 4), (10, 5, 10), (25, 2, 50), (1, 3, 2)]
@@ -328,16 +329,16 @@ class TestFollowerUpdate:
         rng = np.random.default_rng(107)
         x = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
         attractor = rng.uniform(-5.0, 5.0, size=(chain, k, dim))
-        c, momentum = rng.random(2)
+        c = rng.random()
         expected = x.copy()
         for rank in range(2, chain):  # past the two heads
             x_prev, x_prev2 = expected[rank - 1], expected[rank - 2]
             expected[rank] = (
                 x_prev + c * (attractor[rank] - expected[rank])
-                + momentum * (x_prev - x_prev2)
+                + rules.MOMENTUM * (x_prev - x_prev2)
             )
         moved = x.copy()
-        rules.follower_chain(moved, attractor, c, momentum)
+        rules.follower_chain(moved, attractor, c)
         assert moved.tobytes() == expected.tobytes()
 
 
