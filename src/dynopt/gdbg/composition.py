@@ -15,7 +15,7 @@ from collections.abc import Callable
 import numpy as np
 
 from dynopt.errors import ConfigError
-from dynopt.gdbg.basefuncs import BASE_FUNCTIONS, NATURAL_HALF_RANGE
+from dynopt.gdbg.basefuncs import BASE_FUNCTIONS, NATURAL_HALF_RANGE, squared_norm
 
 FMAX_GUARD = 1e-12
 DOMINANCE_POWER = 10
@@ -117,12 +117,14 @@ class CompositionProblem:
         # in arrays the call already owns, with 0-d constants (see basefuncs)
         # and operands swapped only where IEEE arithmetic commutes, so the
         # bits are those of the expressions; the masked multiply is the
-        # where(), NaN included.  Reductions call their ufuncs directly: the
-        # same bits as np.sum / .max without the wrappers' dispatch.  The
-        # stretch lambda is folded into the matrices once per normalization:
-        # GDBG's (diff / lambda) M, rounded in another order
+        # where(), NaN included.  The sum over coordinates is basefuncs'
+        # squared norm (einsum); the sums and maxima over components call
+        # their ufuncs directly, the same bits as np.sum / .max without the
+        # wrappers' dispatch.  The stretch lambda is folded into the matrices
+        # once per normalization: GDBG's (diff / lambda) M, rounded in
+        # another order
         diff = xs[:, None, :] - self.centers
-        w = np.add.reduce(diff * diff, axis=2)
+        w = squared_norm(diff)
         w /= self._weight_scale
         np.sqrt(w, out=w)
         np.negative(w, out=w)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from dynopt.gdbg.basefuncs import squared_norm
+
 _ONE = np.array(1.0)  # 0-d, not a Python float: see basefuncs
 
 
@@ -35,12 +37,12 @@ class PeakSet:
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """One value per row of an ``(n, dim)`` batch."""
         diff = xs[:, None, :] - self.centers
-        # np.mean is add.reduce over the count; calling the ufuncs directly
-        # gives the same bits without the wrappers' dispatch cost.  The steps
-        # of h / (1 + w * dist) then run in place on one array, operands
-        # swapped only where IEEE arithmetic commutes, so the bits are those
-        # of the expression
-        value = np.add.reduce(diff * diff, axis=2)
+        # the mean square is basefuncs' squared norm over the count.  The
+        # steps of h / (1 + w * dist) then run in place on one array,
+        # operands swapped only where IEEE arithmetic commutes, so the bits
+        # are those of the expression; the maximum calls its ufunc directly,
+        # the same bits as np.max without the wrapper's dispatch cost
+        value = squared_norm(diff)
         value /= diff.shape[2]
         np.sqrt(value, out=value)
         value *= self.widths

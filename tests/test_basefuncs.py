@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dynopt.gdbg import basefuncs as bf
+from dynopt.gdbg.changes import DIM_MAX, DIM_MIN
 
 
 ALL_FUNCS = sorted(bf.BASE_FUNCTIONS)
+EPS = np.finfo(float).eps
 
 
 def test_registry_contents():
@@ -70,7 +72,7 @@ def test_griewank_cached_divisor_gives_the_same_bits():
         xs = rng.uniform(-100.0, 100.0, size=(7, n))
         idx = np.sqrt(np.arange(1, n + 1, dtype=float))
         direct = (
-            np.add.reduce(xs * xs, axis=-1) / 4000.0
+            np.einsum("...d,...d->...", xs, xs) / 4000.0
             - np.multiply.reduce(np.cos(xs / idx), axis=-1)
             + 1.0
         )
@@ -147,3 +149,59 @@ def test_weierstrass_nonnegative_without_tolerance():
     for scale in (1e-8, 1e-3, 0.5, 5.0):
         points = rng.uniform(-scale, scale, size=(500, 6))
         assert (bf.weierstrass(points) >= 0.0).all()
+
+
+# -- the coordinate-sum primitive ------------------------------------------
+
+PRIMITIVES = {
+    "coordinate_sum": (bf.coordinate_sum, lambda x: x),
+    "squared_norm": (bf.squared_norm, lambda x: x * x),
+}
+
+
+def _stacks(dim, rng):
+    """(n, components, dim) stacks at the batch sizes the optimizers use,
+    far from and within 1e-7 of an optimum; 50 components is F1(50)'s count."""
+    for n in (1, 5, 50):
+        for components in (10, 50):
+            yield rng.uniform(-100.0, 100.0, size=(n, components, dim))
+            yield 1e-7 * rng.uniform(-1.0, 1.0, size=(n, components, dim))
+
+
+@pytest.mark.parametrize("dim", range(DIM_MIN, DIM_MAX + 1))
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+class TestCoordinateSum:
+    def test_row_equals_its_one_row_batch(self, name, dim):
+        total = PRIMITIVES[name][0]
+        for z in _stacks(dim, np.random.default_rng(101)):
+            batch = total(z)
+            assert batch.shape == z.shape[:2]
+            for i in range(len(z)):
+                assert total(z[i : i + 1]).tobytes() == batch[i : i + 1].tobytes()
+
+    def test_strided_run_slice_equals_its_copy(self, name, dim):
+        total = PRIMITIVES[name][0]
+        for z in _stacks(dim, np.random.default_rng(103)):
+            for run in (slice(4, 6), slice(0, 1), slice(9, 10), slice(3, 10)):
+                view = z[:, run]
+                assert total(view).tobytes() == total(view.copy()).tobytes()
+
+    def test_vector_equals_its_row_in_a_batch(self, name, dim):
+        total = PRIMITIVES[name][0]
+        for z in _stacks(dim, np.random.default_rng(107)):
+            batch = total(z)
+            for i, j in ((0, 0), (len(z) - 1, 9), (len(z) // 2, 3)):
+                assert total(z[i, j]) == batch[i, j]
+                assert total(z[i]).tobytes() == batch[i].tobytes()
+
+    def test_within_the_fixed_order_bound_of_add_reduce(self, name, dim):
+        total, terms = PRIMITIVES[name]
+        for z in _stacks(dim, np.random.default_rng(109)):
+            a = terms(z)
+            gap = np.abs(total(z) - np.add.reduce(a, axis=-1))
+            assert np.all(gap <= (dim - 1) * EPS * np.add.reduce(np.abs(a), axis=-1))
+
+    def test_zero_vectors_sum_to_exact_zero(self, name, dim):
+        total = PRIMITIVES[name][0]
+        assert total(np.zeros(dim)) == 0.0
+        assert not np.any(total(np.zeros((5, 10, dim))))

@@ -108,11 +108,13 @@ class TestBruteForceOracle:
 def one_vector_value(prob, x):
     """The composition rule for one vector, with numpy scalar arithmetic.
 
-    This is the formula the landscape used before it took batches; a batch
-    must reproduce it bit for bit, or seeded results would move.
+    This is the formula the landscape used before it took batches, with its
+    squared distances taken as the einsum coordinate sum; a batch must
+    reproduce it bit for bit, or seeded results would move.
     """
     diff = x - prob.centers
-    w = np.exp(-np.sqrt(np.sum(diff * diff, axis=1) / (2.0 * prob.dim * SIGMA**2)))
+    sq_dist = np.einsum("...d,...d->...", diff, diff)
+    w = np.exp(-np.sqrt(sq_dist / (2.0 * prob.dim * SIGMA**2)))
     wmax = w.max()
     w = np.where(w == wmax, w, w * (1.0 - wmax**10))
     w /= w.sum()

@@ -3,14 +3,16 @@
 The reference functions below are the composition, peak and base-function
 code as it stood before the landscape layer was rewritten for fewer numpy
 calls, with the composition's contraction taken as ``diff @ (M / lambda)``,
-one vector-matrix product per (row, component).  Every seeded result of the
-harness rests on these floats, so the production code must reproduce them
-exactly: on every family, at the smallest, default and largest dimension,
-at the batch sizes the optimizers use, on rows far from and very close to
-an optimum, and after the environment has changed or the dimension has
-moved.  The contraction it replaced, ``(diff / lambda) M`` through
-``einsum``, is kept as a frozen copy too, and the last tests bound how far
-the two paths differ.
+one vector-matrix product per (row, component), and every sum over the
+coordinate axis taken by ``einsum``.  Every seeded result of the harness
+rests on these floats, so the production code must reproduce them exactly:
+on every family, at the smallest, default and largest dimension, at the
+batch sizes the optimizers use, on rows far from and very close to an
+optimum, and after the environment has changed or the dimension has moved.
+Two earlier paths are kept as frozen copies too, and the last tests bound
+how far each differs from the current one: the contraction ``(diff /
+lambda) M`` through ``einsum``, and the coordinate sums through
+``np.add.reduce`` (numpy's pairwise order).
 """
 
 import itertools
@@ -23,46 +25,69 @@ from dynopt.gdbg.composition import NORMALIZER, SIGMA, CompositionProblem
 from dynopt.gdbg.instance import FUNCTION_IDS, make_instance
 from dynopt.gdbg.peaks import PeakSet
 
+# -- the coordinate sums: einsum, and the frozen pairwise-era ones ----------
+
+
+class EinsumSums:
+    @staticmethod
+    def total(x):
+        return np.einsum("...d->...", x)
+
+    @staticmethod
+    def squares(x):
+        return np.einsum("...d,...d->...", x, x)
+
+
+class PairwiseSums:
+    @staticmethod
+    def total(x):
+        return np.add.reduce(x, axis=-1)
+
+    @staticmethod
+    def squares(x):
+        return np.add.reduce(x * x, axis=-1)
+
+
 # -- reference base functions ---------------------------------------------
 
 _W_AJ = [0.5 ** (j + 1) for j in range(7)]
 _W_PI3K = np.pi * 3.0 ** np.array([0.0, 7.0, 14.0])
 
 
-def ref_sphere(x):
+def ref_sphere(x, sums=EinsumSums):
     x = np.asarray(x, dtype=float)
-    return np.add.reduce(x * x, axis=-1)
+    return sums.squares(x)
 
 
-def ref_rastrigin(x):
+def ref_rastrigin(x, sums=EinsumSums):
     x = np.asarray(x, dtype=float)
-    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
+    return sums.total(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0)
 
 
-def ref_weierstrass(x):
+def ref_weierstrass(x, sums=EinsumSums):
     v = (2.0 * np.sin(np.multiply.outer(_W_PI3K, x))) ** 2
     total = 0.5 * v
     for weight in _W_AJ[1:]:
         v = v * (3.0 - v) ** 2
         total += weight * v
-    return np.add.reduce(total[0] + total[1] * 2.0**-7 + total[2] * 2.0**-14, axis=-1)
+    return sums.total(total[0] + total[1] * 2.0**-7 + total[2] * 2.0**-14)
 
 
-def ref_griewank(x):
+def ref_griewank(x, sums=EinsumSums):
     x = np.asarray(x, dtype=float)
     idx = np.sqrt(np.arange(1, x.shape[-1] + 1, dtype=float))
     return (
-        np.add.reduce(x * x, axis=-1) / 4000.0
+        sums.squares(x) / 4000.0
         - np.multiply.reduce(np.cos(x / idx), axis=-1)
         + 1.0
     )
 
 
-def ref_ackley(x):
+def ref_ackley(x, sums=EinsumSums):
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    quad = np.sqrt(np.add.reduce(x * x, axis=-1) / n)
-    trig = np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / n
+    quad = np.sqrt(sums.squares(x) / n)
+    trig = sums.total(np.cos(2.0 * np.pi * x)) / n
     return -20.0 * np.exp(-0.2 * quad) - np.exp(trig) + 20.0 + np.e
 
 
@@ -77,11 +102,12 @@ REF_BASE = {
 # -- reference landscapes -------------------------------------------------
 
 
-def ref_corner_values(prob, folded=True):
+def ref_corner_values(prob, folded=True, sums=EinsumSums):
     """Each component's value at the domain corner, one component at a time.
 
     ``folded=False`` is the frozen einsum-era path: the corner divided by
-    lambda, then rotated.
+    lambda, then rotated.  ``sums=PairwiseSums`` is the frozen pairwise-era
+    path.
     """
     corner = np.full(prob.dim, prob.upper)
     fmax = np.empty(len(prob.heights))
@@ -90,7 +116,7 @@ def ref_corner_values(prob, folded=True):
             z = corner @ (prob.matrices[i] / prob.lambdas[i])
         else:
             z = (corner / prob.lambdas[i]) @ prob.matrices[i]
-        fmax[i] = float(REF_BASE[name](z))
+        fmax[i] = float(REF_BASE[name](z, sums))
     return fmax
 
 
@@ -105,12 +131,13 @@ def einsum_contraction(prob, diff):
     return np.einsum("nmd,mde->nme", diff / prob.lambdas[:, None], prob.matrices)
 
 
-def ref_composition(prob, xs, folded=True):
-    """The composition rule; ``folded=False`` is the frozen einsum-era path."""
+def ref_composition(prob, xs, folded=True, sums=EinsumSums):
+    """The composition rule; ``folded=False`` and ``sums=PairwiseSums`` are
+    the frozen paths."""
     h = prob.heights.copy()
-    fmax = ref_corner_values(prob, folded)
+    fmax = ref_corner_values(prob, folded, sums)
     diff = xs[:, None, :] - prob.centers
-    sq_dist = np.add.reduce(diff * diff, axis=2)
+    sq_dist = sums.squares(diff)
     w = np.exp(-np.sqrt(sq_dist / (2.0 * prob.dim * SIGMA**2)))
     wmax = np.maximum.reduce(w, axis=1, keepdims=True)
     damping = [[1.0 - v**10] for v in wmax[:, 0].tolist()]
@@ -121,17 +148,17 @@ def ref_composition(prob, xs, folded=True):
     start = 0
     for name, run in itertools.groupby(prob.func_names):
         stop = start + len(list(run))
-        values[:, start:stop] = REF_BASE[name](z[:, start:stop])
+        values[:, start:stop] = REF_BASE[name](z[:, start:stop], sums)
         start = stop
     f_prime = NORMALIZER * values / np.abs(fmax)
     return np.add.reduce(w * (f_prime + h), axis=1)
 
 
-def ref_peaks(peaks, xs):
+def ref_peaks(peaks, xs, sums=EinsumSums):
     h = peaks.heights.copy()
     w = peaks.widths.copy()
     diff = xs[:, None, :] - peaks.centers
-    dist = np.sqrt(np.add.reduce(diff * diff, axis=2) / diff.shape[2])
+    dist = np.sqrt(sums.squares(diff) / diff.shape[2])
     return np.maximum.reduce(h / (1.0 + w * dist), axis=1)
 
 
@@ -241,7 +268,7 @@ def _rows(problem, kind, rng):
     return sample_rows(problem, kind, 50, rng)
 
 
-def _composition_states(function_id, dim):
+def _states(function_id, dim):
     """A fresh instance, and one after a T7 dimension step."""
     inst = make_instance(function_id, "T1", seed=71, overrides={"dimension": dim})
     yield inst.problem
@@ -256,7 +283,7 @@ def _composition_states(function_id, dim):
 class TestContractionAgainstEinsum:
     def test_z_within_a_few_ulp_of_the_row_norm(self, function_id, dim):
         rng = np.random.default_rng(75)
-        for prob in _composition_states(function_id, dim):
+        for prob in _states(function_id, dim):
             for kind in CONTRACTION_KINDS:
                 diff = _rows(prob, kind, rng)[:, None, :] - prob.centers
                 old = einsum_contraction(prob, diff)
@@ -267,7 +294,7 @@ class TestContractionAgainstEinsum:
     def test_values_within_the_stated_bound(self, function_id, dim):
         bound = VALUE_BOUND.get(function_id, VALUE_BOUND_DEFAULT)
         rng = np.random.default_rng(77)
-        for prob in _composition_states(function_id, dim):
+        for prob in _states(function_id, dim):
             assert np.all(
                 np.abs(prob._fmax - ref_corner_values(prob, folded=False))
                 <= bound * np.abs(prob._fmax)
@@ -280,3 +307,33 @@ class TestContractionAgainstEinsum:
                     assert new.tobytes() == old.tobytes(), kind
                 else:
                     assert np.all(np.abs(new - old) <= bound * np.abs(old)), kind
+
+
+# -- the einsum coordinate sums against the pairwise ones they replaced ----
+
+# bounds set from the float analysis, with the largest gaps on these rows in
+# brackets: a fixed-order sum of d nonnegative terms moves by at most
+# (d - 1) eps of itself, and the weights, normalization and blend keep that
+# relative size [5.6e-16]; Ackley's cosine sum (in F5 and F6) cancels near
+# its optimum, so there it moves by up to (d - 1) eps d absolutely, about
+# 1e-13 of a composition value after the normalization [7.2e-15]
+SUMS_BOUND = {"F5": 1e-13, "F6": 1e-13}
+SUMS_BOUND_DEFAULT = 4e-15
+
+
+@pytest.mark.parametrize("dim", [5, 10, 15])
+@pytest.mark.parametrize("function_id", FUNCTION_IDS)
+def test_einsum_sums_within_the_stated_bound_of_pairwise(function_id, dim):
+    bound = SUMS_BOUND.get(function_id, SUMS_BOUND_DEFAULT)
+    rng = np.random.default_rng(79)
+    for prob in _states(function_id, dim):
+        if isinstance(prob, PeakSet):
+            reference = ref_peaks
+        else:
+            reference = ref_composition
+            fmax = ref_corner_values(prob, sums=PairwiseSums)
+            assert np.all(np.abs(prob._fmax - fmax) <= bound * np.abs(fmax))
+        for kind in CONTRACTION_KINDS:
+            xs = _rows(prob, kind, rng)
+            new, old = prob.evaluate(xs), reference(prob, xs, sums=PairwiseSums)
+            assert np.all(np.abs(new - old) <= bound * np.abs(old)), kind

@@ -48,13 +48,14 @@ class TestEvaluate:
 
 
 def one_vector_value(peaks, x):
-    """The peak rule for one vector, with numpy's mean and max wrappers.
+    """The peak rule for one vector, with numpy's max wrapper.
 
-    This is the formula the landscape used before it took batches; a batch
+    This is the formula the landscape used before it took batches, with its
+    mean square taken as the einsum coordinate sum over the count; a batch
     must reproduce it bit for bit, or seeded results would move.
     """
     diff = x - peaks.centers
-    dist = np.sqrt(np.mean(diff * diff, axis=1))
+    dist = np.sqrt(np.einsum("...d,...d->...", diff, diff) / diff.shape[1])
     return float(np.max(peaks.heights / (1.0 + peaks.widths * dist)))
 
 
