@@ -27,6 +27,7 @@ Bytes are compared, so ``-0.0`` and ``0.0`` differ.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from dynopt.gdbg.changes import DIM_MAX, DIM_MIN, ChangeType, DimensionWalk, cha
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.peaks import PeakSet
 from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
-from dynopt.objective import DynamicObjective, as_rows
+from dynopt.objective import DynamicObjective, as_rows, fit_dimension
 from dynopt.overrides import apply_overrides
 
 # the grid's families: the peak families (maximized) and the composition
@@ -215,11 +216,8 @@ class GdbgInstance(DynamicObjective):
         np.clip(centers, SEARCH_LOWER, SEARCH_UPPER, out=centers)
         if self.change_type is ChangeType.RANDOM_DIM:
             # grow by one uniform coordinate per centre or drop the last one
-            if self._walk.step() > problem.dim:
-                extra = rng.uniform(SEARCH_LOWER, SEARCH_UPPER, size=(len(centers), 1))
-                centers = np.hstack([centers, extra])
-            else:
-                centers = centers[:, :-1].copy()
+            pad = functools.partial(rng.uniform, SEARCH_LOWER, SEARCH_UPPER)
+            centers = fit_dimension(centers, self._walk.step(), pad)
         problem.centers = centers
         if hasattr(problem, "matrices") and problem.dim != old_dim:
             # a composition draws its rotations afresh at the new dimension

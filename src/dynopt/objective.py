@@ -53,3 +53,16 @@ def as_rows(xs: np.ndarray) -> np.ndarray:
     if xs.ndim != 2:
         raise DimensionMismatch(f"expected an (n, dim) batch, got shape {xs.shape}")
     return xs
+
+
+def fit_dimension(rows: np.ndarray, dim: int, pad=np.zeros) -> np.ndarray:
+    """``(n, old)`` rows refitted to ``dim`` columns: the one T7 rule.
+
+    A shrink keeps the leading ``dim`` coordinates and never calls ``pad``;
+    a growth appends the ``(n, dim - old)`` block ``pad(shape)`` returns.
+    The result is a new C-contiguous array, never a view of ``rows``.
+    """
+    n, old = rows.shape
+    if dim <= old:
+        return rows[:, :dim].copy()
+    return np.hstack([rows, pad((n, dim - old))])

@@ -2,7 +2,7 @@
 
 from dynopt.optimizers import rules
 from dynopt.optimizers.base import SwarmBase
-from dynopt.optimizers.baselines import PsoBaseline, PsoConfig, SsaBaseline, SsaConfig
+from dynopt.optimizers.baselines import PsoBaseline, SsaBaseline
 from dynopt.optimizers.qcsso import Qcsso, QcssoConfig
 from dynopt.optimizers.runner import (
     OPTIMIZER_IDS,
@@ -15,9 +15,7 @@ __all__ = [
     "rules",
     "SwarmBase",
     "PsoBaseline",
-    "PsoConfig",
     "SsaBaseline",
-    "SsaConfig",
     "Qcsso",
     "QcssoConfig",
     "OPTIMIZER_IDS",

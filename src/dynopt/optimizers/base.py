@@ -7,13 +7,14 @@ RNG, and survives both landscape changes and dimension changes mid-run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from dynopt.errors import ConfigError
-from dynopt.objective import DynamicObjective
+from dynopt.objective import DynamicObjective, fit_dimension
 from dynopt.optimizers import rules
 
 CHANGE_TOLERANCE = 1e-12
@@ -53,13 +54,16 @@ class SwarmBase:
     and ``pbest_fitness``; on a change that memory is re-scored.
 
     ``iterate`` is the one sequence every optimizer runs: sentinel, move,
-    clamp, score, remember.  A subclass names its ``config_type`` and
-    supplies the two hooks, ``move`` (its search rule) and ``remember``
-    (its memory rule); the constructor builds everything else from the
-    config and scores the initial population.
+    clamp, score, remember.  A subclass supplies the two hooks, ``move``
+    (its search rule) and ``remember`` (its memory rule), and names its
+    ``config_type`` only when it takes more settings than the shared
+    ``SwarmConfig``; the constructor builds everything else from the config
+    and scores the initial population.  ``sync_dimension`` fits the shared
+    state to a T7 step; a subclass fits any further per-dimension state
+    where it reads it.
     """
 
-    config_type: type
+    config_type: type = SwarmConfig
     keeps_pbests = False
     pbest_positions: np.ndarray | None = None
     pbest_fitness: np.ndarray | None = None
@@ -175,29 +179,18 @@ class SwarmBase:
     # -- dimension adaptation ----------------------------------------------
 
     def sync_dimension(self) -> None:
-        """Resize all position state when the problem's dimension moved."""
+        """Fit the positions, pbests and food, in that order, to a moved
+        dimension; a new coordinate is a uniform draw in the box."""
         new_dim = self.problem.dimension()
         if new_dim == self.dim:
             return
         self.dim = new_dim
-        self.positions = self._resize_matrix(self.positions, new_dim)
+        pad = functools.partial(self.rng.uniform, self.lower, self.upper)
+        self.positions = fit_dimension(self.positions, new_dim, pad)
         if self.pbest_positions is not None:
-            self.pbest_positions = self._resize_matrix(self.pbest_positions, new_dim)
-        self.food_position = self._resize_matrix(self.food_position[None, :], new_dim)[0]
-        self._resize_extra_state(new_dim)
+            self.pbest_positions = fit_dimension(self.pbest_positions, new_dim, pad)
+        self.food_position = fit_dimension(self.food_position[None, :], new_dim, pad)[0]
         self._dim_changed = True
-
-    def _resize_matrix(self, mat: np.ndarray, new_dim: int) -> np.ndarray:
-        old = mat.shape[1]
-        if new_dim > old:
-            extra = self.rng.uniform(
-                self.lower, self.upper, size=(mat.shape[0], new_dim - old)
-            )
-            return np.hstack([mat, extra])
-        return mat[:, :new_dim].copy()
-
-    def _resize_extra_state(self, new_dim: int) -> None:
-        """Subclasses resize any further per-dimension state."""
 
     # -- run loop -----------------------------------------------------------
 

@@ -2,16 +2,16 @@
 
 Both run the main optimizer's one iteration, ``SwarmBase.iterate``, with
 its sentinel-based change handling, so comparisons measure search
-behaviour, not bookkeeping; each supplies only its move and memory rules.
+behaviour, not bookkeeping.  Each supplies only its move and memory rules;
+the PSO also keeps pbests and its velocities.  Both take their one
+setting, ``population``, through the shared ``SwarmConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from dynopt.objective import DynamicObjective
+from dynopt.objective import DynamicObjective, fit_dimension
 from dynopt.optimizers.base import SwarmBase, SwarmConfig, clip_in_place
 
 # Clerc and Kennedy's constriction factor and the two acceleration
@@ -21,24 +21,12 @@ C1 = 1.49618
 C2 = 1.49618
 
 
-@dataclass(frozen=True)
-class SsaConfig(SwarmConfig):
-    pass
-
-
-@dataclass(frozen=True)
-class PsoConfig(SwarmConfig):
-    pass
-
-
 class SsaBaseline(SwarmBase):
     """Single-chain salp swarm: one leader orbits the food, the rest average.
 
     Memory is just the food position; on a detected change it is re-scored
     and the leader's shrinking orbit restarts.
     """
-
-    config_type = SsaConfig
 
     def move(self) -> None:
         self.salp_step(1)
@@ -50,7 +38,6 @@ class SsaBaseline(SwarmBase):
 class PsoBaseline(SwarmBase):
     """Global-best PSO with an inertia-style constriction and pbest memory."""
 
-    config_type = PsoConfig
     keeps_pbests = True
 
     def __init__(
@@ -58,7 +45,7 @@ class PsoBaseline(SwarmBase):
         problem: DynamicObjective,
         seed: int,
         budget: int,
-        config: PsoConfig | None = None,
+        config: SwarmConfig | None = None,
     ) -> None:
         super().__init__(problem, seed, budget, config)
         self.velocities = np.zeros((self.n, self.dim))
@@ -67,15 +54,10 @@ class PsoBaseline(SwarmBase):
         span = self.upper - self.lower
         self._velocity_box = (np.array(-span), np.array(span))
 
-    def _resize_extra_state(self, new_dim: int) -> None:
-        old = self.velocities.shape[1]
-        if new_dim > old:
-            pad = np.zeros((self.n, new_dim - old))
-            self.velocities = np.hstack([self.velocities, pad])
-        else:
-            self.velocities = self.velocities[:, :new_dim].copy()
-
     def move(self) -> None:
+        if self.velocities.shape[1] != self.dim:
+            # a T7 step: zero velocity in a new coordinate
+            self.velocities = fit_dimension(self.velocities, self.dim)
         chi, c1, c2 = self._gains
         r1 = self.rng.random((self.n, self.dim))
         r2 = self.rng.random((self.n, self.dim))

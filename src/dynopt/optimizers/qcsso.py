@@ -13,6 +13,7 @@ schedule restarts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,12 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     order.  An elementwise square-and-sum may round differently.
     """
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+@functools.cache
+def _diagonal(dim: int, span: float) -> float:
+    """Length of the diagonal of a ``dim``-cube of side ``span``."""
+    return float(np.linalg.norm(np.full(dim, span)))
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,6 @@ class Qcsso(SwarmBase):
         self._pair_list = list(zip(*(side.tolist() for side in self._pairs)))
         self._w_state = rules.W_INIT
         self._probe_sigma = PROBE_SIGMA_SCALE * (self.upper - self.lower)
-        self._resize_extra_state(self.dim)
 
         self.ages = np.zeros(self.n, dtype=int)
         # per-iteration observability, mainly for tests
@@ -94,14 +100,11 @@ class Qcsso(SwarmBase):
 
     # -- configuration-derived quantities ---------------------------------
 
-    def _resize_extra_state(self, new_dim: int) -> None:
-        """Fix the exclusion radius, by default a tenth of the box's diagonal."""
-        cfg = self.config
-        span = self.upper - self.lower
-        self._exclusion_radius = (
-            cfg.exclusion_radius
-            if cfg.exclusion_radius > 0
-            else 0.1 * float(np.linalg.norm(np.full(new_dim, span)))
+    @property
+    def _exclusion_radius(self) -> float:
+        """The set radius, or by default a tenth of the box's diagonal."""
+        return self.config.exclusion_radius or 0.1 * _diagonal(
+            self.dim, self.upper - self.lower
         )
 
     def probes_per_iteration(self) -> int:

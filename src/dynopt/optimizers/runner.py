@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dynopt.errors import BudgetExhausted, ConfigError
-from dynopt.objective import DynamicObjective, as_rows
+from dynopt.objective import DynamicObjective, as_rows, fit_dimension
 from dynopt.overrides import apply_overrides
 from dynopt.optimizers.baselines import PsoBaseline, SsaBaseline
 from dynopt.optimizers.qcsso import Qcsso
@@ -73,9 +73,10 @@ class BudgetedRecorder:
     inside one sweep.  The one dimension rule: before a segment is
     scored, rows of the length the swarm last read from ``dimension()``
     (before any read, the length at construction) are fitted to the
-    problem's current dimension, truncated to their leading coordinates
-    or zero-padded; a row of any other length goes to the problem
-    unchanged, which rejects it unless it has the current length.
+    problem's current dimension by ``fit_dimension``, truncated to their
+    leading coordinates or zero-padded; a row of any other length goes to
+    the problem unchanged, which rejects it unless it has the current
+    length.
     """
 
     def __init__(
@@ -176,9 +177,7 @@ class BudgetedRecorder:
             dim = self.problem.dimension()
             if length == self._read_dim != dim:
                 # stale rows: the swarm read the dimension before a change
-                rows = rows[:, :dim] if length > dim else np.hstack(
-                    [rows, np.zeros((k, dim - length))]
-                )
+                rows = fit_dimension(rows, dim)
             segments.append(self.problem.evaluate(rows))
             self._record(segments[-1])
             pos += k

@@ -7,16 +7,8 @@ import numpy as np
 import pytest
 
 from dynopt.gdbg.instance import make_instance
-from dynopt.optimizers.base import SwarmBase, clip_in_place
-from dynopt.optimizers.baselines import (
-    C1,
-    C2,
-    CHI,
-    PsoBaseline,
-    PsoConfig,
-    SsaBaseline,
-    SsaConfig,
-)
+from dynopt.optimizers.base import SwarmBase, SwarmConfig, clip_in_place
+from dynopt.optimizers.baselines import C1, C2, CHI, PsoBaseline, SsaBaseline
 from dynopt.optimizers.qcsso import Qcsso
 from dynopt.optimizers.runner import _OPTIMIZERS, OPTIMIZER_IDS, BudgetedRecorder
 
@@ -32,21 +24,22 @@ from conftest import (
 def make_ssa(population=3, dim=1, budget=400, seed=5, problem=None):
     problem = problem or sphere_problem(dimension=dim)
     return SsaBaseline(problem, seed=seed, budget=budget,
-                       config=SsaConfig(population=population))
+                       config=SwarmConfig(population=population))
 
 
 def make_pso(population=2, dim=1, budget=300, seed=5, problem=None,
              config=None):
     problem = problem or sphere_problem(dimension=dim)
-    cfg = config or PsoConfig(population=population)
+    cfg = config or SwarmConfig(population=population)
     return PsoBaseline(problem, seed=seed, budget=budget, config=cfg)
 
 
 class TestConfig:
-    @pytest.mark.parametrize("config_type", [SsaConfig, PsoConfig])
-    def test_defaults(self, config_type):
+    @pytest.mark.parametrize("cls", [SsaBaseline, PsoBaseline])
+    def test_defaults(self, cls):
         # the one setting a baseline takes: a new setting is added here on purpose
-        assert dataclasses.asdict(config_type()) == {"population": 50}
+        assert cls.config_type is SwarmConfig
+        assert dataclasses.asdict(cls.config_type()) == {"population": 50}
 
     def test_pso_gains(self):
         assert (CHI, C1, C2) == (0.7298, 1.49618, 1.49618)
@@ -125,7 +118,7 @@ class TestSsa:
     def test_change_rescores_food_and_restarts_orbit(self):
         problem = SwitchableProblem(dimension=3)
         opt = SsaBaseline(problem, seed=9, budget=2000,
-                          config=SsaConfig(population=4))
+                          config=SwarmConfig(population=4))
         opt.iterate()
         opt.iterate()
         assert opt.l_window == 2
@@ -138,7 +131,7 @@ class TestSsa:
     def test_dimension_change_resizes_food(self):
         problem = SwitchableProblem(dimension=4)
         opt = SsaBaseline(problem, seed=9, budget=2000,
-                          config=SsaConfig(population=4))
+                          config=SwarmConfig(population=4))
         opt.iterate()
         problem.shift(dimension=6)
         opt.iterate()
@@ -172,7 +165,7 @@ class TestSharedMemory:
             lambda x: float(-np.sum(x * x)), 1, -5.0, 5.0, maximize=True
         )
         opt = PsoBaseline(problem, seed=3, budget=100,
-                          config=PsoConfig(population=3))
+                          config=SwarmConfig(population=3))
         opt.pbest_fitness = np.array([-1.0, -4.0, -9.0])
         opt.pbest_positions = np.array([[1.0], [2.0], [3.0]])
         opt.fitness = np.array([-2.0, -4.0, -0.5])
@@ -234,6 +227,11 @@ class TestSkeleton:
             opt.iterate()
         assert opt.positions.flags.c_contiguous
         assert opt.positions.shape == (opt.n, problem.dimension())
+        # the rest of the state followed: pbests, food, and the PSO's
+        # velocities, which its move (already run) fits
+        state = (opt.pbest_positions, opt.food_position[None, :],
+                 getattr(opt, "velocities", None))
+        assert all(a.shape[1] == problem.dimension() for a in state if a is not None)
 
     @pytest.mark.parametrize("optimizer_id", ["ssa_baseline", "pso_baseline"])
     def test_baselines_flag_a_detected_change(self, optimizer_id):
@@ -327,7 +325,7 @@ class TestPso:
     def test_change_rescores_every_memory(self):
         problem = SwitchableProblem(dimension=3)
         opt = PsoBaseline(problem, seed=31, budget=2000,
-                          config=PsoConfig(population=4))
+                          config=SwarmConfig(population=4))
         opt.iterate()
         problem.shift(offset=25.0)
         assert opt.detect_change() is True
@@ -336,29 +334,42 @@ class TestPso:
         assert opt.food_fitness == opt.pbest_fitness.min()
         assert opt.detect_change() is False
 
+    @staticmethod
+    def velocities_move_reads(opt):
+        """The velocities ``move`` reads: with gains (1, 0, 0) and no clip its
+        update keeps them as they are."""
+        opt._gains = (np.array(1.0), np.array(0.0), np.array(0.0))
+        opt._velocity_box = (np.array(-np.inf), np.array(np.inf))
+        opt.move()
+        return opt.velocities
+
     def test_dimension_growth_pads_velocities_with_zeros(self):
         problem = SwitchableProblem(dimension=5)
         opt = PsoBaseline(problem, seed=31, budget=2000,
-                          config=PsoConfig(population=4))
+                          config=SwarmConfig(population=4))
         opt.iterate()
+        kept = opt.velocities.copy()
         problem.shift(dimension=7)
         opt.sync_dimension()
-        assert opt.velocities.shape == (4, 7)
-        assert np.all(opt.velocities[:, 5:] == 0.0)
         assert opt.pbest_positions.shape == (4, 7)
         assert opt.food_position.shape == (7,)
         assert opt.detect_change() is True
+        velocities = self.velocities_move_reads(opt)
+        assert velocities.shape == (4, 7)
+        assert np.all(velocities[:, 5:] == 0.0)
+        assert np.array_equal(velocities[:, :5], kept)
 
     def test_dimension_shrink_truncates_velocities(self):
         problem = SwitchableProblem(dimension=6)
         opt = PsoBaseline(problem, seed=31, budget=2000,
-                          config=PsoConfig(population=4))
+                          config=SwarmConfig(population=4))
         opt.iterate()
         kept = opt.velocities[:, :4].copy()
         problem.shift(dimension=4)
         opt.sync_dimension()
-        assert opt.velocities.shape == (4, 4)
-        assert np.array_equal(opt.velocities, kept)
+        velocities = self.velocities_move_reads(opt)
+        assert velocities.shape == (4, 4)
+        assert np.array_equal(velocities, kept)
 
     def test_gbest_never_worsens_on_static_problem(self):
         opt = make_pso(population=5, dim=3, budget=3000)

@@ -1,7 +1,9 @@
 """Seed derivation, case selection, weights, and experiment orchestration."""
 
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from dynopt.harness.experiment import (
     run_single,
 )
 from dynopt.harness.stats import error_stats, overall_score, validate_weight_table
+from dynopt.optimizers.runner import OPTIMIZER_IDS, optimizer_config
 from dynopt.overrides import parse_kv_pairs
 
 from conftest import collect_cells
@@ -241,6 +244,20 @@ class TestConfig:
     def test_unknown_setting(self):
         with pytest.raises(ConfigError, match="unknown experiment setting"):
             ExperimentConfig.from_pairs({"colour": "red"})
+
+    def test_every_settable_key_is_counted_and_documented(self):
+        # a new setting is added here and to the README on purpose
+        assert sorted(experiment._PREFIXES.values()) == sorted(OPTIMIZER_IDS)
+        keys = [f.name for f in dataclasses.fields(ExperimentConfig)
+                if f.name != "overrides"]
+        for prefix, optimizer_id in experiment._PREFIXES.items():
+            config = optimizer_config(optimizer_id, {})
+            keys += [f"{prefix}.{f.name}" for f in dataclasses.fields(config)]
+        assert len(keys) == 20
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        # the README names an optimizer's settings without their prefix
+        missing = [key for key in keys if f"`{key.rpartition('.')[2]}`" not in readme]
+        assert missing == []
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynopt.errors import DimensionMismatch
+from dynopt.objective import fit_dimension
 from dynopt.optimizers.runner import OPTIMIZER_IDS, _build_optimizer
 
 from conftest import StaticFunctionProblem, SwitchableProblem, sphere_problem
@@ -93,3 +94,44 @@ def test_optimizers_pass_float_batches(optimizer_id):
         assert kind is np.ndarray and len(shape) == 2 and shape[1] == 4
         assert dtype == np.float64
     assert (1, 4) in {shape for _, shape, _ in problem.calls}
+
+
+class TestFitDimension:
+    """The one T7 rule: keep the leading coordinates or append new ones."""
+
+    @staticmethod
+    def rows(n=4, dim=7):
+        return np.random.default_rng(3).uniform(-5.0, 5.0, size=(n, dim))
+
+    @pytest.mark.parametrize("dim", [1, 4, 7])
+    def test_a_shrink_keeps_the_leading_columns_and_never_pads(self, dim):
+        rows = self.rows()
+
+        def pad(shape):
+            raise AssertionError(f"pad called with {shape}")
+
+        fitted = fit_dimension(rows, dim, pad)
+        assert fitted.shape == (4, dim)
+        assert fitted.tobytes() == np.ascontiguousarray(rows[:, :dim]).tobytes()
+
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_a_growth_pads_once_after_the_old_columns(self, extra):
+        rows = self.rows()
+        calls = []
+
+        def pad(shape):
+            calls.append(shape)
+            return np.full(shape, 9.5)
+
+        fitted = fit_dimension(rows, 7 + extra, pad)
+        assert calls == [(4, extra)]
+        assert fitted[:, :7].tobytes() == rows.tobytes()
+        assert np.all(fitted[:, 7:] == 9.5)
+
+    @pytest.mark.parametrize("dim", [3, 7, 9])
+    def test_a_new_c_contiguous_array_never_a_view(self, dim):
+        rows = self.rows()
+        for source in (rows, rows[:, 1:]):  # contiguous and strided input
+            fitted = fit_dimension(source, dim)
+            assert fitted.flags.c_contiguous
+            assert not np.shares_memory(fitted, source)

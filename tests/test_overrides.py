@@ -7,7 +7,7 @@ import pytest
 from dynopt.errors import ConfigError
 from dynopt.gdbg.instance import GdbgConfig
 from dynopt.harness.experiment import ExperimentConfig
-from dynopt.optimizers.baselines import PsoConfig, SsaConfig
+from dynopt.optimizers.base import SwarmConfig
 from dynopt.optimizers.qcsso import QcssoConfig
 from dynopt.overrides import (
     apply_overrides,
@@ -102,7 +102,7 @@ class TestApplyOverrides:
         with pytest.raises(ConfigError, match="unknown override"):
             apply_overrides(GdbgConfig(), {"dimenson": 12})
 
-    @pytest.mark.parametrize("cls", [GdbgConfig, QcssoConfig, SsaConfig, PsoConfig])
+    @pytest.mark.parametrize("cls", [GdbgConfig, QcssoConfig, SwarmConfig])
     def test_every_default_gives_its_field_type(self, cls):
         # an override is coerced to the type of the field's default
         for f in dataclasses.fields(cls):

@@ -9,6 +9,7 @@ import pytest
 
 from dynopt.errors import ConfigError
 from dynopt.gdbg import make_instance
+from dynopt.gdbg.changes import DIM_MAX, DIM_MIN
 from dynopt.optimizers import BudgetedRecorder, rules
 from dynopt.optimizers.qcsso import PROBE_SIGMA_SCALE, Qcsso, QcssoConfig, row_norms
 
@@ -86,12 +87,15 @@ class TestStructure:
         assert PROBE_SIGMA_SCALE == 0.1
         assert opt._probe_sigma == 1.0  # a tenth of the box's side
 
-    def test_radius_and_sigma_follow_a_dimension_change(self):
+    @pytest.mark.parametrize("dim", range(DIM_MIN, DIM_MAX + 1))
+    def test_radius_and_sigma_follow_a_dimension_change(self, dim):
         problem = SwitchableProblem(dimension=4)
         opt = make_opt(problem=problem)
-        problem.shift(dimension=9)
+        problem.shift(dimension=dim)
         opt.sync_dimension()
-        assert opt._exclusion_radius == 0.1 * float(np.linalg.norm(np.full(9, 10.0)))
+        # ``0.1 * norm``, not ``norm / 10``: the two differ in the last bit
+        # at some dimensions
+        assert opt._exclusion_radius == 0.1 * float(np.linalg.norm(np.full(dim, 10.0)))
         assert opt._probe_sigma == 1.0
 
 
