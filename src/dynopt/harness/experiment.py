@@ -23,13 +23,20 @@ from dynopt.gdbg.changes import DIM_MAX, DIM_MIN
 from dynopt.gdbg.instance import make_instance, resolve_frequency
 from dynopt.harness import stats
 from dynopt.harness.cases import Case, select_cases
-from dynopt.optimizers.runner import OPTIMIZER_IDS, Trajectory, optimizer_config, run
+from dynopt.optimizers.runner import (
+    OPTIMIZER_IDS,
+    SAMPLES_PER_WINDOW,
+    Trajectory,
+    optimizer_config,
+    run,
+)
 from dynopt.overrides import apply_overrides
 
 DEFAULT_SEED = 12345
 
-# the key prefix that passes a setting through to each optimizer
-_PREFIXES = {"qcsso": "qcsso", "ssa": "ssa_baseline", "pso": "pso_baseline"}
+# the key prefix that passes a setting through to each optimizer: its id
+# up to the first underscore
+_PREFIXES = {opt.partition("_")[0]: opt for opt in OPTIMIZER_IDS}
 
 
 def derive_seed(base: int, *parts: str) -> int:
@@ -57,7 +64,7 @@ class ExperimentConfig:
     runs: int = 20
     num_change: int = 60
     change_frequency: int = 0
-    samples_per_window: int = 20
+    samples_per_window: int = SAMPLES_PER_WINDOW
     dimension: int = 10
     seed: int = DEFAULT_SEED
     weights: str = "uniform"

@@ -122,23 +122,20 @@ class Qcsso(SwarmBase):
     def swarm_update(self) -> None:
         """Quantum jumps for the chain heads, momentum following for the rest.
 
-        All chains move at once.  The iteration takes one block of unit
-        draws, laid out as a loop over the members would draw them: chain
-        by chain, member by member, r1 and r2 for every member, then c4, r
-        and c3 for a head.  Attractors and head jumps are one array step
-        each; ``rules.follower_chain`` then moves the followers one rank at
-        a time across the chains.  Past the window's horizon the schedule
-        holds at its end: B = C = 0.
+        All chains move at once.  The unit draws come in the shapes of the
+        arrays they feed: r1 and r2 for every member's attractor as one
+        ``(2, k, chain, dim)`` draw, then c4, r and c3 for every head's jump
+        as one ``(3, k, heads, dim)`` draw.  Attractors and head jumps are
+        one array step each; ``rules.follower_chain`` then moves the
+        followers one rank at a time across the chains.  Past the window's
+        horizon the schedule holds at its end: B = C = 0.
         """
         k, chain, dim = self.k, self.chain, self.dim
         l_eff = min(self.l_window, self.max_iterations)
         w = rules.W_FIXED if self.config.w_mode == "fixed" else self._w_state
         heads = min(rules.LEADERS_PER_CHAIN, chain)
-        block = self.rng.random((k, (5 * heads + 2 * (chain - heads)) * dim))
-        head_draws = block[:, : 5 * heads * dim].reshape(k, heads, 5, dim)
-        follower_draws = block[:, 5 * heads * dim :].reshape(k, chain - heads, 2, dim)
-        pair_draws = np.concatenate([head_draws[:, :, :2], follower_draws], axis=1)
-        d1, d2 = pair_draws[:, :, 0], pair_draws[:, :, 1]
+        d1, d2 = self.rng.random((2, k, chain, dim))
+        d4, dr, d3 = self.rng.random((3, k, heads, dim))
 
         x = self.positions.reshape(k, chain, dim)
         attractor = rules.local_attractor(x, self.food_position, d1, d2)
@@ -147,8 +144,7 @@ class Qcsso(SwarmBase):
         heads_moved = rules.quantum_update(
             x[:, :heads], attractor[:, :heads],
             rules.contraction_expansion(l_eff, self.max_iterations),
-            best_mean, w,
-            head_draws[:, :, 2], head_draws[:, :, 3], head_draws[:, :, 4],
+            best_mean, w, d4, dr, d3,
         )
         # rank-major, so that each rank's slab across the chains is one
         # contiguous (k, dim) block
@@ -235,12 +231,9 @@ class Qcsso(SwarmBase):
         best) flips a coin, in index order, and is recycled when it lands
         under the reinit probability; every other member ages by one.
 
-        The stream is the one a scalar loop draws: a ``random()`` coin per
-        candidate, and after each coin under the probability the member's
-        fresh position, ``dim`` unit draws read as ``uniform`` reads them,
-        before the next coin.  The coins come as one block, and each
-        recycle extends the block by the ``dim`` draws its position adds,
-        so the block never runs ahead of the loop's stream.
+        The stream is one ``random()`` coin per candidate, as one draw, then
+        one ``uniform`` draw of ``(recycled, dim)`` in the box for the
+        recycled members' fresh positions, in index order.
         """
         cfg = self.config
         ages = self.ages
@@ -248,25 +241,15 @@ class Qcsso(SwarmBase):
         stale = ages > cfg.min_age_limit
         stale[bests] = ages[bests] > cfg.max_age_limit
         stale[protected] = False
-        candidates = stale.nonzero()[0].tolist()
+        candidates = stale.nonzero()[0]
         ages += 1
         ages[protected] -= 1
-        draws = self.rng.random(len(candidates)).tolist()
-        read = 0
-        reinited: list[int] = []
-        fresh: list[list[float]] = []
-        for member in candidates:
-            read += 1
-            if draws[read - 1] < cfg.reinit_probability:
-                draws += self.rng.random(self.dim).tolist()
-                fresh.append(draws[read : read + self.dim])
-                read += self.dim
-                reinited.append(member)
-        if reinited:
-            span = self.upper - self.lower
-            self._reinit_members(np.array(reinited), self.lower + span * np.array(fresh))
-        self.last_aging_reinits = reinited
-        return reinited
+        coins = self.rng.random(candidates.size)
+        recycled = candidates[coins < cfg.reinit_probability]
+        fresh = self.rng.uniform(self.lower, self.upper, size=(recycled.size, self.dim))
+        self._reinit_members(recycled, fresh)
+        self.last_aging_reinits = recycled.tolist()
+        return self.last_aging_reinits
 
     # -- the two hooks of ``SwarmBase.iterate`` --------------------------------
 

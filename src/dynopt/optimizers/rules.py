@@ -7,10 +7,9 @@ stacks of them.  The quantum rules take their random draws as
 arguments: unit draws on [0, 1), as ``Generator.random`` gives them, each
 shaped like the position it moves, which a rule maps onto (0, 1] as
 ``1 - d``.  The caller draws them, so the caller fixes the random stream;
-``Qcsso.swarm_update`` takes one block per iteration, laid out as a loop
-over the members would draw.  ``salp_chain`` draws its own block.  The
-two chain rules, ``salp_chain`` and ``follower_chain``, move a whole
-chain in place.
+``Qcsso.swarm_update`` draws them in the shapes of the arrays they feed.
+``salp_chain`` draws its own block.  The two chain rules, ``salp_chain``
+and ``follower_chain``, move a whole chain in place.
 """
 
 from __future__ import annotations

@@ -29,6 +29,9 @@ _OPTIMIZERS = {
 OPTIMIZER_IDS = tuple(_OPTIMIZERS)
 
 RATIO_DUST = 1e-9
+# S, the in-window samples per score: this repository's setting, and the
+# default of the recorder, ``run`` and the experiment config
+SAMPLES_PER_WINDOW = 20
 
 
 def _ratio(best: float, optimum: float, maximize: bool) -> float:
@@ -80,7 +83,7 @@ class BudgetedRecorder:
     """
 
     def __init__(
-        self, problem: DynamicObjective, budget: int, s_samples: int = 20
+        self, problem: DynamicObjective, budget: int, s_samples: int = SAMPLES_PER_WINDOW
     ) -> None:
         if budget < 0:
             raise ConfigError("budget must be non-negative")
@@ -256,7 +259,7 @@ def run(
     budget: int,
     seed: int,
     *,
-    s_samples: int = 20,
+    s_samples: int = SAMPLES_PER_WINDOW,
     frequency: int | None = None,
     collect_ratios: bool | None = None,
     trace: bool = False,

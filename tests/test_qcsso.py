@@ -227,20 +227,24 @@ class TestSwarmUpdate:
 def reference_swarm_update(opt, b_l, best_mean, w, c):
     """The swarm update as a loop over the members, straight from ``rules``.
 
-    This is the stream order of an iteration: chain by chain, member by
-    member, each member draws r1 then r2 for its attractor, and a head then
-    draws c4, r and c3 for its jump.
+    This is the stream order of an iteration, the shapes of the arrays the
+    draws feed: r1 and r2 for every member, ``(2, k, chain, dim)``, then
+    c4, r and c3 for every head, ``(3, k, heads, dim)``.
     """
+    heads = min(rules.LEADERS_PER_CHAIN, opt.chain)
+    d1, d2 = opt.rng.random((2, opt.k, opt.chain, opt.dim))
+    d4, dr, d3 = opt.rng.random((3, opt.k, heads, opt.dim))
     for chain in range(opt.k):
         members = np.arange(chain * opt.chain, (chain + 1) * opt.chain)
         for rank, idx in enumerate(members):
             x = opt.positions[idx]
-            d1, d2 = opt.rng.random((2, opt.dim))
-            attractor = rules.local_attractor(x, opt.food_position, d1, d2)
-            if rank < rules.LEADERS_PER_CHAIN:
-                d4, dr, d3 = opt.rng.random((3, opt.dim))
+            attractor = rules.local_attractor(
+                x, opt.food_position, d1[chain, rank], d2[chain, rank]
+            )
+            if rank < heads:
                 opt.positions[idx] = rules.quantum_update(
-                    x, attractor, b_l, best_mean, w, d4, dr, d3,
+                    x, attractor, b_l, best_mean, w,
+                    d4[chain, rank], dr[chain, rank], d3[chain, rank],
                 )
             else:
                 x_prev = opt.positions[members[rank - 1]]
@@ -550,10 +554,9 @@ class TestAging:
         opt.pbest_fitness = np.array([3.0, 1.0, 4.0, 6.0, 2.0, 5.0])
         opt.ages = np.array([3, 9, 6, 2, 5, 3])
         # coins for 0, 2 and 5 only: 1 is protected, 3 and 4 are in their limit;
-        # member 2 lands under 0.5 and draws its fresh position, unit draws
-        # 0.6 and 0.4 read as -5 + 10 * d, before 5's coin.  The coin block
-        # takes three draws, so the recycle owes the two after it.
-        opt.rng = FakeRng(random=[0.9, 0.1, 0.6, 0.4, 0.7])
+        # all three coins come first, and member 2 lands under 0.5, so its
+        # fresh position, one row in the box, comes after them
+        opt.rng = FakeRng(random=[0.9, 0.1, 0.7], uniform=[1.0, -1.0])
         assert opt.aging_step(opt.subpop_best_indices()) == [2]
         assert opt.rng.exhausted()
         assert opt.ages.tolist() == [4, 9, 0, 3, 6, 4]
@@ -591,23 +594,23 @@ class TestAging:
 
 def reference_aging_step(opt):
     """The aging step as a scalar loop: one ``random()`` coin per member past
-    its limit, in index order, and a recycled member's fresh position drawn
-    by ``uniform`` before the next coin."""
+    its limit, in index order, all drawn first, then one ``uniform`` draw of
+    the recycled members' fresh positions, a row each in index order."""
     cfg = opt.config
     limits = np.full(opt.n, cfg.min_age_limit)
     limits[opt.subpop_best_indices()] = cfg.max_age_limit
     grows = np.ones(opt.n, dtype=bool)
     grows[opt.argbest(opt.pbest_fitness)] = False
-    reinited = []
-    for i in np.flatnonzero(grows & (opt.ages > limits)).tolist():
-        if opt.rng.random() < cfg.reinit_probability:
-            fresh = opt.rng.uniform(opt.lower, opt.upper, size=(1, opt.dim))
-            opt.positions[i] = fresh
-            opt.pbest_positions[i] = fresh
-            opt.pbest_fitness[i] = opt.worst_value
-            opt.ages[i] = 0
-            reinited.append(i)
-            grows[i] = False
+    candidates = np.flatnonzero(grows & (opt.ages > limits)).tolist()
+    coins = opt.rng.random(len(candidates))
+    reinited = [i for i, coin in zip(candidates, coins) if coin < cfg.reinit_probability]
+    fresh = opt.rng.uniform(opt.lower, opt.upper, size=(len(reinited), opt.dim))
+    for i, row in zip(reinited, fresh):
+        opt.positions[i] = row
+        opt.pbest_positions[i] = row
+        opt.pbest_fitness[i] = opt.worst_value
+        opt.ages[i] = 0
+        grows[i] = False
     opt.ages[grows] += 1
     return reinited
 

@@ -1,13 +1,17 @@
 """Budget metering, window records, and the single-run entry point."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from dynopt.errors import BudgetExhausted, ConfigError
 from dynopt.gdbg.instance import make_instance
+from dynopt.harness import ExperimentConfig
 from dynopt.objective import DynamicObjective
 from dynopt.optimizers.runner import (
     OPTIMIZER_IDS,
+    SAMPLES_PER_WINDOW,
     BudgetedRecorder,
     _ratio,
     run,
@@ -208,6 +212,15 @@ class TestRecorder:
         rec = BudgetedRecorder(problem, budget=3, s_samples=2)
         with pytest.raises(RuntimeError, match="exceeds 1"):
             rec.evaluate(np.zeros((3, 2)))
+
+    def test_samples_per_window_default_is_stated_once(self):
+        # S = 20 in-window samples: the recorder, run and the experiment
+        # config all default to the one constant
+        assert SAMPLES_PER_WINDOW == 20
+        for function in (BudgetedRecorder, run):
+            default = inspect.signature(function).parameters["s_samples"].default
+            assert default is SAMPLES_PER_WINDOW
+        assert ExperimentConfig().samples_per_window is SAMPLES_PER_WINDOW
 
     def test_validation(self):
         problem = ScriptedProblem([1.0])
