@@ -121,16 +121,14 @@ class SwarmBase:
     def evaluate_all(self) -> None:
         self.fitness[:] = self.problem.evaluate(self.positions)
 
-    def clamp_positions(self) -> None:
-        clip_in_place(self.positions, *self._box)
-
     def salp_step(self, chains: int) -> None:
         """Move the population as ``chains`` equal classic salp chains."""
         l_eff = min(self.l_window, self.max_iterations)
         rules.salp_chain(
             self.positions.reshape(chains, -1, self.dim), self.food_position,
             self.lower, self.upper,
-            rules.salp_coefficient(l_eff, self.max_iterations), self.rng,
+            rules.salp_coefficient(l_eff, self.max_iterations),
+            self.rng.random((chains, 2, self.dim)),
         )
 
     # -- memory -------------------------------------------------------------
@@ -207,12 +205,7 @@ class SwarmBase:
         self.sync_dimension()
         self.last_change_detected = self.detect_change()
         self.move()
-        self.clamp_positions()
+        clip_in_place(self.positions, *self._box)
         self.evaluate_all()
         self.remember()
         self.l_window += 1
-
-    def run_forever(self) -> None:
-        """Iterate until the budget guard raises."""
-        while True:
-            self.iterate()

@@ -59,8 +59,7 @@ class PsoBaseline(SwarmBase):
             # a T7 step: zero velocity in a new coordinate
             self.velocities = fit_dimension(self.velocities, self.dim)
         chi, c1, c2 = self._gains
-        r1 = self.rng.random((self.n, self.dim))
-        r2 = self.rng.random((self.n, self.dim))
+        r1, r2 = self.rng.random((2, self.n, self.dim))
         self.velocities = (
             chi * self.velocities
             + c1 * r1 * (self.pbest_positions - self.positions)

@@ -89,7 +89,6 @@ class Qcsso(SwarmBase):
         # member indices, one row per chain
         self._chains = np.arange(self.n).reshape(self.k, self.chain)
         self._pairs = np.triu_indices(self.k, 1)
-        self._pair_list = list(zip(*(side.tolist() for side in self._pairs)))
         self._w_state = rules.W_INIT
         self._probe_sigma = PROBE_SIGMA_SCALE * (self.upper - self.lower)
 
@@ -182,8 +181,9 @@ class Qcsso(SwarmBase):
         protected = self.argbest(fitness)
         self.food_position = centres[protected]
         self.food_fitness = float(fitness[protected])
-        # exclusion: chains whose bests share a basin restart, except the
-        # chain holding the global best which is never recycled
+        # exclusion: of two chains whose bests share a basin, the worse
+        # restarts, the later one on a tie; the chain holding the global
+        # best is the first best, so it never loses a pair
         scores = fitness.tolist()
         doomed: set[int] = set()
         for a, b in self._close_pairs(centres):
@@ -193,8 +193,6 @@ class Qcsso(SwarmBase):
                 worse = a
             else:
                 worse = max(a, b)
-            if worse == protected:
-                worse = a if worse == b else b
             doomed.add(worse)
         self.last_excluded_subpops = sorted(doomed)
         if doomed:
@@ -214,7 +212,7 @@ class Qcsso(SwarmBase):
         a, b = self._pairs
         diff = centres.take(a, axis=0) - centres.take(b, axis=0)
         close = row_norms(diff) < self._exclusion_radius
-        return [self._pair_list[i] for i in close.nonzero()[0].tolist()]
+        return list(zip(a[close].tolist(), b[close].tolist()))
 
     def _reinit_members(self, members: np.ndarray, fresh: np.ndarray) -> None:
         """Restart ``members`` at the rows of ``fresh`` with empty memory."""

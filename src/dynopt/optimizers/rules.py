@@ -3,13 +3,13 @@
 Each rule has one implementation: the optimizers call these functions and
 the anchor tests pin them against hand-computed values.  Position
 arguments are arrays of the current dimension (scalars also work) or
-stacks of them.  The quantum rules take their random draws as
-arguments: unit draws on [0, 1), as ``Generator.random`` gives them, each
-shaped like the position it moves, which a rule maps onto (0, 1] as
-``1 - d``.  The caller draws them, so the caller fixes the random stream;
-``Qcsso.swarm_update`` draws them in the shapes of the arrays they feed.
-``salp_chain`` draws its own block.  The two chain rules, ``salp_chain``
-and ``follower_chain``, move a whole chain in place.
+stacks of them.  Every rule that draws takes its draws as arguments and
+holds no generator: unit draws on [0, 1), as ``Generator.random`` gives
+them, which the caller draws, so the caller fixes the random stream.  The
+quantum rules take each draw shaped like the position it moves and map it
+onto (0, 1] as ``1 - d``; the salp chain takes one ``(k, 2, dim)`` block.
+The two chain rules, ``salp_chain`` and ``follower_chain``, move a whole
+chain in place.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _rank_scales(chain: int) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-def salp_chain(chains, food, lower, upper, c1, rng) -> None:
+def salp_chain(chains, food, lower, upper, c1, draws) -> None:
     """Classic salp chain move of several chains, in place on ``chains``.
 
     ``chains`` is a ``(k, chain, dim)`` array, one chain per row, such as
@@ -96,9 +96,9 @@ def salp_chain(chains, food, lower, upper, c1, rng) -> None:
     ``chains[:, 0]`` lands at ``food ± c1 * ((upper - lower) * c2 + lower)``,
     adding where the side coin is at least 0.5; each follower then
     averages its position with its already moved predecessor,
-    ``x_i <- (x_{i-1} + x_i) / 2``, one rank at a time.  The draws are one
-    ``(k, 2, dim)`` block: per chain c2, then the side coin, which is the
-    stream of k single-chain calls.
+    ``x_i <- (x_{i-1} + x_i) / 2``, one rank at a time.  ``draws`` is the
+    ``(k, 2, dim)`` unit block: per chain c2, then the side coin, so the
+    block of k chains is the k single-chain blocks in turn.
 
     The averaging runs as one accumulate: with rank i scaled by
     2^max(i-1, 0), the running sum at rank i is 2^i times the averaged
@@ -109,7 +109,6 @@ def salp_chain(chains, food, lower, upper, c1, rng) -> None:
     is subnormal and rounds) or a scaled sum overflows, which takes chains
     of ~1000 members.
     """
-    draws = rng.random((chains.shape[0], 2) + np.shape(food))
     c2, side = draws[:, 0], draws[:, 1] >= 0.5
     step = c1 * ((upper - lower) * c2 + lower)
     ranks = chains.swapaxes(0, 1)  # (chain, k, dim): one slab per rank

@@ -242,17 +242,6 @@ def optimizer_config(optimizer_id: str, overrides: dict[str, str] | None = None)
     return apply_overrides(_OPTIMIZERS[optimizer_id].config_type(), overrides)
 
 
-def _build_optimizer(
-    optimizer_id: str,
-    problem: DynamicObjective,
-    seed: int,
-    budget: int,
-    overrides: dict[str, str] | None,
-):
-    config = optimizer_config(optimizer_id, overrides)
-    return _OPTIMIZERS[optimizer_id](problem, seed, budget, config)
-
-
 def run(
     optimizer_id: str,
     problem: DynamicObjective,
@@ -271,6 +260,7 @@ def run(
     ``problem.frequency``, and ``collect_ratios`` whether the problem
     changes (its windows are sampled); ``None`` takes either.
     """
+    config = optimizer_config(optimizer_id, overrides)
     if frequency is not None and frequency != problem.frequency:
         raise ConfigError(
             f"frequency {frequency} differs from the problem's {problem.frequency}"
@@ -283,8 +273,9 @@ def run(
     recorder = BudgetedRecorder(problem, budget, s_samples=s_samples)
     if budget > 0:
         try:
-            optimizer = _build_optimizer(optimizer_id, recorder, seed, budget, overrides)
-            optimizer.run_forever()
+            optimizer = _OPTIMIZERS[optimizer_id](recorder, seed, budget, config)
+            while True:
+                optimizer.iterate()
         except BudgetExhausted:
             pass
     return Trajectory(

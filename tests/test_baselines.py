@@ -264,6 +264,18 @@ class TestClipInPlace:
                 assert rows.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("optimizer_id, chains", [("ssa_baseline", 1), ("qcsso", 5)])
+def test_salp_step_draws_one_block(optimizer_id, chains):
+    # ssa_baseline's move and qcsso's bootstrap draw the salp chain's
+    # (chains, 2, dim) block as one call
+    opt = _OPTIMIZERS[optimizer_id](sphere_problem(dimension=3), 4, 2000)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = opt.rng.bit_generator.state
+    opt.salp_step(chains)
+    twin.random((chains, 2, opt.dim))
+    assert opt.rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestPso:
     def test_scripted_iteration(self):
         opt = make_pso()

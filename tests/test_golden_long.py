@@ -21,7 +21,7 @@ from dynopt.errors import BudgetExhausted
 from dynopt.gdbg import make_instance
 from dynopt.harness import ExperimentConfig
 from dynopt.harness.experiment import optimizer_seed, problem_seed
-from dynopt.optimizers.runner import BudgetedRecorder, _build_optimizer
+from dynopt.optimizers.runner import BudgetedRecorder, _OPTIMIZERS
 
 from conftest import environment_note
 
@@ -42,10 +42,8 @@ def cell_line(case, optimizer_id: str) -> str:
     recorder = BudgetedRecorder(
         problem, LONG.budget(), s_samples=LONG.samples_per_window
     )
-    optimizer = _build_optimizer(
-        optimizer_id, recorder,
-        optimizer_seed(LONG.seed, case.case_id, optimizer_id, 0),
-        LONG.budget(), None,
+    optimizer = _OPTIMIZERS[optimizer_id](
+        recorder, optimizer_seed(LONG.seed, case.case_id, optimizer_id, 0), LONG.budget()
     )
     recycles = exclusions = 0
     try:

@@ -600,7 +600,8 @@ class TestBestRowMemo:
         recorder = BudgetedRecorder(inst, budget)
         opt = SsaBaseline(recorder, seed=3, budget=budget)
         with pytest.raises(BudgetExhausted):
-            opt.run_forever()
+            while True:
+                opt.iterate()
         assert len(completed) == iterations
         assert inst.eval_count == budget
         assert len(calls) == 1 + iterations

@@ -5,7 +5,7 @@ import pytest
 
 from dynopt.errors import DimensionMismatch
 from dynopt.objective import fit_dimension
-from dynopt.optimizers.runner import OPTIMIZER_IDS, _build_optimizer
+from dynopt.optimizers.runner import _OPTIMIZERS, OPTIMIZER_IDS, optimizer_config
 
 from conftest import StaticFunctionProblem, SwitchableProblem, sphere_problem
 
@@ -82,7 +82,9 @@ def test_optimizers_pass_float_batches(optimizer_id):
     overrides = {"population": "6"}
     if optimizer_id == "qcsso":
         overrides["subpopulations"] = "2"
-    opt = _build_optimizer(optimizer_id, problem, 3, 10_000, overrides)
+    opt = _OPTIMIZERS[optimizer_id](
+        problem, 3, 10_000, optimizer_config(optimizer_id, overrides)
+    )
     for _ in range(3):
         opt.iterate()
     problem.shift(offset=5.0)  # the sentinel sees it and memory is re-scored

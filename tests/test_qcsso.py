@@ -416,6 +416,26 @@ class TestOverlapSearch:
         assert np.all(np.isinf(opt.pbest_fitness[:2]))
         assert opt.pbest_fitness[2] == 1.0
 
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_every_close_chain_but_the_first_best_is_recycled(self, maximize):
+        # every pair is close and no probe improves, so each chain but the
+        # first best one loses a pair to it: worse, or tied and later
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            opt = make_opt(
+                config=QcssoConfig(population=2 * k, subpopulations=k, exclusion_radius=100.0),
+                problem=sphere_problem(dimension=2, maximize=maximize),
+            )
+            opt.pbest_fitness = rng.integers(0, 3, size=2 * k).astype(float)
+            opt.problem.evaluate = lambda probes: np.full(len(probes), opt.worst_value)
+            by_chain = opt.pbest_fitness.reshape(k, 2)
+            scores = by_chain.max(axis=1) if maximize else by_chain.min(axis=1)
+            best = scores.max() if maximize else scores.min()
+            first_best = int(np.flatnonzero(scores == best)[0])
+            opt.overlap_search(opt.subpop_best_indices())
+            assert opt.last_excluded_subpops == [c for c in range(k) if c != first_best]
+
     def test_fitness_tie_recycles_higher_index(self):
         opt = self.small(radius=5.0)
         opt.pbest_positions = np.array([[1.0], [3.0], [-1.0], [4.0]])

@@ -7,8 +7,6 @@ import pytest
 
 from dynopt.optimizers import rules
 
-from conftest import FakeRng
-
 
 class TestLogisticStep:
     def test_anchor_from_initial_state(self):
@@ -170,13 +168,12 @@ class TestArrayForms:
             assert jump.tobytes() == moved[idx].tobytes()
 
 
-def salp_chain_by_ranks(chains, food, lower, upper, c1, rng):
+def salp_chain_by_ranks(chains, food, lower, upper, c1, draws):
     """The salp chain averaged one rank at a time, as a loop would.
 
     ``rules.salp_chain`` folds the averaging into one scaled accumulate;
     it must reproduce this loop bit for bit.
     """
-    draws = rng.random((chains.shape[0], 2) + np.shape(food))
     c2, side = draws[:, 0], draws[:, 1] >= 0.5
     step = c1 * ((upper - lower) * c2 + lower)
     chains[:, 0] = np.where(side, food + step, food - step)
@@ -209,16 +206,14 @@ class TestSalpChain:
             else:
                 lower, upper = np.full(dim, -5.0), np.full(dim, 5.0)
             c1 = float(rng.uniform(0.0, 2.0))
-            seed = int(rng.integers(1 << 31))
+            draws = rng.random((k, 2, dim))
             got, want = start.copy(), start.copy()
-            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
             # the chains are views: the moves land in the (k * chain, dim) swarms
-            rules.salp_chain(got.reshape(k, chain, dim), food, lower, upper, c1, rng_got)
+            rules.salp_chain(got.reshape(k, chain, dim), food, lower, upper, c1, draws)
             salp_chain_by_ranks(
-                want.reshape(k, chain, dim), food, lower, upper, c1, rng_want
+                want.reshape(k, chain, dim), food, lower, upper, c1, draws
             )
             assert got.tobytes() == want.tobytes(), (k, chain, dim)
-            assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     def test_coefficient_anchors(self):
         assert rules.salp_coefficient(0, 10) == 2.0
@@ -226,25 +221,22 @@ class TestSalpChain:
 
     def test_leader_step_then_in_place_averaging(self):
         positions = np.array([[0.0], [5.0], [9.0]])
-        rng = FakeRng(random=[0.6, 0.7])
         rules.salp_chain(
             positions.reshape(1, 3, 1), np.array([1.0]),
-            np.array([-5.0]), np.array([5.0]), 2.0, rng,
+            np.array([-5.0]), np.array([5.0]), 2.0, np.array([[[0.6], [0.7]]]),
         )
         # step = 2 * (10 * 0.6 - 5) = 2, and side 0.7 >= 0.5 adds it
         assert positions[:, 0].tolist() == [3.0, 4.0, 6.5]
-        assert rng.exhausted()
 
     def test_k_chains_equal_k_single_chain_calls(self):
         start = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 3))
         food, lower, upper = np.array([0.5, -1.0, 2.0]), np.full(3, -5.0), np.full(3, 5.0)
         lockstep, one_by_one = start.copy(), start.copy()
-        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        rules.salp_chain(lockstep.reshape(3, 4, 3), food, lower, upper, 0.8, rng_a)
-        for chain in one_by_one.reshape(3, 1, 4, 3):
-            rules.salp_chain(chain, food, lower, upper, 0.8, rng_b)
+        draws = np.random.default_rng(7).random((3, 2, 3))
+        rules.salp_chain(lockstep.reshape(3, 4, 3), food, lower, upper, 0.8, draws)
+        for i, chain in enumerate(one_by_one.reshape(3, 1, 4, 3)):
+            rules.salp_chain(chain, food, lower, upper, 0.8, draws[i:i + 1])
         assert lockstep.tobytes() == one_by_one.tobytes()
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestQuantumUpdate:

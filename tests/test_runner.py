@@ -264,8 +264,10 @@ class TestRun:
             run("ssa_baseline", sphere_problem(), 300, 3, collect_ratios=True)
 
     def test_unknown_optimizer(self):
-        with pytest.raises(ConfigError, match="unknown optimizer"):
-            run("cmaes", sphere_problem(), budget=10, seed=3)
+        # checked before the budget is read, so a zero budget is no escape
+        for budget in (0, 10):
+            with pytest.raises(ConfigError, match="unknown optimizer"):
+                run("cmaes", sphere_problem(), budget=budget, seed=3)
 
     def test_every_window_closes_on_a_real_instance(self):
         problem = make_instance(
@@ -444,11 +446,37 @@ class TestRun:
         assert sizes.count(6) > len(sizes) // 4
 
     def test_overrides_reach_the_optimizer_config(self):
-        with pytest.raises(ConfigError):
-            run(
-                "qcsso", sphere_problem(), budget=30, seed=3,
-                overrides={"population": "7", "subpopulations": "2"},
+        for budget in (0, 30):
+            with pytest.raises(ConfigError):
+                run(
+                    "qcsso", sphere_problem(), budget=budget, seed=3,
+                    overrides={"population": "7", "subpopulations": "2"},
+                )
+
+    @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
+    @pytest.mark.parametrize("change_type", ["T1", "T7"])
+    @pytest.mark.parametrize("function_id", ["F1(10)", "F2", "F6"])
+    def test_last_sample_is_the_window_close(self, function_id, change_type, optimizer_id):
+        # the last sample point is the window's last evaluation, so r_S is
+        # r_last and the last traced error is e_last, for windows both
+        # narrower and wider than S
+        for frequency, s_samples in ((3, 20), (10, 20), (57, 20), (200, 20), (1000, 7)):
+            problem = make_instance(
+                function_id, change_type, 5, {"change_frequency": frequency}
             )
+            traj = run(
+                optimizer_id, problem, budget=3 * frequency, seed=3,
+                s_samples=s_samples, trace=True,
+            )
+            assert len(traj.r_last) == 3
+            end = 0
+            for e_last, r_last, samples in zip(
+                traj.e_last, traj.r_last, traj.ratio_samples
+            ):
+                end += len(samples)
+                assert r_last == samples[-1], frequency
+                assert e_last == traj.trace[end - 1][1], frequency
+            assert end == len(traj.trace)
 
 
 class TestBatchRecording:
