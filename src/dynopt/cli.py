@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--jobs", type=int, help="worker processes")
     run_parser.add_argument(
-        "--trace", action="store_true",
+        "--trace", action="store_const", const=True,
         help="also write per-run trajectories: the best error at each "
         "ratio-sample point, then the window-close errors",
     )
@@ -85,11 +85,9 @@ def _build_config(
     for key, values in (("cases", args.case), ("optimizers", args.optimizer)):
         if values:
             pairs[key] = ",".join(values)
-    for key in ("seed", "jobs", "weights"):
+    for key in ("seed", "jobs", "weights", "trace"):
         if getattr(args, key) is not None:
             pairs[key] = getattr(args, key)
-    if args.trace:
-        pairs["trace"] = True
     return ExperimentConfig.from_pairs(pairs)
 
 
@@ -140,10 +138,9 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(str(exc))
 
     _, scores, overall = _write_summary(Path(args.out), weights)
-    case_order = [c.case_id for c in all_cases()]
     for optimizer_id, per_case in scores.items():
-        for case_id in sorted(per_case, key=case_order.index):
-            print(f"{case_id} {optimizer_id} {per_case[case_id]:.6f}")
+        for case_id, score in per_case.items():
+            print(f"{case_id} {optimizer_id} {score:.6f}")
     for optimizer_id, value in overall.items():
         print(f"OVERALL {optimizer_id} {value:.4f}")
     return 0

@@ -1,6 +1,6 @@
 """Dynamic benchmark generator (rotation peaks and composition landscapes)."""
 
-from dynopt.gdbg.changes import ChangeType, DimensionWalk, change_values
+from dynopt.gdbg.changes import ChangeType, change_values, walk_dimension
 from dynopt.gdbg.basefuncs import BASE_FUNCTIONS
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.instance import (
@@ -16,7 +16,6 @@ __all__ = [
     "BASE_FUNCTIONS",
     "ChangeType",
     "CompositionProblem",
-    "DimensionWalk",
     "FUNCTION_IDS",
     "GdbgConfig",
     "GdbgInstance",
@@ -25,4 +24,5 @@ __all__ = [
     "make_instance",
     "paired_rotation",
     "random_orthogonal",
+    "walk_dimension",
 ]

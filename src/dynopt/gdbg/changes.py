@@ -4,15 +4,14 @@ The time-varying quantities of an instance come in families that share
 bounds and a severity (peak heights, peak widths, the rotation angle as a
 one-value family).  Each family is a float array advanced in place by
 :func:`change_values` under one of the regimes T1..T7.  T7 reuses the T3
-value dynamics and additionally walks the search dimension with
-:class:`DimensionWalk`.
+value dynamics and additionally walks the search dimension, a function
+of the change counter given by :func:`walk_dimension`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,18 +95,12 @@ def _recurrent_values(phases: np.ndarray, low: float, span: float, t: int) -> np
     )
 
 
-@dataclass
-class DimensionWalk:
-    """Bounded random walk of the search dimension used by T7."""
+def walk_dimension(start: int, t: int) -> int:
+    """The T7 dimension after ``t`` changes from ``start``.
 
-    dim: int
-    sign: int = 1
-
-    def step(self) -> int:
-        """Advance one step, reversing direction at the dimension bounds."""
-        proposed = self.dim + self.sign
-        if proposed > DIM_MAX or proposed < DIM_MIN:
-            self.sign = -self.sign
-            proposed = self.dim + self.sign
-        self.dim = proposed
-        return self.dim
+    The walk takes one step up at each change and reverses at the bounds
+    ``[DIM_MIN, DIM_MAX]``, so it is a triangle wave of ``t``.
+    """
+    span = DIM_MAX - DIM_MIN
+    phase = (start - DIM_MIN + t) % (2 * span)
+    return DIM_MIN + min(phase, 2 * span - phase)

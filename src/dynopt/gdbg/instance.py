@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dynopt.errors import ConfigError, DimensionMismatch
-from dynopt.gdbg.changes import DIM_MAX, DIM_MIN, ChangeType, DimensionWalk, change_values
+from dynopt.gdbg.changes import DIM_MAX, DIM_MIN, ChangeType, change_values, walk_dimension
 from dynopt.gdbg.composition import CompositionProblem
 from dynopt.gdbg.peaks import PeakSet
 from dynopt.gdbg.rotation import paired_rotation, random_orthogonal
@@ -108,55 +108,40 @@ class GdbgInstance(DynamicObjective):
         self.eval_count = 0
         self.frequency = config.resolved_frequency()
         self.maximize = function_id in PEAK_COUNTS
-        self._walk = DimensionWalk(config.dimension)
         # the best row scored in this environment (module docstring)
         self._memo_row = b""
         self._memo_value = np.zeros(1)
-        # each changing family is (label, values, phases, low, high,
-        # severity), kept in the order a change draws them: heights, widths,
-        # the rotation angle (whose phase is drawn first, at construction)
+        # the construction draws, in order: the rotation angle's phase, the
+        # centres, a composition's rotations, then the phases of the heights
+        # and (peaks only) the widths.  Each changing family is (label,
+        # values, phases, low, high, severity), kept in the order a change
+        # draws them: heights, widths, the rotation angle
         self.rotation_angle = np.zeros(1)
         angle = self._family("rotation_angle", self.rotation_angle,
                              ANGLE_MIN, ANGLE_MAX, ROTATION_SEVERITY)
-        if function_id in PEAK_COUNTS:
-            self.problem: PeakSet | CompositionProblem = self._build_peaks()
+        names = _COMPOSITION_BASES.get(function_id, [])
+        count = PEAK_COUNTS.get(function_id) or len(names)
+        centers = self.rng.uniform(
+            SEARCH_LOWER, SEARCH_UPPER, size=(count, config.dimension)
+        )
+        heights = np.full(count, HEIGHT_INIT)
+        changing = [("height[{}]", heights, HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY)]
+        if self.maximize:
+            widths = np.full(count, WIDTH_INIT)
+            self.problem: PeakSet | CompositionProblem = PeakSet(centers, heights, widths)
+            changing.append(("width[{}]", widths, WIDTH_MIN, WIDTH_MAX, WIDTH_SEVERITY))
         else:
-            self.problem = self._build_composition()
-        self._families += (angle,)
-
-    # -- construction ---------------------------------------------------
+            matrices = random_orthogonal(count, config.dimension, self.rng)
+            self.problem = CompositionProblem(
+                centers, heights, names, matrices, SEARCH_LOWER, SEARCH_UPPER
+            )
+        self._families = (*(self._family(*spec) for spec in changing), angle)
 
     def _family(self, label: str, values: np.ndarray, low: float, high: float,
                 severity: float) -> tuple:
         """One changing family, with its phases drawn now."""
         phases = self.rng.uniform(0.0, 2.0 * math.pi, len(values))
         return label, values, phases, low, high, severity
-
-    def _build_peaks(self) -> PeakSet:
-        count = PEAK_COUNTS[self.function_id]
-        centers = self.rng.uniform(
-            SEARCH_LOWER, SEARCH_UPPER, size=(count, self.config.dimension)
-        )
-        heights, widths = np.full(count, HEIGHT_INIT), np.full(count, WIDTH_INIT)
-        self._families = (
-            self._family("height[{}]", heights, HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY),
-            self._family("width[{}]", widths, WIDTH_MIN, WIDTH_MAX, WIDTH_SEVERITY),
-        )
-        return PeakSet(centers, heights, widths)
-
-    def _build_composition(self) -> CompositionProblem:
-        names = _COMPOSITION_BASES[self.function_id]
-        centers = self.rng.uniform(
-            SEARCH_LOWER, SEARCH_UPPER, size=(len(names), self.config.dimension)
-        )
-        matrices = random_orthogonal(len(names), self.config.dimension, self.rng)
-        heights = np.full(len(names), HEIGHT_INIT)
-        self._families = (
-            self._family("height[{}]", heights, HEIGHT_MIN, HEIGHT_MAX, HEIGHT_SEVERITY),
-        )
-        return CompositionProblem(
-            centers, heights, names, matrices, SEARCH_LOWER, SEARCH_UPPER
-        )
 
     # -- DynamicObjective -----------------------------------------------
 
@@ -207,22 +192,23 @@ class GdbgInstance(DynamicObjective):
         self.t += 1
         self._memo_row = b""
         problem, rng = self.problem, self.rng
-        old_dim = problem.dim
         for _, values, phases, low, high, severity in self._families:
             change_values(values, phases, low, high, severity,
                           self.change_type, rng, self.t)
         rotation = paired_rotation(problem.dim, float(self.rotation_angle[0]), rng)
         centers = problem.centers @ rotation.T
         np.clip(centers, SEARCH_LOWER, SEARCH_UPPER, out=centers)
-        if self.change_type is ChangeType.RANDOM_DIM:
-            # grow by one uniform coordinate per centre or drop the last one
-            pad = functools.partial(rng.uniform, SEARCH_LOWER, SEARCH_UPPER)
-            centers = fit_dimension(centers, self._walk.step(), pad)
         problem.centers = centers
-        if hasattr(problem, "matrices") and problem.dim != old_dim:
-            # a composition draws its rotations afresh at the new dimension
-            problem.matrices = random_orthogonal(len(centers), problem.dim, rng)
-            problem.refresh_normalization()
+        if self.change_type is ChangeType.RANDOM_DIM:
+            # the dimension always moves: each centre grows by one uniform
+            # coordinate or drops its last, and a composition then draws its
+            # rotations afresh at the new dimension
+            pad = functools.partial(rng.uniform, SEARCH_LOWER, SEARCH_UPPER)
+            dim = walk_dimension(self.config.dimension, self.t)
+            problem.centers = fit_dimension(centers, dim, pad)
+            if isinstance(problem, CompositionProblem):
+                problem.matrices = random_orthogonal(len(centers), dim, rng)
+                problem.refresh_normalization()
 
     # -- introspection ----------------------------------------------------
 

@@ -201,6 +201,8 @@ def read_raw_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if header[:4] != ["run", "change", "E_last", "r_last"]:
         raise ConfigError(f"raw table {path} has unexpected header {lines[0]!r}")
     s_count = len(header) - 4
+    if not s_count:
+        raise ConfigError(f"raw table {path} has no ratio sample columns")
     records: dict[tuple[int, int], list[float]] = {}  # E_last, r_last, samples
     for line in lines[1:]:
         cells = line.split(",")
@@ -225,6 +227,12 @@ def read_raw_table(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table = np.empty((runs, changes, 2 + s_count))
     for (run_index, change_index), row in records.items():
         table[run_index, change_index] = row
+    ratios = table[..., 1:]
+    bad = ratios[~((ratios > 0.0) & (ratios <= 1.0))]  # NaN fails too
+    if bad.size:
+        raise ConfigError(
+            f"raw table {path} has a ratio outside (0, 1]: {float(bad[0])!r}"
+        )
     # contiguous copies, so every reduction sums as over the written arrays
     return table[..., 0].copy(), table[..., 1].copy(), table[..., 2:].copy()
 

@@ -225,7 +225,8 @@ def run_experiment(config: ExperimentConfig) -> Iterator[CaseResult]:
     tasks = list(itertools.product(
         config.selected_cases(), config.optimizers, range(config.runs)
     ))
-    with _ordered_map(config.jobs) as ordered_map:
+    # a pool never has more workers than runs: fork starts all of them at once
+    with _ordered_map(min(config.jobs, len(tasks))) as ordered_map:
         trajectories = ordered_map(run_single, itertools.repeat(config), *zip(*tasks))
         for case, optimizer_id, _ in tasks[:: config.runs]:
             runs = list(itertools.islice(trajectories, config.runs))

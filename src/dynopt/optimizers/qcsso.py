@@ -181,19 +181,12 @@ class Qcsso(SwarmBase):
         protected = self.argbest(fitness)
         self.food_position = centres[protected]
         self.food_fitness = float(fitness[protected])
-        # exclusion: of two chains whose bests share a basin, the worse
-        # restarts, the later one on a tie; the chain holding the global
-        # best is the first best, so it never loses a pair
+        # exclusion: of two chains a < b whose bests share a basin, the
+        # worse restarts, b on a tie; the chain holding the global best is
+        # the first best, so it never loses a pair
         scores = fitness.tolist()
-        doomed: set[int] = set()
-        for a, b in self._close_pairs(centres):
-            if self.better(scores[a], scores[b]):
-                worse = b
-            elif self.better(scores[b], scores[a]):
-                worse = a
-            else:
-                worse = max(a, b)
-            doomed.add(worse)
+        doomed = {a if self.better(scores[b], scores[a]) else b
+                  for a, b in self._close_pairs(centres)}
         self.last_excluded_subpops = sorted(doomed)
         if doomed:
             chains = self._chains[self.last_excluded_subpops]

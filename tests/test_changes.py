@@ -13,8 +13,8 @@ from dynopt.gdbg.changes import (
     RECURRENT_PERIOD,
     SMALL_STEP_ALPHA,
     ChangeType,
-    DimensionWalk,
     change_values,
+    walk_dimension,
 )
 
 from conftest import FakeRng
@@ -204,23 +204,26 @@ class TestRecurrentNoisy:
 
 class TestDimensionWalk:
     def test_first_step_up(self):
-        walk = DimensionWalk(10)
-        assert walk.step() == 11
+        assert walk_dimension(10, 1) == 11
 
     def test_reverses_at_upper_bound(self):
-        walk = DimensionWalk(DIM_MAX)
-        assert walk.step() == 14
-        assert walk.sign == -1
+        assert [walk_dimension(DIM_MAX, t) for t in (1, 2)] == [14, 13]
 
     def test_reverses_at_lower_bound(self):
-        walk = DimensionWalk(DIM_MIN, sign=-1)
-        assert walk.step() == 6
-        assert walk.sign == 1
+        # from 10: up to DIM_MAX at t = 5, down to DIM_MIN at t = 15
+        assert [walk_dimension(10, t) for t in (14, 15, 16, 17)] == [6, 5, 6, 7]
 
     def test_full_sweep_visits_all_dimensions(self):
-        walk = DimensionWalk(10)
-        seen = {10}
-        for _ in range(40):
-            seen.add(walk.step())
-            assert DIM_MIN <= walk.dim <= DIM_MAX
+        seen = {walk_dimension(10, t) for t in range(41)}
         assert seen == set(range(DIM_MIN, DIM_MAX + 1))
+
+    @pytest.mark.parametrize("start", range(DIM_MIN, DIM_MAX + 1))
+    def test_equals_step_by_step_reversing_walk(self, start):
+        dim, sign = start, 1
+        for t in range(1, 201):
+            if not DIM_MIN <= dim + sign <= DIM_MAX:
+                sign = -sign
+            dim += sign
+            assert walk_dimension(start, t) == dim, t
+        assert walk_dimension(start, 0) == start
+

@@ -85,6 +85,13 @@ class TestRun:
         rows = text.split("change_index,E_last")[0].splitlines()[1:]
         assert 0 < len(rows) <= 2 * 3
 
+    def test_config_file_trace_needs_no_flag(self, tmp_path):
+        config = write_config(tmp_path, TINY_CONFIG + "trace = true\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out_dir),
+                     "--case", "F1(10):T1", "--optimizer", "qcsso"]) == 0
+        assert (out_dir / "trajectory_F1_10_T1_qcsso_run0.csv").is_file()
+
     def test_scores_file_layout(self, tmp_path):
         out_dir = run_tiny(tmp_path)
         lines = (out_dir / "scores.csv").read_text().splitlines()
@@ -365,6 +372,19 @@ class TestScore:
         assert out.splitlines()[0].startswith("F1(10):T1 qcsso 0.")
         assert "OVERALL qcsso" in out
 
+    def test_prints_cases_in_grid_order(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(out_dir),
+                     "--case", "F2:T1", "--case", "F1(10):T1",
+                     "--optimizer", "pso_baseline", "--optimizer", "qcsso"]) == 0
+        capsys.readouterr()
+        assert main(["score", "--out", str(out_dir)]) == 0
+        printed = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+        assert printed[:4] == [
+            ["F1(10):T1", "qcsso"], ["F2:T1", "qcsso"],
+            ["F1(10):T1", "pso_baseline"], ["F2:T1", "pso_baseline"],
+        ]
+
     def test_nan_ratio_fails_cleanly(self, tmp_path, capsys):
         out_dir = run_tiny(tmp_path)
         raw = out_dir / "raw_F1_10_T1_qcsso.csv"
@@ -376,8 +396,21 @@ class TestScore:
         capsys.readouterr()
         assert main(["score", "--out", str(out_dir)]) == 1
         captured = capsys.readouterr()
-        assert "error: r_last must lie in (0, 1]; found nan" in captured.err
+        assert f"error: raw table {raw} has a ratio outside (0, 1]: nan" in captured.err
         assert "nan" not in captured.out
+        assert not (out_dir / "scores.csv").exists()
+
+    def test_table_without_samples_fails_cleanly(self, tmp_path, capsys):
+        out_dir = run_tiny(tmp_path)
+        raw = out_dir / "raw_F1_10_T1_qcsso.csv"
+        lines = [",".join(line.split(",")[:4]) for line in raw.read_text().splitlines()]
+        raw.write_text("\n".join(lines) + "\n")
+        (out_dir / "scores.csv").unlink()
+        capsys.readouterr()
+        assert main(["score", "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: raw table {raw} has no ratio sample columns" in captured.err
+        assert captured.out == ""
         assert not (out_dir / "scores.csv").exists()
 
     def test_empty_directory_fails_cleanly(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import multiprocessing
 import time
 from pathlib import Path
 
@@ -399,6 +400,18 @@ class TestRunExperiment:
             assert np.array_equal(result.errors, twin.errors)
             assert np.array_equal(result.r_last, twin.r_last)
             assert np.array_equal(result.samples, twin.samples)
+
+    @pytest.mark.parametrize("runs, most", [(1, 0), (2, 2)])
+    def test_a_pool_has_no_more_workers_than_runs(self, runs, most):
+        # one run needs no pool at all, and fork starts every worker at once
+        config = tiny_config(cases=("F1(10):T1",), optimizers=("qcsso",),
+                             runs=runs, jobs=4)
+        cells = run_experiment(config)
+        try:
+            next(cells)
+            assert len(multiprocessing.active_children()) <= most
+        finally:
+            cells.close()
 
     def test_a_consumer_that_stops_early_does_not_wait_for_queued_runs(
         self, tmp_path, monkeypatch
