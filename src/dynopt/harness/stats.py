@@ -42,20 +42,12 @@ def error_stats(errors: np.ndarray) -> dict[str, float]:
     )))
 
 
-def _validate_ratios(name: str, values: np.ndarray) -> None:
-    # a comparison with NaN is false, so NaN falls outside the range
-    bad = values[~((values > 0.0) & (values <= 1.0))]
-    if bad.size:
-        raise ConfigError(
-            f"{name} must lie in (0, 1]; found {float(bad.ravel()[0])!r}"
-        )
-
-
 def case_score(r_last: np.ndarray, samples: np.ndarray) -> float:
     """Mean window score over a (runs, changes) grid.
 
     ``r_last`` has shape (runs, changes); ``samples`` has shape
-    (runs, changes, S) holding the in-window quality ratios.
+    (runs, changes, S) holding the in-window quality ratios; the one check
+    that a ratio lies in (0, 1] is ``csvio.read_raw_table``'s.
     """
     r_last = np.asarray(r_last, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -63,8 +55,6 @@ def case_score(r_last: np.ndarray, samples: np.ndarray) -> float:
         raise ConfigError("r_last must be 2-D with at least one entry")
     if samples.ndim != 3 or samples.shape[:2] != r_last.shape:
         raise ConfigError("samples must be (runs, changes, S) matching r_last")
-    _validate_ratios("r_last", r_last)
-    _validate_ratios("ratio samples", samples)
     penalty = 1.0 + np.mean(1.0 - samples, axis=2)
     return float(np.mean(r_last / penalty))
 

@@ -36,7 +36,8 @@ class DynamicObjective(abc.ABC):
 
     @abc.abstractmethod
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """Objective values of the rows of ``xs``; counts one evaluation each."""
+        """Objective values of the rows of ``xs``, in a fresh array that
+        the caller owns and may write to; counts one evaluation each."""
 
     def advance_environment(self) -> None:
         """Move to the next environment; only a problem with a frequency can."""

@@ -8,7 +8,6 @@ RNG, and survives both landscape changes and dimension changes mid-run.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +46,14 @@ class SwarmConfig:
 class SwarmBase:
     """Population state and the one change-handling iteration.
 
+    The swarms minimize, as the salp and quantum PSO rules are stated:
+    ``score``, their one call to the problem, negates the values of a
+    problem that seeks its maximum, so every value a swarm keeps is one
+    to minimize and an empty memory is ``inf``.
+
     Every swarm keeps a food source: the best position it knows,
     ``food_position`` with its value ``food_fitness`` (the gbest of a
-    PSO).  Re-evaluating it each iteration is the change sentinel.  Swarms
+    PSO).  Re-scoring it each iteration is the change sentinel.  Swarms
     with per-member memory (``keeps_pbests``) also keep ``pbest_positions``
     and ``pbest_fitness``; on a change that memory is re-scored.
 
@@ -58,9 +62,9 @@ class SwarmBase:
     (its search rule) and ``remember`` (its memory rule), and names its
     ``config_type`` only when it takes more settings than the shared
     ``SwarmConfig``; the constructor builds everything else from the config
-    and scores the initial population.  ``sync_dimension`` fits the shared
-    state to a T7 step; a subclass fits any further per-dimension state
-    where it reads it.
+    and scores the initial population.  The sentinel, ``detect_change``,
+    first fits the shared state to a T7 step (``sync_dimension``); a
+    subclass fits any further per-dimension state where it reads it.
     """
 
     config_type: type = SwarmConfig
@@ -79,7 +83,6 @@ class SwarmBase:
         self.problem = problem
         self.rng = np.random.default_rng(int(seed))
         self.n = int(self.config.population)
-        self.maximize = problem.maximize
         self.dim = problem.dimension()
         # one box for every coordinate, whatever the dimension
         lower, upper = problem.bounds()
@@ -93,33 +96,29 @@ class SwarmBase:
         per_iteration = self.n + 1 + self.probes_per_iteration()
         self.max_iterations = max(1, window // per_iteration)
         self.l_window = 0
-        self._dim_changed = False
         self.last_change_detected = False
 
         self.positions = self.rng.uniform(
             self.lower, self.upper, size=(self.n, self.dim)
         )
-        self.fitness = np.empty(self.n)
-        self.worst_value = -math.inf if self.maximize else math.inf
         self.start_memory()
 
     def probes_per_iteration(self) -> int:
         """Evaluations an iteration spends beyond the population and sentinel."""
         return 0
 
-    # -- sense helpers ----------------------------------------------------
-
-    def better(self, a, b):
-        """Strict improvement of ``a`` over ``b``; elementwise on arrays."""
-        return a > b if self.maximize else a < b
-
-    def argbest(self, values: np.ndarray) -> int:
-        return int(values.argmax() if self.maximize else values.argmin())
-
     # -- evaluation -------------------------------------------------------
 
+    def score(self, rows: np.ndarray) -> np.ndarray:
+        """The values of ``rows`` to minimize: the problem's own, negated
+        in place (which is exact) when the problem seeks its maximum."""
+        values = self.problem.evaluate(rows)
+        if self.problem.maximize:
+            np.negative(values, out=values)
+        return values
+
     def evaluate_all(self) -> None:
-        self.fitness[:] = self.problem.evaluate(self.positions)
+        self.fitness = self.score(self.positions)
 
     def salp_step(self, chains: int) -> None:
         """Move the population as ``chains`` equal classic salp chains."""
@@ -139,56 +138,58 @@ class SwarmBase:
         if self.keeps_pbests:
             self.pbest_positions = self.positions.copy()
             self.pbest_fitness = self.fitness.copy()
-        best = self.argbest(self.fitness)
+        best = self.fitness.argmin()
         self.food_position = self.positions[best].copy()
         self.food_fitness = float(self.fitness[best])
 
     def update_pbests(self) -> np.ndarray:
         """Copy each strictly improved member into its pbest; return the mask."""
-        improved = self.better(self.fitness, self.pbest_fitness)
+        improved = self.fitness < self.pbest_fitness
         np.copyto(self.pbest_fitness, self.fitness, where=improved)
         np.copyto(self.pbest_positions, self.positions, where=improved[:, None])
         return improved
 
     def promote(self, positions: np.ndarray, values: np.ndarray) -> None:
         """Make the best row the food source if it is strictly better."""
-        best = self.argbest(values)
-        if self.better(float(values[best]), self.food_fitness):
+        best = values.argmin()
+        if values[best] < self.food_fitness:
             self.food_position = positions[best].copy()
             self.food_fitness = float(values[best])
 
     def detect_change(self) -> bool:
-        """Sentinel re-evaluation of the food position, once per iteration.
+        """The sentinel, once per iteration, after the T7 fit.
 
-        On a change the food takes its new value, any pbest memory is
+        A moved dimension, or a food value moved past the tolerance, is a
+        change: the food takes its new value, any pbest memory is
         re-scored and may replace it, and the iteration schedule restarts.
         """
-        sentinel = float(self.problem.evaluate(self.food_position[None, :])[0])
-        changed = self._dim_changed or abs(sentinel - self.food_fitness) > CHANGE_TOLERANCE
-        self._dim_changed = False
+        moved = self.sync_dimension()
+        sentinel = float(self.score(self.food_position[None, :])[0])
+        changed = moved or abs(sentinel - self.food_fitness) > CHANGE_TOLERANCE
         if changed:
             self.food_fitness = sentinel
             if self.pbest_positions is not None:
-                self.pbest_fitness[:] = self.problem.evaluate(self.pbest_positions)
+                self.pbest_fitness = self.score(self.pbest_positions)
                 self.promote(self.pbest_positions, self.pbest_fitness)
             self.l_window = 0
         return changed
 
     # -- dimension adaptation ----------------------------------------------
 
-    def sync_dimension(self) -> None:
+    def sync_dimension(self) -> bool:
         """Fit the positions, pbests and food, in that order, to a moved
-        dimension; a new coordinate is a uniform draw in the box."""
+        dimension, and say whether it moved; a new coordinate is a uniform
+        draw in the box."""
         new_dim = self.problem.dimension()
         if new_dim == self.dim:
-            return
+            return False
         self.dim = new_dim
         pad = functools.partial(self.rng.uniform, self.lower, self.upper)
         self.positions = fit_dimension(self.positions, new_dim, pad)
         if self.pbest_positions is not None:
             self.pbest_positions = fit_dimension(self.pbest_positions, new_dim, pad)
         self.food_position = fit_dimension(self.food_position[None, :], new_dim, pad)[0]
-        self._dim_changed = True
+        return True
 
     # -- run loop -----------------------------------------------------------
 
@@ -202,7 +203,6 @@ class SwarmBase:
 
     def iterate(self) -> None:
         """One iteration: sentinel, move, clamp, score, remember."""
-        self.sync_dimension()
         self.last_change_detected = self.detect_change()
         self.move()
         clip_in_place(self.positions, *self._box)

@@ -112,8 +112,7 @@ class Qcsso(SwarmBase):
 
     def subpop_best_indices(self) -> np.ndarray:
         """The index of each chain's best pbest, the first one on ties."""
-        by_chain = self.pbest_fitness.reshape(self.k, self.chain)
-        best = by_chain.argmax(axis=1) if self.maximize else by_chain.argmin(axis=1)
+        best = self.pbest_fitness.reshape(self.k, self.chain).argmin(axis=1)
         return self._chains[:, 0] + best
 
     # -- iteration pieces ------------------------------------------------------
@@ -171,21 +170,21 @@ class Qcsso(SwarmBase):
         noise = self.rng.standard_normal((self.k, self.dim))
         probes = self.pbest_positions.take(bests, axis=0) + noise * self._probe_sigma
         clip_in_place(probes, *self._box)
-        values = self.problem.evaluate(probes)
-        accepted = self.better(values, self.pbest_fitness[bests])
+        values = self.score(probes)
+        accepted = values < self.pbest_fitness[bests]
         if np.count_nonzero(accepted):
             self.pbest_positions[bests[accepted]] = probes[accepted]
             self.pbest_fitness[bests[accepted]] = values[accepted]
         centres = self.pbest_positions.take(bests, axis=0)
         fitness = self.pbest_fitness[bests]
-        protected = self.argbest(fitness)
+        protected = fitness.argmin()
         self.food_position = centres[protected]
         self.food_fitness = float(fitness[protected])
         # exclusion: of two chains a < b whose bests share a basin, the
         # worse restarts, b on a tie; the chain holding the global best is
         # the first best, so it never loses a pair
         scores = fitness.tolist()
-        doomed = {a if self.better(scores[b], scores[a]) else b
+        doomed = {a if scores[b] < scores[a] else b
                   for a, b in self._close_pairs(centres)}
         self.last_excluded_subpops = sorted(doomed)
         if doomed:
@@ -211,7 +210,7 @@ class Qcsso(SwarmBase):
         """Restart ``members`` at the rows of ``fresh`` with empty memory."""
         self.positions[members] = fresh
         self.pbest_positions[members] = fresh
-        self.pbest_fitness[members] = self.worst_value
+        self.pbest_fitness[members] = np.inf
         self.ages[members] = 0
 
     def aging_step(self, bests: np.ndarray) -> list[int]:
@@ -228,7 +227,7 @@ class Qcsso(SwarmBase):
         """
         cfg = self.config
         ages = self.ages
-        protected = bests[self.argbest(self.pbest_fitness[bests])]
+        protected = bests[self.pbest_fitness[bests].argmin()]
         stale = ages > cfg.min_age_limit
         stale[bests] = ages[bests] > cfg.max_age_limit
         stale[protected] = False

@@ -166,13 +166,15 @@ class TestSharedMemory:
         )
         opt = PsoBaseline(problem, seed=3, budget=100,
                           config=SwarmConfig(population=3))
-        opt.pbest_fitness = np.array([-1.0, -4.0, -9.0])
+        # the swarm keeps a maximized problem's values negated, to minimize
+        assert opt.fitness.tolist() == [float(x @ x) for x in opt.positions]
+        opt.pbest_fitness = np.array([1.0, 4.0, 9.0])
         opt.pbest_positions = np.array([[1.0], [2.0], [3.0]])
-        opt.fitness = np.array([-2.0, -4.0, -0.5])
+        opt.fitness = np.array([2.0, 4.0, 0.5])
         opt.positions = np.array([[-1.5], [-2.0], [0.7]])
         improved = opt.update_pbests()
         assert improved.tolist() == [False, False, True]
-        assert opt.pbest_fitness.tolist() == [-1.0, -4.0, -0.5]
+        assert opt.pbest_fitness.tolist() == [1.0, 4.0, 0.5]
         assert opt.pbest_positions[:, 0].tolist() == [1.0, 2.0, 0.7]
 
     def test_one_change_detector_for_all_swarms(self):
@@ -193,6 +195,18 @@ class BatchLog(SwitchableProblem):
         return super().evaluate(xs)
 
 
+class NegatedBowl(SwitchableProblem):
+    """The test bowl negated, to be maximized."""
+
+    maximize = True
+
+    def evaluate(self, xs):
+        return -super().evaluate(xs)
+
+    def optimum_value(self):
+        return -self.offset
+
+
 class TestSkeleton:
     """``SwarmBase.iterate``, the one iteration every registered optimizer runs."""
 
@@ -210,6 +224,35 @@ class TestSkeleton:
         # the derived evaluations per iteration fill the window
         spent = sum(problem.sizes)
         assert spent * opt.max_iterations <= 1000 < spent * (opt.max_iterations + 1)
+
+    @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
+    def test_a_maximized_problem_moves_as_its_negation_minimized(self, optimizer_id):
+        """The sense lives in ``score`` alone: a swarm on a maximized bowl and
+        its twin on the negated bowl, minimized, with one seed, hold the same
+        bits at every iteration, through a change and T7 dimension moves."""
+        maximized, minimized = NegatedBowl(dimension=5), SwitchableProblem(dimension=5)
+        on_max, on_min = swarms = [_OPTIMIZERS[optimizer_id](p, seed=6, budget=10**6)
+                                   for p in (maximized, minimized)]
+        shifts = [{}, {}, {"offset": 3.0}, {}, {"dimension": 7}, {},
+                  {"center_first": 1.5, "dimension": 4}, {}]
+        detected = []
+        for shift in shifts:
+            for problem in (maximized, minimized):
+                problem.shift(**shift)
+            for opt in swarms:
+                opt.iterate()
+            assert on_max.last_change_detected is on_min.last_change_detected
+            detected.append(on_min.last_change_detected)
+            assert on_max.positions.tobytes() == on_min.positions.tobytes()
+            assert on_max.fitness.tobytes() == on_min.fitness.tobytes()
+            assert on_max.food_position.tobytes() == on_min.food_position.tobytes()
+            assert on_max.food_fitness == on_min.food_fitness
+            if on_max.keeps_pbests:
+                assert on_max.pbest_positions.tobytes() == on_min.pbest_positions.tobytes()
+                assert on_max.pbest_fitness.tobytes() == on_min.pbest_fitness.tobytes()
+            assert on_max.rng.bit_generator.state == on_min.rng.bit_generator.state
+        assert detected == [False, False, True, False, True, False, True, False]
+        assert maximized.evaluations == minimized.evaluations
 
     @pytest.mark.parametrize("optimizer_id", OPTIMIZER_IDS)
     def test_positions_stay_c_contiguous(self, optimizer_id):
@@ -362,10 +405,9 @@ class TestPso:
         opt.iterate()
         kept = opt.velocities.copy()
         problem.shift(dimension=7)
-        opt.sync_dimension()
+        assert opt.detect_change() is True  # it fits the swarm first
         assert opt.pbest_positions.shape == (4, 7)
         assert opt.food_position.shape == (7,)
-        assert opt.detect_change() is True
         velocities = self.velocities_move_reads(opt)
         assert velocities.shape == (4, 7)
         assert np.all(velocities[:, 5:] == 0.0)
@@ -378,7 +420,7 @@ class TestPso:
         opt.iterate()
         kept = opt.velocities[:, :4].copy()
         problem.shift(dimension=4)
-        opt.sync_dimension()
+        assert opt.detect_change() is True
         velocities = self.velocities_move_reads(opt)
         assert velocities.shape == (4, 4)
         assert np.array_equal(velocities, kept)

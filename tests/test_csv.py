@@ -187,6 +187,24 @@ class TestRawTables:
         assert str(path) in str(excinfo.value)
         assert f"0,1,{e_last}," in str(excinfo.value)
 
+    @pytest.mark.parametrize("column", ["r_last", "r_1"])
+    @pytest.mark.parametrize("ratio", ["0.0", "1.1", "1.0000001", "nan"])
+    def test_read_rejects_a_ratio_outside_the_range(self, tmp_path, column, ratio):
+        # the one check that a ratio lies in (0, 1], for r_last and a sample
+        cells = {"r_last": "0.5", "r_1": "0.5", column: ratio}
+        path = tmp_path / "raw_F2_T1_qcsso.csv"
+        path.write_text(
+            "run,change,E_last,r_last,r_1,r_2\n"
+            "0,0,1.0,0.5,0.5,0.5\n"
+            f"0,1,1.0,{cells['r_last']},{cells['r_1']},0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="ratio outside") as excinfo:
+            read_raw_table(path)
+        assert str(excinfo.value) == (
+            f"raw table {path} has a ratio outside (0, 1]: {float(ratio)!r}"
+        )
+
     def test_read_rejects_headerless_data(self, tmp_path):
         path = tmp_path / "raw_F2_T1_qcsso.csv"
         path.write_text(

@@ -282,7 +282,7 @@ class TestSwarmUpdateMatchesMemberLoop:
         opt = Qcsso(inst, seed=9, budget=10**6, config=cfg)
         for _ in range(3):  # a bootstrap, then two lockstep updates
             opt.iterate()
-        assert opt.maximize is (function_id == "F1(10)")
+        assert inst.maximize is (function_id == "F1(10)")
         assert opt.l_window == 3
         w = rules.W_FIXED
         if w_mode == "chaotic":  # the state has advanced once per iteration
@@ -427,9 +427,12 @@ class TestOverlapSearch:
                 config=QcssoConfig(population=2 * k, subpopulations=k, exclusion_radius=100.0),
                 problem=sphere_problem(dimension=2, maximize=maximize),
             )
-            opt.pbest_fitness = rng.integers(0, 3, size=2 * k).astype(float)
-            opt.problem.evaluate = lambda probes: np.full(len(probes), opt.worst_value)
-            by_chain = opt.pbest_fitness.reshape(k, 2)
+            # the problem's own values; the swarm keeps them to minimize
+            values = rng.integers(0, 3, size=2 * k).astype(float)
+            opt.pbest_fitness = -values if maximize else values
+            worst = -np.inf if maximize else np.inf
+            opt.problem.evaluate = lambda probes: np.full(len(probes), worst)
+            by_chain = values.reshape(k, 2)
             scores = by_chain.max(axis=1) if maximize else by_chain.min(axis=1)
             best = scores.max() if maximize else scores.min()
             first_best = int(np.flatnonzero(scores == best)[0])
@@ -450,14 +453,16 @@ class TestOverlapSearch:
         problem = sphere_problem(dimension=1, maximize=maximize)
         opt = make_opt(config=QcssoConfig(population=4, subpopulations=2), problem=problem)
         opt.pbest_positions = np.array([[1.0], [3.0], [2.0], [4.0]])
-        opt.pbest_fitness = np.array([1.0, 9.0 * sign, 4.0, 16.0 * sign])  # bests 0, 2
+        # the problem's values are [1, 9 * sign, 4, 16 * sign], bests 0 and
+        # 2; the swarm keeps them to minimize, a maximized problem's negated
+        opt.pbest_fitness = np.array([sign * 1.0, 9.0, sign * 4.0, 16.0])
         # the first probe ties its chain's best, the second one beats it
         values = [1.0, 5.0 if maximize else 3.0]
         opt.problem.evaluate = lambda probes: np.array(values)
         opt.rng = FakeRng(standard_normal=[0.5, 0.5])
         opt.overlap_search(opt.subpop_best_indices())
         assert opt.pbest_positions[:, 0].tolist() == [1.0, 3.0, 2.5, 4.0]
-        assert opt.pbest_fitness[[0, 2]].tolist() == values
+        assert opt.pbest_fitness[[0, 2]].tolist() == [sign * v for v in values]
         assert opt.last_excluded_subpops == []
 
     def test_chain_bests_and_food_hold_through_the_iteration(self):
@@ -470,7 +475,7 @@ class TestOverlapSearch:
 
         def checked(bests):
             assert bests.tolist() == opt.subpop_best_indices().tolist()
-            best = opt.argbest(opt.pbest_fitness)
+            best = int(np.argmin(opt.pbest_fitness))
             assert opt.food_fitness == opt.pbest_fitness[best]
             assert np.array_equal(opt.food_position, opt.pbest_positions[best])
             excluded.extend(opt.last_excluded_subpops)
@@ -534,7 +539,7 @@ class TestAging:
         )
         opt = make_opt(config=cfg)
         assert opt.aging_step(opt.subpop_best_indices()) == []
-        protected = opt.argbest(opt.pbest_fitness)
+        protected = int(np.argmin(opt.pbest_fitness))
         expected = [1 if i != protected else 0 for i in range(4)]
         assert opt.ages.tolist() == expected
 
@@ -545,7 +550,7 @@ class TestAging:
         )
         opt = make_opt(config=cfg)
         opt.aging_step(opt.subpop_best_indices())
-        protected = opt.argbest(opt.pbest_fitness)
+        protected = int(np.argmin(opt.pbest_fitness))
         best_fitness = float(opt.pbest_fitness[protected])
         recycled = opt.aging_step(opt.subpop_best_indices())
         assert recycled == [i for i in range(4) if i != protected]
@@ -620,7 +625,7 @@ def reference_aging_step(opt):
     limits = np.full(opt.n, cfg.min_age_limit)
     limits[opt.subpop_best_indices()] = cfg.max_age_limit
     grows = np.ones(opt.n, dtype=bool)
-    grows[opt.argbest(opt.pbest_fitness)] = False
+    grows[np.argmin(opt.pbest_fitness)] = False
     candidates = np.flatnonzero(grows & (opt.ages > limits)).tolist()
     coins = opt.rng.random(len(candidates))
     reinited = [i for i, coin in zip(candidates, coins) if coin < cfg.reinit_probability]
@@ -628,7 +633,7 @@ def reference_aging_step(opt):
     for i, row in zip(reinited, fresh):
         opt.positions[i] = row
         opt.pbest_positions[i] = row
-        opt.pbest_fitness[i] = opt.worst_value
+        opt.pbest_fitness[i] = np.inf
         opt.ages[i] = 0
         grows[i] = False
     opt.ages[grows] += 1

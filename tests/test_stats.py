@@ -121,22 +121,6 @@ class TestCaseScore:
         with pytest.raises(ConfigError):
             case_score(np.zeros((0, 2)), np.zeros((0, 2, 3)))
 
-    def test_ratio_range_validation(self):
-        with pytest.raises(ConfigError, match="r_last"):
-            case_score([[0.0]], [[[0.5]]])
-        with pytest.raises(ConfigError, match="r_last"):
-            case_score([[1.1]], [[[0.5]]])
-        with pytest.raises(ConfigError, match="ratio samples"):
-            case_score([[0.5]], [[[0.0]]])
-        with pytest.raises(ConfigError, match="ratio samples"):
-            case_score([[0.5]], [[[1.0000001]]])
-
-    def test_nan_ratios_rejected(self):
-        with pytest.raises(ConfigError, match="r_last must lie in .*nan"):
-            case_score([[0.5, np.nan]], [[[0.5], [0.5]]])
-        with pytest.raises(ConfigError, match="ratio samples must lie in .*nan"):
-            case_score([[0.5]], [[[0.5, np.nan]]])
-
     def test_boundary_ratio_of_one_is_fine(self):
         assert case_score([[1.0]], [[[1.0]]]) == 1.0
 
