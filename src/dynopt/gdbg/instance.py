@@ -79,9 +79,6 @@ class GdbgConfig:
     dimension: int = 10
     change_frequency: int = 0  # 0 means the 10_000 * dimension default
 
-    def resolved_frequency(self) -> int:
-        return resolve_frequency(self.change_frequency, self.dimension)
-
 
 class GdbgInstance(DynamicObjective):
     """One seeded (function, change type) benchmark case."""
@@ -106,7 +103,7 @@ class GdbgInstance(DynamicObjective):
         self.rng = np.random.default_rng(self.seed)
         self.t = 0
         self.eval_count = 0
-        self.frequency = config.resolved_frequency()
+        self.frequency = resolve_frequency(config.change_frequency, config.dimension)
         self.maximize = function_id in PEAK_COUNTS
         # the best row scored in this environment (module docstring)
         self._memo_row = b""

@@ -69,8 +69,6 @@ class SwarmBase:
 
     config_type: type = SwarmConfig
     keeps_pbests = False
-    pbest_positions: np.ndarray | None = None
-    pbest_fitness: np.ndarray | None = None
 
     def __init__(
         self,
@@ -96,7 +94,6 @@ class SwarmBase:
         per_iteration = self.n + 1 + self.probes_per_iteration()
         self.max_iterations = max(1, window // per_iteration)
         self.l_window = 0
-        self.last_change_detected = False
 
         self.positions = self.rng.uniform(
             self.lower, self.upper, size=(self.n, self.dim)
@@ -111,22 +108,19 @@ class SwarmBase:
 
     def score(self, rows: np.ndarray) -> np.ndarray:
         """The values of ``rows`` to minimize: the problem's own, negated
-        in place (which is exact) when the problem seeks its maximum."""
+        (which is exact) when the problem seeks its maximum."""
         values = self.problem.evaluate(rows)
-        if self.problem.maximize:
-            np.negative(values, out=values)
-        return values
+        return -values if self.problem.maximize else values
 
     def evaluate_all(self) -> None:
         self.fitness = self.score(self.positions)
 
     def salp_step(self, chains: int) -> None:
         """Move the population as ``chains`` equal classic salp chains."""
-        l_eff = min(self.l_window, self.max_iterations)
         rules.salp_chain(
             self.positions.reshape(chains, -1, self.dim), self.food_position,
             self.lower, self.upper,
-            rules.salp_coefficient(l_eff, self.max_iterations),
+            rules.salp_coefficient(self.l_window, self.max_iterations),
             self.rng.random((chains, 2, self.dim)),
         )
 
@@ -168,7 +162,7 @@ class SwarmBase:
         changed = moved or abs(sentinel - self.food_fitness) > CHANGE_TOLERANCE
         if changed:
             self.food_fitness = sentinel
-            if self.pbest_positions is not None:
+            if self.keeps_pbests:
                 self.pbest_fitness = self.score(self.pbest_positions)
                 self.promote(self.pbest_positions, self.pbest_fitness)
             self.l_window = 0
@@ -186,7 +180,7 @@ class SwarmBase:
         self.dim = new_dim
         pad = functools.partial(self.rng.uniform, self.lower, self.upper)
         self.positions = fit_dimension(self.positions, new_dim, pad)
-        if self.pbest_positions is not None:
+        if self.keeps_pbests:
             self.pbest_positions = fit_dimension(self.pbest_positions, new_dim, pad)
         self.food_position = fit_dimension(self.food_position[None, :], new_dim, pad)[0]
         return True
@@ -202,10 +196,11 @@ class SwarmBase:
         raise NotImplementedError
 
     def iterate(self) -> None:
-        """One iteration: sentinel, move, clamp, score, remember."""
-        self.last_change_detected = self.detect_change()
+        """One iteration: sentinel, move, clamp, score, remember; then the
+        schedule index advances, holding at the window's horizon."""
+        self.detect_change()
         self.move()
         clip_in_place(self.positions, *self._box)
         self.evaluate_all()
         self.remember()
-        self.l_window += 1
+        self.l_window = min(self.l_window + 1, self.max_iterations)

@@ -89,13 +89,11 @@ class Qcsso(SwarmBase):
         # member indices, one row per chain
         self._chains = np.arange(self.n).reshape(self.k, self.chain)
         self._pairs = np.triu_indices(self.k, 1)
-        self._w_state = rules.W_INIT
+        # the inertia weight: fixed, or the logistic map's state
+        self._w = rules.W_FIXED if self.config.w_mode == "fixed" else rules.W_INIT
         self._probe_sigma = PROBE_SIGMA_SCALE * (self.upper - self.lower)
 
         self.ages = np.zeros(self.n, dtype=int)
-        # per-iteration observability, mainly for tests
-        self.last_aging_reinits: list[int] = []
-        self.last_excluded_subpops: list[int] = []
 
     # -- configuration-derived quantities ---------------------------------
 
@@ -125,12 +123,10 @@ class Qcsso(SwarmBase):
         ``(2, k, chain, dim)`` draw, then c4, r and c3 for every head's jump
         as one ``(3, k, heads, dim)`` draw.  Attractors and head jumps are
         one array step each; ``rules.follower_chain`` then moves the
-        followers one rank at a time across the chains.  Past the window's
-        horizon the schedule holds at its end: B = C = 0.
+        followers one rank at a time across the chains.  At the window's
+        horizon, where the schedule holds, B = C = 0.
         """
         k, chain, dim = self.k, self.chain, self.dim
-        l_eff = min(self.l_window, self.max_iterations)
-        w = rules.W_FIXED if self.config.w_mode == "fixed" else self._w_state
         heads = min(rules.LEADERS_PER_CHAIN, chain)
         d1, d2 = self.rng.random((2, k, chain, dim))
         d4, dr, d3 = self.rng.random((3, k, heads, dim))
@@ -141,8 +137,8 @@ class Qcsso(SwarmBase):
         best_mean = np.add.reduce(self.pbest_positions, axis=0) / self.n
         heads_moved = rules.quantum_update(
             x[:, :heads], attractor[:, :heads],
-            rules.contraction_expansion(l_eff, self.max_iterations),
-            best_mean, w, d4, dr, d3,
+            rules.contraction_expansion(self.l_window, self.max_iterations),
+            best_mean, self._w, d4, dr, d3,
         )
         # rank-major, so that each rank's slab across the chains is one
         # contiguous (k, dim) block
@@ -150,12 +146,13 @@ class Qcsso(SwarmBase):
         ranks[:heads] = heads_moved.swapaxes(0, 1)
         rules.follower_chain(
             ranks, attractor.swapaxes(0, 1),
-            rules.follower_coefficient(l_eff, self.max_iterations),
+            rules.follower_coefficient(self.l_window, self.max_iterations),
         )
         self.positions = ranks.swapaxes(0, 1).reshape(self.n, dim)
 
-    def overlap_search(self, bests: np.ndarray) -> None:
-        """Probe around each chain's best, then enforce inter-chain exclusion.
+    def overlap_search(self, bests: np.ndarray) -> list[int]:
+        """Probe around each chain's best, enforce inter-chain exclusion,
+        and return the recycled chains in order.
 
         ``bests`` holds each chain's best index, as ``subpop_best_indices``
         gives it, and stays so: an accepted probe is strictly better than
@@ -186,15 +183,16 @@ class Qcsso(SwarmBase):
         scores = fitness.tolist()
         doomed = {a if scores[b] < scores[a] else b
                   for a, b in self._close_pairs(centres)}
-        self.last_excluded_subpops = sorted(doomed)
-        if doomed:
-            chains = self._chains[self.last_excluded_subpops]
+        excluded = sorted(doomed)
+        if excluded:
+            chains = self._chains[excluded]
             # one draw for all doomed chains equals one draw per chain in order
             fresh = self.rng.uniform(
                 self.lower, self.upper, size=(chains.size, self.dim)
             )
             self._reinit_members(chains.ravel(), fresh)
-            bests[self.last_excluded_subpops] = chains[:, 0]
+            bests[excluded] = chains[:, 0]
+        return excluded
 
     def _close_pairs(self, centres: np.ndarray) -> list[tuple[int, int]]:
         """The chain pairs ``(a, b)``, a < b, whose bests lie within the radius.
@@ -214,7 +212,8 @@ class Qcsso(SwarmBase):
         self.ages[members] = 0
 
     def aging_step(self, bests: np.ndarray) -> list[int]:
-        """Recycle stale salps; the global-best holder is never touched.
+        """Recycle stale salps and return them in index order; the
+        global-best holder is never touched.
 
         ``bests`` holds each chain's best index, as ``subpop_best_indices``
         gives it.  A member past its age limit (the longer one for a chain
@@ -238,8 +237,7 @@ class Qcsso(SwarmBase):
         recycled = candidates[coins < cfg.reinit_probability]
         fresh = self.rng.uniform(self.lower, self.upper, size=(recycled.size, self.dim))
         self._reinit_members(recycled, fresh)
-        self.last_aging_reinits = recycled.tolist()
-        return self.last_aging_reinits
+        return recycled.tolist()
 
     # -- the two hooks of ``SwarmBase.iterate`` --------------------------------
 
@@ -257,4 +255,4 @@ class Qcsso(SwarmBase):
         self.overlap_search(bests)
         self.aging_step(bests)
         if self.config.w_mode == "chaotic":
-            self._w_state = rules.logistic_step(self._w_state)
+            self._w = rules.logistic_step(self._w)

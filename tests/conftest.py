@@ -185,6 +185,20 @@ def evaluate_one(problem, x) -> float:
     return float(problem.evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
 
+def record_returns(obj, name: str) -> list:
+    """Wrap ``obj``'s method ``name`` from outside, as the benchmark's tracer
+    does, and return the list that each call's result is appended to."""
+    results = []
+    method = getattr(obj, name)
+
+    def recorded(*args, **kwargs):
+        results.append(method(*args, **kwargs))
+        return results[-1]
+
+    setattr(obj, name, recorded)
+    return results
+
+
 def collect_cells(config) -> ExperimentResult:
     """Every cell ``run_experiment`` yields, keyed by (case id, optimizer id)."""
     return ExperimentResult({

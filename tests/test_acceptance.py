@@ -26,7 +26,7 @@ from dynopt.optimizers.rules import (
 from dynopt.optimizers.runner import run
 from dynopt.cli import main as cli_main
 
-from conftest import StaticFunctionProblem, collect_cells, evaluate_one
+from conftest import StaticFunctionProblem, collect_cells, evaluate_one, record_returns
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -283,12 +283,14 @@ def test_criterion_7_global_best_survives_churn():
             lambda x: float(np.sum(x * x)), 3, -5.0, 5.0
         )
         opt = Qcsso(problem, seed=seed, budget=10**9, config=config)
+        recycled = record_returns(opt, "aging_step")
+        excluded = record_returns(opt, "overlap_search")
         best_so_far = float(opt.pbest_fitness.min())
         for iteration in range(1000):
             opt.iterate()
             total_iterations += 1
-            aging_events += len(opt.last_aging_reinits)
-            exclusion_events += len(opt.last_excluded_subpops)
+            aging_events += len(recycled[-1])
+            exclusion_events += len(excluded[-1])
             now = float(opt.pbest_fitness.min())
             if now > best_so_far + 1e-15:
                 violations.append(

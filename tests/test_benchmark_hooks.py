@@ -49,6 +49,58 @@ def test_a_wrapped_method_exists(owner, name):
     assert callable(getattr(owner, name, None))
 
 
+@pytest.mark.parametrize("optimizer_id, swarm", [
+    ("qcsso", Qcsso), ("ssa_baseline", SsaBaseline), ("pso_baseline", PsoBaseline),
+])
+def test_a_run_detects_once_per_iteration_and_scores_inside_them(
+    monkeypatch, optimizer_id, swarm
+):
+    # the swarm's spans and the detection hit ratio rest on this: every
+    # evaluation but the initial population's falls inside an ``iterate``,
+    # whose first act is one ``detect_change`` that returns a bool
+    iterate, detect, evaluate = swarm.iterate, swarm.detect_change, BudgetedRecorder.evaluate
+    # the calls inside each iteration, and the iterations begun before each
+    # evaluation made outside one
+    iterations, outside, detected, depth = [], [], [], [0]
+
+    def traced_iterate(self):
+        iterations.append([])
+        depth[0] += 1
+        try:
+            return iterate(self)
+        finally:
+            depth[0] -= 1
+
+    def counted_detect(self):
+        iterations[-1].append("detect_change")
+        detected.append(detect(self))
+        return detected[-1]
+
+    def traced_evaluate(self, xs):
+        if depth[0]:
+            iterations[-1].append("evaluate")
+        else:
+            outside.append(len(iterations))
+        return evaluate(self, xs)
+
+    # class attributes, as the benchmark's tracer wraps them
+    monkeypatch.setattr(swarm, "iterate", traced_iterate)
+    monkeypatch.setattr(swarm, "detect_change", counted_detect)
+    monkeypatch.setattr(BudgetedRecorder, "evaluate", traced_evaluate)
+    problem = make_instance("F1(10)", "T7", 5, {"dimension": 5, "change_frequency": 60})
+    traj = run(optimizer_id, problem, 600, 3, s_samples=4, overrides={"population": "10"})
+
+    assert len(traj.e_last) == 10
+    assert outside == [0]  # the constructor's initial population only
+    assert len(iterations) > 10
+    # each iteration, the last one cut by the budget included, detects
+    # first and once
+    assert all(calls[0] == "detect_change" and calls.count("detect_change") == 1
+               for calls in iterations)
+    assert all(type(hit) is bool for hit in detected)
+    assert True in detected
+
+
 def test_run_takes_the_benchmark_keywords():
     parameters = inspect.signature(run).parameters
     for name in ("s_samples", "frequency", "collect_ratios", "trace", "overrides"):

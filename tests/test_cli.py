@@ -419,6 +419,13 @@ class TestScore:
         assert main(["score", "--out", str(empty)]) == 1
         assert "error: no raw tables" in capsys.readouterr().err
 
+    def test_bogus_weights_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["score", "--out", str(tmp_path), "--weights", "bogus"])
+        assert excinfo.value.code == 2
+        assert "weights must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
 
 class TestSelftest:
     def test_reproduces_the_recorded_digest(self, tmp_path, monkeypatch, capsys):

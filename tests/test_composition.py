@@ -252,6 +252,12 @@ class TestConstruction:
                 np.stack([np.eye(2)] * 2), -5.0, 5.0,
             )
 
+    def test_centers_must_be_a_table(self):
+        with pytest.raises(ValueError, match=r"centers must be an \(m, dim\) array"):
+            CompositionProblem(
+                np.zeros(2), [50.0], ["sphere"], np.stack([np.eye(2)]), -5.0, 5.0,
+            )
+
 
 class TestRowEqualsBatch:
     """A row's value does not depend on the batch it comes in.

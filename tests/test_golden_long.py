@@ -23,7 +23,7 @@ from dynopt.harness import ExperimentConfig
 from dynopt.harness.experiment import optimizer_seed, problem_seed
 from dynopt.optimizers.runner import BudgetedRecorder, _OPTIMIZERS
 
-from conftest import environment_note
+from conftest import environment_note, record_returns
 
 GOLDEN = Path(__file__).parent / "data" / "golden_long.txt"
 LONG = ExperimentConfig(
@@ -45,17 +45,18 @@ def cell_line(case, optimizer_id: str) -> str:
     optimizer = _OPTIMIZERS[optimizer_id](
         recorder, optimizer_seed(LONG.seed, case.case_id, optimizer_id, 0), LONG.budget()
     )
-    recycles = exclusions = 0
+    if optimizer_id == "qcsso":
+        recycled = record_returns(optimizer, "aging_step")
+        excluded = record_returns(optimizer, "overlap_search")
     try:
         while True:
             optimizer.iterate()
-            if optimizer_id == "qcsso":
-                recycles += len(optimizer.last_aging_reinits)
-                exclusions += len(optimizer.last_excluded_subpops)
     except BudgetExhausted:
         pass
     assert len(recorder.e_last) == LONG.num_change
-    counts = [str(recycles), str(exclusions)] if optimizer_id == "qcsso" else ["-", "-"]
+    counts = ["-", "-"]
+    if optimizer_id == "qcsso":
+        counts = [str(sum(map(len, calls))) for calls in (recycled, excluded)]
     values = [*recorder.e_last, *recorder.r_last]
     return ",".join([case.case_id, optimizer_id, *counts, *map(repr, values)])
 

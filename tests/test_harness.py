@@ -319,6 +319,19 @@ class TestRunSingle:
         assert len(traj.e_last) == 2
         assert all(e >= 0.0 for e in traj.e_last)
 
+    def test_a_window_short_is_refused(self, monkeypatch):
+        config = tiny_config()
+        real_run = experiment.run
+
+        def short_run(*args, **kwargs):
+            trajectory = real_run(*args, **kwargs)
+            del trajectory.e_last[-1]
+            return trajectory
+
+        monkeypatch.setattr(experiment, "run", short_run)
+        with pytest.raises(RuntimeError, match="expected 2 closed windows, got 1 for F1"):
+            run_single(config, Case("F1(10)", "T1"), "qcsso", 0)
+
 
 class Markers:
     """Where ``marked_run_single`` leaves its files; set per test."""

@@ -112,8 +112,10 @@ class TestConstruction:
             make_instance("F2", "T1", seed=3, overrides={"height_severity": 2.5})
 
     def test_frequency_default_tracks_dimension(self):
-        assert GdbgConfig(dimension=7).resolved_frequency() == 70_000
-        assert GdbgConfig(change_frequency=500).resolved_frequency() == 500
+        assert make_instance("F2", "T1", seed=3, overrides={"dimension": 7}).frequency == 70_000
+        assert make_instance(
+            "F2", "T1", seed=3, overrides={"change_frequency": 500}
+        ).frequency == 500
 
     def test_initial_heights_and_widths(self):
         inst = make_instance("F1(10)", "T1", seed=3)

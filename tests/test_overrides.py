@@ -79,6 +79,10 @@ class TestCoerce:
         assert coerce(7, int) == 7
         assert coerce(True, bool) is True
 
+    def test_unsupported_type_rejected(self):
+        with pytest.raises(ConfigError, match="unsupported override type complex"):
+            coerce("1", complex)
+
 
 class TestApplyOverrides:
     def test_none_returns_same_object(self):

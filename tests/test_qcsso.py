@@ -13,7 +13,7 @@ from dynopt.gdbg.changes import DIM_MAX, DIM_MIN
 from dynopt.optimizers import BudgetedRecorder, rules
 from dynopt.optimizers.qcsso import PROBE_SIGMA_SCALE, Qcsso, QcssoConfig, row_norms
 
-from conftest import FakeRng, SwitchableProblem, evaluate_one, sphere_problem
+from conftest import FakeRng, SwitchableProblem, evaluate_one, record_returns, sphere_problem
 
 
 # the follower gain at the start of a window, 0.75 * sin(pi/4)
@@ -132,15 +132,17 @@ class TestContext:
         assert_update_uses(opt, w=0.96, b_l=100.0, c=C_START)
 
     def test_iteration_index_capped_at_horizon(self):
-        opt = make_opt(budget=5600)
-        opt.l_window = opt.max_iterations + 5
+        opt = make_opt(budget=560)  # 560 // (50 + 5 + 1) = 10 iterations
+        for _ in range(opt.max_iterations + 5):
+            opt.iterate()
+        assert opt.l_window == opt.max_iterations == 10
         assert_update_uses(opt, w=0.96, b_l=0.0, c=0.0)
 
     def test_past_horizon_heads_land_on_attractors(self):
         # B = 0: the heads land on their attractors; C = 0: a follower
         # takes its predecessor's place plus momentum only
         opt = make_opt(dim=1, config=QcssoConfig(population=6, subpopulations=2))
-        opt.l_window = opt.max_iterations + 5
+        opt.l_window = opt.max_iterations  # where ``iterate`` holds it
         opt.positions = np.array([[1.0], [2.0], [3.0], [-1.0], [-2.0], [-3.0]])
         opt.food_position = np.array([0.0])
         opt.rng = FakeRng(random=[0.5] * 24)  # attractor = (x + food) / 2
@@ -367,13 +369,13 @@ class TestOverlapSearch:
         opt = self.small()
         # sigma = 1: first probe lands on the origin, second runs off-domain
         opt.rng = FakeRng(standard_normal=[-1.0, 10.0])
-        opt.overlap_search(opt.subpop_best_indices())
+        excluded = opt.overlap_search(opt.subpop_best_indices())
         assert opt.pbest_positions[0, 0] == 0.0
         assert opt.pbest_fitness[0] == 0.0
         # the second best is unchanged: its clipped probe scored 25 > 4
         assert opt.pbest_positions[2, 0] == 2.0
         assert opt.pbest_fitness[2] == 4.0
-        assert opt.last_excluded_subpops == []
+        assert excluded == []
         assert opt.rng.exhausted()
 
     def test_probe_is_clipped_to_bounds(self):
@@ -395,8 +397,7 @@ class TestOverlapSearch:
         opt.rng = FakeRng(
             standard_normal=[0.0, 0.0], uniform=[0.5, -0.5]
         )
-        opt.overlap_search(opt.subpop_best_indices())
-        assert opt.last_excluded_subpops == [1]
+        assert opt.overlap_search(opt.subpop_best_indices()) == [1]
         assert np.all(np.isinf(opt.pbest_fitness[2:]))
         assert np.all(opt.pbest_positions[2:] >= -5.0)
         assert np.all(opt.pbest_positions[2:] <= 5.0)
@@ -411,8 +412,7 @@ class TestOverlapSearch:
         opt.pbest_positions = np.array([[2.0], [3.0], [1.0], [4.0]])
         opt.pbest_fitness = np.array([4.0, 9.0, 1.0, 16.0])
         opt.rng = FakeRng(standard_normal=[0.0, 0.0], uniform=[0.5, -0.5])
-        opt.overlap_search(opt.subpop_best_indices())
-        assert opt.last_excluded_subpops == [0]
+        assert opt.overlap_search(opt.subpop_best_indices()) == [0]
         assert np.all(np.isinf(opt.pbest_fitness[:2]))
         assert opt.pbest_fitness[2] == 1.0
 
@@ -436,16 +436,15 @@ class TestOverlapSearch:
             scores = by_chain.max(axis=1) if maximize else by_chain.min(axis=1)
             best = scores.max() if maximize else scores.min()
             first_best = int(np.flatnonzero(scores == best)[0])
-            opt.overlap_search(opt.subpop_best_indices())
-            assert opt.last_excluded_subpops == [c for c in range(k) if c != first_best]
+            excluded = opt.overlap_search(opt.subpop_best_indices())
+            assert excluded == [c for c in range(k) if c != first_best]
 
     def test_fitness_tie_recycles_higher_index(self):
         opt = self.small(radius=5.0)
         opt.pbest_positions = np.array([[1.0], [3.0], [-1.0], [4.0]])
         opt.pbest_fitness = np.array([1.0, 9.0, 1.0, 16.0])
         opt.rng = FakeRng(standard_normal=[0.0, 0.0], uniform=[0.5, -0.5])
-        opt.overlap_search(opt.subpop_best_indices())
-        assert opt.last_excluded_subpops == [1]
+        assert opt.overlap_search(opt.subpop_best_indices()) == [1]
 
     @pytest.mark.parametrize("maximize", [False, True])
     def test_probe_acceptance_is_strict_in_both_senses(self, maximize):
@@ -460,37 +459,35 @@ class TestOverlapSearch:
         values = [1.0, 5.0 if maximize else 3.0]
         opt.problem.evaluate = lambda probes: np.array(values)
         opt.rng = FakeRng(standard_normal=[0.5, 0.5])
-        opt.overlap_search(opt.subpop_best_indices())
+        excluded = opt.overlap_search(opt.subpop_best_indices())
         assert opt.pbest_positions[:, 0].tolist() == [1.0, 3.0, 2.5, 4.0]
         assert opt.pbest_fitness[[0, 2]].tolist() == [sign * v for v in values]
-        assert opt.last_excluded_subpops == []
+        assert excluded == []
 
     def test_chain_bests_and_food_hold_through_the_iteration(self):
         # aging reads the chain bests that remember found, as the
         # probes and any recycles left them, and the food is the best pbest
         inst = make_instance("F1(10)", "T1", 5, {"change_frequency": 5000})
         opt = Qcsso(inst, seed=3, budget=10**6)
+        excluded = record_returns(opt, "overlap_search")
         aging = opt.aging_step
-        excluded = []
 
         def checked(bests):
             assert bests.tolist() == opt.subpop_best_indices().tolist()
             best = int(np.argmin(opt.pbest_fitness))
             assert opt.food_fitness == opt.pbest_fitness[best]
             assert np.array_equal(opt.food_position, opt.pbest_positions[best])
-            excluded.extend(opt.last_excluded_subpops)
             return aging(bests)
 
         opt.aging_step = checked
         for _ in range(60):
             opt.iterate()
-        assert excluded  # recycled chains were among them
+        assert any(excluded)  # recycled chains were among them
 
     def test_distant_bests_coexist(self):
         opt = self.small(radius=0.5)
         opt.rng = FakeRng(standard_normal=[0.0, 0.0])
-        opt.overlap_search(opt.subpop_best_indices())
-        assert opt.last_excluded_subpops == []
+        assert opt.overlap_search(opt.subpop_best_indices()) == []
         assert not np.any(np.isinf(opt.pbest_fitness))
 
 
@@ -643,9 +640,10 @@ def reference_aging_step(opt):
 class TestChangeResponse:
     def test_static_problem_never_triggers(self):
         opt = make_opt()
+        detected = record_returns(opt, "detect_change")
         for _ in range(3):
             opt.iterate()
-            assert opt.last_change_detected is False
+            assert detected[-1] is False
         assert opt.l_window == 3
 
     def test_offset_shift_detected_and_memory_rescored(self):
@@ -664,20 +662,22 @@ class TestChangeResponse:
     def test_center_shift_detected_through_iterate(self):
         problem = SwitchableProblem(dimension=4)
         opt = Qcsso(problem, seed=23, budget=10_000)
+        detected = record_returns(opt, "detect_change")
         opt.iterate()
         opt.iterate()
         problem.shift(center_first=3.0)
         opt.iterate()
-        assert opt.last_change_detected is True
+        assert detected[-1] is True
         assert opt.l_window == 1  # reset, then advanced once
 
     def test_dimension_growth_resizes_all_state(self):
         problem = SwitchableProblem(dimension=5)
         opt = Qcsso(problem, seed=25, budget=10_000)
+        detected = record_returns(opt, "detect_change")
         opt.iterate()
         problem.shift(dimension=7)
         opt.iterate()
-        assert opt.last_change_detected is True
+        assert detected[-1] is True
         assert opt.dim == 7
         assert opt.positions.shape == (opt.n, 7)
         assert opt.pbest_positions.shape == (opt.n, 7)
@@ -716,12 +716,12 @@ class TestChaoticInertia:
     def test_state_advances_through_the_logistic_map(self):
         cfg = QcssoConfig(w_mode="chaotic")
         opt = make_opt(config=cfg)
-        assert opt._w_state == 0.70
+        assert opt._w == 0.70
         assert_update_uses(opt, w=0.70, b_l=100.0, c=C_START)
         opt.iterate()
-        assert abs(opt._w_state - 0.84) < 1e-12
+        assert abs(opt._w - 0.84) < 1e-12
         opt.iterate()
-        assert abs(opt._w_state - 0.5376) < 1e-12
+        assert abs(opt._w - 0.5376) < 1e-12
 
     def test_next_update_jumps_with_the_advanced_state(self):
         opt = make_opt(config=QcssoConfig(w_mode="chaotic"))
@@ -736,7 +736,7 @@ class TestChaoticInertia:
     def test_fixed_mode_ignores_the_state(self):
         opt = make_opt()
         opt.iterate()
-        assert opt._w_state == 0.70
+        assert opt._w == rules.W_FIXED == 0.96  # never stepped
         assert_update_uses(
             opt, w=0.96,
             b_l=rules.contraction_expansion(1, 100),
